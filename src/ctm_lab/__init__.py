@@ -42,7 +42,6 @@ from .space import (
     BLANK_BOTH,
     BLANK_ZERO,
     Census,
-    FilterFlags,
     FrequencyTable,
     ShardPlan,
     SpaceSpec,

@@ -8,6 +8,8 @@ and float round-trips are exact.
 
 import json
 
+from .errors import ParseError
+
 
 def fmt_float(x) -> str:
     return format(float(x), ".17g")
@@ -29,3 +31,18 @@ def canonical_key(record):
 
 def meta_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def read_header(lines, magic: str, columns: str, kind: str) -> dict:
+    """Check the three header lines of a table file and return its meta object."""
+    if not lines or lines[0] != magic:
+        raise ParseError(f"not a {kind} file", line=1)
+    if len(lines) < 3 or not lines[1].startswith("# meta "):
+        raise ParseError("missing meta header", line=2)
+    try:
+        meta = json.loads(lines[1][len("# meta "):])
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad meta header: {exc}", line=2) from exc
+    if lines[2] != columns:
+        raise ParseError("unexpected column header", line=3)
+    return meta

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--both-blanks", action="store_true",
                    help="run every machine on blank 0 and blank 1")
     p.add_argument("--max-steps", type=int, default=0)
-    p.add_argument("--shards", type=int, default=0,
+    p.add_argument("--shards", type=int,
                    help="shard count (default: 4x threads)")
     p.add_argument("--norm", choices=(NORM_HALTING, NORM_ALL), default=NORM_HALTING)
 
@@ -202,8 +202,7 @@ def _cmd_run_space(args) -> int:
         blank_mode=BLANK_BOTH if args.both_blanks else BLANK_ZERO,
         max_steps=args.max_steps,
     )
-    shards = args.shards if args.shards > 0 else max(4 * args.threads, 1)
-    plan = make_shard_plan(spec.size, shards)
+    plan = None if args.shards is None else make_shard_plan(spec.size, args.shards)
     freq = run_space(spec, plan=plan, workers=args.threads)
     save_ctm_table(to_ctm(freq, args.norm), args.out)
     return 0

@@ -13,11 +13,10 @@ enumeration is strictly more evidence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from ._canon import canonical_key, fmt_float, meta_dumps
+from ._canon import canonical_key, fmt_float, meta_dumps, read_header
 from .errors import ParseError, ValidationError
 from .space import FrequencyTable
 
@@ -136,16 +135,7 @@ def dumps_ctm_table(table: CtmTable) -> bytes:
 
 def loads_ctm_table(data: bytes) -> CtmTable:
     lines = data.decode("utf-8").splitlines()
-    if not lines or lines[0] != _TABLE_MAGIC:
-        raise ParseError("not a ctm-table file", line=1)
-    if len(lines) < 3 or not lines[1].startswith("# meta "):
-        raise ParseError("missing meta header", line=2)
-    try:
-        meta = json.loads(lines[1][len("# meta "):])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad meta header: {exc}", line=2) from exc
-    if lines[2] != _TABLE_COLUMNS:
-        raise ParseError("unexpected column header", line=3)
+    meta = read_header(lines, _TABLE_MAGIC, _TABLE_COLUMNS, "ctm-table")
     normalization = meta.get("normalization")
     if normalization not in NORMALIZATIONS:
         raise ValidationError(f"unknown normalization in file: {normalization!r}")

@@ -146,8 +146,9 @@ class RunConfig:
     """Simulation bounds and which non-halting analyses to run inline.
 
     Defaults suit single-machine inspection: all sound checks on. Space
-    runs build their own configs from SpaceSpec filter flags (cycle
-    detection is costly and stays off there).
+    runs build theirs with SpaceSpec.run_config, which keeps the
+    no-halt-rule and blank-escape proofs and turns cycle detection off
+    (it is costly and changes no halting count).
     """
 
     max_steps: int = 100

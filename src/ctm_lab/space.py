@@ -1,12 +1,17 @@
 """Exhaustive enumeration of a rule space into a frequency table.
 
-run_space drives every machine index of (n, 2) through the sound
-non-halting filters and the step cutoff, then aggregates halting outputs
-into per-string counts. Two interchangeable engines exist: a scalar one
-built directly on machine.simulate, and a vectorized numpy engine that
-steps whole index batches in lockstep. They classify every run identically,
-so their tables are byte-equal; the scalar engine doubles as the
-independent oracle for the fast path.
+run_space drives every machine index of (n, 2) through two sound
+non-halting proofs (no halting rule, blank-runway escape) and the step
+cutoff, then aggregates halting outputs into per-string counts. Only
+halting outputs are counted, so the proofs decide nothing but the census
+bucket of a non-halting run; no configuration-cycle check runs here (it
+lives in machine.simulate for single-machine inspection).
+
+Two interchangeable engines exist: the default vectorized numpy engine,
+which steps whole index batches in lockstep, and a scalar one built
+directly on machine.simulate. They classify every run identically, so
+their tables are byte-equal; the scalar engine is the independent oracle
+for the fast path.
 
 Determinism contract: the resulting FrequencyTable depends only on the
 SpaceSpec, never on shard boundaries, worker count, or scheduling. Shards
@@ -15,15 +20,14 @@ are disjoint contiguous index ranges; merging is an associative fold.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._canon import canonical_key, meta_dumps
+from ._canon import canonical_key, meta_dumps, read_header
 from .errors import ParseError, ValidationError
-from .machine import BLANK_ESCAPE, NO_HALT_RULE, Halted, NonHaltingProved, RunConfig, decode_machine, simulate
+from .machine import NO_HALT_RULE, Halted, NonHaltingProved, RunConfig, decode_machine, simulate
 
 BLANK_ZERO = "zero"
 BLANK_BOTH = "both"
@@ -34,6 +38,25 @@ _BATCH = 1 << 19
 
 _FREQ_MAGIC = "# ctm-freq v1"
 _FREQ_COLUMNS = "string,count,min_used_rules,first_producer"
+
+# Format v1 records which non-halting proofs a run applied and how many runs
+# the cycle check caught. Every run applies the same proofs, so these keys
+# are constant: files keep writing them and must carry exactly these values.
+_V1_CONSTANT_KEYS = {
+    "spec": {
+        "cycle_memory_limit": 10_000,
+        "filters": {"blank_escape": True, "cycle": False, "no_halt_rule": True},
+    },
+    "census": {"cycle_detected": 0},
+}
+
+
+def _without_constant_keys(d: dict, kind: str) -> dict:
+    constant = _V1_CONSTANT_KEYS[kind]
+    for key, value in constant.items():
+        if d.get(key) != value:
+            raise ValidationError(f"{kind} {key} must be {value!r}, got {d.get(key)!r}")
+    return {k: v for k, v in d.items() if k not in constant}
 
 
 def space_size(n: int) -> int:
@@ -57,23 +80,12 @@ def default_max_steps(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class FilterFlags:
-    """Which sound non-halting filters a space run applies."""
-
-    no_halt_rule: bool = True
-    blank_escape: bool = True
-    cycle: bool = False
-
-
-@dataclass(frozen=True)
 class SpaceSpec:
     """Everything that determines a space run's result."""
 
     n: int
     blank_mode: str = BLANK_ZERO
     max_steps: int = 0  # 0 means: use default_max_steps(n)
-    filters: FilterFlags = field(default_factory=FilterFlags)
-    cycle_memory_limit: int = 10_000
 
     def __post_init__(self):
         space_size(self.n)  # validates n
@@ -98,33 +110,14 @@ class SpaceSpec:
         return (0, 1) if self.blank_mode == BLANK_BOTH else (0,)
 
     def run_config(self, blank: int) -> RunConfig:
-        return RunConfig(
-            max_steps=self.max_steps,
-            blank=blank,
-            check_no_halt_rule=self.filters.no_halt_rule,
-            check_blank_escape=self.filters.blank_escape,
-            check_cycles=self.filters.cycle,
-            cycle_memory_limit=self.cycle_memory_limit,
-        )
+        return RunConfig(max_steps=self.max_steps, blank=blank, check_cycles=False)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "blank_mode": self.blank_mode,
-            "max_steps": self.max_steps,
-            "filters": asdict(self.filters),
-            "cycle_memory_limit": self.cycle_memory_limit,
-        }
+        return {**asdict(self), **_V1_CONSTANT_KEYS["spec"]}
 
     @staticmethod
     def from_dict(d: dict) -> "SpaceSpec":
-        return SpaceSpec(
-            n=d["n"],
-            blank_mode=d["blank_mode"],
-            max_steps=d["max_steps"],
-            filters=FilterFlags(**d["filters"]),
-            cycle_memory_limit=d["cycle_memory_limit"],
-        )
+        return SpaceSpec(**_without_constant_keys(d, "spec"))
 
 
 @dataclass
@@ -135,30 +128,25 @@ class Census:
     halted: int = 0
     no_halt_rule: int = 0
     blank_escape: int = 0
-    cycle_detected: int = 0
     step_limited: int = 0
 
     @property
     def proved_non_halting(self) -> int:
-        return self.no_halt_rule + self.blank_escape + self.cycle_detected
+        return self.no_halt_rule + self.blank_escape
 
     def add(self, other: "Census") -> None:
         self.total_runs += other.total_runs
         self.halted += other.halted
         self.no_halt_rule += other.no_halt_rule
         self.blank_escape += other.blank_escape
-        self.cycle_detected += other.cycle_detected
         self.step_limited += other.step_limited
 
     def as_dict(self) -> dict:
-        return {
-            "total_runs": self.total_runs,
-            "halted": self.halted,
-            "no_halt_rule": self.no_halt_rule,
-            "blank_escape": self.blank_escape,
-            "cycle_detected": self.cycle_detected,
-            "step_limited": self.step_limited,
-        }
+        return {**asdict(self), **_V1_CONSTANT_KEYS["census"]}
+
+    @staticmethod
+    def from_dict(d: dict) -> "Census":
+        return Census(**_without_constant_keys(d, "census"))
 
 
 @dataclass
@@ -223,16 +211,7 @@ def load_frequency_table(path) -> FrequencyTable:
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8")
     lines = text.splitlines()
-    if not lines or lines[0] != _FREQ_MAGIC:
-        raise ParseError("not a ctm-freq file", line=1)
-    if len(lines) < 3 or not lines[1].startswith("# meta "):
-        raise ParseError("missing meta header", line=2)
-    try:
-        meta = json.loads(lines[1][len("# meta "):])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad meta header: {exc}", line=2) from exc
-    if lines[2] != _FREQ_COLUMNS:
-        raise ParseError("unexpected column header", line=3)
+    meta = read_header(lines, _FREQ_MAGIC, _FREQ_COLUMNS, "ctm-freq")
     counts, used, first = {}, {}, {}
     for lineno, line in enumerate(lines[3:], start=4):
         if not line:
@@ -255,7 +234,7 @@ def load_frequency_table(path) -> FrequencyTable:
         counts=counts,
         min_used_rules=used,
         first_producer=first,
-        census=Census(**meta["census"]),
+        census=Census.from_dict(meta["census"]),
         covers=None if covers is None else tuple(tuple(r) for r in covers),
     )
     table.validate()
@@ -338,10 +317,8 @@ def _run_scalar(spec: SpaceSpec, indices, sink: _Sink) -> None:
             elif isinstance(outcome, NonHaltingProved):
                 if outcome.reason == NO_HALT_RULE:
                     census.no_halt_rule += 1
-                elif outcome.reason == BLANK_ESCAPE:
-                    census.blank_escape += 1
                 else:
-                    census.cycle_detected += 1
+                    census.blank_escape += 1
             else:
                 census.step_limited += 1
 
@@ -365,31 +342,28 @@ def _vector_pass(spec: SpaceSpec, idx: np.ndarray, blank: int, sink: _Sink) -> N
         ords[:, slot] = (rem % base).astype(np.uint8)
         rem //= base
 
-    if spec.filters.no_halt_rule:
-        has_halt = (ords >= halt_floor).any(axis=1)
-        sink.census.no_halt_rule += int(m - has_halt.sum())
-        live = np.nonzero(has_halt)[0]
-        if live.size == 0:
-            return
-        ords = ords[live]
-        idx = idx[live]
+    has_halt = (ords >= halt_floor).any(axis=1)
+    sink.census.no_halt_rule += int(m - has_halt.sum())
+    live = np.nonzero(has_halt)[0]
+    if live.size == 0:
+        return
+    ords = ords[live]
+    idx = idx[live]
     count = idx.size
 
-    esc = None
-    if spec.filters.blank_escape:
-        blank_slots = 2 * np.arange(n) + blank
-        b_ord = ords[:, blank_slots]
-        b_step = b_ord < halt_floor
-        b_move = (b_ord % two_n) // n
-        b_next = (b_ord % n).astype(np.int64)
-        esc = []
-        for d in (0, 1):
-            e = b_step & (b_move == d)
-            # each pass extends the checked walk by one state; n passes cover
-            # a full pigeonhole cycle, so the flag is exact
-            for _ in range(n):
-                e = e & np.take_along_axis(e, b_next, axis=1)
-            esc.append(e)
+    blank_slots = 2 * np.arange(n) + blank
+    b_ord = ords[:, blank_slots]
+    b_step = b_ord < halt_floor
+    b_move = (b_ord % two_n) // n
+    b_next = (b_ord % n).astype(np.int64)
+    esc = []
+    for d in (0, 1):
+        e = b_step & (b_move == d)
+        # each pass extends the checked walk by one state; n passes cover
+        # a full pigeonhole cycle, so the flag is exact
+        for _ in range(n):
+            e = e & np.take_along_axis(e, b_next, axis=1)
+        esc.append(e)
 
     width = 2 * spec.max_steps + 1
     center = spec.max_steps
@@ -424,17 +398,16 @@ def _vector_pass(spec: SpaceSpec, idx: np.ndarray, blank: int, sink: _Sink) -> N
         dead = np.zeros(stepping.size, bool)
         fresh_r = new_pos > hi[stepping]
         fresh_l = new_pos < lo[stepping]
-        if esc is not None:
-            if fresh_r.any():
-                rows = np.nonzero(fresh_r)[0]
-                hit = esc[1][stepping[rows], new_state[rows]]
-                outcome[stepping[rows[hit]]] = 2
-                dead[rows[hit]] = True
-            if fresh_l.any():
-                rows = np.nonzero(fresh_l)[0]
-                hit = esc[0][stepping[rows], new_state[rows]]
-                outcome[stepping[rows[hit]]] = 2
-                dead[rows[hit]] = True
+        if fresh_r.any():
+            rows = np.nonzero(fresh_r)[0]
+            hit = esc[1][stepping[rows], new_state[rows]]
+            outcome[stepping[rows[hit]]] = 2
+            dead[rows[hit]] = True
+        if fresh_l.any():
+            rows = np.nonzero(fresh_l)[0]
+            hit = esc[0][stepping[rows], new_state[rows]]
+            outcome[stepping[rows[hit]]] = 2
+            dead[rows[hit]] = True
         hi[stepping] = np.maximum(hi[stepping], new_pos)
         lo[stepping] = np.minimum(lo[stepping], new_pos)
         alive = stepping[~dead]
@@ -495,86 +468,66 @@ def _vector_pass(spec: SpaceSpec, idx: np.ndarray, blank: int, sink: _Sink) -> N
 
 
 def _run_vector(spec: SpaceSpec, indices: np.ndarray, sink: _Sink) -> None:
-    if spec.filters.cycle:
-        raise ValidationError("the vector engine does not implement the cycle filter")
     for blank in spec.blanks:
         for start in range(0, indices.size, _BATCH):
             _vector_pass(spec, indices[start:start + _BATCH], blank, sink)
 
 
-def _resolve_engine(spec: SpaceSpec, engine: str) -> str:
-    if engine == "auto":
-        return "scalar" if spec.filters.cycle else "vector"
-    if engine not in ("scalar", "vector"):
+_ENGINES = {"scalar": _run_scalar, "vector": _run_vector}
+
+
+def _run_part(spec: SpaceSpec, indices: np.ndarray, engine: str, covers) -> FrequencyTable:
+    """One engine pass over an index array, as an unvalidated table."""
+    if engine not in _ENGINES:
         raise ValidationError(f"unknown engine {engine!r}")
-    return engine
-
-
-def run_index_array(spec: SpaceSpec, indices, engine: str = "auto") -> FrequencyTable:
-    """Run an arbitrary (sorted, duplicate-free) index set; covers stays None."""
-    indices = np.asarray(indices, np.uint64)
     sink = _Sink(spec)
-    if _resolve_engine(spec, engine) == "vector":
-        _run_vector(spec, indices, sink)
-    else:
-        _run_scalar(spec, indices, sink)
-    table = sink.table(covers=None)
+    _ENGINES[engine](spec, indices, sink)
+    return sink.table(covers)
+
+
+def _run_shard(job) -> FrequencyTable:
+    spec, engine, lo, hi = job
+    return _run_part(spec, np.arange(lo, hi, dtype=np.uint64), engine, covers=((lo, hi),))
+
+
+def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> FrequencyTable:
+    """Run an arbitrary (sorted, duplicate-free) index set; covers stays None."""
+    table = _run_part(spec, np.asarray(indices, np.uint64), engine, covers=None)
     table.validate()
     return table
-
-
-def _run_range_raw(spec: SpaceSpec, lo: int, hi: int, engine: str):
-    sink = _Sink(spec)
-    if _resolve_engine(spec, engine) == "vector":
-        _run_vector(spec, np.arange(lo, hi, dtype=np.uint64), sink)
-    else:
-        _run_scalar(spec, range(lo, hi), sink)
-    return sink.counts, sink.min_used, sink.first, sink.census, (lo, hi)
-
-
-def _shard_worker(args):
-    spec_dict, lo, hi, engine = args
-    return _run_range_raw(SpaceSpec.from_dict(spec_dict), lo, hi, engine)
-
-
-def _raw_to_table(spec, raw) -> FrequencyTable:
-    counts, used, first, census, cover = raw
-    return FrequencyTable(spec, counts, used, first, census, covers=(cover,))
 
 
 def run_space(
     spec: SpaceSpec,
     plan: ShardPlan = None,
     workers: int = 1,
-    engine: str = "auto",
+    engine: str = "vector",
 ) -> FrequencyTable:
     """Enumerate the whole space described by spec into a FrequencyTable.
 
     The result is byte-identical for every plan and worker count; shards
-    only bound the unit of parallel work. Partial tables are merged in
-    shard order.
+    only bound the unit of parallel work (default: four per worker).
+    Partial tables are merged in shard order.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     if plan is None:
-        plan = make_shard_plan(spec.size, max(workers * 4, 1))
+        plan = make_shard_plan(spec.size, workers * 4)
     if plan.shards[0][0] != 0 or plan.shards[-1][1] != spec.size:
         raise ValidationError("shard plan must cover the full index range")
-    engine = _resolve_engine(spec, engine)
-    jobs = [(spec.as_dict(), lo, hi, engine) for lo, hi in plan.shards]
+    jobs = [(spec, engine, lo, hi) for lo, hi in plan.shards]
     if workers == 1 or len(jobs) == 1:
-        raws = [_run_range_raw(spec, lo, hi, engine) for _, lo, hi, _ in jobs]
+        parts = [_run_shard(job) for job in jobs]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
-            raws = pool.map(_shard_worker, jobs, chunksize=1)
-    parts = [_raw_to_table(spec, raw) for raw in raws]
+            parts = pool.map(_run_shard, jobs, chunksize=1)
     table = merge_shards(parts)
     table.validate()
     return table
 
 
-def run_strided_sample(spec: SpaceSpec, stride: int, engine: str = "auto") -> FrequencyTable:
+def run_strided_sample(spec: SpaceSpec, stride: int, engine: str = "vector") -> FrequencyTable:
     """Deterministic sample: every stride-th index starting at 0."""
     if stride < 1:
         raise ValidationError("stride must be >= 1")

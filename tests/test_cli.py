@@ -1,6 +1,8 @@
 """End-to-end checks of the ctm-lab command-line surface."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -132,6 +134,8 @@ def test_exit_codes(capsys, tmp_path):
     # bad arguments -> validation (1)
     assert main(["run-space"]) == 1
     assert main(["entropy", "--string", ""]) == 1
+    assert main(["run-space", "--states", "1", "--shards", "-3",
+                 "--out", str(tmp_path / "d1.ctm")]) == 1
     # unreadable input -> i/o (2)
     assert main(["ctm", "eval", "--table", str(tmp_path / "missing.ctm"),
                  "--string", "0"]) == 2
@@ -139,9 +143,15 @@ def test_exit_codes(capsys, tmp_path):
 
 
 def test_installed_entry_point_runs():
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["ctm-lab"] == "ctm_lab.cli:main_entry"
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "ctm_lab.cli"] if False else ["ctm-lab", "--version"],
-        capture_output=True, text=True,
+        [sys.executable, "-m", "ctm_lab", "--version"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ctm-lab ")

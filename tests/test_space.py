@@ -1,11 +1,13 @@
 """Space runs: cardinalities, oracle cross-checks, determinism, merging."""
 
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
+from ctm_lab.ctm import load_ctm_table
 from ctm_lab.errors import ParseError, ValidationError
 from ctm_lab.machine import (
     HaltWrite,
@@ -17,7 +19,6 @@ from ctm_lab.machine import (
     simulate,
 )
 from ctm_lab.space import (
-    FilterFlags,
     ShardPlan,
     SpaceSpec,
     empty_table,
@@ -150,8 +151,7 @@ def test_census_partitions_run_count(d2_zero_freq):
     census = d2_zero_freq.census
     assert census.total_runs == 10_000
     assert (
-        census.halted + census.no_halt_rule + census.blank_escape
-        + census.cycle_detected + census.step_limited
+        census.halted + census.no_halt_rule + census.blank_escape + census.step_limited
         == census.total_runs
     )
     d2_zero_freq.validate()
@@ -178,6 +178,31 @@ def test_raising_cutoff_tenfold_changes_nothing_on_two_states():
     assert base.counts == slow.counts
     assert base.min_used_rules == slow.min_used_rules
     assert base.first_producer == slow.first_producer
+
+
+def _same_outputs(a, b):
+    return (a.counts, a.min_used_rules, a.first_producer) == (
+        b.counts, b.min_used_rules, b.first_producer
+    )
+
+
+def test_busy_beaver_cutoff_is_exact_on_two_states():
+    # S(2) = 6 (Lin & Rado 1965): every halting (2,2) machine stops within
+    # six steps, so cutoff 6 loses nothing and cutoff 5 loses the longest runs.
+    for mode, halted, short_halted in (("zero", 3044, 3024), ("both", 6088, 6048)):
+        default = run_space(SpaceSpec(2, blank_mode=mode))
+        assert default.census.halted == halted
+        assert _same_outputs(run_space(SpaceSpec(2, blank_mode=mode, max_steps=6)), default)
+        assert run_space(SpaceSpec(2, blank_mode=mode, max_steps=5)).census.halted == short_halted
+
+
+def test_busy_beaver_cutoff_is_exact_on_three_states(d3_zero_freq):
+    # S(3) = 21: cutoff 21 reproduces the default-cutoff table, cutoff 20 does not.
+    at_bound = run_space(SpaceSpec(3, max_steps=21), workers=2)
+    assert at_bound.census.halted == d3_zero_freq.census.halted == 2_147_184
+    assert _same_outputs(at_bound, d3_zero_freq)
+    below = run_space(SpaceSpec(3, max_steps=20), workers=2)
+    assert below.census.halted == 2_147_184 - 8
 
 
 # --- shard plans and merging
@@ -252,10 +277,52 @@ def test_frequency_table_round_trip(tmp_path, d2_zero_freq):
 
 
 def test_frequency_table_parse_errors(tmp_path):
-    bad = tmp_path / "bad.freq"
-    bad.write_text("not a table\n")
-    with pytest.raises(ParseError):
-        load_frequency_table(bad)
+    bad = tmp_path / "bad"
+    loaders = (
+        (load_frequency_table, "# ctm-freq v1", "string,count,min_used_rules,first_producer"),
+        (load_ctm_table, "# ctm-table v1",
+         "string,count,probability,complexity_bits,min_used_rules,source_space"),
+    )
+    for load, magic, columns in loaders:
+        cases = (
+            ("not a table\n", 1),
+            (f"{magic}\nstray\n{columns}\n", 2),
+            (f"{magic}\n# meta {{bad\n{columns}\n", 2),
+            (f"{magic}\n# meta {{}}\nstring,count\n", 3),
+        )
+        for text, line in cases:
+            bad.write_text(text)
+            with pytest.raises(ParseError) as err:
+                load(bad)
+            assert err.value.line == line
+
+
+def _with_meta(path, d2_zero_freq, edit):
+    save_frequency_table(d2_zero_freq, path)
+    magic, meta, rest = path.read_text().split("\n", 2)
+    meta = json.loads(meta[len("# meta "):])
+    edit(meta)
+    path.write_text(f"{magic}\n# meta {json.dumps(meta)}\n{rest}")
+
+
+def test_frequency_table_rejects_other_proof_settings(tmp_path, d2_zero_freq):
+    path = tmp_path / "d2.freq"
+
+    def cycle_on(meta):
+        meta["spec"]["filters"]["cycle"] = True
+
+    def other_memory_limit(meta):
+        meta["spec"]["cycle_memory_limit"] = 5000
+
+    def cycles_counted(meta):
+        meta["census"]["cycle_detected"] = 3
+
+    _with_meta(path, d2_zero_freq, lambda meta: None)
+    assert load_frequency_table(path).canonical_bytes() == d2_zero_freq.canonical_bytes()
+    for edit in (cycle_on, other_memory_limit, cycles_counted):
+        _with_meta(path, d2_zero_freq, edit)
+        with pytest.raises(ValidationError):
+            load_frequency_table(path)
 
 
 def test_strided_sample_is_deterministic():
@@ -273,11 +340,3 @@ def test_run_space_multiprocess_matches_inline():
     pooled = run_space(spec, plan=make_shard_plan(10_000, 4), workers=2)
     assert inline.canonical_bytes() == pooled.canonical_bytes()
 
-
-def test_cycle_filter_requires_scalar_engine():
-    spec = SpaceSpec(1, filters=FilterFlags(cycle=True))
-    with pytest.raises(ValidationError):
-        run_space(spec, engine="vector")
-    table = run_space(spec)  # auto falls back to the scalar engine
-    assert table.census.total_runs == 36
-    assert table.census.cycle_detected == 0  # escapes fire before any cycle forms
