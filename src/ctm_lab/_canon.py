@@ -43,6 +43,8 @@ def read_header(lines, magic: str, columns: str, kind: str) -> dict:
         meta = json.loads(lines[1][len("# meta "):])
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad meta header: {exc}", line=2) from exc
+    if not isinstance(meta, dict):
+        raise ParseError("meta header is not a JSON object", line=2)
     if lines[2] != columns:
         raise ParseError("unexpected column header", line=3)
     return meta

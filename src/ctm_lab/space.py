@@ -13,6 +13,17 @@ directly on machine.simulate. They classify every run identically, so
 their tables are byte-equal; the scalar engine is the independent oracle
 for the fast path.
 
+The vector engine decodes a batch once and runs it for each blank. The
+blank-runway closure depends only on a machine's n blank-read entries, so
+it runs once per distinct entry tuple in the batch and is gathered back as
+per-machine escape bits. The step loop then touches only live machines:
+state, head, visited bounds and used-rule mask sit in contiguous arrays
+that one keep-mask filters whenever a machine halts or is proved to
+escape, and three lookup tables over the action codes give the written
+symbol, head delta and next state. The tape starts narrow and widens as
+the step count grows; each copy keeps only live rows, and halted rows are
+packed into (length, value) pairs before the tape is replaced.
+
 Determinism contract: the resulting FrequencyTable depends only on the
 SpaceSpec, never on shard boundaries, worker count, or scheduling. Shards
 are disjoint contiguous index ranges; merging is an associative fold.
@@ -71,11 +82,19 @@ def space_size(n: int) -> int:
 
 
 def default_max_steps(n: int) -> int:
-    """Step cutoffs validated by the 10x re-run check on full spaces."""
+    """Default step cutoff, never below the busy-beaver step bound S(n).
+
+    n <= 3 keeps the cutoffs validated by the 10x re-run check on full
+    spaces (10 and 30; S(2) = 6, S(3) = 21). For n = 4 it is S(4) = 107
+    (Brady, Math. Comp. 40, 1983): every halting (4,2) machine stops
+    within 107 steps, so the cutoff loses no halting run.
+    """
     if n <= 2:
         return 10
     if n == 3:
         return 30
+    if n == 4:
+        return 107
     raise ValidationError(f"no validated default cutoff for n={n}; set max_steps explicitly")
 
 
@@ -327,35 +346,39 @@ def _run_scalar(spec: SpaceSpec, indices, sink: _Sink) -> None:
 # Vectorized engine
 
 
-def _vector_pass(spec: SpaceSpec, idx: np.ndarray, blank: int, sink: _Sink) -> None:
-    """Step one batch of machine indices in lockstep for one blank symbol."""
-    n = spec.n
+def _action_tables(n: int):
+    """Written symbol, head delta and 2 * next state of each action code.
+
+    Codes below 4n are steps (write, move, next state in mixed radix); the
+    two codes from 4n up halt after writing, so their delta is 0.
+    """
+    codes = np.arange(4 * n + 2)
+    step = codes < 4 * n
+    write = np.where(step, codes // (2 * n), codes - 4 * n).astype(np.uint8)
+    delta = np.where(step, 2 * (codes % (2 * n) // n) - 1, 0).astype(np.intp)
+    next2 = np.where(step, 2 * (codes % n), 0).astype(np.intp)
+    return write, delta, next2
+
+
+def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
+    """Per machine, bit o is set when step code o, landing on fresh tape, proves escape.
+
+    The blank-runway closure depends only on the n blank-read entries, so
+    it runs once per distinct key and is gathered back to the machines.
+    """
     base = 4 * n + 2
-    two_n = 2 * n
-    halt_floor = 4 * n
-    m = idx.size
-    sink.census.total_runs += m
-
-    rem = idx.astype(np.uint64, copy=True)
-    ords = np.empty((m, two_n), np.uint8)
-    for slot in range(two_n - 1, -1, -1):
-        ords[:, slot] = (rem % base).astype(np.uint8)
-        rem //= base
-
-    has_halt = (ords >= halt_floor).any(axis=1)
-    sink.census.no_halt_rule += int(m - has_halt.sum())
-    live = np.nonzero(has_halt)[0]
-    if live.size == 0:
-        return
-    ords = ords[live]
-    idx = idx[live]
-    count = idx.size
-
-    blank_slots = 2 * np.arange(n) + blank
-    b_ord = ords[:, blank_slots]
-    b_step = b_ord < halt_floor
-    b_move = (b_ord % two_n) // n
-    b_next = (b_ord % n).astype(np.int64)
+    key = np.zeros(ords.shape[0], np.int64)
+    for j in range(n):
+        key = key * base + ords[:, 2 * j + blank]
+    # the keys decode back to their digits, so no representative row (and
+    # no stable sort for return_index) is needed
+    keys, inverse = np.unique(key, return_inverse=True)
+    b_ord = np.empty((keys.size, n), np.int64)
+    for j in range(n - 1, -1, -1):
+        keys, b_ord[:, j] = np.divmod(keys, base)
+    b_step = b_ord < 4 * n
+    b_move = (b_ord % (2 * n)) // n
+    b_next = b_ord % n
     esc = []
     for d in (0, 1):
         e = b_step & (b_move == d)
@@ -364,135 +387,186 @@ def _vector_pass(spec: SpaceSpec, idx: np.ndarray, blank: int, sink: _Sink) -> N
         for _ in range(n):
             e = e & np.take_along_axis(e, b_next, axis=1)
         esc.append(e)
+    bits = np.zeros(b_ord.shape[0], np.int64)
+    for o in range(4 * n):
+        bits |= esc[o % (2 * n) // n][:, o % n].astype(np.int64) << o
+    return bits[inverse.ravel()]
 
-    width = 2 * spec.max_steps + 1
-    center = spec.max_steps
-    tape = np.full((count, width), blank, np.uint8)
-    state0 = np.zeros(count, np.int16)
-    pos = np.full(count, center, np.int32)
-    lo = pos.copy()
-    hi = pos.copy()
-    used = np.zeros(count, np.uint16)
-    outcome = np.zeros(count, np.uint8)  # 0 running, 1 halted, 2 escape proved
-    pow2 = (np.uint16(1) << np.arange(two_n)).astype(np.uint16)
 
-    alive = np.arange(count)
-    for _ in range(spec.max_steps):
-        p = pos[alive]
-        slot = 2 * state0[alive] + tape[alive, p]
-        used[alive] |= pow2[slot]
-        o = ords[alive, slot]
-        halting = o >= halt_floor
-        tape[alive, p] = np.where(halting, o - halt_floor, o // two_n).astype(np.uint8)
-        if halting.any():
-            outcome[alive[halting]] = 1
-        stepping = alive[~halting]
-        if stepping.size == 0:
-            break
-        oo = o[~halting]
-        move = (oo % two_n) // n
-        new_pos = p[~halting] + (move.astype(np.int32) * 2 - 1)
-        new_state = (oo % n).astype(np.int16)
-        state0[stepping] = new_state
-        pos[stepping] = new_pos
-        dead = np.zeros(stepping.size, bool)
-        fresh_r = new_pos > hi[stepping]
-        fresh_l = new_pos < lo[stepping]
-        if fresh_r.any():
-            rows = np.nonzero(fresh_r)[0]
-            hit = esc[1][stepping[rows], new_state[rows]]
-            outcome[stepping[rows[hit]]] = 2
-            dead[rows[hit]] = True
-        if fresh_l.any():
-            rows = np.nonzero(fresh_l)[0]
-            hit = esc[0][stepping[rows], new_state[rows]]
-            outcome[stepping[rows[hit]]] = 2
-            dead[rows[hit]] = True
-        hi[stepping] = np.maximum(hi[stepping], new_pos)
-        lo[stepping] = np.minimum(lo[stepping], new_pos)
-        alive = stepping[~dead]
-        if alive.size == 0:
-            break
+def _copy_tape(tape, width, new_width, blank, head, lo, hi):
+    """Copy the live machines' tape rows, centred in rows new_width wide."""
+    rows = lo // width
+    pad = (new_width - width) // 2
+    new = np.full((rows.size, new_width), blank, np.uint8)
+    new[:, pad:pad + width] = tape.reshape(-1, width)[rows]
+    shift = np.arange(rows.size) * new_width + pad - rows * width
+    return new.ravel(), head + shift, lo + shift, hi + shift
 
-    sink.census.blank_escape += int((outcome == 2).sum())
-    sink.census.step_limited += int((outcome == 0).sum())
-    halted_rows = np.nonzero(outcome == 1)[0]
-    sink.census.halted += int(halted_rows.size)
-    if halted_rows.size == 0:
-        return
 
-    lengths = (hi[halted_rows] - lo[halted_rows] + 1).astype(np.int64)
-    used_rules = np.bitwise_count(used[halted_rows]).astype(np.int64)
-    producer = idx[halted_rows].astype(np.int64)
+class _Outputs:
+    """Halted runs of one pass: frozen tape spans, packed before the tape moves."""
 
-    narrow = lengths <= 64
-    if not narrow.all():
-        # Rare wide outputs (only reachable with very large cutoffs): build
-        # the strings row by row and leave the packed fast path to the rest.
-        for row in np.nonzero(~narrow)[0]:
-            r = halted_rows[row]
-            cells = tape[r, lo[r]:hi[r] + 1]
-            s = "".join("1" if c else "0" for c in cells)
-            sink.add_string(s, 1, int(used_rules[row]), int(producer[row]))
-        keep = np.nonzero(narrow)[0]
-        halted_rows = halted_rows[keep]
-        lengths = lengths[keep]
-        used_rules = used_rules[keep]
-        producer = producer[keep]
-        if halted_rows.size == 0:
+    def __init__(self, sink):
+        self.sink = sink
+        self.pending = []  # (lo, hi, used, producer) spans into the current tape
+        self.packed = []  # (length, value, used_rules, producer)
+
+    def pack(self, tape) -> None:
+        if not self.pending:
             return
+        lo, hi, used, producer = (np.concatenate(a) for a in zip(*self.pending))
+        self.pending = []
+        lengths = hi - lo + 1
+        used_rules = np.bitwise_count(used).astype(np.int64)
+        narrow = lengths <= 64
+        if not narrow.all():
+            # Rare wide outputs (only reachable with very large cutoffs): build
+            # the strings row by row and leave the packed fast path to the rest.
+            for row in np.nonzero(~narrow)[0]:
+                s = "".join("1" if c else "0" for c in tape[lo[row]:hi[row] + 1])
+                self.sink.add_string(s, 1, int(used_rules[row]), int(producer[row]))
+            lo, hi, lengths = lo[narrow], hi[narrow], lengths[narrow]
+            used_rules, producer = used_rules[narrow], producer[narrow]
+        value = np.zeros(lo.size, np.uint64)
+        for j in range(int(lengths.max(initial=0))):
+            bit = tape[np.minimum(lo + j, hi)].astype(np.uint64)
+            value = np.where(j < lengths, (value << np.uint64(1)) | bit, value)
+        self.packed.append((lengths, value, used_rules, producer))
 
-    value = np.zeros(halted_rows.size, np.uint64)
-    max_len = int(lengths.max())
-    for j in range(max_len):
-        col = np.minimum(lo[halted_rows] + j, width - 1)
-        bit = tape[halted_rows, col].astype(np.uint64)
-        within = j < lengths
-        value = np.where(within, (value << np.uint64(1)) | bit, value)
+    def emit(self) -> None:
+        if not self.packed:
+            return
+        lengths, value, used_rules, producer = (np.concatenate(a) for a in zip(*self.packed))
+        if lengths.size == 0:
+            return
+        order = np.lexsort((value, lengths))
+        s_len = lengths[order]
+        s_val = value[order]
+        boundary = np.empty(order.size, bool)
+        boundary[0] = True
+        boundary[1:] = (s_val[1:] != s_val[:-1]) | (s_len[1:] != s_len[:-1])
+        starts = np.nonzero(boundary)[0]
+        group_counts = np.diff(np.append(starts, order.size))
+        group_used = np.minimum.reduceat(used_rules[order], starts)
+        group_prod = np.minimum.reduceat(producer[order], starts)
+        for k, start in enumerate(starts):
+            s = np.binary_repr(int(s_val[start]), width=int(s_len[start]))
+            self.sink.add_string(s, int(group_counts[k]), int(group_used[k]), int(group_prod[k]))
 
-    order = np.lexsort((value, lengths))
-    s_len = lengths[order]
-    s_val = value[order]
-    s_used = used_rules[order]
-    s_prod = producer[order]
-    boundary = np.empty(order.size, bool)
-    boundary[0] = True
-    boundary[1:] = (s_val[1:] != s_val[:-1]) | (s_len[1:] != s_len[:-1])
-    starts = np.nonzero(boundary)[0]
-    group_counts = np.diff(np.append(starts, order.size))
-    group_used = np.minimum.reduceat(s_used, starts)
-    group_prod = np.minimum.reduceat(s_prod, starts)
-    for k, start in enumerate(starts):
-        s = np.binary_repr(int(s_val[start]), width=int(s_len[start]))
-        sink.add_string(s, int(group_counts[k]), int(group_used[k]), int(group_prod[k]))
+
+def _vector_pass(spec: SpaceSpec, idx: np.ndarray, ords: np.ndarray, blank: int,
+                 sink: _Sink) -> None:
+    """Step the machines of one batch that have a halting rule, for one blank.
+
+    Only live machines are stepped, in contiguous arrays that one keep-mask
+    filters on the steps where some machine halts or is proved to escape.
+    The tape starts 2 * min(16, max_steps) + 1 cells wide and doubles its
+    half-width whenever the step count reaches it; it is also copied, live
+    rows only, when the live set falls below half its rows.
+    """
+    n = spec.n
+    two_n = 2 * n
+    halt_floor = 4 * n
+    max_steps = spec.max_steps
+    write_of, delta_of, next2_of = _action_tables(n)
+    pow2 = (np.uint16(1) << np.arange(two_n)).astype(np.uint16)
+    ords_flat = ords.ravel()
+    outputs = _Outputs(sink)
+
+    half = min(16, max_steps)
+    width = 2 * half + 1
+    count = idx.size
+    tape = np.full(count * width, blank, np.uint8)
+    tape_rows = count
+    head = np.arange(count, dtype=np.intp) * width + half  # flat index into tape
+    lo = head.copy()
+    hi = head.copy()
+    st2 = np.zeros(count, np.intp)  # 2 * (state - 1)
+    used = np.zeros(count, np.uint16)
+    ordoff = np.arange(count, dtype=np.intp) * two_n
+    esc = _escape_bits(ords, n, blank)
+
+    for step in range(1, max_steps + 1):
+        slot = st2 + tape[head]
+        used |= pow2[slot]
+        o = ords_flat[ordoff + slot].astype(np.intp)
+        tape[head] = write_of[o]
+        head += delta_of[o]
+        st2 = next2_of[o]
+        fresh = (head > hi) | (head < lo)
+        np.maximum(hi, head, out=hi)
+        np.minimum(lo, head, out=lo)
+        halting = o >= halt_floor
+        stop = halting | (fresh & ((esc >> o) & 1).astype(bool))
+        if stop.any():
+            h = np.nonzero(halting)[0]
+            producer = idx[ordoff[h] // two_n].astype(np.int64)
+            outputs.pending.append((lo[h], hi[h], used[h], producer))
+            sink.census.halted += h.size
+            sink.census.blank_escape += int(np.count_nonzero(stop)) - h.size
+            keep = ~stop
+            head, lo, hi, st2, used, ordoff, esc = (
+                a[keep] for a in (head, lo, hi, st2, used, ordoff, esc)
+            )
+            if head.size == 0:
+                break
+        grow = step == half < max_steps
+        if grow or head.size < tape_rows // 2:
+            outputs.pack(tape)
+            if grow:
+                half = min(2 * half, max_steps)
+            tape, head, lo, hi = _copy_tape(tape, width, 2 * half + 1, blank, head, lo, hi)
+            width, tape_rows = 2 * half + 1, head.size
+
+    sink.census.step_limited += head.size
+    outputs.pack(tape)
+    outputs.emit()
 
 
 def _run_vector(spec: SpaceSpec, indices: np.ndarray, sink: _Sink) -> None:
-    for blank in spec.blanks:
-        for start in range(0, indices.size, _BATCH):
-            _vector_pass(spec, indices[start:start + _BATCH], blank, sink)
+    n = spec.n
+    base = 4 * n + 2
+    for start in range(0, indices.size, _BATCH):
+        idx = indices[start:start + _BATCH]
+        rem = idx.astype(np.uint64, copy=True)
+        ords = np.empty((idx.size, 2 * n), np.uint8)
+        for slot in range(2 * n - 1, -1, -1):
+            ords[:, slot] = (rem % base).astype(np.uint8)
+            rem //= base
+        # decoded once and shared by both blank passes
+        has_halt = (ords >= 4 * n).any(axis=1)
+        no_halt = int(idx.size - np.count_nonzero(has_halt))
+        ords, idx = ords[has_halt], idx[has_halt]
+        for blank in spec.blanks:
+            sink.census.total_runs += idx.size + no_halt
+            sink.census.no_halt_rule += no_halt
+            if idx.size:
+                _vector_pass(spec, idx, ords, blank, sink)
 
 
 _ENGINES = {"scalar": _run_scalar, "vector": _run_vector}
 
 
-def _run_part(spec: SpaceSpec, indices: np.ndarray, engine: str, covers) -> FrequencyTable:
-    """One engine pass over an index array, as an unvalidated table."""
+def _run_part(spec: SpaceSpec, chunks, engine: str, covers) -> FrequencyTable:
+    """One engine pass over index arrays, as an unvalidated table."""
     if engine not in _ENGINES:
         raise ValidationError(f"unknown engine {engine!r}")
     sink = _Sink(spec)
-    _ENGINES[engine](spec, indices, sink)
+    for indices in chunks:
+        _ENGINES[engine](spec, indices, sink)
     return sink.table(covers)
 
 
 def _run_shard(job) -> FrequencyTable:
     spec, engine, lo, hi = job
-    return _run_part(spec, np.arange(lo, hi, dtype=np.uint64), engine, covers=((lo, hi),))
+    # one batch of indices at a time: a (4,2) shard spans billions of them
+    chunks = (np.arange(a, min(a + _BATCH, hi), dtype=np.uint64) for a in range(lo, hi, _BATCH))
+    return _run_part(spec, chunks, engine, covers=((lo, hi),))
 
 
 def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> FrequencyTable:
     """Run an arbitrary (sorted, duplicate-free) index set; covers stays None."""
-    table = _run_part(spec, np.asarray(indices, np.uint64), engine, covers=None)
+    table = _run_part(spec, [np.asarray(indices, np.uint64)], engine, covers=None)
     table.validate()
     return table
 

@@ -136,6 +136,12 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["entropy", "--string", ""]) == 1
     assert main(["run-space", "--states", "1", "--shards", "-3",
                  "--out", str(tmp_path / "d1.ctm")]) == 1
+    non_object_meta = tmp_path / "list-meta.ctm"
+    non_object_meta.write_text(
+        "# ctm-table v1\n# meta [1]\n"
+        "string,count,probability,complexity_bits,min_used_rules,source_space\n"
+    )
+    assert main(["ctm", "eval", "--table", str(non_object_meta), "--string", "0101"]) == 1
     # unreadable input -> i/o (2)
     assert main(["ctm", "eval", "--table", str(tmp_path / "missing.ctm"),
                  "--string", "0"]) == 2

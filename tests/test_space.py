@@ -18,6 +18,7 @@ from ctm_lab.machine import (
     escape_closure,
     simulate,
 )
+from ctm_lab import space
 from ctm_lab.space import (
     ShardPlan,
     SpaceSpec,
@@ -45,6 +46,12 @@ def test_space_size_rejects_out_of_range_states():
         space_size(0)
     with pytest.raises(ValidationError):
         space_size(7)
+
+
+def test_default_cutoffs_follow_busy_beaver_bounds():
+    assert SpaceSpec(4).max_steps == 107  # S(4), Brady 1983
+    with pytest.raises(ValidationError):
+        SpaceSpec(5)
 
 
 # --- independent oracle for the full (1,2) space
@@ -117,6 +124,93 @@ def test_engines_agree_with_both_blanks():
         run_space(spec, engine="scalar").canonical_bytes()
         == run_space(spec, engine="vector").canonical_bytes()
     )
+
+
+def test_engines_agree_on_four_state_sample_at_busy_beaver_cutoff():
+    rng = random.Random(47)
+    indices = np.array(sorted(rng.sample(range(space_size(4)), 2000)), np.uint64)
+    spec = SpaceSpec(4, max_steps=107)
+    scalar = run_index_array(spec, indices, engine="scalar")
+    vector = run_index_array(spec, indices, engine="vector")
+    assert scalar.census.step_limited > 0
+    assert scalar.canonical_bytes() == vector.canonical_bytes()
+
+
+def test_engines_agree_on_three_state_sample_at_long_cutoff():
+    # Cutoff 300 crosses every tape growth (half-width 16, 32, ..., 256,
+    # 300) and keeps step-limited machines live to the last step.
+    rng = random.Random(53)
+    indices = np.array(sorted(rng.sample(range(space_size(3)), 1500)), np.uint64)
+    spec = SpaceSpec(3, max_steps=300)
+    scalar = run_index_array(spec, indices, engine="scalar")
+    vector = run_index_array(spec, indices, engine="vector")
+    assert scalar.census.step_limited > 0
+    assert scalar.canonical_bytes() == vector.canonical_bytes()
+
+
+def test_escape_bits_match_the_escape_closure_on_two_states():
+    n, base = 2, 10
+    index = np.arange(space_size(n))
+    ords = np.stack([index // base ** (2 * n - 1 - j) % base for j in range(2 * n)], axis=1)
+    ords = ords.astype(np.uint8)
+    for blank in (0, 1):
+        bits = space._escape_bits(ords, n, blank)
+        for i in range(space_size(n)):
+            esc = escape_closure(decode_machine(i, n), blank)
+            expected = sum(
+                esc[o % n][o % (2 * n) // n] << o for o in range(4 * n)
+            )
+            assert int(bits[i]) == expected
+
+
+def test_results_do_not_depend_on_batch_size(monkeypatch):
+    both = SpaceSpec(2, blank_mode="both")
+    span = np.arange(3_000_000, 3_020_000, dtype=np.uint64)
+    expected = (
+        run_space(both).canonical_bytes(),
+        run_index_array(SpaceSpec(3), span).canonical_bytes(),
+    )
+    for batch in (7, 999):
+        monkeypatch.setattr(space, "_BATCH", batch)
+        assert run_space(both).canonical_bytes() == expected[0]
+        assert run_index_array(SpaceSpec(3), span).canonical_bytes() == expected[1]
+
+
+def test_shards_materialize_one_batch_of_indices_at_a_time(monkeypatch):
+    sizes = []
+    vector = space._ENGINES["vector"]
+
+    def spy(spec, indices, sink):
+        sizes.append(indices.size)
+        vector(spec, indices, sink)
+
+    monkeypatch.setattr(space, "_BATCH", 1000)
+    monkeypatch.setitem(space._ENGINES, "vector", spy)
+    shard = space._run_shard((SpaceSpec(3), "vector", 0, 4500))
+    assert sizes == [1000, 1000, 1000, 1000, 500]
+    whole = run_index_array(SpaceSpec(3), np.arange(4500, dtype=np.uint64), engine="scalar")
+    assert (shard.counts, shard.census) == (whole.counts, whole.census)
+
+
+def test_halted_outputs_pack_narrow_and_wide_spans():
+    # Spans wider than 64 cells take the row-by-row path; the rest are packed.
+    tape = np.random.default_rng(59).integers(0, 2, 400).astype(np.uint8)
+    lo = np.array([0, 10, 100, 200, 300, 12], np.intp)
+    hi = lo + np.array([0, 2, 63, 64, 99, 2])
+    sink = space._Sink(SpaceSpec(2))
+    outputs = space._Outputs(sink)
+    outputs.pending.append((lo, hi, np.full(6, 3, np.uint16), np.arange(6, dtype=np.int64)))
+    outputs.pack(tape)
+    outputs.emit()
+    expected, first = {}, {}
+    for producer, (a, b) in enumerate(zip(lo, hi)):
+        s = "".join(map(str, tape[a:b + 1]))
+        expected[s] = expected.get(s, 0) + 1
+        first.setdefault(s, producer)
+    assert sink.counts == expected
+    assert sink.first == first
+    assert {len(s) for s in sink.counts} == {1, 3, 64, 65, 100}
+    assert set(sink.min_used.values()) == {2}  # bit count of the used mask 3
 
 
 def test_escape_closure_checks_the_whole_walk():
@@ -288,6 +382,7 @@ def test_frequency_table_parse_errors(tmp_path):
             ("not a table\n", 1),
             (f"{magic}\nstray\n{columns}\n", 2),
             (f"{magic}\n# meta {{bad\n{columns}\n", 2),
+            (f"{magic}\n# meta [1]\n{columns}\n", 2),
             (f"{magic}\n# meta {{}}\nstring,count\n", 3),
         )
         for text, line in cases:
