@@ -3,16 +3,41 @@
 Every persisted artifact sorts records the same way (count descending,
 string length ascending, then lexicographic) and renders floats with 17
 significant digits, so identical data always serializes to identical bytes
-and float round-trips are exact.
+and float round-trips are exact. Table readers accept only that rendering,
+so a file that loads re-serializes to the same bytes.
 """
 
 import json
+import re
 
 from .errors import ParseError
+
+_BINARY = re.compile("[01]+")
 
 
 def fmt_float(x) -> str:
     return format(float(x), ".17g")
+
+
+def is_binary(s: str) -> bool:
+    """True for a nonempty string of 0s and 1s; one regex pass, fast on long strings."""
+    return _BINARY.fullmatch(s) is not None
+
+
+def canonical_int(text: str) -> int:
+    """Parse an integer field written as str(int) writes it; ValueError otherwise."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"non-canonical integer {text!r}")
+    return value
+
+
+def canonical_float(text: str) -> float:
+    """Parse a float field written as fmt_float writes it; ValueError otherwise."""
+    value = float(text)
+    if fmt_float(value) != text:
+        raise ValueError(f"non-canonical number {text!r}")
+    return value
 
 
 def fmt_value(x) -> str:
@@ -48,3 +73,35 @@ def read_header(lines, magic: str, columns: str, kind: str) -> dict:
     if lines[2] != columns:
         raise ParseError("unexpected column header", line=3)
     return meta
+
+
+def read_records(lines, parsers):
+    """Yield (line number, string, values) for the rows after the three header lines.
+
+    parsers parse the fields after the string, the first of them the count.
+    Strings must be nonempty, binary and distinct, and rows must come in
+    canonical_key order.
+    """
+    seen = set()
+    previous = None
+    for lineno, line in enumerate(lines[3:], start=4):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(parsers) + 1:
+            raise ParseError(f"expected {len(parsers) + 1} fields", line=lineno)
+        s = parts[0]
+        if not is_binary(s):
+            raise ParseError(f"not a binary string: {s!r}", line=lineno)
+        if s in seen:
+            raise ParseError(f"duplicate string {s!r}", line=lineno)
+        seen.add(s)
+        try:
+            values = [parse(text) for parse, text in zip(parsers, parts[1:])]
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+        key = canonical_key((s, values[0]))
+        if previous is not None and key < previous:
+            raise ParseError("rows are not in canonical order", line=lineno)
+        previous = key
+        yield lineno, s, values

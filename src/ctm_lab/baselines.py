@@ -16,14 +16,21 @@ RLE_MAX_RUN = 9  # single-digit counts; longer runs split into several tokens
 
 
 def shannon_entropy(s: str) -> float:
-    """Empirical per-symbol entropy in bits; 0 <= H <= log2(alphabet size)."""
+    """Empirical per-symbol entropy in bits; 0 <= H <= log2(alphabet size).
+
+    Alphabet-agnostic: any symbols are counted, unlike bdm_value, which
+    takes binary strings only.
+    """
     if not s:
         raise ValidationError("entropy of an empty string is undefined")
     return shannon_entropy_of_tokens(s)
 
 
 def block_entropy(s: str, block_len: int) -> float:
-    """Entropy in bits per block over non-overlapping blocks; remainder dropped."""
+    """Entropy in bits per block over non-overlapping blocks; remainder dropped.
+
+    Alphabet-agnostic like shannon_entropy: blocks of any symbols count.
+    """
     if block_len < 1:
         raise ValidationError("block_len must be >= 1")
     if len(s) < block_len:

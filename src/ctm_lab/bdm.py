@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._canon import is_binary
 from .errors import ValidationError
 from .ctm import CtmTable, complexity_of
 
@@ -79,7 +80,14 @@ def _block_value(block: str, table: CtmTable, cfg: BdmConfig) -> float:
 
 
 def bdm_value(s: str, table: CtmTable, cfg: BdmConfig = BdmConfig()) -> float:
-    """Sum of block complexities plus log2 multiplicities, in bits."""
+    """Sum of block complexities plus log2 multiplicities, in bits.
+
+    The tables hold binary strings only, so s must be one: any other
+    character is a ValidationError rather than a block priced by fallback.
+    """
+    if s and not is_binary(s):
+        pos = next(i for i, c in enumerate(s) if c not in "01")
+        raise ValidationError(f"not a binary string: {s[pos]!r} at position {pos}")
     decomp = partition(s, cfg)
     terms = []
     for block in sorted(decomp.blocks):

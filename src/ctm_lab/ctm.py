@@ -16,7 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._canon import canonical_key, fmt_float, meta_dumps, read_header
+from ._canon import (
+    canonical_float,
+    canonical_int,
+    canonical_key,
+    fmt_float,
+    meta_dumps,
+    read_header,
+    read_records,
+)
 from .errors import ParseError, ValidationError
 from .space import FrequencyTable
 
@@ -134,34 +142,38 @@ def dumps_ctm_table(table: CtmTable) -> bytes:
 
 
 def loads_ctm_table(data: bytes) -> CtmTable:
+    """Parse a table file; rows that no space run can produce are errors.
+
+    Counts must be positive, probabilities finite and in (0, 1], and each
+    complexity -log2(probability) to within 1e-12. A table from one space
+    run under halting_machines must have probabilities summing to 1 within
+    1e-9 (merged tables mix distributions, so they are not held to it).
+    """
     lines = data.decode("utf-8").splitlines()
     meta = read_header(lines, _TABLE_MAGIC, _TABLE_COLUMNS, "ctm-table")
     normalization = meta.get("normalization")
     if normalization not in NORMALIZATIONS:
         raise ValidationError(f"unknown normalization in file: {normalization!r}")
     entries = {}
-    for lineno, line in enumerate(lines[3:], start=4):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ParseError("expected 6 fields", line=lineno)
-        s = parts[0]
-        if not s or set(s) - {"0", "1"}:
-            raise ParseError(f"not a binary string: {s!r}", line=lineno)
-        if s in entries:
-            raise ParseError(f"duplicate string {s!r}", line=lineno)
-        try:
-            entries[s] = CtmEntry(
-                count=int(parts[1]),
-                probability=float(parts[2]),
-                complexity_bits=float(parts[3]),
-                min_used_rules=int(parts[4]),
-                source_space=int(parts[5]),
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-    return CtmTable(normalization, entries, tuple(meta.get("sources", ())))
+    parsers = (canonical_int, canonical_float, canonical_float, canonical_int, canonical_int)
+    for lineno, s, values in read_records(lines, parsers):
+        entry = CtmEntry(*values)
+        if entry.count <= 0:
+            raise ParseError(f"count must be positive, got {entry.count}", line=lineno)
+        if not 0.0 < entry.probability <= 1.0:
+            raise ParseError(f"probability must be in (0, 1], got {entry.probability}", line=lineno)
+        if abs(entry.complexity_bits + math.log2(entry.probability)) > 1e-12:
+            raise ParseError("complexity_bits is not -log2(probability)", line=lineno)
+        if entry.min_used_rules < 1 or entry.source_space < 1:
+            raise ParseError("min_used_rules and source_space must be >= 1", line=lineno)
+        entries[s] = entry
+    sources = tuple(meta.get("sources", ()))
+    table = CtmTable(normalization, entries, sources)
+    if normalization == NORM_HALTING and len(sources) == 1:
+        total = table.probability_sum()
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"halting_machines probabilities sum to {total!r}, not 1")
+    return table
 
 
 def save_ctm_table(table: CtmTable, path) -> None:

@@ -1,22 +1,37 @@
 """Exhaustive enumeration of a rule space into a frequency table.
 
-run_space drives every machine index of (n, 2) through two sound
-non-halting proofs (no halting rule, blank-runway escape) and the step
-cutoff, then aggregates halting outputs into per-string counts. Only
-halting outputs are counted, so the proofs decide nothing but the census
-bucket of a non-halting run; no configuration-cycle check runs here (it
-lives in machine.simulate for single-machine inspection).
+run_space accounts for every run of every machine index of (n, 2) on the
+blanks of its spec, through two sound non-halting proofs (no halting rule,
+blank-runway escape) and the step cutoff, and aggregates halting outputs
+into per-string counts. Only halting outputs are counted, so the proofs
+decide nothing but the census bucket of a non-halting run; no
+configuration-cycle check runs here (it lives in machine.simulate for
+single-machine inspection).
 
-Two interchangeable engines exist: the default vectorized numpy engine,
-which steps whole index batches in lockstep, and a scalar one built
-directly on machine.simulate. They classify every run identically, so
-their tables are byte-equal; the scalar engine is the independent oracle
-for the fast path.
+Two engines exist: the default vectorized numpy engine, which steps whole
+index batches in lockstep, and a scalar one built directly on
+machine.simulate, which runs every machine on every blank. Their
+whole-space tables are byte-equal; the scalar engine is the independent
+oracle for the fast path.
 
-The vector engine decodes a batch once and runs it for each blank. The
-blank-runway closure depends only on a machine's n blank-read entries, so
-it runs once per distinct entry tuple in the batch and is gathered back as
-per-machine escape bits. The step loop then touches only live machines:
+The vector engine's space runs step only orbit representatives: machines
+whose (1,0) entry is a right-moving step, 2n of the 4n+2 top digits, run
+on blank 0. Reflecting the directions of a machine reverses its blank-0
+run; complementing its symbols (and swapping its read-0/read-1 entries)
+turns its blank-0 run into the complemented blank-1 run of the image. So
+each representative run also stands for its mirror's blank-0 run and, in
+both mode, for the two complements' blank-1 runs, each credited with the
+image string and the image machine's index as producer. Runs whose first
+step reads a halting entry print one symbol and are counted in closed form.
+A vector shard therefore aggregates the orbits whose representative index
+lies in its range, plus the first-step halts of that range; whole-space
+results are unchanged. run_index_array runs arbitrary index sets as they
+are, every machine on every blank.
+
+The vector engine decodes a batch once and shares it between its passes.
+The blank-runway closure depends only on a machine's n blank-read entries,
+so it runs once per distinct entry tuple in the batch and is gathered back
+as per-machine escape bits. The step loop then touches only live machines:
 state, head, visited bounds and used-rule mask sit in contiguous arrays
 that one keep-mask filters whenever a machine halts or is proved to
 escape, and three lookup tables over the action codes give the written
@@ -36,7 +51,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._canon import canonical_key, meta_dumps, read_header
+from ._canon import canonical_int, canonical_key, meta_dumps, read_header, read_records
 from .errors import ParseError, ValidationError
 from .machine import NO_HALT_RULE, Halted, NonHaltingProved, RunConfig, decode_machine, simulate
 
@@ -177,7 +192,10 @@ class FrequencyTable:
     any producer exercised, and first_producer the smallest producing
     machine index (blank-0 runs take precedence over blank-1 at equal
     index). covers lists the contiguous index ranges the table aggregates,
-    or None for ad-hoc index sets such as strided samples.
+    or None for ad-hoc index sets such as strided samples. A vector-engine
+    shard aggregates the symmetry orbits whose representative index lies in
+    its ranges (see the module docstring), so its producers may lie outside
+    them; merged over the whole space the result is the same.
     """
 
     spec: SpaceSpec
@@ -227,29 +245,27 @@ def save_frequency_table(table: FrequencyTable, path) -> None:
 
 
 def load_frequency_table(path) -> FrequencyTable:
+    """Read a .freq file; counts must be positive, min_used_rules at least 1
+    and first_producer an index of the space."""
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8")
     lines = text.splitlines()
     meta = read_header(lines, _FREQ_MAGIC, _FREQ_COLUMNS, "ctm-freq")
+    spec = SpaceSpec.from_dict(meta["spec"])
     counts, used, first = {}, {}, {}
-    for lineno, line in enumerate(lines[3:], start=4):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError("expected 4 fields", line=lineno)
-        s = parts[0]
-        if s in counts:
-            raise ParseError(f"duplicate string {s!r}", line=lineno)
-        try:
-            counts[s] = int(parts[1])
-            used[s] = int(parts[2])
-            first[s] = int(parts[3])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+    parsers = (canonical_int,) * 3
+    for lineno, s, (count, min_used, producer) in read_records(lines, parsers):
+        if count <= 0:
+            raise ParseError(f"count must be positive, got {count}", line=lineno)
+        if min_used < 1:
+            raise ParseError(f"min_used_rules must be >= 1, got {min_used}", line=lineno)
+        if not 0 <= producer < spec.size:
+            raise ParseError(f"first_producer {producer} is not an index of the space",
+                             line=lineno)
+        counts[s], used[s], first[s] = count, min_used, producer
     covers = meta.get("covers")
     table = FrequencyTable(
-        spec=SpaceSpec.from_dict(meta["spec"]),
+        spec=spec,
         counts=counts,
         min_used_rules=used,
         first_producer=first,
@@ -360,6 +376,49 @@ def _action_tables(n: int):
     return write, delta, next2
 
 
+def _image_indices(digits: np.ndarray, n: int, reverse: bool, complement: bool) -> np.ndarray:
+    """Machine indices of the images of decoded machines (rows of 2n action codes).
+
+    reverse applies reflect_directions, complement applies complement_symbols,
+    both through one lookup table over the 4n + 2 action codes. A step code
+    is write * 2n + move * n + (next - 1): reflecting flips the move digit,
+    complementing flips the write digit and swaps the read-0 and read-1
+    entry of every state. Halt codes 4n + w keep their place under
+    reflection and swap under complement.
+    """
+    codes = np.arange(4 * n + 2)
+    write, rest = codes // (2 * n), codes % (2 * n)
+    if reverse:
+        rest = (rest + n) % (2 * n)
+    if complement:
+        write = 1 - write
+    halts = 8 * n + 1 - codes if complement else codes
+    image = np.where(codes < 4 * n, write * 2 * n + rest, halts)
+    index = np.zeros(digits.shape[0], np.int64)
+    for slot in range(2 * n):
+        index = index * (4 * n + 2) + image[digits[:, slot ^ complement]]
+    return index
+
+
+# The runs an orbit representative R (a machine whose (1,0) entry is a
+# right-moving step) stands for, as (reverse, complement): R on blank 0; its
+# mirror on blank 0, which prints the reversed output; and in both mode the
+# complements of these two on blank 1, which print the complemented outputs.
+_IDENTITY = ((False, False),)
+_ORBIT_IMAGES = {
+    BLANK_ZERO: ((False, False), (True, False)),
+    BLANK_BOTH: ((False, False), (True, False), (False, True), (True, True)),
+}
+
+_COMPLEMENT = str.maketrans("01", "10")
+
+
+def _image_string(s: str, reverse: bool, complement: bool) -> str:
+    if reverse:
+        s = s[::-1]
+    return s.translate(_COMPLEMENT) if complement else s
+
+
 def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
     """Per machine, bit o is set when step code o, landing on fresh tape, proves escape.
 
@@ -382,9 +441,9 @@ def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
     esc = []
     for d in (0, 1):
         e = b_step & (b_move == d)
-        # each pass extends the checked walk by one state; n passes cover
-        # a full pigeonhole cycle, so the flag is exact
-        for _ in range(n):
+        # pass k checks a walk of k + 1 states; a walk has at most n
+        # distinct states, so n - 1 passes make the flag exact
+        for _ in range(n - 1):
             e = e & np.take_along_axis(e, b_next, axis=1)
         esc.append(e)
     bits = np.zeros(b_ord.shape[0], np.int64)
@@ -404,39 +463,53 @@ def _copy_tape(tape, width, new_width, blank, head, lo, hi):
 
 
 class _Outputs:
-    """Halted runs of one pass: frozen tape spans, packed before the tape moves."""
+    """Halted runs of one pass: frozen tape spans, packed before the tape moves.
 
-    def __init__(self, sink):
+    Every halted row is credited once per image in images, (reverse,
+    complement) pairs: the image string with the image machine's index as
+    its producer. The image indices are computed for halted rows only.
+    """
+
+    def __init__(self, sink, ords, images):
         self.sink = sink
-        self.pending = []  # (lo, hi, used, producer) spans into the current tape
-        self.packed = []  # (length, value, used_rules, producer)
+        self.ords = ords
+        self.images = images
+        self.pending = []  # (lo, hi, used, row) spans into the current tape
+        self.packed = []  # (length, value, used_rules, producers), one producer row per image
 
     def pack(self, tape) -> None:
         if not self.pending:
             return
-        lo, hi, used, producer = (np.concatenate(a) for a in zip(*self.pending))
+        lo, hi, used, row = (np.concatenate(a) for a in zip(*self.pending))
         self.pending = []
+        n = self.ords.shape[1] // 2
+        digits = self.ords[row]
+        producers = np.stack([_image_indices(digits, n, *image) for image in self.images])
         lengths = hi - lo + 1
         used_rules = np.bitwise_count(used).astype(np.int64)
         narrow = lengths <= 64
         if not narrow.all():
             # Rare wide outputs (only reachable with very large cutoffs): build
             # the strings row by row and leave the packed fast path to the rest.
-            for row in np.nonzero(~narrow)[0]:
-                s = "".join("1" if c else "0" for c in tape[lo[row]:hi[row] + 1])
-                self.sink.add_string(s, 1, int(used_rules[row]), int(producer[row]))
+            for r in np.nonzero(~narrow)[0]:
+                s = "".join("1" if c else "0" for c in tape[lo[r]:hi[r] + 1])
+                for image, producer in zip(self.images, producers[:, r]):
+                    self.sink.add_string(_image_string(s, *image), 1, int(used_rules[r]),
+                                         int(producer))
             lo, hi, lengths = lo[narrow], hi[narrow], lengths[narrow]
-            used_rules, producer = used_rules[narrow], producer[narrow]
+            used_rules, producers = used_rules[narrow], producers[:, narrow]
         value = np.zeros(lo.size, np.uint64)
         for j in range(int(lengths.max(initial=0))):
             bit = tape[np.minimum(lo + j, hi)].astype(np.uint64)
             value = np.where(j < lengths, (value << np.uint64(1)) | bit, value)
-        self.packed.append((lengths, value, used_rules, producer))
+        self.packed.append((lengths, value, used_rules, producers))
 
     def emit(self) -> None:
         if not self.packed:
             return
-        lengths, value, used_rules, producer = (np.concatenate(a) for a in zip(*self.packed))
+        lengths, value, used_rules, producers = (
+            np.concatenate(a, axis=-1) for a in zip(*self.packed)
+        )
         if lengths.size == 0:
             return
         order = np.lexsort((value, lengths))
@@ -446,18 +519,20 @@ class _Outputs:
         boundary[0] = True
         boundary[1:] = (s_val[1:] != s_val[:-1]) | (s_len[1:] != s_len[:-1])
         starts = np.nonzero(boundary)[0]
-        group_counts = np.diff(np.append(starts, order.size))
-        group_used = np.minimum.reduceat(used_rules[order], starts)
-        group_prod = np.minimum.reduceat(producer[order], starts)
-        for k, start in enumerate(starts):
+        group_counts = np.diff(np.append(starts, order.size)).tolist()
+        group_used = np.minimum.reduceat(used_rules[order], starts).tolist()
+        group_prod = [np.minimum.reduceat(p[order], starts).tolist() for p in producers]
+        for k, start in enumerate(starts.tolist()):
             s = np.binary_repr(int(s_val[start]), width=int(s_len[start]))
-            self.sink.add_string(s, int(group_counts[k]), int(group_used[k]), int(group_prod[k]))
+            for image, prod in zip(self.images, group_prod):
+                self.sink.add_string(_image_string(s, *image), group_counts[k], group_used[k],
+                                     prod[k])
 
 
-def _vector_pass(spec: SpaceSpec, idx: np.ndarray, ords: np.ndarray, blank: int,
-                 sink: _Sink) -> None:
+def _vector_pass(spec: SpaceSpec, ords: np.ndarray, blank: int, images, sink: _Sink) -> None:
     """Step the machines of one batch that have a halting rule, for one blank.
 
+    Each run counts once per image (see _Outputs) in the census as well.
     Only live machines are stepped, in contiguous arrays that one keep-mask
     filters on the steps where some machine halts or is proved to escape.
     The tape starts 2 * min(16, max_steps) + 1 cells wide and doubles its
@@ -468,14 +543,15 @@ def _vector_pass(spec: SpaceSpec, idx: np.ndarray, ords: np.ndarray, blank: int,
     two_n = 2 * n
     halt_floor = 4 * n
     max_steps = spec.max_steps
+    mult = len(images)
     write_of, delta_of, next2_of = _action_tables(n)
     pow2 = (np.uint16(1) << np.arange(two_n)).astype(np.uint16)
     ords_flat = ords.ravel()
-    outputs = _Outputs(sink)
+    outputs = _Outputs(sink, ords, images)
 
     half = min(16, max_steps)
     width = 2 * half + 1
-    count = idx.size
+    count = ords.shape[0]
     tape = np.full(count * width, blank, np.uint8)
     tape_rows = count
     head = np.arange(count, dtype=np.intp) * width + half  # flat index into tape
@@ -500,10 +576,9 @@ def _vector_pass(spec: SpaceSpec, idx: np.ndarray, ords: np.ndarray, blank: int,
         stop = halting | (fresh & ((esc >> o) & 1).astype(bool))
         if stop.any():
             h = np.nonzero(halting)[0]
-            producer = idx[ordoff[h] // two_n].astype(np.int64)
-            outputs.pending.append((lo[h], hi[h], used[h], producer))
-            sink.census.halted += h.size
-            sink.census.blank_escape += int(np.count_nonzero(stop)) - h.size
+            outputs.pending.append((lo[h], hi[h], used[h], ordoff[h] // two_n))
+            sink.census.halted += mult * h.size
+            sink.census.blank_escape += mult * (int(np.count_nonzero(stop)) - h.size)
             keep = ~stop
             head, lo, hi, st2, used, ordoff, esc = (
                 a[keep] for a in (head, lo, hi, st2, used, ordoff, esc)
@@ -518,12 +593,15 @@ def _vector_pass(spec: SpaceSpec, idx: np.ndarray, ords: np.ndarray, blank: int,
             tape, head, lo, hi = _copy_tape(tape, width, 2 * half + 1, blank, head, lo, hi)
             width, tape_rows = 2 * half + 1, head.size
 
-    sink.census.step_limited += head.size
+    sink.census.step_limited += mult * head.size
     outputs.pack(tape)
     outputs.emit()
 
 
-def _run_vector(spec: SpaceSpec, indices: np.ndarray, sink: _Sink) -> None:
+def _run_vector(spec: SpaceSpec, indices: np.ndarray, sink: _Sink, passes=None) -> None:
+    """Run an index array through (blank, images) passes; default: every blank, as is."""
+    if passes is None:
+        passes = tuple((blank, _IDENTITY) for blank in spec.blanks)
     n = spec.n
     base = 4 * n + 2
     for start in range(0, indices.size, _BATCH):
@@ -533,15 +611,57 @@ def _run_vector(spec: SpaceSpec, indices: np.ndarray, sink: _Sink) -> None:
         for slot in range(2 * n - 1, -1, -1):
             ords[:, slot] = (rem % base).astype(np.uint8)
             rem //= base
-        # decoded once and shared by both blank passes
+        # decoded once and shared by every pass
         has_halt = (ords >= 4 * n).any(axis=1)
         no_halt = int(idx.size - np.count_nonzero(has_halt))
-        ords, idx = ords[has_halt], idx[has_halt]
-        for blank in spec.blanks:
-            sink.census.total_runs += idx.size + no_halt
-            sink.census.no_halt_rule += no_halt
-            if idx.size:
-                _vector_pass(spec, idx, ords, blank, sink)
+        ords = ords[has_halt]
+        for blank, images in passes:
+            sink.census.total_runs += len(images) * idx.size
+            sink.census.no_halt_rule += len(images) * no_halt
+            if ords.size:
+                _vector_pass(spec, ords, blank, images, sink)
+
+
+def _representative_ranges(n: int, lo: int, hi: int):
+    """The parts of [lo, hi) whose (1,0) entry is a right-moving step.
+
+    Those are the top digits n..2n-1 (write 0) and 3n..4n-1 (write 1).
+    """
+    top = (4 * n + 2) ** (2 * n - 1)
+    ranges = []
+    for a, b in ((n * top, 2 * n * top), (3 * n * top, 4 * n * top)):
+        a, b = max(a, lo), min(b, hi)
+        if a < b:
+            ranges.append((a, b))
+    return ranges
+
+
+def _count_initial_halts(spec: SpaceSpec, lo: int, hi: int, sink: _Sink) -> None:
+    """Runs of [lo, hi) that halt on their first step, counted in closed form.
+
+    On blank b such a machine's (1,b) entry is a halt writing w: the run
+    prints str(w) and uses one rule. Slot b is a digit of weight
+    place = (4n+2)^(2n-1-b), so the indices with digit d there form
+    blocks [k * period + d * place, ... + place) with period = place * (4n+2).
+    """
+    n = spec.n
+    for blank in spec.blanks:
+        place = (4 * n + 2) ** (2 * n - 1 - blank)
+        period = place * (4 * n + 2)
+        for w in (0, 1):
+            offset = (4 * n + w) * place
+
+            def below(x):
+                return x // period * place + min(max(x % period - offset, 0), place)
+
+            count = below(hi) - below(lo)
+            if count:
+                first = lo // period * period + offset
+                if first + place <= lo:
+                    first += period
+                sink.census.total_runs += count
+                sink.census.halted += count
+                sink.add_string(str(w), count, 1, max(first, lo))
 
 
 _ENGINES = {"scalar": _run_scalar, "vector": _run_vector}
@@ -557,11 +677,32 @@ def _run_part(spec: SpaceSpec, chunks, engine: str, covers) -> FrequencyTable:
     return sink.table(covers)
 
 
-def _run_shard(job) -> FrequencyTable:
-    spec, engine, lo, hi = job
+def _batches(ranges):
     # one batch of indices at a time: a (4,2) shard spans billions of them
-    chunks = (np.arange(a, min(a + _BATCH, hi), dtype=np.uint64) for a in range(lo, hi, _BATCH))
-    return _run_part(spec, chunks, engine, covers=((lo, hi),))
+    for lo, hi in ranges:
+        for a in range(lo, hi, _BATCH):
+            yield np.arange(a, min(a + _BATCH, hi), dtype=np.uint64)
+
+
+def _run_shard(job) -> FrequencyTable:
+    """One shard of run_space.
+
+    The scalar engine runs every machine of [lo, hi) on every blank. The
+    vector engine runs only the orbit representatives in [lo, hi), on blank
+    0, credits each run to its mirror and complement images, and counts the
+    first-step halts of [lo, hi) in closed form; so its part aggregates the
+    orbits whose representative lies in [lo, hi), and the merged parts of
+    a whole-space plan equal the scalar result.
+    """
+    spec, engine, lo, hi = job
+    if engine != "vector":
+        return _run_part(spec, _batches([(lo, hi)]), engine, covers=((lo, hi),))
+    sink = _Sink(spec)
+    passes = ((0, _ORBIT_IMAGES[spec.blank_mode]),)
+    for indices in _batches(_representative_ranges(spec.n, lo, hi)):
+        _run_vector(spec, indices, sink, passes)
+    _count_initial_halts(spec, lo, hi, sink)
+    return sink.table(((lo, hi),))
 
 
 def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> FrequencyTable:

@@ -77,6 +77,13 @@ def test_missing_block_error_names_the_block():
     assert "'11'" in str(err.value)
 
 
+def test_non_binary_strings_are_rejected(d3_zero_builtin):
+    # a non-binary block is never in a table, so fallback used to price it
+    for s, block_len in (("01x1010", 12), ("01x1010", 2), ("0101 ", 2), ("2", 1)):
+        with pytest.raises(ValidationError):
+            bdm_value(s, d3_zero_builtin, BdmConfig(block_len=block_len))
+
+
 def test_kept_tail_contributes_its_own_term():
     table = synthetic_table({"01": 1.0, "0": 0.5})
     base = bdm_value("0101", table, BdmConfig(block_len=2))

@@ -11,6 +11,8 @@ import pytest
 from ctm_lab.cli import main
 from ctm_lab.ctm import load_ctm_table
 
+TABLE_D2 = pathlib.Path(__file__).resolve().parent.parent / "src" / "ctm_lab" / "data" / "d2_zero.ctm"
+
 
 @pytest.fixture(scope="module")
 def small_tables(tmp_path_factory):
@@ -142,6 +144,9 @@ def test_exit_codes(capsys, tmp_path):
         "string,count,probability,complexity_bits,min_used_rules,source_space\n"
     )
     assert main(["ctm", "eval", "--table", str(non_object_meta), "--string", "0101"]) == 1
+    for block_len in ("12", "2"):
+        assert main(["bdm", "eval", "--table", str(TABLE_D2), "--block-len", block_len,
+                     "--string", "01x1010"]) == 1
     # unreadable input -> i/o (2)
     assert main(["ctm", "eval", "--table", str(tmp_path / "missing.ctm"),
                  "--string", "0"]) == 2

@@ -1,8 +1,11 @@
 """Coding-theorem tables: normalization, identities, merging, persistence."""
 
 import math
+import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctm_lab.ctm import (
     NORM_ALL,
@@ -16,8 +19,9 @@ from ctm_lab.ctm import (
     save_ctm_table,
     to_ctm,
 )
-from ctm_lab.errors import ParseError, ValidationError
-from ctm_lab.space import Census, FrequencyTable, SpaceSpec, empty_table
+from ctm_lab._canon import fmt_float
+from ctm_lab.errors import CtmLabError, ParseError, ValidationError
+from ctm_lab.space import Census, FrequencyTable, SpaceSpec, empty_table, load_frequency_table
 
 
 def toy_freq(counts, total_runs=None, n=2):
@@ -164,3 +168,107 @@ def test_malformed_headers_raise(tmp_path):
 def test_unknown_normalization_rejected():
     with pytest.raises(ValidationError):
         CtmTable("percentiles", {}, ())
+
+
+# --- loaders reject meaningless rows
+
+
+DATA_DIR = pathlib.Path(__file__).parent.parent / "src" / "ctm_lab" / "data"
+
+
+def _shipped(name):
+    return (DATA_DIR / f"{name}.ctm").read_bytes()
+
+
+def _with_field(data: bytes, line: int, field: int, text: str) -> bytes:
+    lines = data.decode().split("\n")
+    parts = lines[line - 1].split(",")
+    parts[field] = text
+    lines[line - 1] = ",".join(parts)
+    return "\n".join(lines).encode()
+
+
+def test_ctm_loader_rejects_meaningless_rows():
+    data = _shipped("d2_zero")
+    first = data.decode().split("\n")[3].split(",")
+    p = float(first[2])
+    bad_rows = (
+        (1, "0"), (1, "-3"),
+        (2, "nan"), (2, "inf"), (2, "0"), (2, "1.5"), (2, "-0.5"),
+        (3, "-3"), (3, fmt_float(float(first[3]) + 1e-9)),
+        (4, "0"), (5, "0"),
+    )
+    for field, text in bad_rows:
+        with pytest.raises(ParseError) as err:
+            loads_ctm_table(_with_field(data, 4, field, text))
+        assert err.value.line == 4
+    # consistent but no longer a distribution: halving one probability
+    halved = _with_field(data, 4, 2, fmt_float(p / 2))
+    halved = _with_field(halved, 4, 3, fmt_float(-math.log2(p / 2)))
+    with pytest.raises(ValidationError):
+        loads_ctm_table(halved)
+    # non-canonical text and out-of-order rows
+    for field, text in ((1, "+1000"), (1, "1_000"), (2, "0.328515111695138")):
+        with pytest.raises(ParseError):
+            loads_ctm_table(_with_field(data, 4, field, text))
+    lines = data.decode().split("\n")
+    lines[3], lines[8] = lines[8], lines[3]
+    with pytest.raises(ParseError):
+        loads_ctm_table("\n".join(lines).encode())
+
+
+def test_meaningless_row_from_the_roadmap_exits_one(tmp_path, capsys):
+    from ctm_lab.cli import main
+
+    lines = _shipped("d2_zero").decode().split("\n")
+    lines.insert(3, "01,5,nan,-3,0,3")
+    path = tmp_path / "bad.ctm"
+    path.write_text("\n".join(lines))
+    assert main(["ctm", "eval", "--table", str(path), "--string", "01"]) == 1
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_freq_loader_rejects_meaningless_rows(tmp_path, d2_zero_freq):
+    path = tmp_path / "d2.freq"
+    data = d2_zero_freq.canonical_bytes()
+    for field, text in ((2, "0"), (3, "-1"), (3, "10000"), (1, "0")):
+        path.write_bytes(_with_field(data, 4, field, text))
+        with pytest.raises(ParseError) as err:
+            load_frequency_table(path)
+        assert err.value.line == 4
+
+
+def _field_text(original):
+    options = [
+        st.integers(-(10 ** 20), 10 ** 20).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(fmt_float),
+        st.text(alphabet="0123456789+-._eEinfaINFAN x", max_size=24),
+        st.sampled_from([original, "", "0", "1", "01", original + "0", "0" + original,
+                         " " + original]),
+    ]
+    if original.isdigit():
+        options.append(st.integers(-3, 3).map(lambda d: str(int(original) + d)))
+    return st.one_of(options)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_single_field_mutations_round_trip_or_raise(data, tmp_path_factory, d2_zero_freq):
+    """Any one-field change to a shipped d2 table or a d2 .freq loads to the same bytes or raises."""
+    kind = data.draw(st.sampled_from(["d2_zero", "d2_both", "freq"]))
+    original = d2_zero_freq.canonical_bytes() if kind == "freq" else _shipped(kind)
+    lines = original.decode().split("\n")
+    line = data.draw(st.integers(4, len(lines) - 1))  # 1-based data rows
+    fields = lines[line - 1].split(",")
+    field = data.draw(st.integers(0, len(fields) - 1))
+    mutated = _with_field(original, line, field, data.draw(_field_text(fields[field])))
+    try:
+        if kind == "freq":
+            path = tmp_path_factory.getbasetemp() / "mutated.freq"
+            path.write_bytes(mutated)
+            again = load_frequency_table(path).canonical_bytes()
+        else:
+            again = dumps_ctm_table(loads_ctm_table(mutated))
+    except CtmLabError:
+        return
+    assert again == mutated

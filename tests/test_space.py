@@ -10,6 +10,8 @@ import pytest
 from ctm_lab.ctm import load_ctm_table
 from ctm_lab.errors import ParseError, ValidationError
 from ctm_lab.machine import (
+    COMPLEMENT_SYMBOLS,
+    REFLECT_DIRECTIONS,
     HaltWrite,
     RuleTable,
     Step,
@@ -17,6 +19,7 @@ from ctm_lab.machine import (
     encode_machine,
     escape_closure,
     simulate,
+    transform,
 )
 from ctm_lab import space
 from ctm_lab.space import (
@@ -126,6 +129,54 @@ def test_engines_agree_with_both_blanks():
     )
 
 
+def _full_census(spec):
+    """Every machine on every blank: run_index_array never applies the symmetry reduction."""
+    return run_index_array(spec, np.arange(spec.size, dtype=np.uint64))
+
+
+def _assert_same_census(reduced, full):
+    assert _same_outputs(reduced, full)
+    assert reduced.census == full.census
+
+
+def test_reduced_census_equals_the_full_census_on_small_spaces():
+    # seven shards cut the top-digit blocks and the blank-1 digit blocks
+    for n in (1, 2):
+        for mode in ("zero", "both"):
+            spec = SpaceSpec(n, blank_mode=mode)
+            full = _full_census(spec)
+            seven = make_shard_plan(spec.size, 7)
+            for plan, workers in ((None, 1), (seven, 1), (seven, 2)):
+                _assert_same_census(run_space(spec, plan=plan, workers=workers), full)
+
+
+def test_reduced_census_equals_the_full_census_on_three_states(d3_zero_freq, d3_both_freq):
+    for reduced in (d3_zero_freq, d3_both_freq):
+        _assert_same_census(reduced, _full_census(reduced.spec))
+
+
+def test_first_step_halts_are_counted_in_closed_form():
+    n = 2
+    spec = SpaceSpec(n, blank_mode="both")
+    digits = _digits(np.arange(spec.size), n)
+    rng = random.Random(67)
+    ranges = [(0, spec.size), (801, 805), (899, 1801), (900, 1801), (8000, 8001)]
+    ranges += [tuple(sorted(rng.sample(range(spec.size + 1), 2))) for _ in range(200)]
+    for lo, hi in ranges:
+        sink = space._Sink(spec)
+        space._count_initial_halts(spec, lo, hi, sink)
+        counts, first = {}, {}
+        for blank in (0, 1):
+            for w in (0, 1):
+                hits = lo + np.nonzero(digits[lo:hi, blank] == 4 * n + w)[0]
+                if hits.size:
+                    counts[str(w)] = counts.get(str(w), 0) + hits.size
+                    first[str(w)] = min(first.get(str(w), spec.size), int(hits[0]))
+        assert (sink.counts, sink.first) == (counts, first)
+        assert set(sink.min_used.values()) <= {1}
+        assert sink.census.halted == sink.census.total_runs == sum(counts.values())
+
+
 def test_engines_agree_on_four_state_sample_at_busy_beaver_cutoff():
     rng = random.Random(47)
     indices = np.array(sorted(rng.sample(range(space_size(4)), 2000)), np.uint64)
@@ -148,19 +199,56 @@ def test_engines_agree_on_three_state_sample_at_long_cutoff():
     assert scalar.canonical_bytes() == vector.canonical_bytes()
 
 
+def _digits(index, n):
+    """Action codes of machine indices, entry (1,0) first."""
+    base = 4 * n + 2
+    index = np.asarray(index, np.int64)
+    return np.stack([index // base ** (2 * n - 1 - j) % base for j in range(2 * n)],
+                    axis=1).astype(np.uint8)
+
+
+def _expected_escape_bits(machine, blank):
+    n = machine.n
+    esc = escape_closure(machine, blank)
+    return sum(esc[o % n][o % (2 * n) // n] << o for o in range(4 * n))
+
+
 def test_escape_bits_match_the_escape_closure_on_two_states():
-    n, base = 2, 10
-    index = np.arange(space_size(n))
-    ords = np.stack([index // base ** (2 * n - 1 - j) % base for j in range(2 * n)], axis=1)
-    ords = ords.astype(np.uint8)
+    n = 2
+    ords = _digits(np.arange(space_size(n)), n)
     for blank in (0, 1):
         bits = space._escape_bits(ords, n, blank)
         for i in range(space_size(n)):
-            esc = escape_closure(decode_machine(i, n), blank)
-            expected = sum(
-                esc[o % n][o % (2 * n) // n] << o for o in range(4 * n)
-            )
-            assert int(bits[i]) == expected
+            assert int(bits[i]) == _expected_escape_bits(decode_machine(i, n), blank)
+    # every distinct (3,2) blank-read key on both blanks, the other entries halting
+    n = 3
+    keys = np.stack([np.arange(14 ** n) // 14 ** (n - 1 - j) % 14 for j in range(n)], axis=1)
+    for blank in (0, 1):
+        ords = np.full((keys.shape[0], 2 * n), 4 * n, np.uint8)
+        ords[:, blank::2] = keys
+        bits = space._escape_bits(ords, n, blank)
+        for row, codes in enumerate(ords.tolist()):
+            index = sum(o * 14 ** (2 * n - 1 - j) for j, o in enumerate(codes))
+            assert int(bits[row]) == _expected_escape_bits(decode_machine(index, n), blank)
+
+
+def test_image_indices_match_the_symmetry_transforms():
+    rng = random.Random(61)
+    cases = [(2, range(space_size(2)))] + [
+        (n, sorted(rng.sample(range(space_size(n)), 3000))) for n in (3, 4)
+    ]
+    images = {
+        (False, False): lambda m: m,
+        (True, False): lambda m: transform(m, REFLECT_DIRECTIONS),
+        (False, True): lambda m: transform(m, COMPLEMENT_SYMBOLS),
+        (True, True): lambda m: transform(transform(m, REFLECT_DIRECTIONS), COMPLEMENT_SYMBOLS),
+    }
+    for n, indices in cases:
+        digits = _digits(list(indices), n)
+        for image, apply in images.items():
+            got = space._image_indices(digits, n, *image)
+            expected = [encode_machine(apply(decode_machine(i, n))) for i in indices]
+            assert got.tolist() == expected
 
 
 def test_results_do_not_depend_on_batch_size(monkeypatch):
@@ -178,35 +266,45 @@ def test_results_do_not_depend_on_batch_size(monkeypatch):
 
 def test_shards_materialize_one_batch_of_indices_at_a_time(monkeypatch):
     sizes = []
-    vector = space._ENGINES["vector"]
+    vector = space._run_vector
 
-    def spy(spec, indices, sink):
+    def spy(spec, indices, sink, passes=None):
         sizes.append(indices.size)
-        vector(spec, indices, sink)
+        vector(spec, indices, sink, passes)
 
     monkeypatch.setattr(space, "_BATCH", 1000)
-    monkeypatch.setitem(space._ENGINES, "vector", spy)
-    shard = space._run_shard((SpaceSpec(3), "vector", 0, 4500))
+    monkeypatch.setattr(space, "_run_vector", spy)
+    # inside the block of machines whose (1,0) entry is Step(1, R, 1)
+    lo = 9 * 14 ** 5
+    shard = space._run_shard((SpaceSpec(3), "vector", lo, lo + 4500))
     assert sizes == [1000, 1000, 1000, 1000, 500]
-    whole = run_index_array(SpaceSpec(3), np.arange(4500, dtype=np.uint64), engine="scalar")
-    assert (shard.counts, shard.census) == (whole.counts, whole.census)
+    span = np.arange(lo, lo + 4500)
+    mirrors = space._image_indices(_digits(span, 3), 3, True, False)
+    orbits = np.union1d(span, mirrors).astype(np.uint64)
+    whole = run_index_array(SpaceSpec(3), orbits, engine="scalar")
+    assert _same_outputs(shard, whole)
+    assert shard.census == whole.census
 
 
 def test_halted_outputs_pack_narrow_and_wide_spans():
     # Spans wider than 64 cells take the row-by-row path; the rest are packed.
+    # Every span is credited as is and reversed, to the machine and its mirror.
     tape = np.random.default_rng(59).integers(0, 2, 400).astype(np.uint8)
     lo = np.array([0, 10, 100, 200, 300, 12], np.intp)
     hi = lo + np.array([0, 2, 63, 64, 99, 2])
+    idx = np.array([2100, 2345, 3456, 3000, 2999, 3999], np.uint64)
     sink = space._Sink(SpaceSpec(2))
-    outputs = space._Outputs(sink)
-    outputs.pending.append((lo, hi, np.full(6, 3, np.uint16), np.arange(6, dtype=np.int64)))
+    outputs = space._Outputs(sink, _digits(idx, 2), ((False, False), (True, False)))
+    outputs.pending.append((lo, hi, np.full(6, 3, np.uint16), np.arange(6)))
     outputs.pack(tape)
     outputs.emit()
     expected, first = {}, {}
-    for producer, (a, b) in enumerate(zip(lo, hi)):
+    for index, a, b in zip(idx.tolist(), lo, hi):
         s = "".join(map(str, tape[a:b + 1]))
-        expected[s] = expected.get(s, 0) + 1
-        first.setdefault(s, producer)
+        mirror = encode_machine(transform(decode_machine(index, 2), REFLECT_DIRECTIONS))
+        for string, producer in ((s, index), (s[::-1], mirror)):
+            expected[string] = expected.get(string, 0) + 1
+            first[string] = min(first.get(string, producer), producer)
     assert sink.counts == expected
     assert sink.first == first
     assert {len(s) for s in sink.counts} == {1, 3, 64, 65, 100}
