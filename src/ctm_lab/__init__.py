@@ -50,6 +50,7 @@ from .space import (
     load_frequency_table,
     make_shard_plan,
     merge_shards,
+    representative_shard_plan,
     run_index_array,
     run_space,
     run_strided_sample,
@@ -79,6 +80,8 @@ from .bdm import (
     EquivRecord,
     bdm_value,
     block_entropy_equiv_check,
+    decompose,
+    decomposition_value,
     partition,
     partition_entropy,
 )

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.stats import rankdata
 
 from ._canon import fmt_value, meta_dumps
-from .baselines import block_entropy, lz78_bit_length, shannon_entropy
-from .bdm import BdmConfig, bdm_value
+from .baselines import entropy_of_counts, lz78_bit_length, require_one_block, shannon_entropy
+from .bdm import BOUNDARY_KEEP, BdmConfig, bdm_value, decompose, decomposition_value
 from .ctm import CtmTable
 from .errors import ValidationError
 
@@ -217,12 +217,16 @@ def divergence_report(table: CtmTable, corpus, cfg: BdmConfig) -> Report:
         raise ValidationError("empty corpus")
     values = {}
     for s in strings:
-        values[s] = (
-            bdm_value(s, table, cfg),
-            shannon_entropy(s),
-            block_entropy(s, cfg.block_len),
-            lz78_bit_length(s),
-        )
+        # one cut per string serves both BDM and block entropy; the block
+        # entropy counts full blocks only, so a kept tail stays out of it,
+        # and a string with no full block is an error as in block_entropy
+        # (decompose already checks this under drop_remainder)
+        decomp = decompose(s, cfg)
+        bdm = decomposition_value(decomp, table, cfg)
+        if cfg.boundary == BOUNDARY_KEEP:
+            require_one_block(s, cfg.block_len)
+        values[s] = (bdm, shannon_entropy(s), entropy_of_counts(decomp.blocks.values()),
+                     lz78_bit_length(s))
     bdm_sorted = sorted(v[0] for v in values.values())
     ent_sorted = sorted(v[1] for v in values.values())
     rows = []

@@ -19,11 +19,12 @@ def shannon_entropy(s: str) -> float:
     """Empirical per-symbol entropy in bits; 0 <= H <= log2(alphabet size).
 
     Alphabet-agnostic: any symbols are counted, unlike bdm_value, which
-    takes binary strings only.
+    takes binary strings only. One str.count pass per distinct symbol, so
+    the cost is O(len(s) x alphabet size): two passes for a binary string.
     """
     if not s:
         raise ValidationError("entropy of an empty string is undefined")
-    return shannon_entropy_of_tokens(s)
+    return entropy_of_counts([s.count(c) for c in set(s)])
 
 
 def block_entropy(s: str, block_len: int) -> float:
@@ -33,20 +34,26 @@ def block_entropy(s: str, block_len: int) -> float:
     """
     if block_len < 1:
         raise ValidationError("block_len must be >= 1")
+    require_one_block(s, block_len)
+    blocks = [s[i * block_len:(i + 1) * block_len] for i in range(len(s) // block_len)]
+    return entropy_of_counts(Counter(blocks).values())
+
+
+def require_one_block(s: str, block_len: int) -> None:
+    """ValidationError unless s holds at least one full block."""
     if len(s) < block_len:
         raise ValidationError(
             f"string of length {len(s)} is shorter than one block of {block_len}"
         )
-    blocks = [s[i * block_len:(i + 1) * block_len] for i in range(len(s) // block_len)]
-    return shannon_entropy_of_tokens(blocks)
 
 
-def shannon_entropy_of_tokens(tokens) -> float:
+def entropy_of_counts(counts) -> float:
+    """Entropy in bits of the distribution given by positive integer counts."""
     # fsum over the term multiset: equal count profiles give bit-equal
-    # entropies no matter what order the tokens appeared in.
-    counts = Counter(tokens)
-    total = sum(counts.values())
-    return -math.fsum(c / total * math.log2(c / total) for c in counts.values())
+    # entropies no matter what order the counts come in.
+    counts = list(counts)
+    total = sum(counts)
+    return -math.fsum(c / total * math.log2(c / total) for c in counts)
 
 
 def rle_encode(s: str) -> str:
@@ -85,30 +92,44 @@ def rle_decode(s: str) -> str:
 def lz78_bit_length(s: str) -> int:
     """Cost in bits of a deterministic LZ78 parse of s.
 
-    Phrases are the classic longest-known-prefix-plus-one-symbol parse.
-    The i-th complete phrase costs ceil(log2(i)) + 1 bits: a reference to
-    one of the i-1 earlier phrases or the empty phrase, plus one literal
-    bit. When the input ends inside a phrase, the leftover is a bare
-    reference among the p+1 possibilities, ceil(log2(p+1)) bits.
+    Phrases are the classic longest-known-prefix-plus-one-symbol parse,
+    found by walking a trie of the known phrases (nested dicts keyed by
+    symbol, so any alphabet works): one dict lookup per character, and a
+    miss adds a leaf and closes a phrase. The i-th complete phrase costs
+    ceil(log2(i)) + 1 bits: a reference to one of the i-1 earlier phrases
+    or the empty phrase, plus one literal bit. So p complete phrases cost
+    p + sum_ceil_log2(p) bits in closed form. When the input ends inside a
+    phrase, the leftover is a bare reference among the p+1 possibilities,
+    ceil(log2(p+1)) bits.
     """
     if not s:
         raise ValidationError("cannot compress an empty string")
-    dictionary = {}
-    bits = 0
-    phrase = ""
-    count = 0
+    root = {}
+    node = root
+    phrases = 0
     for ch in s:
-        candidate = phrase + ch
-        if candidate in dictionary:
-            phrase = candidate
-            continue
-        count += 1
-        dictionary[candidate] = count
-        bits += _ceil_log2(count) + 1
-        phrase = ""
-    if phrase:
-        bits += _ceil_log2(count + 1)
+        child = node.get(ch)
+        if child is None:
+            node[ch] = {}
+            phrases += 1
+            node = root
+        else:
+            node = child
+    bits = phrases + sum_ceil_log2(phrases)
+    if node is not root:
+        bits += _ceil_log2(phrases + 1)
     return bits
+
+
+def sum_ceil_log2(p: int) -> int:
+    """Sum of ceil(log2(i)) for i = 1..p, in closed form.
+
+    With k = ceil(log2(p)), the terms are j for the 2^(j-1) values of i in
+    (2^(j-1), 2^j] when j < k, and k for the p - 2^(k-1) values above
+    2^(k-1); the sum telescopes to k*p - 2^k + 1.
+    """
+    k = _ceil_log2(p) if p else 0
+    return k * p - (1 << k) + 1
 
 
 def _ceil_log2(k: int) -> int:

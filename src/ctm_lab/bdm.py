@@ -11,9 +11,11 @@ knows nothing and improve on it when it does.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from ._canon import is_binary
+from .baselines import entropy_of_counts, require_one_block
 from .errors import ValidationError
 from .ctm import CtmTable, complexity_of
 
@@ -57,16 +59,28 @@ def partition(s: str, cfg: BdmConfig) -> Decomposition:
     """Cut s into consecutive non-overlapping blocks from the left."""
     if not s:
         raise ValidationError("cannot partition an empty string")
-    blocks = {}
-    full = len(s) // cfg.block_len
-    for i in range(full):
-        block = s[i * cfg.block_len:(i + 1) * cfg.block_len]
-        blocks[block] = blocks.get(block, 0) + 1
-    tail = None
-    rest = s[full * cfg.block_len:]
-    if rest and cfg.boundary == BOUNDARY_KEEP:
-        tail = rest
+    k = cfg.block_len
+    full = len(s) - len(s) % k
+    blocks = Counter([s[i:i + k] for i in range(0, full, k)])
+    tail = s[full:] if full < len(s) and cfg.boundary == BOUNDARY_KEEP else None
     return Decomposition(blocks, tail)
+
+
+def decompose(s: str, cfg: BdmConfig) -> Decomposition:
+    """Check that s can be priced by BDM, then partition it.
+
+    The tables hold binary strings only, so s must be one: any other
+    character is a ValidationError rather than a block priced by fallback.
+    Under drop_remainder a string shorter than one block would have no
+    blocks left and a meaningless value of 0, so it is a ValidationError too.
+    """
+    if s and not is_binary(s):
+        pos = next(i for i, c in enumerate(s) if c not in "01")
+        raise ValidationError(f"not a binary string: {s[pos]!r} at position {pos}")
+    decomp = partition(s, cfg)
+    if cfg.boundary == BOUNDARY_DROP:
+        require_one_block(s, cfg.block_len)
+    return decomp
 
 
 def _block_value(block: str, table: CtmTable, cfg: BdmConfig) -> float:
@@ -79,16 +93,8 @@ def _block_value(block: str, table: CtmTable, cfg: BdmConfig) -> float:
     return len(block) + math.log2(len(block))
 
 
-def bdm_value(s: str, table: CtmTable, cfg: BdmConfig = BdmConfig()) -> float:
-    """Sum of block complexities plus log2 multiplicities, in bits.
-
-    The tables hold binary strings only, so s must be one: any other
-    character is a ValidationError rather than a block priced by fallback.
-    """
-    if s and not is_binary(s):
-        pos = next(i for i, c in enumerate(s) if c not in "01")
-        raise ValidationError(f"not a binary string: {s[pos]!r} at position {pos}")
-    decomp = partition(s, cfg)
+def decomposition_value(decomp: Decomposition, table: CtmTable, cfg: BdmConfig) -> float:
+    """Sum of block complexities plus log2 multiplicities, in bits."""
     terms = []
     for block in sorted(decomp.blocks):
         terms.append(_block_value(block, table, cfg))
@@ -98,15 +104,19 @@ def bdm_value(s: str, table: CtmTable, cfg: BdmConfig = BdmConfig()) -> float:
     return math.fsum(terms)
 
 
+def bdm_value(s: str, table: CtmTable, cfg: BdmConfig = BdmConfig()) -> float:
+    """Block decomposition value of s in bits; see decompose for what s may be."""
+    return decomposition_value(decompose(s, cfg), table, cfg)
+
+
 def partition_entropy(decomp: Decomposition) -> float:
     """Shannon entropy (bits per block) of the block tokens, tail included."""
     counts = dict(decomp.blocks)
     if decomp.tail is not None:
         counts[decomp.tail] = counts.get(decomp.tail, 0) + 1
-    total = sum(counts.values())
-    if total == 0:
+    if not counts:
         return 0.0
-    return -math.fsum(c / total * math.log2(c / total) for c in counts.values())
+    return entropy_of_counts(counts.values())
 
 
 @dataclass(frozen=True)
@@ -121,7 +131,7 @@ class EquivRecord:
 
 def block_entropy_equiv_check(s: str, table: CtmTable, cfg: BdmConfig = BdmConfig()) -> EquivRecord:
     """Compare the decomposition value with block entropy on the same partition."""
-    decomp = partition(s, cfg)
-    value = bdm_value(s, table, cfg)
+    decomp = decompose(s, cfg)
+    value = decomposition_value(decomp, table, cfg)
     ent = partition_entropy(decomp)
     return EquivRecord(s, value, ent, value - ent)

@@ -28,7 +28,7 @@ from .bdm import BOUNDARY_DROP, BOUNDARY_KEEP, FALLBACK_ERROR, FALLBACK_LOG_LENG
 from .ctm import NORM_ALL, NORM_HALTING, load_ctm_table, merge_ctm, save_ctm_table, to_ctm
 from .errors import CtmLabError, ValidationError
 from .machine import RunConfig, decode_machine, format_rule_table, simulate
-from .space import BLANK_BOTH, BLANK_ZERO, SpaceSpec, make_shard_plan, run_space
+from .space import BLANK_BOTH, BLANK_ZERO, SpaceSpec, representative_shard_plan, run_space
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,7 +202,7 @@ def _cmd_run_space(args) -> int:
         blank_mode=BLANK_BOTH if args.both_blanks else BLANK_ZERO,
         max_steps=args.max_steps,
     )
-    plan = None if args.shards is None else make_shard_plan(spec.size, args.shards)
+    plan = None if args.shards is None else representative_shard_plan(spec, args.shards)
     freq = run_space(spec, plan=plan, workers=args.threads)
     save_ctm_table(to_ctm(freq, args.norm), args.out)
     return 0

@@ -300,6 +300,30 @@ def make_shard_plan(total: int, shard_count: int) -> ShardPlan:
     return ShardPlan(tuple((bounds[i], bounds[i + 1]) for i in range(shard_count)))
 
 
+def representative_shard_plan(spec: SpaceSpec, shard_count: int) -> ShardPlan:
+    """Shards of [0, size) that hold equal shares of the orbit representatives.
+
+    The vector engine steps only the representatives (_run_shard), which
+    fill two of the 4n+2 top-digit blocks, so an even cut of the index
+    range would leave some shards with nothing to step.
+    """
+    if shard_count < 1:
+        raise ValidationError("shard_count must be >= 1")
+    ranges = _representative_ranges(spec.n, 0, spec.size)
+    total = sum(hi - lo for lo, hi in ranges)
+    shard_count = min(shard_count, total)
+
+    def index_of(q):  # the q-th representative, counting from 0
+        for lo, hi in ranges:
+            if q < hi - lo:
+                return lo + q
+            q -= hi - lo
+
+    inner = [index_of(total * i // shard_count) for i in range(1, shard_count)]
+    bounds = [0, *inner, spec.size]
+    return ShardPlan(tuple(zip(bounds, bounds[1:])))
+
+
 # ---------------------------------------------------------------------------
 # Result accumulation shared by both engines
 
@@ -721,13 +745,14 @@ def run_space(
     """Enumerate the whole space described by spec into a FrequencyTable.
 
     The result is byte-identical for every plan and worker count; shards
-    only bound the unit of parallel work (default: four per worker).
-    Partial tables are merged in shard order.
+    only bound the unit of parallel work (default: four per worker, cut
+    at equal shares of the orbit representatives, the machines the vector
+    engine steps). Partial tables are merged in shard order.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     if plan is None:
-        plan = make_shard_plan(spec.size, workers * 4)
+        plan = representative_shard_plan(spec, workers * 4)
     if plan.shards[0][0] != 0 or plan.shards[-1][1] != spec.size:
         raise ValidationError("shard plan must cover the full index range")
     jobs = [(spec, engine, lo, hi) for lo, hi in plan.shards]

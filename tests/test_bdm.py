@@ -13,6 +13,8 @@ from ctm_lab.bdm import (
     BdmConfig,
     bdm_value,
     block_entropy_equiv_check,
+    decompose,
+    decomposition_value,
     partition,
     partition_entropy,
 )
@@ -82,6 +84,32 @@ def test_non_binary_strings_are_rejected(d3_zero_builtin):
     for s, block_len in (("01x1010", 12), ("01x1010", 2), ("0101 ", 2), ("2", 1)):
         with pytest.raises(ValidationError):
             bdm_value(s, d3_zero_builtin, BdmConfig(block_len=block_len))
+
+
+def test_strings_shorter_than_one_block_are_rejected_when_dropping(d3_both_builtin):
+    # every block would be dropped, leaving a meaningless value of 0
+    for s, block_len in (("0101", 12), ("0", 2), ("01011", 6)):
+        cfg = BdmConfig(block_len=block_len, boundary=BOUNDARY_DROP)
+        with pytest.raises(ValidationError, match=f"shorter than one block of {block_len}"):
+            bdm_value(s, d3_both_builtin, cfg)
+        with pytest.raises(ValidationError, match="shorter than one block"):
+            block_entropy_equiv_check(s, d3_both_builtin, cfg)
+    # one full block is enough, and a kept tail is priced on its own
+    assert bdm_value("01", d3_both_builtin, BdmConfig(block_len=2)) == complexity_of(
+        d3_both_builtin, "01")
+    kept = BdmConfig(block_len=12, boundary=BOUNDARY_KEEP)
+    assert bdm_value("0101", d3_both_builtin, kept) == complexity_of(d3_both_builtin, "0101")
+
+
+def test_bdm_value_is_the_value_of_its_decomposition():
+    table = synthetic_table({"01": 1.0, "0": 0.5, "11": 2.5})
+    for boundary in (BOUNDARY_DROP, BOUNDARY_KEEP):
+        cfg = BdmConfig(block_len=2, boundary=boundary)
+        decomp = decompose("0101110", cfg)
+        assert decomp == partition("0101110", cfg)
+        assert decomposition_value(decomp, table, cfg) == bdm_value("0101110", table, cfg)
+    with pytest.raises(ValidationError, match="not a binary string"):
+        decompose("01x", BdmConfig(block_len=2))
 
 
 def test_kept_tail_contributes_its_own_term():

@@ -12,6 +12,7 @@ from ctm_lab.cli import main
 from ctm_lab.ctm import load_ctm_table
 
 TABLE_D2 = pathlib.Path(__file__).resolve().parent.parent / "src" / "ctm_lab" / "data" / "d2_zero.ctm"
+TABLE_D3_BOTH = TABLE_D2.with_name("d3_both.ctm")
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +148,8 @@ def test_exit_codes(capsys, tmp_path):
     for block_len in ("12", "2"):
         assert main(["bdm", "eval", "--table", str(TABLE_D2), "--block-len", block_len,
                      "--string", "01x1010"]) == 1
+    # shorter than one block of the default length 12: no blocks are left
+    assert main(["bdm", "eval", "--table", str(TABLE_D3_BOTH), "--string", "0101"]) == 1
     # unreadable input -> i/o (2)
     assert main(["ctm", "eval", "--table", str(tmp_path / "missing.ctm"),
                  "--string", "0"]) == 2

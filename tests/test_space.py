@@ -29,6 +29,7 @@ from ctm_lab.space import (
     load_frequency_table,
     make_shard_plan,
     merge_shards,
+    representative_shard_plan,
     run_index_array,
     run_space,
     run_strided_sample,
@@ -416,6 +417,33 @@ def test_shard_plan_validation():
         ShardPlan(((0, 5), (6, 10)))
     with pytest.raises(ValidationError):
         make_shard_plan(100, 0)
+
+
+def test_representative_shard_plan_splits_the_stepped_work_evenly():
+    for n, shard_count in ((1, 5), (1, 40), (2, 8), (3, 8), (4, 16)):
+        spec = SpaceSpec(n)
+        plan = representative_shard_plan(spec, shard_count)
+        assert plan.shards[0][0] == 0 and plan.shards[-1][1] == spec.size
+        shares = [
+            sum(b - a for a, b in space._representative_ranges(n, lo, hi))
+            for lo, hi in plan.shards
+        ]
+        assert sum(shares) == 2 * n * (4 * n + 2) ** (2 * n - 1)
+        assert len(plan.shards) == min(shard_count, sum(shares))
+        assert max(shares) - min(shares) <= 1
+    with pytest.raises(ValidationError):
+        representative_shard_plan(SpaceSpec(2), 0)
+
+
+def test_default_plan_is_balanced_on_representatives(monkeypatch):
+    seen = []
+    original = space._run_shard
+    monkeypatch.setattr(space, "_run_shard", lambda job: seen.append(job[2:]) or original(job))
+    spec = SpaceSpec(2, blank_mode="both")
+    vector = run_space(spec)  # one worker runs the shards inline, through the spy
+    assert tuple(seen) == representative_shard_plan(spec, 4).shards
+    scalar = run_space(spec, engine="scalar")
+    assert vector.canonical_bytes() == scalar.canonical_bytes()
 
 
 def test_sharded_run_is_byte_identical_to_single_shard():
