@@ -24,6 +24,14 @@ def is_binary(s: str) -> bool:
     return _BINARY.fullmatch(s) is not None
 
 
+def decode_utf8(data: bytes) -> str:
+    """Decode file contents; ParseError, not UnicodeDecodeError, when they are not UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
 def canonical_int(text: str) -> int:
     """Parse an integer field written as str(int) writes it; ValueError otherwise."""
     value = int(text)

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import __version__
-from ._canon import fmt_value, meta_dumps
+from ._canon import decode_utf8, fmt_value, meta_dumps
 from .analysis import (
     anomaly_report,
     cross_space_report,
@@ -37,15 +37,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _common_flags(parser):
+def _out_flag(parser):
     parser.add_argument("--out", help="write output to this file instead of stdout")
+
+
+def _record_flags(parser):
+    _out_flag(parser)
     parser.add_argument(
         "--format", choices=("csv", "json-lines"), default="csv",
         help="record output format (default: csv)",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes for space runs (default: 1)",
     )
 
 
@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-space",
                        help="enumerate a rule space into a canonical table file")
-    _common_flags(p)
+    _out_flag(p)
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--both-blanks", action="store_true",
                    help="run every machine on blank 0 and blank 1")
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     table_sub = p.add_subparsers(parser_class=_Parser, dest="table_command", required=True)
     m = table_sub.add_parser("merge",
                              help="merge two tables, larger rule space winning shared strings")
-    _common_flags(m)
+    _out_flag(m)
     m.add_argument("older")
     m.add_argument("newer")
 
@@ -77,14 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     ctm_sub = p.add_subparsers(parser_class=_Parser, dest="ctm_command", required=True)
     e = ctm_sub.add_parser("eval",
                            help="complexity of a string according to a table")
-    _common_flags(e)
+    _record_flags(e)
     e.add_argument("--table", required=True)
     e.add_argument("--string", required=True)
 
     p = sub.add_parser("bdm", help="block decomposition values")
     bdm_sub = p.add_subparsers(parser_class=_Parser, dest="bdm_command", required=True)
     e = bdm_sub.add_parser("eval")
-    _common_flags(e)
+    _record_flags(e)
     e.add_argument("--table", required=True)
     e.add_argument("--block-len", type=int, default=12)
     e.add_argument("--keep-tail", action="store_true",
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy",
                        help="Shannon entropy, or block entropy with --block")
-    _common_flags(p)
+    _record_flags(p)
     p.add_argument("--string", required=True)
     p.add_argument("--block", type=int, default=0)
 
@@ -105,13 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     rle_sub = p.add_subparsers(parser_class=_Parser, dest="rle_command", required=True)
     for name in ("encode", "decode"):
         r = rle_sub.add_parser(name)
-        _common_flags(r)
+        _out_flag(r)
         r.add_argument("--string", required=True)
 
     p = sub.add_parser("compress", help="baseline compressors")
     comp_sub = p.add_subparsers(parser_class=_Parser, dest="compress_command", required=True)
     lz = comp_sub.add_parser("lz78")
-    _common_flags(lz)
+    _record_flags(lz)
     g = lz.add_mutually_exclusive_group(required=True)
     g.add_argument("--string")
     g.add_argument("--file", help="one string per line")
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     mach_sub = p.add_subparsers(parser_class=_Parser, dest="machine_command", required=True)
     s = mach_sub.add_parser("show",
                             help="decode an index, print its table and run outcome")
-    _common_flags(s)
+    _out_flag(s)
     s.add_argument("--states", type=int, required=True)
     s.add_argument("--index", type=int, required=True)
     s.add_argument("--max-steps", type=int, default=100)
@@ -129,24 +130,24 @@ def build_parser() -> argparse.ArgumentParser:
     rep_sub = p.add_subparsers(parser_class=_Parser, dest="report_command", required=True)
     for name in ("length-blocks", "anomalies", "used-rules"):
         r = rep_sub.add_parser(name)
-        _common_flags(r)
+        _record_flags(r)
         r.add_argument("--table", required=True)
     r = rep_sub.add_parser("divergence")
-    _common_flags(r)
+    _record_flags(r)
     r.add_argument("--table", required=True)
     r.add_argument("--file", required=True, help="corpus, one string per line")
     r.add_argument("--block-len", type=int, default=12)
     r.add_argument("--keep-tail", action="store_true")
     r.add_argument("--strict", action="store_true")
     r = rep_sub.add_parser("diversity")
-    _common_flags(r)
+    _record_flags(r)
     r.add_argument("--table", required=True)
     r.add_argument("--length", type=int, required=True)
     r.add_argument("--block-len", type=int, default=6)
     r.add_argument("--keep-tail", action="store_true")
     r.add_argument("--strict", action="store_true")
     r = rep_sub.add_parser("cross-space")
-    _common_flags(r)
+    _record_flags(r)
     r.add_argument("--small", required=True)
     r.add_argument("--large", required=True)
 
@@ -163,15 +164,10 @@ def _emit(args, text: str) -> None:
 
 def _emit_records(args, columns, rows) -> None:
     if args.format == "json-lines":
-        lines = []
-        for row in rows:
-            lines.append(meta_dumps({c: v for c, v in zip(columns, row)}))
-        _emit(args, "\n".join(lines) + "\n")
+        lines = [meta_dumps(dict(zip(columns, row))) for row in rows]
     else:
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(fmt_value(v) for v in row))
-        _emit(args, "\n".join(lines) + "\n")
+        lines = [",".join(columns)] + [",".join(fmt_value(v) for v in row) for row in rows]
+    _emit(args, "\n".join(lines) + "\n")
 
 
 def _emit_report(args, report) -> None:
@@ -181,17 +177,18 @@ def _emit_report(args, report) -> None:
         _emit(args, report_to_csv(report))
 
 
-def _bdm_config(args, default_block=12) -> BdmConfig:
+def _bdm_config(args) -> BdmConfig:
     return BdmConfig(
-        block_len=getattr(args, "block_len", default_block),
+        block_len=args.block_len,
         boundary=BOUNDARY_KEEP if args.keep_tail else BOUNDARY_DROP,
         fallback=FALLBACK_ERROR if args.strict else FALLBACK_LOG_LENGTH,
     )
 
 
 def _read_corpus(path):
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    with open(path, "rb") as fh:
+        lines = decode_utf8(fh.read()).splitlines()
+    return [line.strip() for line in lines if line.strip()]
 
 
 def _cmd_run_space(args) -> int:
@@ -231,14 +228,14 @@ def _cmd_ctm_eval(args) -> int:
 def _cmd_bdm_eval(args) -> int:
     table = load_ctm_table(args.table)
     cfg = _bdm_config(args)
-    strings = [args.string] if args.string else _read_corpus(args.file)
+    strings = [args.string] if args.string is not None else _read_corpus(args.file)
     rows = [(s, bdm_value(s, table, cfg)) for s in strings]
     _emit_records(args, ("string", "value"), rows)
     return 0
 
 
 def _cmd_entropy(args) -> int:
-    if args.block > 0:
+    if args.block:
         value = block_entropy(args.string, args.block)
         columns = ("string", "block_len", "bits_per_block")
         rows = [(args.string, args.block, value)]
@@ -256,7 +253,7 @@ def _cmd_rle(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    strings = [args.string] if args.string else _read_corpus(args.file)
+    strings = [args.string] if args.string is not None else _read_corpus(args.file)
     rows = [(s, lz78_bit_length(s)) for s in strings]
     _emit_records(args, ("string", "bits"), rows)
     return 0
@@ -283,7 +280,7 @@ def _cmd_report(args) -> int:
         elif args.report_command == "divergence":
             report = divergence_report(table, _read_corpus(args.file), _bdm_config(args))
         elif args.report_command == "diversity":
-            report = diversity_report(table, args.length, _bdm_config(args, default_block=6))
+            report = diversity_report(table, args.length, _bdm_config(args))
         else:
             raise ValidationError(f"unknown report {args.report_command!r}")
     _emit_report(args, report)

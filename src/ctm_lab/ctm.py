@@ -20,6 +20,7 @@ from ._canon import (
     canonical_float,
     canonical_int,
     canonical_key,
+    decode_utf8,
     fmt_float,
     meta_dumps,
     read_header,
@@ -149,7 +150,7 @@ def loads_ctm_table(data: bytes) -> CtmTable:
     run under halting_machines must have probabilities summing to 1 within
     1e-9 (merged tables mix distributions, so they are not held to it).
     """
-    lines = data.decode("utf-8").splitlines()
+    lines = decode_utf8(data).splitlines()
     meta = read_header(lines, _TABLE_MAGIC, _TABLE_COLUMNS, "ctm-table")
     normalization = meta.get("normalization")
     if normalization not in NORMALIZATIONS:

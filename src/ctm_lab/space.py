@@ -8,13 +8,13 @@ decide nothing but the census bucket of a non-halting run; no
 configuration-cycle check runs here (it lives in machine.simulate for
 single-machine inspection).
 
-Two engines exist: the default vectorized numpy engine, which steps whole
-index batches in lockstep, and a scalar one built directly on
-machine.simulate, which runs every machine on every blank. Their
-whole-space tables are byte-equal; the scalar engine is the independent
-oracle for the fast path.
+run_space always runs the vectorized numpy engine, which steps whole index
+batches in lockstep. The scalar engine, built directly on machine.simulate,
+runs every machine on every blank; run_index_array(..., engine="scalar")
+reaches it as the independent oracle for the fast path. Every run fills a
+FrequencyTable through FrequencyTable.add.
 
-The vector engine's space runs step only orbit representatives: machines
+run_space's shards step only orbit representatives: machines
 whose (1,0) entry is a right-moving step, 2n of the 4n+2 top digits, run
 on blank 0. Reflecting the directions of a machine reverses its blank-0
 run; complementing its symbols (and swapping its read-0/read-1 entries)
@@ -23,10 +23,10 @@ each representative run also stands for its mirror's blank-0 run and, in
 both mode, for the two complements' blank-1 runs, each credited with the
 image string and the image machine's index as producer. Runs whose first
 step reads a halting entry print one symbol and are counted in closed form.
-A vector shard therefore aggregates the orbits whose representative index
-lies in its range, plus the first-step halts of that range; whole-space
-results are unchanged. run_index_array runs arbitrary index sets as they
-are, every machine on every blank.
+A shard therefore aggregates the orbits whose representative index lies in
+its range, plus the first-step halts of that range; whole-space results are
+unchanged. run_index_array runs arbitrary index sets as they are, every
+machine on every blank, one batch of indices at a time.
 
 The vector engine decodes a batch once and shares it between its passes.
 The blank-runway closure depends only on a machine's n blank-read entries,
@@ -51,7 +51,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._canon import canonical_int, canonical_key, meta_dumps, read_header, read_records
+from ._canon import (
+    canonical_int, canonical_key, decode_utf8, meta_dumps, read_header, read_records,
+)
 from .errors import ParseError, ValidationError
 from .machine import NO_HALT_RULE, Halted, NonHaltingProved, RunConfig, decode_machine, simulate
 
@@ -192,7 +194,7 @@ class FrequencyTable:
     any producer exercised, and first_producer the smallest producing
     machine index (blank-0 runs take precedence over blank-1 at equal
     index). covers lists the contiguous index ranges the table aggregates,
-    or None for ad-hoc index sets such as strided samples. A vector-engine
+    or None for ad-hoc index sets such as strided samples. A run_space
     shard aggregates the symmetry orbits whose representative index lies in
     its ranges (see the module docstring), so its producers may lie outside
     them; merged over the whole space the result is the same.
@@ -204,6 +206,20 @@ class FrequencyTable:
     first_producer: dict
     census: Census
     covers: tuple = ()
+
+    def add(self, s: str, count: int, used: int, first: int) -> None:
+        """Credit count runs that printed s: counts add, min_used_rules and
+        first_producer keep their minima."""
+        if s in self.counts:
+            self.counts[s] += count
+            if used < self.min_used_rules[s]:
+                self.min_used_rules[s] = used
+            if first < self.first_producer[s]:
+                self.first_producer[s] = first
+        else:
+            self.counts[s] = count
+            self.min_used_rules[s] = used
+            self.first_producer[s] = first
 
     def validate(self) -> None:
         if sum(self.counts.values()) != self.census.halted:
@@ -248,8 +264,7 @@ def load_frequency_table(path) -> FrequencyTable:
     """Read a .freq file; counts must be positive, min_used_rules at least 1
     and first_producer an index of the space."""
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    lines = text.splitlines()
+        lines = decode_utf8(fh.read()).splitlines()
     meta = read_header(lines, _FREQ_MAGIC, _FREQ_COLUMNS, "ctm-freq")
     spec = SpaceSpec.from_dict(meta["spec"])
     counts, used, first = {}, {}, {}
@@ -325,45 +340,10 @@ def representative_shard_plan(spec: SpaceSpec, shard_count: int) -> ShardPlan:
 
 
 # ---------------------------------------------------------------------------
-# Result accumulation shared by both engines
-
-
-class _Sink:
-    def __init__(self, spec):
-        self.spec = spec
-        self.counts = {}
-        self.min_used = {}
-        self.first = {}
-        self.census = Census()
-
-    def add_string(self, s, count, used, first):
-        if s in self.counts:
-            self.counts[s] += count
-            if used < self.min_used[s]:
-                self.min_used[s] = used
-            if first < self.first[s]:
-                self.first[s] = first
-        else:
-            self.counts[s] = count
-            self.min_used[s] = used
-            self.first[s] = first
-
-    def table(self, covers):
-        return FrequencyTable(
-            spec=self.spec,
-            counts=self.counts,
-            min_used_rules=self.min_used,
-            first_producer=self.first,
-            census=self.census,
-            covers=covers,
-        )
-
-
-# ---------------------------------------------------------------------------
 # Scalar engine (reference implementation)
 
 
-def _run_scalar(spec: SpaceSpec, indices, sink: _Sink) -> None:
+def _run_scalar(spec: SpaceSpec, indices, sink: FrequencyTable) -> None:
     for blank in spec.blanks:
         cfg = spec.run_config(blank)
         census = sink.census
@@ -372,7 +352,7 @@ def _run_scalar(spec: SpaceSpec, indices, sink: _Sink) -> None:
             census.total_runs += 1
             if isinstance(outcome, Halted):
                 census.halted += 1
-                sink.add_string(outcome.output, 1, outcome.used_rules, int(index))
+                sink.add(outcome.output, 1, outcome.used_rules, int(index))
             elif isinstance(outcome, NonHaltingProved):
                 if outcome.reason == NO_HALT_RULE:
                     census.no_halt_rule += 1
@@ -518,8 +498,7 @@ class _Outputs:
             for r in np.nonzero(~narrow)[0]:
                 s = "".join("1" if c else "0" for c in tape[lo[r]:hi[r] + 1])
                 for image, producer in zip(self.images, producers[:, r]):
-                    self.sink.add_string(_image_string(s, *image), 1, int(used_rules[r]),
-                                         int(producer))
+                    self.sink.add(_image_string(s, *image), 1, int(used_rules[r]), int(producer))
             lo, hi, lengths = lo[narrow], hi[narrow], lengths[narrow]
             used_rules, producers = used_rules[narrow], producers[:, narrow]
         value = np.zeros(lo.size, np.uint64)
@@ -549,11 +528,12 @@ class _Outputs:
         for k, start in enumerate(starts.tolist()):
             s = np.binary_repr(int(s_val[start]), width=int(s_len[start]))
             for image, prod in zip(self.images, group_prod):
-                self.sink.add_string(_image_string(s, *image), group_counts[k], group_used[k],
-                                     prod[k])
+                self.sink.add(_image_string(s, *image), group_counts[k], group_used[k], prod[k])
 
 
-def _vector_pass(spec: SpaceSpec, ords: np.ndarray, blank: int, images, sink: _Sink) -> None:
+def _vector_pass(
+    spec: SpaceSpec, ords: np.ndarray, blank: int, images, sink: FrequencyTable
+) -> None:
     """Step the machines of one batch that have a halting rule, for one blank.
 
     Each run counts once per image (see _Outputs) in the census as well.
@@ -622,28 +602,24 @@ def _vector_pass(spec: SpaceSpec, ords: np.ndarray, blank: int, images, sink: _S
     outputs.emit()
 
 
-def _run_vector(spec: SpaceSpec, indices: np.ndarray, sink: _Sink, passes=None) -> None:
-    """Run an index array through (blank, images) passes; default: every blank, as is."""
-    if passes is None:
-        passes = tuple((blank, _IDENTITY) for blank in spec.blanks)
+def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable, passes) -> None:
+    """Run one batch of machine indices through its (blank, images) passes."""
     n = spec.n
     base = 4 * n + 2
-    for start in range(0, indices.size, _BATCH):
-        idx = indices[start:start + _BATCH]
-        rem = idx.astype(np.uint64, copy=True)
-        ords = np.empty((idx.size, 2 * n), np.uint8)
-        for slot in range(2 * n - 1, -1, -1):
-            ords[:, slot] = (rem % base).astype(np.uint8)
-            rem //= base
-        # decoded once and shared by every pass
-        has_halt = (ords >= 4 * n).any(axis=1)
-        no_halt = int(idx.size - np.count_nonzero(has_halt))
-        ords = ords[has_halt]
-        for blank, images in passes:
-            sink.census.total_runs += len(images) * idx.size
-            sink.census.no_halt_rule += len(images) * no_halt
-            if ords.size:
-                _vector_pass(spec, ords, blank, images, sink)
+    rem = idx.astype(np.uint64, copy=True)
+    ords = np.empty((idx.size, 2 * n), np.uint8)
+    for slot in range(2 * n - 1, -1, -1):
+        ords[:, slot] = (rem % base).astype(np.uint8)
+        rem //= base
+    # decoded once and shared by every pass
+    has_halt = (ords >= 4 * n).any(axis=1)
+    no_halt = int(idx.size - np.count_nonzero(has_halt))
+    ords = ords[has_halt]
+    for blank, images in passes:
+        sink.census.total_runs += len(images) * idx.size
+        sink.census.no_halt_rule += len(images) * no_halt
+        if ords.size:
+            _vector_pass(spec, ords, blank, images, sink)
 
 
 def _representative_ranges(n: int, lo: int, hi: int):
@@ -660,7 +636,7 @@ def _representative_ranges(n: int, lo: int, hi: int):
     return ranges
 
 
-def _count_initial_halts(spec: SpaceSpec, lo: int, hi: int, sink: _Sink) -> None:
+def _count_initial_halts(spec: SpaceSpec, lo: int, hi: int, sink: FrequencyTable) -> None:
     """Runs of [lo, hi) that halt on their first step, counted in closed form.
 
     On blank b such a machine's (1,b) entry is a halt writing w: the run
@@ -685,69 +661,60 @@ def _count_initial_halts(spec: SpaceSpec, lo: int, hi: int, sink: _Sink) -> None
                     first += period
                 sink.census.total_runs += count
                 sink.census.halted += count
-                sink.add_string(str(w), count, 1, max(first, lo))
-
-
-_ENGINES = {"scalar": _run_scalar, "vector": _run_vector}
-
-
-def _run_part(spec: SpaceSpec, chunks, engine: str, covers) -> FrequencyTable:
-    """One engine pass over index arrays, as an unvalidated table."""
-    if engine not in _ENGINES:
-        raise ValidationError(f"unknown engine {engine!r}")
-    sink = _Sink(spec)
-    for indices in chunks:
-        _ENGINES[engine](spec, indices, sink)
-    return sink.table(covers)
-
-
-def _batches(ranges):
-    # one batch of indices at a time: a (4,2) shard spans billions of them
-    for lo, hi in ranges:
-        for a in range(lo, hi, _BATCH):
-            yield np.arange(a, min(a + _BATCH, hi), dtype=np.uint64)
+                sink.add(str(w), count, 1, max(first, lo))
 
 
 def _run_shard(job) -> FrequencyTable:
-    """One shard of run_space.
+    """One shard (spec, lo, hi) of run_space, with the vector engine.
 
-    The scalar engine runs every machine of [lo, hi) on every blank. The
-    vector engine runs only the orbit representatives in [lo, hi), on blank
-    0, credits each run to its mirror and complement images, and counts the
-    first-step halts of [lo, hi) in closed form; so its part aggregates the
-    orbits whose representative lies in [lo, hi), and the merged parts of
-    a whole-space plan equal the scalar result.
+    It runs only the orbit representatives in [lo, hi), on blank 0, one
+    batch of indices at a time (a (4,2) shard spans billions of them),
+    credits each run to its mirror and complement images, and counts the
+    first-step halts of [lo, hi) in closed form. So the table aggregates
+    the orbits whose representative lies in [lo, hi), and the merged
+    tables of a whole-space plan equal the scalar engine's whole-space run.
     """
-    spec, engine, lo, hi = job
-    if engine != "vector":
-        return _run_part(spec, _batches([(lo, hi)]), engine, covers=((lo, hi),))
-    sink = _Sink(spec)
+    spec, lo, hi = job
+    sink = empty_table(spec, ((lo, hi),))
     passes = ((0, _ORBIT_IMAGES[spec.blank_mode]),)
-    for indices in _batches(_representative_ranges(spec.n, lo, hi)):
-        _run_vector(spec, indices, sink, passes)
+    for a, b in _representative_ranges(spec.n, lo, hi):
+        for start in range(a, b, _BATCH):
+            idx = np.arange(start, min(start + _BATCH, b), dtype=np.uint64)
+            _run_vector(spec, idx, sink, passes)
     _count_initial_halts(spec, lo, hi, sink)
-    return sink.table(((lo, hi),))
+    return sink
 
 
 def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> FrequencyTable:
-    """Run an arbitrary (sorted, duplicate-free) index set; covers stays None."""
-    table = _run_part(spec, [np.asarray(indices, np.uint64)], engine, covers=None)
-    table.validate()
-    return table
+    """Run an arbitrary (sorted, duplicate-free) index set; covers stays None.
+
+    Every machine runs on every blank of spec, without the symmetry
+    reduction. engine is "vector" (the array in batches) or "scalar"
+    (machine.simulate, one run at a time), the oracle the tests compare
+    the vector engine against.
+    """
+    indices = np.asarray(indices, np.uint64)
+    sink = empty_table(spec, covers=None)
+    if engine == "scalar":
+        _run_scalar(spec, indices, sink)
+    elif engine == "vector":
+        passes = tuple((blank, _IDENTITY) for blank in spec.blanks)
+        for start in range(0, indices.size, _BATCH):
+            _run_vector(spec, indices[start:start + _BATCH], sink, passes)
+    else:
+        raise ValidationError(f"unknown engine {engine!r}")
+    sink.validate()
+    return sink
 
 
-def run_space(
-    spec: SpaceSpec,
-    plan: ShardPlan = None,
-    workers: int = 1,
-    engine: str = "vector",
-) -> FrequencyTable:
+def run_space(spec: SpaceSpec, plan: ShardPlan = None, workers: int = 1) -> FrequencyTable:
     """Enumerate the whole space described by spec into a FrequencyTable.
 
-    The result is byte-identical for every plan and worker count; shards
-    only bound the unit of parallel work (default: four per worker, cut
-    at equal shares of the orbit representatives, the machines the vector
-    engine steps). Partial tables are merged in shard order.
+    Every shard runs the symmetry-reduced vector engine (_run_shard). The
+    result is byte-identical for every plan and worker count; shards only
+    bound the unit of parallel work (default: four per worker, cut at
+    equal shares of the orbit representatives, the machines the shards
+    step). Partial tables are merged in shard order.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
@@ -755,7 +722,7 @@ def run_space(
         plan = representative_shard_plan(spec, workers * 4)
     if plan.shards[0][0] != 0 or plan.shards[-1][1] != spec.size:
         raise ValidationError("shard plan must cover the full index range")
-    jobs = [(spec, engine, lo, hi) for lo, hi in plan.shards]
+    jobs = [(spec, lo, hi) for lo, hi in plan.shards]
     if workers == 1 or len(jobs) == 1:
         parts = [_run_shard(job) for job in jobs]
     else:
@@ -799,14 +766,14 @@ def merge_shards(parts) -> FrequencyTable:
         if part.covers is None:
             raise ValidationError("cannot merge ad-hoc index samples")
         ranges.extend(part.covers)
-    sink = _Sink(spec)
+    table = empty_table(spec, _normalize_covers(ranges))
     for part in parts:
-        sink.census.add(part.census)
+        table.census.add(part.census)
         for s, count in part.counts.items():
-            sink.add_string(s, count, part.min_used_rules[s], part.first_producer[s])
-    return sink.table(covers=_normalize_covers(ranges))
+            table.add(s, count, part.min_used_rules[s], part.first_producer[s])
+    return table
 
 
-def empty_table(spec: SpaceSpec) -> FrequencyTable:
-    """Merge identity: a table covering no index range."""
-    return FrequencyTable(spec, {}, {}, {}, Census(), covers=())
+def empty_table(spec: SpaceSpec, covers=()) -> FrequencyTable:
+    """A table with no runs: the merge identity, and the sink a run fills."""
+    return FrequencyTable(spec, {}, {}, {}, Census(), covers)

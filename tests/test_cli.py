@@ -150,10 +150,34 @@ def test_exit_codes(capsys, tmp_path):
                      "--string", "01x1010"]) == 1
     # shorter than one block of the default length 12: no blocks are left
     assert main(["bdm", "eval", "--table", str(TABLE_D3_BOTH), "--string", "0101"]) == 1
+    # an empty --string is a string, not a missing one; block lengths are positive
+    assert main(["bdm", "eval", "--table", str(TABLE_D2), "--string", ""]) == 1
+    assert main(["compress", "lz78", "--string", ""]) == 1
+    assert main(["entropy", "--string", "0101", "--block", "-1"]) == 1
+    # --threads and --format exist only where they are read
+    assert main(["entropy", "--string", "0101", "--threads", "2"]) == 1
+    assert main(["rle", "encode", "--string", "11", "--format", "json-lines"]) == 1
     # unreadable input -> i/o (2)
     assert main(["ctm", "eval", "--table", str(tmp_path / "missing.ctm"),
                  "--string", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ctm", "eval", "--table", "{bad}", "--string", "0"],
+    ["report", "anomalies", "--table", "{bad}"],
+    ["table", "merge", "{bad}", "{bad}", "--out", "{out}"],
+    ["report", "divergence", "--table", str(TABLE_D2), "--file", "{bad}"],
+    ["bdm", "eval", "--table", str(TABLE_D2), "--file", "{bad}"],
+    ["compress", "lz78", "--file", "{bad}"],
+])
+def test_non_utf8_input_is_a_one_line_parse_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    assert main([a.format(bad=bad, out=tmp_path / "out.ctm") for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ctm-lab: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_installed_entry_point_runs():

@@ -1,5 +1,6 @@
 """Space runs: cardinalities, oracle cross-checks, determinism, merging."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -107,10 +108,15 @@ def test_one_state_space_matches_hand_enumeration():
 # --- engine cross-checks (the scalar engine is the reference route)
 
 
+def _scalar_space(spec):
+    """The scalar oracle over every index, covering the whole range as run_space does."""
+    table = run_index_array(spec, np.arange(spec.size), engine="scalar")
+    return dataclasses.replace(table, covers=((0, spec.size),))
+
+
 def test_engines_agree_on_full_two_state_space():
-    scalar = run_space(SpaceSpec(2), engine="scalar")
-    vector = run_space(SpaceSpec(2), engine="vector")
-    assert scalar.canonical_bytes() == vector.canonical_bytes()
+    spec = SpaceSpec(2)
+    assert _scalar_space(spec).canonical_bytes() == run_space(spec).canonical_bytes()
 
 
 def test_engines_agree_on_three_state_sample():
@@ -120,14 +126,13 @@ def test_engines_agree_on_three_state_sample():
     scalar = run_index_array(spec, indices, engine="scalar")
     vector = run_index_array(spec, indices, engine="vector")
     assert scalar.canonical_bytes() == vector.canonical_bytes()
+    with pytest.raises(ValidationError, match="unknown engine"):
+        run_index_array(spec, indices, engine="simulate")
 
 
 def test_engines_agree_with_both_blanks():
     spec = SpaceSpec(1, blank_mode="both")
-    assert (
-        run_space(spec, engine="scalar").canonical_bytes()
-        == run_space(spec, engine="vector").canonical_bytes()
-    )
+    assert _scalar_space(spec).canonical_bytes() == run_space(spec).canonical_bytes()
 
 
 def _full_census(spec):
@@ -164,7 +169,7 @@ def test_first_step_halts_are_counted_in_closed_form():
     ranges = [(0, spec.size), (801, 805), (899, 1801), (900, 1801), (8000, 8001)]
     ranges += [tuple(sorted(rng.sample(range(spec.size + 1), 2))) for _ in range(200)]
     for lo, hi in ranges:
-        sink = space._Sink(spec)
+        sink = space.empty_table(spec)
         space._count_initial_halts(spec, lo, hi, sink)
         counts, first = {}, {}
         for blank in (0, 1):
@@ -173,8 +178,8 @@ def test_first_step_halts_are_counted_in_closed_form():
                 if hits.size:
                     counts[str(w)] = counts.get(str(w), 0) + hits.size
                     first[str(w)] = min(first.get(str(w), spec.size), int(hits[0]))
-        assert (sink.counts, sink.first) == (counts, first)
-        assert set(sink.min_used.values()) <= {1}
+        assert (sink.counts, sink.first_producer) == (counts, first)
+        assert set(sink.min_used_rules.values()) <= {1}
         assert sink.census.halted == sink.census.total_runs == sum(counts.values())
 
 
@@ -269,7 +274,7 @@ def test_shards_materialize_one_batch_of_indices_at_a_time(monkeypatch):
     sizes = []
     vector = space._run_vector
 
-    def spy(spec, indices, sink, passes=None):
+    def spy(spec, indices, sink, passes):
         sizes.append(indices.size)
         vector(spec, indices, sink, passes)
 
@@ -277,7 +282,7 @@ def test_shards_materialize_one_batch_of_indices_at_a_time(monkeypatch):
     monkeypatch.setattr(space, "_run_vector", spy)
     # inside the block of machines whose (1,0) entry is Step(1, R, 1)
     lo = 9 * 14 ** 5
-    shard = space._run_shard((SpaceSpec(3), "vector", lo, lo + 4500))
+    shard = space._run_shard((SpaceSpec(3), lo, lo + 4500))
     assert sizes == [1000, 1000, 1000, 1000, 500]
     span = np.arange(lo, lo + 4500)
     mirrors = space._image_indices(_digits(span, 3), 3, True, False)
@@ -294,7 +299,7 @@ def test_halted_outputs_pack_narrow_and_wide_spans():
     lo = np.array([0, 10, 100, 200, 300, 12], np.intp)
     hi = lo + np.array([0, 2, 63, 64, 99, 2])
     idx = np.array([2100, 2345, 3456, 3000, 2999, 3999], np.uint64)
-    sink = space._Sink(SpaceSpec(2))
+    sink = space.empty_table(SpaceSpec(2))
     outputs = space._Outputs(sink, _digits(idx, 2), ((False, False), (True, False)))
     outputs.pending.append((lo, hi, np.full(6, 3, np.uint16), np.arange(6)))
     outputs.pack(tape)
@@ -307,9 +312,9 @@ def test_halted_outputs_pack_narrow_and_wide_spans():
             expected[string] = expected.get(string, 0) + 1
             first[string] = min(first.get(string, producer), producer)
     assert sink.counts == expected
-    assert sink.first == first
+    assert sink.first_producer == first
     assert {len(s) for s in sink.counts} == {1, 3, 64, 65, 100}
-    assert set(sink.min_used.values()) == {2}  # bit count of the used mask 3
+    assert set(sink.min_used_rules.values()) == {2}  # bit count of the used mask 3
 
 
 def test_escape_closure_checks_the_whole_walk():
@@ -438,12 +443,11 @@ def test_representative_shard_plan_splits_the_stepped_work_evenly():
 def test_default_plan_is_balanced_on_representatives(monkeypatch):
     seen = []
     original = space._run_shard
-    monkeypatch.setattr(space, "_run_shard", lambda job: seen.append(job[2:]) or original(job))
+    monkeypatch.setattr(space, "_run_shard", lambda job: seen.append(job[1:]) or original(job))
     spec = SpaceSpec(2, blank_mode="both")
     vector = run_space(spec)  # one worker runs the shards inline, through the spy
     assert tuple(seen) == representative_shard_plan(spec, 4).shards
-    scalar = run_space(spec, engine="scalar")
-    assert vector.canonical_bytes() == scalar.canonical_bytes()
+    assert vector.canonical_bytes() == _scalar_space(spec).canonical_bytes()
 
 
 def test_sharded_run_is_byte_identical_to_single_shard():
