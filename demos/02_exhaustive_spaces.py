@@ -7,7 +7,7 @@ most frequent outputs, and double-checks that the step cutoff is safely
 above every halting runtime.
 """
 
-from ctm_lab import SpaceSpec, make_shard_plan, run_space, space_size
+from ctm_lab import SpaceSpec, representative_shard_plan, run_space, space_size
 
 
 def census_line(freq):
@@ -31,8 +31,8 @@ def main():
 
     # Sharding is bookkeeping only: one shard or eight give identical bytes.
     spec = SpaceSpec(2)
-    one = run_space(spec, plan=make_shard_plan(spec.size, 1))
-    eight = run_space(spec, plan=make_shard_plan(spec.size, 8), workers=2)
+    one = run_space(spec, plan=representative_shard_plan(spec, 1))
+    eight = run_space(spec, plan=representative_shard_plan(spec, 8), workers=2)
     print("1-shard == 8-shard, byte for byte:", one.canonical_bytes() == eight.canonical_bytes())
 
     # Cutoff sanity: ten times the budget changes no output counts.

@@ -48,7 +48,6 @@ from .space import (
     default_max_steps,
     empty_table,
     load_frequency_table,
-    make_shard_plan,
     merge_shards,
     representative_shard_plan,
     run_index_array,

@@ -10,7 +10,7 @@ so a file that loads re-serializes to the same bytes.
 import json
 import re
 
-from .errors import ParseError
+from .errors import CtmLabError, ParseError, ValidationError
 
 _BINARY = re.compile("[01]+")
 
@@ -22,6 +22,17 @@ def fmt_float(x) -> str:
 def is_binary(s: str) -> bool:
     """True for a nonempty string of 0s and 1s; one regex pass, fast on long strings."""
     return _BINARY.fullmatch(s) is not None
+
+
+def read_file(path, parse):
+    """parse(the bytes of the file at path); a CtmLabError it raises names the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(data)
+    except CtmLabError as exc:
+        exc.path = path
+        raise
 
 
 def decode_utf8(data: bytes) -> str:
@@ -66,21 +77,28 @@ def meta_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def read_header(lines, magic: str, columns: str, kind: str) -> dict:
-    """Check the three header lines of a table file and return its meta object."""
+def read_header(lines, magic: str, columns: str, kind: str, interpret):
+    """Check the three header lines of a table file and return interpret(meta).
+
+    interpret turns the meta object into what the loader needs and raises
+    ValidationError on anything else, which becomes a ParseError on line 2.
+    """
     if not lines or lines[0] != magic:
         raise ParseError(f"not a {kind} file", line=1)
     if len(lines) < 3 or not lines[1].startswith("# meta "):
         raise ParseError("missing meta header", line=2)
     try:
         meta = json.loads(lines[1][len("# meta "):])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad meta header: {exc}", line=2) from exc
     if not isinstance(meta, dict):
         raise ParseError("meta header is not a JSON object", line=2)
     if lines[2] != columns:
         raise ParseError("unexpected column header", line=3)
-    return meta
+    try:
+        return interpret(meta)
+    except ValidationError as exc:
+        raise ParseError(f"bad meta header: {exc}", line=2) from exc
 
 
 def read_records(lines, parsers):

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ._canon import fmt_value, meta_dumps
 from .baselines import entropy_of_counts, lz78_bit_length, require_one_block, shannon_entropy
@@ -30,15 +29,33 @@ KIND_CROSS_SPACE = "cross_space"
 _REPORT_MAGIC = "# ctm-report v1"
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, each tie group given the mean of its positions.
+
+    The sorted positions start..end-1 of a tie group hold ranks start+1..end,
+    whose mean (start + end + 1) / 2 is a half-integer and so exact in
+    float64: the result is the "average" ranking bit for bit. x has no NaN.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def spearman_rho(pairs) -> float:
-    """Spearman rank correlation with average ranks for ties."""
+    """Spearman rank correlation with average ranks for ties; NaN is an error."""
     pairs = list(pairs)
     if len(pairs) < 2:
         raise ValidationError("need at least 2 pairs for a rank correlation")
     a = np.asarray([p[0] for p in pairs], dtype=float)
     b = np.asarray([p[1] for p in pairs], dtype=float)
-    ra = rankdata(a)
-    rb = rankdata(b)
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValidationError("rank correlation undefined: a value is NaN")
+    ra = _average_ranks(a)
+    rb = _average_ranks(b)
     if (ra == ra[0]).all() or (rb == rb[0]).all():
         raise ValidationError("rank correlation undefined: a ranking has zero variance")
     ra -= ra.mean()

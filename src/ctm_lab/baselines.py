@@ -83,7 +83,7 @@ def rle_decode(s: str) -> str:
     out = []
     for i in range(0, len(s), 2):
         count, sym = s[i], s[i + 1]
-        if not count.isdigit() or count == "0":
+        if not "1" <= count <= "9":  # isdigit() would pass "²", which int() rejects
             raise ParseError(f"invalid run count {count!r} at position {i}")
         out.append(sym * int(count))
     return "".join(out)

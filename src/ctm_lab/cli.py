@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import __version__
-from ._canon import decode_utf8, fmt_value, meta_dumps
+from ._canon import decode_utf8, fmt_value, meta_dumps, read_file
 from .analysis import (
     anomaly_report,
     cross_space_report,
@@ -185,10 +185,12 @@ def _bdm_config(args) -> BdmConfig:
     )
 
 
+def _parse_corpus(data: bytes):
+    return [line.strip() for line in decode_utf8(data).splitlines() if line.strip()]
+
+
 def _read_corpus(path):
-    with open(path, "rb") as fh:
-        lines = decode_utf8(fh.read()).splitlines()
-    return [line.strip() for line in lines if line.strip()]
+    return read_file(path, _parse_corpus)
 
 
 def _cmd_run_space(args) -> int:

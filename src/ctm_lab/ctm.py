@@ -23,11 +23,12 @@ from ._canon import (
     decode_utf8,
     fmt_float,
     meta_dumps,
+    read_file,
     read_header,
     read_records,
 )
 from .errors import ParseError, ValidationError
-from .space import FrequencyTable
+from .space import Census, FrequencyTable, SpaceSpec
 
 NORM_HALTING = "halting_machines"
 NORM_ALL = "all_machines"
@@ -151,10 +152,9 @@ def loads_ctm_table(data: bytes) -> CtmTable:
     1e-9 (merged tables mix distributions, so they are not held to it).
     """
     lines = decode_utf8(data).splitlines()
-    meta = read_header(lines, _TABLE_MAGIC, _TABLE_COLUMNS, "ctm-table")
-    normalization = meta.get("normalization")
-    if normalization not in NORMALIZATIONS:
-        raise ValidationError(f"unknown normalization in file: {normalization!r}")
+    normalization, sources = read_header(
+        lines, _TABLE_MAGIC, _TABLE_COLUMNS, "ctm-table", _table_meta
+    )
     entries = {}
     parsers = (canonical_int, canonical_float, canonical_float, canonical_int, canonical_int)
     for lineno, s, values in read_records(lines, parsers):
@@ -168,7 +168,6 @@ def loads_ctm_table(data: bytes) -> CtmTable:
         if entry.min_used_rules < 1 or entry.source_space < 1:
             raise ParseError("min_used_rules and source_space must be >= 1", line=lineno)
         entries[s] = entry
-    sources = tuple(meta.get("sources", ()))
     table = CtmTable(normalization, entries, sources)
     if normalization == NORM_HALTING and len(sources) == 1:
         total = table.probability_sum()
@@ -177,14 +176,31 @@ def loads_ctm_table(data: bytes) -> CtmTable:
     return table
 
 
+def _table_meta(meta: dict):
+    """(normalization, sources); every source is a {"spec", "census"} object
+    whose parts load as a SpaceSpec and a Census."""
+    normalization = meta.get("normalization")
+    if normalization not in NORMALIZATIONS:
+        raise ValidationError(f"unknown normalization in file: {normalization!r}")
+    sources = meta.get("sources")
+    if not isinstance(sources, list):
+        raise ValidationError(f"sources is not a list: {sources!r}")
+    for src in sources:
+        if not isinstance(src, dict) or sorted(src) != ["census", "spec"]:
+            raise ValidationError(f"source is not a spec and census object: {src!r}")
+        SpaceSpec.from_dict(src["spec"])
+        Census.from_dict(src["census"])
+    return normalization, tuple(sources)
+
+
 def save_ctm_table(table: CtmTable, path) -> None:
     with open(path, "wb") as fh:
         fh.write(dumps_ctm_table(table))
 
 
 def load_ctm_table(path) -> CtmTable:
-    with open(path, "rb") as fh:
-        return loads_ctm_table(fh.read())
+    """loads_ctm_table on the file at path; errors name the file."""
+    return read_file(path, loads_ctm_table)
 
 
 def _tool_version() -> str:

@@ -2,7 +2,17 @@
 
 
 class CtmLabError(Exception):
-    """Base class for all errors raised by ctm-lab."""
+    """Base class for all errors raised by ctm-lab.
+
+    path names the input file the error was found in, when there is one;
+    the message then starts with it.
+    """
+
+    path = None
+
+    def __str__(self):
+        message = super().__str__()
+        return message if self.path is None else f"{self.path}: {message}"
 
 
 class ValidationError(CtmLabError):

@@ -47,12 +47,12 @@ are disjoint contiguous index ranges; merging is an associative fold.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from ._canon import (
-    canonical_int, canonical_key, decode_utf8, meta_dumps, read_header, read_records,
+    canonical_int, canonical_key, decode_utf8, meta_dumps, read_file, read_header, read_records,
 )
 from .errors import ParseError, ValidationError
 from .machine import NO_HALT_RULE, Halted, NonHaltingProved, RunConfig, decode_machine, simulate
@@ -79,12 +79,28 @@ _V1_CONSTANT_KEYS = {
 }
 
 
-def _without_constant_keys(d: dict, kind: str) -> dict:
+def _from_meta(cls, d, kind: str):
+    """cls(**d) for a meta object: exactly cls's fields plus the v1 constant
+    keys, each field but blank_mode (which SpaceSpec checks) a non-negative
+    int, and as as_dict writes them (so max_steps 0, "use the default", is
+    not accepted from a file)."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{kind} is not a JSON object: {d!r}")
     constant = _V1_CONSTANT_KEYS[kind]
     for key, value in constant.items():
         if d.get(key) != value:
             raise ValidationError(f"{kind} {key} must be {value!r}, got {d.get(key)!r}")
-    return {k: v for k, v in d.items() if k not in constant}
+    d = {k: v for k, v in d.items() if k not in constant}
+    names = sorted(f.name for f in fields(cls))
+    if sorted(d) != names:
+        raise ValidationError(f"{kind} keys must be {names}, got {sorted(d)}")
+    for key, value in d.items():
+        if key != "blank_mode" and not (type(value) is int and value >= 0):
+            raise ValidationError(f"{kind} {key} has a bad value {value!r}")
+    obj = cls(**d)
+    if asdict(obj) != d:
+        raise ValidationError(f"{kind} is not canonical: {d!r}")
+    return obj
 
 
 def space_size(n: int) -> int:
@@ -153,7 +169,7 @@ class SpaceSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "SpaceSpec":
-        return SpaceSpec(**_without_constant_keys(d, "spec"))
+        return _from_meta(SpaceSpec, d, "spec")
 
 
 @dataclass
@@ -182,7 +198,7 @@ class Census:
 
     @staticmethod
     def from_dict(d: dict) -> "Census":
-        return Census(**_without_constant_keys(d, "census"))
+        return _from_meta(Census, d, "census")
 
 
 @dataclass
@@ -262,11 +278,34 @@ def save_frequency_table(table: FrequencyTable, path) -> None:
 
 def load_frequency_table(path) -> FrequencyTable:
     """Read a .freq file; counts must be positive, min_used_rules at least 1
-    and first_producer an index of the space."""
-    with open(path, "rb") as fh:
-        lines = decode_utf8(fh.read()).splitlines()
-    meta = read_header(lines, _FREQ_MAGIC, _FREQ_COLUMNS, "ctm-freq")
-    spec = SpaceSpec.from_dict(meta["spec"])
+    and first_producer an index of the space. Errors name the file."""
+    return read_file(path, _loads_frequency_table)
+
+
+def _covers_from_meta(covers, size: int):
+    """None, or ordered, disjoint [lo, hi] ranges with 0 <= lo < hi <= size."""
+    if covers is None:
+        return None
+    if not isinstance(covers, list):
+        raise ValidationError(f"covers is not a list: {covers!r}")
+    prev = 0
+    for r in covers:
+        if not (isinstance(r, list) and len(r) == 2 and all(type(v) is int for v in r)
+                and prev <= r[0] < r[1] <= size):
+            raise ValidationError(f"covers has a bad range {r!r}")
+        prev = r[1]
+    return tuple(tuple(r) for r in covers)
+
+
+def _freq_meta(meta: dict):
+    spec = SpaceSpec.from_dict(meta.get("spec"))
+    census = Census.from_dict(meta.get("census"))
+    return spec, census, _covers_from_meta(meta.get("covers"), spec.size)
+
+
+def _loads_frequency_table(data: bytes) -> FrequencyTable:
+    lines = decode_utf8(data).splitlines()
+    spec, census, covers = read_header(lines, _FREQ_MAGIC, _FREQ_COLUMNS, "ctm-freq", _freq_meta)
     counts, used, first = {}, {}, {}
     parsers = (canonical_int,) * 3
     for lineno, s, (count, min_used, producer) in read_records(lines, parsers):
@@ -278,14 +317,13 @@ def load_frequency_table(path) -> FrequencyTable:
             raise ParseError(f"first_producer {producer} is not an index of the space",
                              line=lineno)
         counts[s], used[s], first[s] = count, min_used, producer
-    covers = meta.get("covers")
     table = FrequencyTable(
         spec=spec,
         counts=counts,
         min_used_rules=used,
         first_producer=first,
-        census=Census.from_dict(meta["census"]),
-        covers=None if covers is None else tuple(tuple(r) for r in covers),
+        census=census,
+        covers=covers,
     )
     table.validate()
     return table
@@ -305,14 +343,6 @@ class ShardPlan:
             if prev is not None and lo != prev:
                 raise ValidationError("shard ranges must be contiguous and ordered")
             prev = hi
-
-
-def make_shard_plan(total: int, shard_count: int) -> ShardPlan:
-    if shard_count < 1:
-        raise ValidationError("shard_count must be >= 1")
-    shard_count = min(shard_count, total)
-    bounds = [total * i // shard_count for i in range(shard_count + 1)]
-    return ShardPlan(tuple((bounds[i], bounds[i + 1]) for i in range(shard_count)))
 
 
 def representative_shard_plan(spec: SpaceSpec, shard_count: int) -> ShardPlan:

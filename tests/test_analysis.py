@@ -1,11 +1,16 @@
 """Rank correlation and the report generators."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import golden_text
 from ctm_lab.analysis import (
+    _average_ranks,
     anomaly_report,
     cross_space_report,
     divergence_report,
@@ -67,6 +72,32 @@ def test_spearman_errors():
         spearman_rho([(1, 1)])
     with pytest.raises(ValidationError):
         spearman_rho([(1, 1), (1, 2)])  # zero variance on the left
+    for pairs in ([(1, 1), (2, math.nan), (3, 2)], [(math.nan, 1), (2, 2), (3, 3)]):
+        with pytest.raises(ValidationError):
+            spearman_rho(pairs)
+
+
+def test_spearman_ranks_infinities():
+    pairs = [(-math.inf, 1), (0, 2), (math.inf, 3), (math.inf, 3)]
+    assert spearman_rho(pairs) == pytest.approx(1.0, abs=1e-12)
+
+
+# few distinct values, so that ties are common; signed zeros and infinities too
+_RANKED = st.lists(
+    st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-0.0, math.inf, -math.inf]),
+              st.floats(allow_nan=False)),
+    min_size=1, max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RANKED)
+def test_average_ranks_equal_the_definition_exactly(values):
+    """rank_i = #{x_j < x_i} + (#{x_j = x_i} + 1) / 2, bit for bit."""
+    expected = [
+        sum(y < x for y in values) + (sum(y == x for y in values) + 1) / 2 for x in values
+    ]
+    assert _average_ranks(np.asarray(values)).tolist() == expected
 
 
 # --- length blocks and anomalies

@@ -92,6 +92,9 @@ def test_rle_decode_errors():
         rle_decode("x1")  # non-digit count
     with pytest.raises(ParseError):
         rle_decode("01")  # zero count
+    for count in ("\u00b2", "\u0663"):  # Unicode digits: superscript two, Arabic-Indic three
+        with pytest.raises(ParseError):
+            rle_decode(count + "1")
     with pytest.raises(ValidationError):
         rle_decode("")
     with pytest.raises(ValidationError):

@@ -1,12 +1,17 @@
 """End-to-end checks of the ctm-lab command-line surface."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctm_lab.cli import main
 from ctm_lab.ctm import load_ctm_table
@@ -178,18 +183,138 @@ def test_non_utf8_input_is_a_one_line_parse_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ctm-lab: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert str(bad) in err
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _run_python(*args):
+    """A fresh interpreter that imports the package from src/."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_installed_entry_point_runs():
     tomllib = pytest.importorskip("tomllib")
-    root = pathlib.Path(__file__).resolve().parent.parent
-    with open(root / "pyproject.toml", "rb") as fh:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts["ctm-lab"] == "ctm_lab.cli:main_entry"
-    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ctm_lab", "--version"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _run_python("-m", "ctm_lab", "--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("ctm-lab ")
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Importing the package and its CLI loads no third-party package but numpy.
+
+    Every CLI command pays for its imports; a heavy one used only for a
+    rank correlation once cost each process about a second.
+    """
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in declared] == ["numpy"]
+    proc = _run_python("-c", (
+        "import sys; before = set(sys.modules); import ctm_lab, ctm_lab.cli; "
+        "print(*{m.split('.')[0] for m in set(sys.modules) - before})"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split()) - set(sys.stdlib_module_names)
+    assert {m for m in loaded if not m.startswith("_")} == {"ctm_lab", "numpy"}
+
+
+# --- fuzzing: any input is an exit code and at most one line on stderr
+
+SHIPPED = st.sampled_from([TABLE_D2.read_bytes(), TABLE_D3_BOTH.read_bytes()])
+
+
+def _cut(data, lo, hi, insert):
+    lo, hi = sorted((lo % (len(data) + 1), hi % (len(data) + 1)))
+    return data[:lo] + insert + data[hi:]
+
+
+# random bytes, shipped tables as they are, truncated, and with a span
+# replaced by a few random bytes
+INPUT_FILES = st.one_of(
+    st.binary(max_size=300),
+    SHIPPED,
+    st.builds(_cut, SHIPPED, st.integers(0), st.integers(0), st.just(b"")),
+    st.builds(_cut, SHIPPED, st.integers(0), st.integers(0), st.binary(max_size=4)),
+)
+BINARY_LINES = st.lists(st.text(alphabet="01", max_size=40), max_size=30).map(
+    lambda lines: "\n".join(lines).encode()
+)
+TEXT = st.one_of(st.text(max_size=40), st.text(alphabet="01", max_size=40),
+                 st.text(alphabet="0123456789", max_size=40))
+SMALL_INT = st.integers(-3, 20)
+
+
+def _fuzz_argv(draw, table, other, corpus, out):
+    """One command line of a random subcommand over the given input files."""
+
+    def maybe(*args):
+        return list(args) if draw(st.booleans()) else []
+
+    text = "--string=" + draw(TEXT)
+    record = maybe("--format", draw(st.sampled_from(["csv", "json-lines"]))) + maybe("--out", out)
+    bdm = ["--block-len", str(draw(SMALL_INT))] + maybe("--keep-tail") + maybe("--strict")
+    string_or_file = draw(st.sampled_from([[text], ["--file", corpus]]))
+    choices = {
+        # small spaces only, and no worker pool: a (3,2) run or a spawned
+        # pool per example would not fit the Tier-1 time budget
+        "run-space": lambda: [
+            "run-space", "--states", str(draw(st.integers(1, 2))), "--out", out,
+            *maybe("--both-blanks"), *maybe("--max-steps", str(draw(st.integers(-2, 200)))),
+            *maybe("--shards", str(draw(st.integers(-2, 50)))),
+            *maybe("--threads", str(draw(st.integers(-1, 1)))),
+            *maybe("--norm", draw(st.sampled_from(["halting_machines", "all_machines"]))),
+        ],
+        "table merge": lambda: ["table", "merge", table, other, "--out", out],
+        "ctm eval": lambda: ["ctm", "eval", "--table", table, text, *record],
+        "bdm eval": lambda: ["bdm", "eval", "--table", table, *string_or_file, *bdm, *record],
+        "entropy": lambda: ["entropy", text, *maybe("--block", str(draw(SMALL_INT))), *record],
+        "rle": lambda: ["rle", draw(st.sampled_from(["encode", "decode"])), text,
+                        *maybe("--out", out)],
+        "compress lz78": lambda: ["compress", "lz78", *string_or_file, *record],
+        "machine show": lambda: [
+            "machine", "show", "--states", str(draw(st.integers(-1, 7))),
+            "--index", str(draw(st.integers())),
+            *maybe("--max-steps", str(draw(st.integers(-2, 300)))), *maybe("--out", out),
+        ],
+        "report": lambda: [
+            "report", draw(st.sampled_from(["length-blocks", "anomalies", "used-rules"])),
+            "--table", table, *record,
+        ],
+        "report divergence": lambda: [
+            "report", "divergence", "--table", table, "--file", corpus, *bdm, *record,
+        ],
+        # lengths up to 10 keep a sweep at 1024 strings
+        "report diversity": lambda: [
+            "report", "diversity", "--table", table,
+            "--length", str(draw(st.integers(-2, 10))), *bdm, *record,
+        ],
+        "report cross-space": lambda: [
+            "report", "cross-space", "--small", table, "--large", other, *record,
+        ],
+    }
+    return choices[draw(st.sampled_from(sorted(choices)))]()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(data, tmp_path_factory):
+    base = tmp_path_factory.getbasetemp()
+    table, other, corpus = (base / name for name in ("fuzz-a.ctm", "fuzz-b.ctm", "fuzz.txt"))
+    for path, contents in ((table, INPUT_FILES), (other, INPUT_FILES),
+                           (corpus, st.one_of(INPUT_FILES, BINARY_LINES))):
+        path.write_bytes(data.draw(contents))
+    argv = _fuzz_argv(data.draw, str(table), str(other), str(corpus), str(base / "fuzz-out"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()

@@ -28,7 +28,6 @@ from ctm_lab.space import (
     SpaceSpec,
     empty_table,
     load_frequency_table,
-    make_shard_plan,
     merge_shards,
     representative_shard_plan,
     run_index_array,
@@ -145,13 +144,22 @@ def _assert_same_census(reduced, full):
     assert reduced.census == full.census
 
 
+# even cuts of the index range: they split digit blocks and leave some
+# shards with no representatives to step
+SEVEN_EVEN_SHARDS = {
+    1: ShardPlan(((0, 5), (5, 10), (10, 15), (15, 20), (20, 25), (25, 30), (30, 36))),
+    2: ShardPlan(((0, 1428), (1428, 2857), (2857, 4285), (4285, 5714), (5714, 7142),
+                  (7142, 8571), (8571, 10_000))),
+}
+
+
 def test_reduced_census_equals_the_full_census_on_small_spaces():
     # seven shards cut the top-digit blocks and the blank-1 digit blocks
     for n in (1, 2):
         for mode in ("zero", "both"):
             spec = SpaceSpec(n, blank_mode=mode)
             full = _full_census(spec)
-            seven = make_shard_plan(spec.size, 7)
+            seven = SEVEN_EVEN_SHARDS[n]
             for plan, workers in ((None, 1), (seven, 1), (seven, 2)):
                 _assert_same_census(run_space(spec, plan=plan, workers=workers), full)
 
@@ -406,22 +414,11 @@ def test_busy_beaver_cutoff_is_exact_on_three_states(d3_zero_freq):
 # --- shard plans and merging
 
 
-def test_shard_plan_covers_range_exactly():
-    plan = make_shard_plan(10_000, 8)
-    assert plan.shards[0][0] == 0
-    assert plan.shards[-1][1] == 10_000
-    assert len(plan.shards) == 8
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(plan.shards, plan.shards[1:]):
-        assert a_hi == b_lo
-
-
 def test_shard_plan_validation():
     with pytest.raises(ValidationError):
         ShardPlan(((0, 0),))
     with pytest.raises(ValidationError):
         ShardPlan(((0, 5), (6, 10)))
-    with pytest.raises(ValidationError):
-        make_shard_plan(100, 0)
 
 
 def test_representative_shard_plan_splits_the_stepped_work_evenly():
@@ -451,8 +448,9 @@ def test_default_plan_is_balanced_on_representatives(monkeypatch):
 
 
 def test_sharded_run_is_byte_identical_to_single_shard():
-    one = run_space(SpaceSpec(2), plan=make_shard_plan(10_000, 1))
-    eight = run_space(SpaceSpec(2), plan=make_shard_plan(10_000, 8))
+    even = ShardPlan(tuple((lo, lo + 1250) for lo in range(0, 10_000, 1250)))
+    one = run_space(SpaceSpec(2), plan=ShardPlan(((0, 10_000),)))
+    eight = run_space(SpaceSpec(2), plan=even)
     assert one.canonical_bytes() == eight.canonical_bytes()
 
 
@@ -463,10 +461,7 @@ def test_merge_with_empty_is_identity(d2_zero_freq):
 
 def test_merge_is_commutative():
     spec = SpaceSpec(2)
-    size = space_size(2)
-    parts = [
-        run_space(spec, plan=make_shard_plan(size, 1)),  # placeholder, replaced below
-    ]
+    whole = run_space(spec, plan=representative_shard_plan(spec, 1))
     # two disjoint halves, merged in both orders
     lo = run_index_array(spec, np.arange(0, 5000, dtype=np.uint64))
     hi = run_index_array(spec, np.arange(5000, 10_000, dtype=np.uint64))
@@ -474,7 +469,7 @@ def test_merge_is_commutative():
     ab = merge_shards([lo, hi])
     ba = merge_shards([hi, lo])
     assert ab.canonical_bytes() == ba.canonical_bytes()
-    assert ab.canonical_bytes() == parts[0].canonical_bytes()
+    assert ab.canonical_bytes() == whole.canonical_bytes()
 
 
 def test_merge_rejects_mismatched_specs():
@@ -502,24 +497,53 @@ def test_frequency_table_round_trip(tmp_path, d2_zero_freq):
 
 def test_frequency_table_parse_errors(tmp_path):
     bad = tmp_path / "bad"
+    spec, census = SpaceSpec(2).as_dict(), space.Census().as_dict()
+    freq_meta = {"census": census, "covers": [[0, 10], [20, 10_000]], "spec": spec}
+    ctm_meta = {"normalization": "all_machines", "sources": [{"census": census, "spec": spec}]}
     loaders = (
-        (load_frequency_table, "# ctm-freq v1", "string,count,min_used_rules,first_producer"),
+        (load_frequency_table, "# ctm-freq v1", "string,count,min_used_rules,first_producer",
+         freq_meta, (
+             {"census": census, "covers": None},
+             {**freq_meta, "spec": {**spec, "states": 2}},
+             {**freq_meta, "spec": {**spec, "n": "2"}},
+             {**freq_meta, "spec": {**spec, "n": True}},
+             {**freq_meta, "spec": {**spec, "max_steps": 0}},
+             {**freq_meta, "census": {**census, "halted": -1}},
+             {**freq_meta, "covers": 5},
+             {**freq_meta, "covers": [[0]]},
+             {**freq_meta, "covers": [[5, 1]]},
+             {**freq_meta, "covers": [[0, 20], [10, 30]]},
+             {**freq_meta, "covers": [[0, 10_001]]},
+         )),
         (load_ctm_table, "# ctm-table v1",
-         "string,count,probability,complexity_bits,min_used_rules,source_space"),
+         "string,count,probability,complexity_bits,min_used_rules,source_space",
+         ctm_meta, (
+             {**ctm_meta, "normalization": "percentiles"},
+             {"normalization": "all_machines"},
+             {**ctm_meta, "sources": 5},
+             {**ctm_meta, "sources": [1]},
+             {**ctm_meta, "sources": [{}]},
+             {**ctm_meta, "sources": [{"census": census, "spec": {**spec, "n": 2.0}}]},
+             {**ctm_meta, "sources": [{"census": {**census, "halted": "5"}, "spec": spec}]},
+         )),
     )
-    for load, magic, columns in loaders:
+    for load, magic, columns, good_meta, bad_metas in loaders:
+        bad.write_text(f"{magic}\n# meta {json.dumps(good_meta)}\n{columns}\n")
+        load(bad)
         cases = (
             ("not a table\n", 1),
             (f"{magic}\nstray\n{columns}\n", 2),
             (f"{magic}\n# meta {{bad\n{columns}\n", 2),
             (f"{magic}\n# meta [1]\n{columns}\n", 2),
+            (f"{magic}\n# meta {'[' * 100_000}\n{columns}\n", 2),
             (f"{magic}\n# meta {{}}\nstring,count\n", 3),
-        )
+        ) + tuple((f"{magic}\n# meta {json.dumps(meta)}\n{columns}\n", 2) for meta in bad_metas)
         for text, line in cases:
             bad.write_text(text)
             with pytest.raises(ParseError) as err:
                 load(bad)
             assert err.value.line == line
+            assert str(err.value).startswith(f"{bad}: line {line}: ")
 
 
 def _with_meta(path, d2_zero_freq, edit):
@@ -546,8 +570,9 @@ def test_frequency_table_rejects_other_proof_settings(tmp_path, d2_zero_freq):
     assert load_frequency_table(path).canonical_bytes() == d2_zero_freq.canonical_bytes()
     for edit in (cycle_on, other_memory_limit, cycles_counted):
         _with_meta(path, d2_zero_freq, edit)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError) as err:
             load_frequency_table(path)
+        assert err.value.line == 2
 
 
 def test_strided_sample_is_deterministic():
@@ -561,7 +586,8 @@ def test_strided_sample_is_deterministic():
 
 def test_run_space_multiprocess_matches_inline():
     spec = SpaceSpec(2)
-    inline = run_space(spec, plan=make_shard_plan(10_000, 4), workers=1)
-    pooled = run_space(spec, plan=make_shard_plan(10_000, 4), workers=2)
+    even = ShardPlan(((0, 2500), (2500, 5000), (5000, 7500), (7500, 10_000)))
+    inline = run_space(spec, plan=even, workers=1)
+    pooled = run_space(spec, plan=even, workers=2)
     assert inline.canonical_bytes() == pooled.canonical_bytes()
 
