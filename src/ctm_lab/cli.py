@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run every machine on blank 0 and blank 1")
     p.add_argument("--max-steps", type=int, default=0)
     p.add_argument("--shards", type=int,
-                   help="shard count (default: 4x threads)")
+                   help="shard count (default: one per thread)")
     p.add_argument("--norm", choices=(NORM_HALTING, NORM_ALL), default=NORM_HALTING)
 
     p = sub.add_parser("table", help="table file operations")

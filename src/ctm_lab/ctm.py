@@ -36,6 +36,9 @@ NORMALIZATIONS = (NORM_HALTING, NORM_ALL)
 
 _TABLE_MAGIC = "# ctm-table v1"
 _TABLE_COLUMNS = "string,count,probability,complexity_bits,min_used_rules,source_space"
+# The tool version format v1 writes into every meta header; another value
+# is another format.
+_V1_TOOL_VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ def dumps_ctm_table(table: CtmTable) -> bytes:
     meta = {
         "normalization": table.normalization,
         "sources": list(table.sources),
-        "tool_version": _tool_version(),
+        "tool_version": _V1_TOOL_VERSION,
     }
     lines = [_TABLE_MAGIC, "# meta " + meta_dumps(meta), _TABLE_COLUMNS]
     for s, count, p, c, used, source in table.records():
@@ -177,12 +180,19 @@ def loads_ctm_table(data: bytes) -> CtmTable:
 
 
 def _table_meta(meta: dict):
-    """(normalization, sources); every source is a {"spec", "census"} object
+    """(normalization, sources) from a meta header holding exactly the keys
+    dumps_ctm_table writes; every source is a {"spec", "census"} object
     whose parts load as a SpaceSpec and a Census."""
-    normalization = meta.get("normalization")
+    if sorted(meta) != ["normalization", "sources", "tool_version"]:
+        raise ValidationError(f"keys must be normalization, sources and tool_version, "
+                              f"got {sorted(meta)}")
+    if meta["tool_version"] != _V1_TOOL_VERSION:
+        raise ValidationError(f"tool_version must be {_V1_TOOL_VERSION!r}, "
+                              f"got {meta['tool_version']!r}")
+    normalization = meta["normalization"]
     if normalization not in NORMALIZATIONS:
         raise ValidationError(f"unknown normalization in file: {normalization!r}")
-    sources = meta.get("sources")
+    sources = meta["sources"]
     if not isinstance(sources, list):
         raise ValidationError(f"sources is not a list: {sources!r}")
     for src in sources:
@@ -201,9 +211,3 @@ def save_ctm_table(table: CtmTable, path) -> None:
 def load_ctm_table(path) -> CtmTable:
     """loads_ctm_table on the file at path; errors name the file."""
     return read_file(path, loads_ctm_table)
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__

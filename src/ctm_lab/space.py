@@ -8,13 +8,13 @@ decide nothing but the census bucket of a non-halting run; no
 configuration-cycle check runs here (it lives in machine.simulate for
 single-machine inspection).
 
-run_space always runs the vectorized numpy engine, which steps whole index
-batches in lockstep. The scalar engine, built directly on machine.simulate,
-runs every machine on every blank; run_index_array(..., engine="scalar")
+run_space always runs the vectorized numpy engine, which steps rows in
+lockstep. The scalar engine, built directly on machine.simulate, runs
+every machine on every blank; run_index_array(..., engine="scalar")
 reaches it as the independent oracle for the fast path. Every run fills a
 FrequencyTable through FrequencyTable.add.
 
-run_space's shards step only orbit representatives: machines
+Orbits. run_space's shards step only orbit representatives: machines
 whose (1,0) entry is a right-moving step, 2n of the 4n+2 top digits, run
 on blank 0. Reflecting the directions of a machine reverses its blank-0
 run; complementing its symbols (and swapping its read-0/read-1 entries)
@@ -25,18 +25,35 @@ image string and the image machine's index as producer. Runs whose first
 step reads a halting entry print one symbol and are counted in closed form.
 A shard therefore aggregates the orbits whose representative index lies in
 its range, plus the first-step halts of that range; whole-space results are
-unchanged. run_index_array runs arbitrary index sets as they are, every
-machine on every blank, one batch of indices at a time.
+unchanged.
 
-The vector engine decodes a batch once and shares it between its passes.
-The blank-runway closure depends only on a machine's n blank-read entries,
-so it runs once per distinct entry tuple in the batch and is gathered back
-as per-machine escape bits. The step loop then touches only live machines:
-state, head, visited bounds and used-rule mask sit in contiguous arrays
-that one keep-mask filters whenever a machine halts or is proved to
-escape, and three lookup tables over the action codes give the written
-symbol, head delta and next state. The tape starts narrow and widens as
-the step count grows; each copy keeps only live rows, and halted rows are
+Families. A run reads only some of its 2n entries, and every machine that
+differs from it only in unread entries runs the same way. So a shard
+does not step its representatives one by one: its range splits into
+aligned blocks [p * b^j, (p + 1) * b^j), b = 4n + 2, and each block starts
+as one row whose low j digits hold the unread marker 4n + 2. A row that
+reads an unread entry is replaced, at the same step, by b children, one
+per code; a child with neither an unread nor a halting entry is a
+machine without a halting rule and is counted at once. A finished row
+with u unread entries stands for b^u machines: a halted one credits b^u
+runs to its string, with the family's smallest member (unread digits 0)
+as producer. Of a non-halting row none of whose fixed entries halts, the
+(4n)^u members with only steps in their unread entries go to
+no_halt_rule and the rest to its bucket (escape or cutoff). An escape
+test that depends on an unread blank-read entry expands that entry. On
+(3,2) this steps 170,044 rows in all (summed over the steps), where the
+3,226,944 representatives one by one take 7,732,588 machine-steps.
+run_index_array runs arbitrary index sets, every machine on every blank,
+as batches of fully decoded rows that never expand.
+
+The step loop touches only live rows: state, head, visited bounds,
+used-rule mask and escape word sit in contiguous arrays that one
+keep-mask filters whenever a row stops, and three lookup tables over the
+action codes give the written symbol, head delta and next state. The
+marker shares the halt codes' stop test (codes from 4n up), so decoded
+rows pay nothing for it. The blank-runway closure runs once per distinct
+tuple of blank-read entries. The tape starts narrow and widens as the
+step count grows; each copy keeps only live rows, and halted rows are
 packed into (length, value) pairs before the tape is replaced.
 
 Determinism contract: the resulting FrequencyTable depends only on the
@@ -62,7 +79,7 @@ BLANK_BOTH = "both"
 BLANK_MODES = (BLANK_ZERO, BLANK_BOTH)
 
 _MAX_STATES = 6  # keeps indices inside uint64 for the vector engine
-_BATCH = 1 << 19
+_BATCH = 1 << 19  # decoded rows per run_index_array batch; see _family_groups for families
 
 _FREQ_MAGIC = "# ctm-freq v1"
 _FREQ_COLUMNS = "string,count,min_used_rules,first_producer"
@@ -298,9 +315,12 @@ def _covers_from_meta(covers, size: int):
 
 
 def _freq_meta(meta: dict):
-    spec = SpaceSpec.from_dict(meta.get("spec"))
-    census = Census.from_dict(meta.get("census"))
-    return spec, census, _covers_from_meta(meta.get("covers"), spec.size)
+    """(spec, census, covers) from a meta header holding exactly those keys."""
+    if sorted(meta) != ["census", "covers", "spec"]:
+        raise ValidationError(f"keys must be census, covers and spec, got {sorted(meta)}")
+    spec = SpaceSpec.from_dict(meta["spec"])
+    census = Census.from_dict(meta["census"])
+    return spec, census, _covers_from_meta(meta["covers"], spec.size)
 
 
 def _loads_frequency_table(data: bytes) -> FrequencyTable:
@@ -400,9 +420,11 @@ def _action_tables(n: int):
     """Written symbol, head delta and 2 * next state of each action code.
 
     Codes below 4n are steps (write, move, next state in mixed radix); the
-    two codes from 4n up halt after writing, so their delta is 0.
+    two codes from 4n up halt after writing, so their delta is 0. The
+    unread marker 4n + 2 does not move either; a row that reads it is
+    replaced by its children before the step counts (_Pass.settle).
     """
-    codes = np.arange(4 * n + 2)
+    codes = np.arange(4 * n + 3)
     step = codes < 4 * n
     write = np.where(step, codes // (2 * n), codes - 4 * n).astype(np.uint8)
     delta = np.where(step, 2 * (codes % (2 * n) // n) - 1, 0).astype(np.intp)
@@ -411,14 +433,15 @@ def _action_tables(n: int):
 
 
 def _image_indices(digits: np.ndarray, n: int, reverse: bool, complement: bool) -> np.ndarray:
-    """Machine indices of the images of decoded machines (rows of 2n action codes).
+    """Machine indices of the images of rows of 2n action codes.
 
     reverse applies reflect_directions, complement applies complement_symbols,
     both through one lookup table over the 4n + 2 action codes. A step code
     is write * 2n + move * n + (next - 1): reflecting flips the move digit,
     complementing flips the write digit and swaps the read-0 and read-1
     entry of every state. Halt codes 4n + w keep their place under
-    reflection and swap under complement.
+    reflection and swap under complement. The unread marker 4n + 2 maps to
+    0, so a family's image index is the smallest index of its image family.
     """
     codes = np.arange(4 * n + 2)
     write, rest = codes // (2 * n), codes % (2 * n)
@@ -427,7 +450,7 @@ def _image_indices(digits: np.ndarray, n: int, reverse: bool, complement: bool) 
     if complement:
         write = 1 - write
     halts = 8 * n + 1 - codes if complement else codes
-    image = np.where(codes < 4 * n, write * 2 * n + rest, halts)
+    image = np.append(np.where(codes < 4 * n, write * 2 * n + rest, halts), 0)
     index = np.zeros(digits.shape[0], np.int64)
     for slot in range(2 * n):
         index = index * (4 * n + 2) + image[digits[:, slot ^ complement]]
@@ -453,13 +476,20 @@ def _image_string(s: str, reverse: bool, complement: bool) -> str:
     return s.translate(_COMPLEMENT) if complement else s
 
 
+# An escape word holds, for each step code o, bit o (landing on fresh tape
+# with o proves escape) and bit 32 + o (that depends on an unread entry).
+_ESC = 1 | 1 << 32
+
+
 def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
-    """Per machine, bit o is set when step code o, landing on fresh tape, proves escape.
+    """The escape word of each row of action codes (see _ESC).
 
     The blank-runway closure depends only on the n blank-read entries, so
-    it runs once per distinct key and is gathered back to the machines.
+    it runs once per distinct key and is gathered back to the rows. A walk
+    that meets an unread entry (code 4n + 2) before it fails is undecided;
+    fully decoded rows have no undecided bits.
     """
-    base = 4 * n + 2
+    base = 4 * n + 3
     key = np.zeros(ords.shape[0], np.int64)
     for j in range(n):
         key = key * base + ords[:, 2 * j + blank]
@@ -470,55 +500,96 @@ def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
     for j in range(n - 1, -1, -1):
         keys, b_ord[:, j] = np.divmod(keys, base)
     b_step = b_ord < 4 * n
+    unread = b_ord == 4 * n + 2
     b_move = (b_ord % (2 * n)) // n
-    b_next = b_ord % n
-    esc = []
-    for d in (0, 1):
-        e = b_step & (b_move == d)
-        # pass k checks a walk of k + 1 states; a walk has at most n
-        # distinct states, so n - 1 passes make the flag exact
-        for _ in range(n - 1):
-            e = e & np.take_along_axis(e, b_next, axis=1)
-        esc.append(e)
+    # for each entry, the flat index of its next state's entry in the same key row
+    b_next = (b_ord % n + np.arange(keys.size)[:, None] * n).ravel()
     bits = np.zeros(b_ord.shape[0], np.int64)
-    for o in range(4 * n):
-        bits |= esc[o % (2 * n) // n][:, o % n].astype(np.int64) << o
+    for d in (0, 1):
+        step_d = b_step & (b_move == d)
+        sure, maybe = step_d, step_d | unread
+        # pass k checks a walk of k + 1 states; a walk has at most n
+        # distinct states, so n - 1 passes make the flags exact
+        for _ in range(n - 1):
+            sure = step_d & sure.ravel()[b_next].reshape(-1, n)
+            maybe = unread | (step_d & maybe.ravel()[b_next].reshape(-1, n))
+        # bit s of a word is the flag of state s + 1; the step codes moving in
+        # direction d to that state are d * n + s and 2n + d * n + s
+        for flags, shift in ((sure, d * n), (maybe & ~sure, 32 + d * n)):
+            word = np.packbits(flags, axis=1, bitorder="little")[:, 0].astype(np.int64)
+            bits |= (word << shift) | (word << (shift + 2 * n))
     return bits[inverse.ravel()]
 
 
-def _copy_tape(tape, width, new_width, blank, head, lo, hi):
-    """Copy the live machines' tape rows, centred in rows new_width wide."""
-    rows = lo // width
-    pad = (new_width - width) // 2
-    new = np.full((rows.size, new_width), blank, np.uint8)
-    new[:, pad:pad + width] = tape.reshape(-1, width)[rows]
-    shift = np.arange(rows.size) * new_width + pad - rows * width
-    return new.ravel(), head + shift, lo + shift, hi + shift
+def _can_halt(digits: np.ndarray, n: int) -> np.ndarray:
+    """Rows with a halting or an unread entry; the others are machines without a halting rule."""
+    return (digits >= 4 * n).any(axis=1)
+
+
+def _machines(digits: np.ndarray, n: int) -> np.ndarray:
+    """How many machines each row of action codes stands for: (4n+2)^u for u unread entries."""
+    if digits.max(initial=0) < 4 * n + 2:  # no unread entry: one machine each
+        return np.ones(digits.shape[0], np.int64)
+    return np.power(np.int64(4 * n + 2), np.count_nonzero(digits == 4 * n + 2, axis=1))
+
+
+def _no_halt_machines(digits: np.ndarray, n: int) -> np.ndarray:
+    """How many of each row's machines have no halting entry.
+
+    If none of its fixed entries halts, the (4n)^u members whose u unread
+    entries are all steps have none; otherwise every member has one. A row
+    without unread entries has one, since no pass steps a row that cannot
+    halt (_can_halt).
+    """
+    if digits.max(initial=0) < 4 * n + 2:
+        return np.zeros(digits.shape[0], np.int64)
+    unread = np.count_nonzero(digits == 4 * n + 2, axis=1)
+    fixed_halt = ((digits >= 4 * n) & (digits < 4 * n + 2)).any(axis=1)
+    return np.where(fixed_halt, 0, np.power(np.int64(4 * n), unread))
 
 
 class _Outputs:
-    """Halted runs of one pass: frozen tape spans, packed before the tape moves.
+    """Finished rows of one pass, credited once per image in images.
 
-    Every halted row is credited once per image in images, (reverse,
-    complement) pairs: the image string with the image machine's index as
-    its producer. The image indices are computed for halted rows only.
+    A row is a machine or a family that differs only in its unread entries,
+    so all its members run the same way. A halted row credits its
+    machines to the image string, with the image of its smallest member
+    (unread digits 0) as producer. Halted spans are packed before the tape
+    moves; an escaped or step-limited row credits its members without a
+    halting entry to no_halt_rule and the rest to its bucket.
     """
 
-    def __init__(self, sink, ords, images):
+    def __init__(self, sink, n, images):
         self.sink = sink
-        self.ords = ords
+        self.n = n
         self.images = images
         self.pending = []  # (lo, hi, used, row) spans into the current tape
-        self.packed = []  # (length, value, used_rules, producers), one producer row per image
+        self.escaped = []  # rows proved to escape
+        self.packed = []  # (length, value, used_rules, machines, producers)
 
-    def pack(self, tape) -> None:
+    def no_halt_rule(self, machines: int) -> None:
+        self.sink.census.no_halt_rule += len(self.images) * machines
+
+    def non_halting(self, digits, bucket: str) -> None:
+        """Credit rows that stopped without halting to no_halt_rule and to bucket."""
+        machines, no_halt = _machines(digits, self.n), _no_halt_machines(digits, self.n)
+        self.no_halt_rule(int(no_halt.sum()))
+        census = self.sink.census
+        rest = len(self.images) * int((machines - no_halt).sum())
+        setattr(census, bucket, getattr(census, bucket) + rest)
+
+    def pack(self, tape, ords) -> None:
+        if self.escaped:
+            self.non_halting(ords[np.concatenate(self.escaped)], "blank_escape")
+            self.escaped = []
         if not self.pending:
             return
         lo, hi, used, row = (np.concatenate(a) for a in zip(*self.pending))
         self.pending = []
-        n = self.ords.shape[1] // 2
-        digits = self.ords[row]
-        producers = np.stack([_image_indices(digits, n, *image) for image in self.images])
+        digits = ords[row]
+        machines = _machines(digits, self.n)
+        self.sink.census.halted += len(self.images) * int(machines.sum())
+        producers = np.stack([_image_indices(digits, self.n, *image) for image in self.images])
         lengths = hi - lo + 1
         used_rules = np.bitwise_count(used).astype(np.int64)
         narrow = lengths <= 64
@@ -528,19 +599,21 @@ class _Outputs:
             for r in np.nonzero(~narrow)[0]:
                 s = "".join("1" if c else "0" for c in tape[lo[r]:hi[r] + 1])
                 for image, producer in zip(self.images, producers[:, r]):
-                    self.sink.add(_image_string(s, *image), 1, int(used_rules[r]), int(producer))
+                    self.sink.add(_image_string(s, *image), int(machines[r]),
+                                  int(used_rules[r]), int(producer))
             lo, hi, lengths = lo[narrow], hi[narrow], lengths[narrow]
-            used_rules, producers = used_rules[narrow], producers[:, narrow]
+            used_rules, machines = used_rules[narrow], machines[narrow]
+            producers = producers[:, narrow]
         value = np.zeros(lo.size, np.uint64)
         for j in range(int(lengths.max(initial=0))):
             bit = tape[np.minimum(lo + j, hi)].astype(np.uint64)
             value = np.where(j < lengths, (value << np.uint64(1)) | bit, value)
-        self.packed.append((lengths, value, used_rules, producers))
+        self.packed.append((lengths, value, used_rules, machines, producers))
 
     def emit(self) -> None:
         if not self.packed:
             return
-        lengths, value, used_rules, producers = (
+        lengths, value, used_rules, machines, producers = (
             np.concatenate(a, axis=-1) for a in zip(*self.packed)
         )
         if lengths.size == 0:
@@ -552,7 +625,7 @@ class _Outputs:
         boundary[0] = True
         boundary[1:] = (s_val[1:] != s_val[:-1]) | (s_len[1:] != s_len[:-1])
         starts = np.nonzero(boundary)[0]
-        group_counts = np.diff(np.append(starts, order.size)).tolist()
+        group_counts = np.add.reduceat(machines[order], starts).tolist()
         group_used = np.minimum.reduceat(used_rules[order], starts).tolist()
         group_prod = [np.minimum.reduceat(p[order], starts).tolist() for p in producers]
         for k, start in enumerate(starts.tolist()):
@@ -561,75 +634,195 @@ class _Outputs:
                 self.sink.add(_image_string(s, *image), group_counts[k], group_used[k], prod[k])
 
 
-def _vector_pass(
-    spec: SpaceSpec, ords: np.ndarray, blank: int, images, sink: FrequencyTable
-) -> None:
-    """Step the machines of one batch that have a halting rule, for one blank.
+def _with_room(buf: np.ndarray, used: int, extra: int, fill) -> np.ndarray:
+    """buf, or a copy 1.25 times larger, with room for extra rows after its first used."""
+    if used + extra <= buf.shape[0]:
+        return buf
+    grown = np.full((max(buf.shape[0] * 5 // 4, used + extra), *buf.shape[1:]), fill, buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
 
-    Each run counts once per image (see _Outputs) in the census as well.
-    Only live machines are stepped, in contiguous arrays that one keep-mask
-    filters on the steps where some machine halts or is proved to escape.
-    The tape starts 2 * min(16, max_steps) + 1 cells wide and doubles its
-    half-width whenever the step count reaches it; it is also copied, live
-    rows only, when the live set falls below half its rows.
+
+class _Pass:
+    """The rows of one batch stepped in lockstep on one blank.
+
+    A row is a machine, or a family whose unread entries (code 4n + 2) the
+    run has not read yet. Row r of the tape (width cells) and of ords
+    belong to it; children are appended to both. The live rows sit in
+    contiguous arrays, a tuple (head, lo, hi, st2, used, ordoff, escw):
+    head and the visited bounds as flat tape indices, 2 * (state - 1), the
+    used-rule mask, r * 2n and the escape word. Only live rows are
+    stepped; one keep-mask filters them on the steps where some row stops.
     """
-    n = spec.n
-    two_n = 2 * n
-    halt_floor = 4 * n
-    max_steps = spec.max_steps
-    mult = len(images)
-    write_of, delta_of, next2_of = _action_tables(n)
-    pow2 = (np.uint16(1) << np.arange(two_n)).astype(np.uint16)
-    ords_flat = ords.ravel()
-    outputs = _Outputs(sink, ords, images)
 
-    half = min(16, max_steps)
-    width = 2 * half + 1
-    count = ords.shape[0]
-    tape = np.full(count * width, blank, np.uint8)
-    tape_rows = count
-    head = np.arange(count, dtype=np.intp) * width + half  # flat index into tape
-    lo = head.copy()
-    hi = head.copy()
-    st2 = np.zeros(count, np.intp)  # 2 * (state - 1)
-    used = np.zeros(count, np.uint16)
-    ordoff = np.arange(count, dtype=np.intp) * two_n
-    esc = _escape_bits(ords, n, blank)
+    def __init__(self, spec: SpaceSpec, ords: np.ndarray, blank: int, images, sink):
+        n = spec.n
+        self.n, self.blank, self.max_steps = n, blank, spec.max_steps
+        self.write_of, self.delta_of, self.next2_of = _action_tables(n)
+        self.pow2 = (np.uint16(1) << np.arange(2 * n)).astype(np.uint16)
+        self.outputs = _Outputs(sink, n, images)
+        self.half = min(16, spec.max_steps)
+        count = ords.shape[0]
+        self.ords = np.ascontiguousarray(ords)
+        self.tape = np.full((count, 2 * self.half + 1), blank, np.uint8)
+        self.rows = count  # rows of the tape and of ords in use
+        head = np.arange(count, dtype=np.intp) * self.tape.shape[1] + self.half
+        self.live = (
+            head, head.copy(), head.copy(), np.zeros(count, np.intp),
+            np.zeros(count, np.uint16), np.arange(count, dtype=np.intp) * 2 * n,
+            _escape_bits(ords, n, blank),
+        )
 
-    for step in range(1, max_steps + 1):
+    def run(self) -> None:
+        """Step until every row stops or the cutoff.
+
+        The tape starts 2 * min(16, max_steps) + 1 cells wide and doubles
+        its half-width whenever the step count reaches it; it is also
+        copied, live rows only, when they fall below half its rows.
+        """
+        for step in range(1, self.max_steps + 1):
+            live, o, slot, stop = self.advance(self.live)
+            self.live = live  # frees the old state array before settling
+            if stop.any():
+                self.live = live = self.settle(live, o, slot, stop)
+            if live[0].size == 0:
+                break
+            grow = step == self.half < self.max_steps
+            if grow or live[0].size < self.rows // 2:
+                self.outputs.pack(self.tape.reshape(-1), self.ords)
+                if grow:
+                    self.half = min(2 * self.half, self.max_steps)
+                self.compact(2 * self.half + 1)
+        self.outputs.pack(self.tape.reshape(-1), self.ords)
+        self.outputs.non_halting(self.ords[self.live[5] // (2 * self.n)], "step_limited")
+        self.outputs.emit()
+
+    def advance(self, live):
+        """One step of the given rows: (rows, action codes, read slots, stop mask).
+
+        A row stops when it reads a halt code or the unread marker (both
+        from 4n up) or lands on fresh tape with a set escape bit.
+        """
+        head, lo, hi, st2, used, ordoff, escw = live
+        tape = self.tape.reshape(-1)
         slot = st2 + tape[head]
-        used |= pow2[slot]
-        o = ords_flat[ordoff + slot].astype(np.intp)
-        tape[head] = write_of[o]
-        head += delta_of[o]
-        st2 = next2_of[o]
+        used |= self.pow2[slot]
+        o = self.ords.reshape(-1)[ordoff + slot].astype(np.intp)
+        tape[head] = self.write_of[o]
+        head += self.delta_of[o]
         fresh = (head > hi) | (head < lo)
         np.maximum(hi, head, out=hi)
         np.minimum(lo, head, out=lo)
-        halting = o >= halt_floor
-        stop = halting | (fresh & ((esc >> o) & 1).astype(bool))
-        if stop.any():
-            h = np.nonzero(halting)[0]
-            outputs.pending.append((lo[h], hi[h], used[h], ordoff[h] // two_n))
-            sink.census.halted += mult * h.size
-            sink.census.blank_escape += mult * (int(np.count_nonzero(stop)) - h.size)
-            keep = ~stop
-            head, lo, hi, st2, used, ordoff, esc = (
-                a[keep] for a in (head, lo, hi, st2, used, ordoff, esc)
-            )
-            if head.size == 0:
-                break
-        grow = step == half < max_steps
-        if grow or head.size < tape_rows // 2:
-            outputs.pack(tape)
-            if grow:
-                half = min(2 * half, max_steps)
-            tape, head, lo, hi = _copy_tape(tape, width, 2 * half + 1, blank, head, lo, hi)
-            width, tape_rows = 2 * half + 1, head.size
+        stop = (o >= 4 * self.n) | (fresh & ((escw >> o) & _ESC).astype(bool))
+        return (head, lo, hi, self.next2_of[o], used, ordoff, escw), o, slot, stop
 
-    sink.census.step_limited += mult * head.size
-    outputs.pack(tape)
-    outputs.emit()
+    def settle(self, live, o, slot, stop):
+        """The live rows after sorting out the stopped ones.
+
+        Halted and escaped rows become outputs. A row that read an unread
+        entry is replaced, at the same step, by its children, one per code
+        of that entry, which then take the step. A row whose escape depends
+        on unread entries is decided by expanding them (decide).
+        """
+        two_n, marker = 2 * self.n, 4 * self.n + 2
+        idx = np.nonzero(stop)[0]
+        oi = o[idx]
+        head, lo, hi, st2, used, ordoff, escw = live
+        halted = idx[(oi >= 4 * self.n) & (oi < marker)]
+        self.outputs.pending.append((lo[halted], hi[halted], used[halted], ordoff[halted] // two_n))
+        moved = idx[oi < 4 * self.n]
+        sure = ((escw[moved] >> o[moved]) & 1).astype(bool)
+        self.outputs.escaped.append(ordoff[moved[sure]] // two_n)
+        keep = ~stop
+        parts = [tuple(a[keep] for a in live)]
+        read = idx[oi == marker]
+        if read.size:
+            self.tape.reshape(-1)[head[read]] = slot[read] & 1  # undo the marker's write
+            children, src = self.spawn(live, read, slot[read])
+            # the children take this step from its start, in the state that read the slot
+            children = children[:3] + ((slot[read] & -2)[src],) + children[4:]
+            children, c_o, c_slot, c_stop = self.advance(children)
+            if c_stop.any():  # children read no marker, so this does not recurse further
+                children = self.settle(children, c_o, c_slot, c_stop)
+            parts.append(children)
+        undecided = moved[~sure]
+        if undecided.size:
+            parts.append(self.decide(tuple(a[undecided] for a in live), o[undecided]))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(a) for a in zip(*parts))
+
+    def decide(self, live, o):
+        """Rows that landed on fresh tape with code o, where escape depends on unread entries.
+
+        The blank-runway walk from the new state meets an unread blank-read
+        entry before it is decided. That entry is expanded and the children
+        are decided again; each round fixes one entry of the walk, so at
+        most n rounds are needed. Returns the children that go on.
+        """
+        go_on = []
+        while live[0].size:
+            live, src = self.spawn(live, np.arange(live[0].size), self.walk_slot(live))
+            o = o[src]
+            bits = live[6] >> o
+            sure = (bits & 1).astype(bool)
+            open_ = ((bits >> 32) & 1).astype(bool)
+            self.outputs.escaped.append(live[5][sure] // (2 * self.n))
+            go_on.append(tuple(a[~(sure | open_)] for a in live))
+            live, o = tuple(a[open_] for a in live), o[open_]
+        return tuple(np.concatenate(a) for a in zip(*go_on))
+
+    def walk_slot(self, live):
+        """The first unread blank-read entry on each row's walk from its state."""
+        n = self.n
+        rows = live[5] // (2 * n)
+        cur = live[3] // 2
+        found = np.full(rows.size, -1, np.intp)
+        for _ in range(n):
+            slot = 2 * cur + self.blank
+            code = self.ords[rows, slot]
+            hit = (found < 0) & (code == 4 * n + 2)
+            found[hit] = slot[hit]
+            cur = np.where(found < 0, code % n, cur)
+        return found
+
+    def spawn(self, live, parents, slots):
+        """The children of parent rows, alike but for its slot, which takes each code.
+
+        Children that cannot halt are counted to no_halt_rule at once.
+        Returns the other children, and each one's index into parents.
+        """
+        n, b, width = self.n, 4 * self.n + 2, self.tape.shape[1]
+        src = np.repeat(np.arange(parents.size), b)
+        digits = self.ords[live[5][parents[src]] // (2 * n)]
+        digits[np.arange(src.size), slots[src]] = np.tile(np.arange(b, dtype=np.uint8), parents.size)
+        can_halt = _can_halt(digits, n)
+        self.outputs.no_halt_rule(src.size - int(np.count_nonzero(can_halt)))
+        src, digits = src[can_halt], digits[can_halt]
+        rep = live[5][parents[src]] // (2 * n)
+        new = np.arange(self.rows, self.rows + src.size)
+        self.tape = _with_room(self.tape, self.rows, src.size, self.blank)
+        self.ords = _with_room(self.ords, self.rows, src.size, 0)
+        self.rows += src.size
+        self.tape[new] = self.tape[rep]
+        self.ords[new] = digits
+        shift = (new - rep) * width
+        head, lo, hi, st2, used = (a[parents[src]] for a in live[:5])
+        escw = _escape_bits(digits, n, self.blank)
+        return (head + shift, lo + shift, hi + shift, st2, used, new * (2 * n), escw), src
+
+    def compact(self, width: int) -> None:
+        """Keep only the live rows, in order, the tape centred in rows width wide."""
+        head, lo, hi, st2, used, ordoff, escw = self.live
+        rows = ordoff // (2 * self.n)
+        old = self.tape.shape[1]
+        pad = (width - old) // 2
+        tape = np.full((rows.size, width), self.blank, np.uint8)
+        tape[:, pad:pad + old] = self.tape[rows]
+        self.tape, self.ords, self.rows = tape, self.ords[rows], rows.size
+        shift = np.arange(rows.size) * width + pad - rows * old
+        ordoff = np.arange(rows.size, dtype=np.intp) * 2 * self.n
+        self.live = (head + shift, lo + shift, hi + shift, st2, used, ordoff, escw)
 
 
 def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable, passes) -> None:
@@ -642,14 +835,14 @@ def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable, passes) 
         ords[:, slot] = (rem % base).astype(np.uint8)
         rem //= base
     # decoded once and shared by every pass
-    has_halt = (ords >= 4 * n).any(axis=1)
-    no_halt = int(idx.size - np.count_nonzero(has_halt))
-    ords = ords[has_halt]
+    can_halt = _can_halt(ords, n)
+    no_halt = int(idx.size - np.count_nonzero(can_halt))
+    ords = ords[can_halt]
     for blank, images in passes:
         sink.census.total_runs += len(images) * idx.size
         sink.census.no_halt_rule += len(images) * no_halt
         if ords.size:
-            _vector_pass(spec, ords, blank, images, sink)
+            _Pass(spec, ords, blank, images, sink).run()
 
 
 def _representative_ranges(n: int, lo: int, hi: int):
@@ -664,6 +857,45 @@ def _representative_ranges(n: int, lo: int, hi: int):
         if a < b:
             ranges.append((a, b))
     return ranges
+
+
+def _family_groups(n: int, lo: int, hi: int):
+    """The representatives of [lo, hi) as groups of family rows.
+
+    The range splits into aligned blocks [p * b^j, (p + 1) * b^j), b = 4n+2,
+    each one row whose top 2n - j digits are those of p and whose low j
+    digits are unread. A block holds at most 8 * _BATCH machines, and so
+    does a group (a list of (p * b^j, j)), which bounds a group's live
+    rows: on the (4,2) top-digit block [13 * 18^7, 14 * 18^7) they peaked
+    at 87,578, and groups eight times larger peaked at 250,706 and ran
+    slower.
+    """
+    b = 4 * n + 2
+    cap = 8 * _BATCH
+    group, size = [], 0
+    for a, c in _representative_ranges(n, lo, hi):
+        while a < c:
+            j = 0
+            while a % b ** (j + 1) == 0 and a + b ** (j + 1) <= c and b ** (j + 1) <= cap:
+                j += 1
+            if size + b ** j > cap:
+                yield group
+                group, size = [], 0
+            group.append((a, j))
+            size += b ** j
+            a += b ** j
+    if group:
+        yield group
+
+
+def _family_rows(n: int, group) -> np.ndarray:
+    """The action-code rows of a group of blocks, unread digits as 4n + 2."""
+    ords = np.empty((len(group), 2 * n), np.uint8)
+    for r, (a, j) in enumerate(group):
+        for slot in range(2 * n - 1, -1, -1):
+            a, ords[r, slot] = divmod(a, 4 * n + 2)
+        ords[r, 2 * n - j:] = 4 * n + 2
+    return ords
 
 
 def _count_initial_halts(spec: SpaceSpec, lo: int, hi: int, sink: FrequencyTable) -> None:
@@ -697,20 +929,24 @@ def _count_initial_halts(spec: SpaceSpec, lo: int, hi: int, sink: FrequencyTable
 def _run_shard(job) -> FrequencyTable:
     """One shard (spec, lo, hi) of run_space, with the vector engine.
 
-    It runs only the orbit representatives in [lo, hi), on blank 0, one
-    batch of indices at a time (a (4,2) shard spans billions of them),
-    credits each run to its mirror and complement images, and counts the
-    first-step halts of [lo, hi) in closed form. So the table aggregates
-    the orbits whose representative lies in [lo, hi), and the merged
-    tables of a whole-space plan equal the scalar engine's whole-space run.
+    It runs the orbit representatives in [lo, hi) on blank 0 as families
+    (_family_groups), one group at a time, credits each run to its mirror
+    and complement images, and counts the first-step halts of [lo, hi) in
+    closed form. So the table aggregates the orbits whose representative
+    lies in [lo, hi), and the merged tables of a whole-space plan equal
+    the scalar engine's whole-space run.
     """
     spec, lo, hi = job
     sink = empty_table(spec, ((lo, hi),))
-    passes = ((0, _ORBIT_IMAGES[spec.blank_mode]),)
-    for a, b in _representative_ranges(spec.n, lo, hi):
-        for start in range(a, b, _BATCH):
-            idx = np.arange(start, min(start + _BATCH, b), dtype=np.uint64)
-            _run_vector(spec, idx, sink, passes)
+    images = _ORBIT_IMAGES[spec.blank_mode]
+    b = 4 * spec.n + 2
+    for group in _family_groups(spec.n, lo, hi):
+        sink.census.total_runs += len(images) * sum(b ** j for _, j in group)
+        ords = _family_rows(spec.n, group)
+        can_halt = _can_halt(ords, spec.n)
+        sink.census.no_halt_rule += len(images) * (len(ords) - int(np.count_nonzero(can_halt)))
+        if can_halt.any():
+            _Pass(spec, ords[can_halt], 0, images, sink).run()
     _count_initial_halts(spec, lo, hi, sink)
     return sink
 
@@ -719,9 +955,9 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
     """Run an arbitrary (sorted, duplicate-free) index set; covers stays None.
 
     Every machine runs on every blank of spec, without the symmetry
-    reduction. engine is "vector" (the array in batches) or "scalar"
-    (machine.simulate, one run at a time), the oracle the tests compare
-    the vector engine against.
+    reduction. engine is "vector" (the array in batches of fully decoded
+    rows, which never expand) or "scalar" (machine.simulate, one run at a
+    time), the oracle the tests compare the vector engine against.
     """
     indices = np.asarray(indices, np.uint64)
     sink = empty_table(spec, covers=None)
@@ -742,14 +978,16 @@ def run_space(spec: SpaceSpec, plan: ShardPlan = None, workers: int = 1) -> Freq
 
     Every shard runs the symmetry-reduced vector engine (_run_shard). The
     result is byte-identical for every plan and worker count; shards only
-    bound the unit of parallel work (default: four per worker, cut at
-    equal shares of the orbit representatives, the machines the shards
-    step). Partial tables are merged in shard order.
+    bound the unit of parallel work (default: one per worker, cut at equal
+    shares of the orbit representatives, the machines the shards step). A
+    cut inside an aligned block splits that block's families, so more
+    shards step more rows: a (3,2) run steps 170,044 rows as one shard and
+    467,086 as eight. Partial tables are merged in shard order.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     if plan is None:
-        plan = representative_shard_plan(spec, workers * 4)
+        plan = representative_shard_plan(spec, workers)
     if plan.shards[0][0] != 0 or plan.shards[-1][1] != spec.size:
         raise ValidationError("shard plan must cover the full index range")
     jobs = [(spec, lo, hi) for lo, hi in plan.shards]

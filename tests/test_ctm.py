@@ -228,6 +228,27 @@ def test_meaningless_row_from_the_roadmap_exits_one(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_meta_headers_hold_exactly_what_the_writers_write(tmp_path, capsys, d2_zero_freq):
+    # such a file used to load and then re-serialize to other bytes
+    from ctm_lab.cli import main
+
+    path = tmp_path / "bad.ctm"
+    version = b'"tool_version":"0.1.0"'
+    assert version in _shipped("d2_zero")
+    path.write_bytes(_shipped("d2_zero").replace(version, b'"tool_version":"9","zzz":1'))
+    with pytest.raises(ParseError) as err:
+        load_ctm_table(path)
+    assert err.value.line == 2
+    assert main(["ctm", "eval", "--table", str(path), "--string", "01"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"ctm-lab: error: {err.value}"]
+    freq = tmp_path / "bad.freq"
+    freq.write_bytes(d2_zero_freq.canonical_bytes().replace(b'{"census"', b'{"zzz":1,"census"', 1))
+    with pytest.raises(ParseError) as err:
+        load_frequency_table(freq)
+    assert err.value.line == 2
+    assert str(err.value).startswith(f"{freq}: line 2: ")
+
+
 def test_freq_loader_rejects_meaningless_rows(tmp_path, d2_zero_freq):
     path = tmp_path / "d2.freq"
     data = d2_zero_freq.canonical_bytes()

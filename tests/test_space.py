@@ -1,12 +1,15 @@
 """Space runs: cardinalities, oracle cross-checks, determinism, merging."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctm_lab.ctm import load_ctm_table
 from ctm_lab.errors import ParseError, ValidationError
@@ -221,6 +224,11 @@ def _digits(index, n):
                     axis=1).astype(np.uint8)
 
 
+def _index(digits, n):
+    """Machine indices of rows of action codes."""
+    return np.asarray(digits, np.int64) @ (4 * n + 2) ** np.arange(2 * n - 1, -1, -1)
+
+
 def _expected_escape_bits(machine, blank):
     n = machine.n
     esc = escape_closure(machine, blank)
@@ -265,39 +273,121 @@ def test_image_indices_match_the_symmetry_transforms():
             assert got.tolist() == expected
 
 
+def _completions(row, n):
+    """Every machine of a family row, as rows of action codes."""
+    free = np.nonzero(row == 4 * n + 2)[0]
+    rows = np.tile(row, ((4 * n + 2) ** free.size, 1))
+    for k, slot in enumerate(free):
+        rows[:, slot] = np.arange(rows.shape[0]) // (4 * n + 2) ** k % (4 * n + 2)
+    return rows
+
+
+def _family_samples(n, count, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 4 * n + 2, (count, 2 * n)).astype(np.uint8)
+    rows[rng.random(rows.shape) < 0.4] = 4 * n + 2
+    return rows
+
+
+def test_image_indices_of_families_are_their_smallest_images():
+    n = 2
+    for row in _family_samples(n, 300, 71):
+        members = _completions(row, n)
+        for image in ((False, False), (True, False), (False, True), (True, True)):
+            got = space._image_indices(row[None, :], n, *image)
+            assert got.tolist() == [space._image_indices(members, n, *image).min()]
+
+
+def test_escape_words_of_families_agree_with_their_members():
+    # a bit is set when every member escapes, undecided when members differ
+    n = 2
+    for blank in (0, 1):
+        for row in _family_samples(n, 300, 73 + blank):
+            word = int(space._escape_bits(row[None, :], n, blank)[0])
+            members = space._escape_bits(_completions(row, n), n, blank)
+            assert not (members >> 32).any()
+            for o in range(4 * n):
+                share = ((members >> o) & 1).mean()
+                assert (word >> o) & 1 == (share == 1)
+                assert (word >> (32 + o)) & 1 == (0 < share < 1)
+
+
 def test_results_do_not_depend_on_batch_size(monkeypatch):
+    # _BATCH cuts index arrays into decoded batches and bounds the machines
+    # of a shard's family groups at 8 * _BATCH
     both = SpaceSpec(2, blank_mode="both")
     span = np.arange(3_000_000, 3_020_000, dtype=np.uint64)
     expected = (
         run_space(both).canonical_bytes(),
         run_index_array(SpaceSpec(3), span).canonical_bytes(),
     )
+    groups = space._family_groups
     for batch in (7, 999):
         monkeypatch.setattr(space, "_BATCH", batch)
+        sizes = [sum(10 ** j for _, j in g) for g in groups(2, 0, both.size)]
+        assert sum(sizes) == 4000 and max(sizes) <= 8 * batch
+        assert len(sizes) == (80 if batch == 7 else 1)
         assert run_space(both).canonical_bytes() == expected[0]
         assert run_index_array(SpaceSpec(3), span).canonical_bytes() == expected[1]
 
 
-def test_shards_materialize_one_batch_of_indices_at_a_time(monkeypatch):
-    sizes = []
-    vector = space._run_vector
+def test_shards_start_from_aligned_block_rows(monkeypatch):
+    starts = []
 
-    def spy(spec, indices, sink, passes):
-        sizes.append(indices.size)
-        vector(spec, indices, sink, passes)
+    class Spy(space._Pass):
+        def __init__(self, spec, ords, *args):
+            starts.append(ords.copy())
+            super().__init__(spec, ords, *args)
 
-    monkeypatch.setattr(space, "_BATCH", 1000)
-    monkeypatch.setattr(space, "_run_vector", spy)
+    monkeypatch.setattr(space, "_Pass", Spy)
     # inside the block of machines whose (1,0) entry is Step(1, R, 1)
     lo = 9 * 14 ** 5
     shard = space._run_shard((SpaceSpec(3), lo, lo + 4500))
-    assert sizes == [1000, 1000, 1000, 1000, 500]
+    # 4500 = 14^3 + 8 * 14^2 + 13 * 14 + 6: one row per aligned block, whose
+    # fixed digits give the block's first index and whose unread digits its size
+    (rows,) = starts
+    assert rows.shape == (28, 6)
+    unread = (rows == 14).sum(axis=1)
+    assert unread.tolist() == [3] + [2] * 8 + [1] * 13 + [0] * 6
+    assert ((rows == 14) == (np.arange(6) >= 6 - unread[:, None])).all()
+    first = _index(np.where(rows == 14, 0, rows), 3)
+    assert first.tolist() == (lo + np.cumsum([0] + (14 ** unread).tolist()[:-1])).tolist()
+    # the oracle: the shard equals the scalar run of its orbits
     span = np.arange(lo, lo + 4500)
     mirrors = space._image_indices(_digits(span, 3), 3, True, False)
     orbits = np.union1d(span, mirrors).astype(np.uint64)
     whole = run_index_array(SpaceSpec(3), orbits, engine="scalar")
     assert _same_outputs(shard, whole)
     assert shard.census == whole.census
+
+
+def test_four_state_shard_equals_the_vector_run_of_its_orbits():
+    # 5,000 representatives that start with Step(1, R, 2), Step(0, L, 4)
+    lo = (13 * 18 + 3) * 18 ** 6 + 123_456
+    spec = SpaceSpec(4, max_steps=107)
+    shard = space._run_shard((spec, lo, lo + 5000))
+    span = np.arange(lo, lo + 5000)
+    mirrors = space._image_indices(_digits(span, 4), 4, True, False)
+    orbits = np.union1d(span, mirrors).astype(np.uint64)
+    whole = run_index_array(spec, orbits)
+    assert min(dataclasses.astuple(whole.census)) > 0
+    assert _same_outputs(shard, whole)
+    assert shard.census == whole.census
+
+
+@functools.cache
+def _scalar_bytes(spec):
+    return _scalar_space(spec).canonical_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["zero", "both"]), max_steps=st.integers(1, 12),
+       cuts=st.sets(st.integers(1, 9999), min_size=1, max_size=9))
+def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, cuts):
+    spec = SpaceSpec(2, blank_mode=mode, max_steps=max_steps)
+    bounds = [0, *sorted(cuts), spec.size]
+    plan = ShardPlan(tuple(zip(bounds, bounds[1:])))
+    assert run_space(spec, plan=plan).canonical_bytes() == _scalar_bytes(spec)
 
 
 def test_halted_outputs_pack_narrow_and_wide_spans():
@@ -308,9 +398,9 @@ def test_halted_outputs_pack_narrow_and_wide_spans():
     hi = lo + np.array([0, 2, 63, 64, 99, 2])
     idx = np.array([2100, 2345, 3456, 3000, 2999, 3999], np.uint64)
     sink = space.empty_table(SpaceSpec(2))
-    outputs = space._Outputs(sink, _digits(idx, 2), ((False, False), (True, False)))
+    outputs = space._Outputs(sink, 2, ((False, False), (True, False)))
     outputs.pending.append((lo, hi, np.full(6, 3, np.uint16), np.arange(6)))
-    outputs.pack(tape)
+    outputs.pack(tape, _digits(idx, 2))
     outputs.emit()
     expected, first = {}, {}
     for index, a, b in zip(idx.tolist(), lo, hi):
@@ -438,13 +528,17 @@ def test_representative_shard_plan_splits_the_stepped_work_evenly():
 
 
 def test_default_plan_is_balanced_on_representatives(monkeypatch):
-    seen = []
-    original = space._run_shard
-    monkeypatch.setattr(space, "_run_shard", lambda job: seen.append(job[1:]) or original(job))
+    # one shard per worker; the merge sees every worker's part
+    covers = []
+    merge = space.merge_shards
+    monkeypatch.setattr(space, "merge_shards",
+                        lambda parts: covers.extend(p.covers for p in parts) or merge(parts))
     spec = SpaceSpec(2, blank_mode="both")
-    vector = run_space(spec)  # one worker runs the shards inline, through the spy
-    assert tuple(seen) == representative_shard_plan(spec, 4).shards
-    assert vector.canonical_bytes() == _scalar_space(spec).canonical_bytes()
+    for workers in (1, 2):
+        covers.clear()
+        vector = run_space(spec, workers=workers)
+        assert tuple(c for (c,) in covers) == representative_shard_plan(spec, workers).shards
+        assert vector.canonical_bytes() == _scalar_space(spec).canonical_bytes()
 
 
 def test_sharded_run_is_byte_identical_to_single_shard():
@@ -499,7 +593,8 @@ def test_frequency_table_parse_errors(tmp_path):
     bad = tmp_path / "bad"
     spec, census = SpaceSpec(2).as_dict(), space.Census().as_dict()
     freq_meta = {"census": census, "covers": [[0, 10], [20, 10_000]], "spec": spec}
-    ctm_meta = {"normalization": "all_machines", "sources": [{"census": census, "spec": spec}]}
+    ctm_meta = {"normalization": "all_machines", "sources": [{"census": census, "spec": spec}],
+                "tool_version": "0.1.0"}
     loaders = (
         (load_frequency_table, "# ctm-freq v1", "string,count,min_used_rules,first_producer",
          freq_meta, (
@@ -514,6 +609,7 @@ def test_frequency_table_parse_errors(tmp_path):
              {**freq_meta, "covers": [[5, 1]]},
              {**freq_meta, "covers": [[0, 20], [10, 30]]},
              {**freq_meta, "covers": [[0, 10_001]]},
+             {**freq_meta, "zzz": 1},
          )),
         (load_ctm_table, "# ctm-table v1",
          "string,count,probability,complexity_bits,min_used_rules,source_space",
@@ -525,6 +621,10 @@ def test_frequency_table_parse_errors(tmp_path):
              {**ctm_meta, "sources": [{}]},
              {**ctm_meta, "sources": [{"census": census, "spec": {**spec, "n": 2.0}}]},
              {**ctm_meta, "sources": [{"census": {**census, "halted": "5"}, "spec": spec}]},
+             {**ctm_meta, "tool_version": "9", "zzz": 1},
+             {**ctm_meta, "tool_version": "9"},
+             {**ctm_meta, "zzz": 1},
+             {"normalization": "all_machines", "sources": []},
          )),
     )
     for load, magic, columns, good_meta, bad_metas in loaders:
