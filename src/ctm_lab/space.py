@@ -4,9 +4,10 @@ run_space accounts for every run of every machine index of (n, 2) on the
 blanks of its spec, through two sound non-halting proofs (no halting rule,
 blank-runway escape) and the step cutoff, and aggregates halting outputs
 into per-string counts. Only halting outputs are counted, so the proofs
-decide nothing but the census bucket of a non-halting run; no
-configuration-cycle check runs here (it lives in machine.simulate for
-single-machine inspection).
+decide nothing but the census bucket of a non-halting run. The vector
+engine also retires runs that provably repeat themselves (Cycles, below)
+as step_limited, the bucket the cutoff would give them, so no count or
+byte moves.
 
 run_space always runs the vectorized numpy engine, which steps rows in
 lockstep. The scalar engine, built directly on machine.simulate, runs
@@ -41,20 +42,38 @@ as producer. Of a non-halting row none of whose fixed entries halts, the
 (4n)^u members with only steps in their unread entries go to
 no_halt_rule and the rest to its bucket (escape or cutoff). An escape
 test that depends on an unread blank-read entry expands that entry. On
-(3,2) this steps 170,044 rows in all (summed over the steps), where the
-3,226,944 representatives one by one take 7,732,588 machine-steps.
+(3,2) this steps 73,316 rows in all (summed over the steps), where the
+3,226,944 representatives one by one take 4,673,656 machine-steps.
 run_index_array runs arbitrary index sets, every machine on every blank,
 as batches of fully decoded rows that never expand.
 
+Cycles. Most runs that reach the cutoff repeat themselves within a few
+steps, in place or shifted along the tape (Lin & Rado's translated
+cycles). Every live row takes a snapshot at steps 8, 16, 32, ... (Brent's
+schedule): its state, its distances to the visited bounds and the cells
+within 7 of its head. At each later step, a row is retired (_Pass.looped)
+when it is in the snapshot's state, its head has moved by d, and its tape
+seen from the head matches the snapshot's on the cells read since and, if
+d != 0, up to the frontier it moves towards, which must be as far away as
+it was. Such a run repeats itself shifted by d forever: it never halts,
+and each later landing on fresh tape repeats one that already failed the
+escape test, so it would end step_limited at any cutoff and is credited
+so now, its members without a halting entry to no_halt_rule as before.
+Children keep their parent's snapshot and excursion. On the seed-0
+census-d4-sample (4,194,884 runs at cutoff 107) this retires 285,215 of
+the 287,122 step-limited runs, and the rows stepped fall from 34,986,985
+to 7,803,652.
+
 The step loop touches only live rows: state, head, visited bounds,
-used-rule mask and escape word sit in contiguous arrays that one
-keep-mask filters whenever a row stops, and three lookup tables over the
-action codes give the written symbol, head delta and next state. The
-marker shares the halt codes' stop test (codes from 4n up), so decoded
-rows pay nothing for it. The blank-runway closure runs once per distinct
-tuple of blank-read entries. The tape starts narrow and widens as the
-step count grows; each copy keeps only live rows, and halted rows are
-packed into (length, value) pairs before the tape is replaced.
+used-rule mask, escape word and snapshot are the columns of one int64
+array that one keep-mask filters whenever a row stops, and three lookup
+tables over the action codes give the written symbol, head delta and
+next state. The marker shares the halt codes' stop test (codes from 4n
+up), so decoded rows pay nothing for it. The blank-runway closure runs
+once per distinct tuple of blank-read entries. The tape starts narrow
+and widens as the step count grows; each copy keeps only live rows, and
+halted rows are packed into (length, value) pairs before the tape is
+replaced.
 
 Determinism contract: the resulting FrequencyTable depends only on the
 SpaceSpec, never on shard boundaries, worker count, or scheduling. Shards
@@ -87,6 +106,9 @@ _FREQ_COLUMNS = "string,count,min_used_rules,first_producer"
 # Format v1 records which non-halting proofs a run applied and how many runs
 # the cycle check caught. Every run applies the same proofs, so these keys
 # are constant: files keep writing them and must carry exactly these values.
+# The vector engine's cycle check leaves them so: a run it retires keeps the
+# step_limited bucket the cutoff would give it, so filters.cycle stays
+# false and cycle_detected 0.
 _V1_CONSTANT_KEYS = {
     "spec": {
         "cycle_memory_limit": 10_000,
@@ -480,6 +502,12 @@ def _image_string(s: str, reverse: bool, complement: bool) -> str:
 # with o proves escape) and bit 32 + o (that depends on an unread entry).
 _ESC = 1 | 1 << 32
 
+# The cycle check (_Pass.looped): snapshots at steps 8, 16, 32, ..., each
+# holding the cells within _WINDOW of the head and one spare cell, 16 bits.
+_FIRST_SNAPSHOT = 8
+_WINDOW = 7
+_LOW = (np.int64(1) << np.arange(2 * _WINDOW + 2)) - 1  # _LOW[j]: the low j bits set
+
 
 def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
     """The escape word of each row of action codes (see _ESC).
@@ -565,6 +593,7 @@ class _Outputs:
         self.images = images
         self.pending = []  # (lo, hi, used, row) spans into the current tape
         self.escaped = []  # rows proved to escape
+        self.looped = []  # rows proved to repeat themselves
         self.packed = []  # (length, value, used_rules, machines, producers)
 
     def no_halt_rule(self, machines: int) -> None:
@@ -579,9 +608,10 @@ class _Outputs:
         setattr(census, bucket, getattr(census, bucket) + rest)
 
     def pack(self, tape, ords) -> None:
-        if self.escaped:
-            self.non_halting(ords[np.concatenate(self.escaped)], "blank_escape")
-            self.escaped = []
+        for rows, bucket in ((self.escaped, "blank_escape"), (self.looped, "step_limited")):
+            if rows:
+                self.non_halting(ords[np.concatenate(rows)], bucket)
+                rows.clear()
         if not self.pending:
             return
         lo, hi, used, row = (np.concatenate(a) for a in zip(*self.pending))
@@ -592,10 +622,13 @@ class _Outputs:
         producers = np.stack([_image_indices(digits, self.n, *image) for image in self.images])
         lengths = hi - lo + 1
         used_rules = np.bitwise_count(used).astype(np.int64)
-        narrow = lengths <= 64
+        # cells read per output: a whole number of bytes, at most 64 bits
+        span = min(-(-int(lengths.max(initial=1)) // 8) * 8, 64)
+        narrow = (lengths <= span) & (lo <= tape.size - span)
         if not narrow.all():
-            # Rare wide outputs (only reachable with very large cutoffs): build
-            # the strings row by row and leave the packed fast path to the rest.
+            # Rare wide outputs (only reachable with very large cutoffs), and
+            # outputs too near the end of the tape array for a run of span
+            # cells: build the strings row by row, and pack the rest.
             for r in np.nonzero(~narrow)[0]:
                 s = "".join("1" if c else "0" for c in tape[lo[r]:hi[r] + 1])
                 for image, producer in zip(self.images, producers[:, r]):
@@ -604,11 +637,13 @@ class _Outputs:
             lo, hi, lengths = lo[narrow], hi[narrow], lengths[narrow]
             used_rules, machines = used_rules[narrow], machines[narrow]
             producers = producers[:, narrow]
-        value = np.zeros(lo.size, np.uint64)
-        for j in range(int(lengths.max(initial=0))):
-            bit = tape[np.minimum(lo + j, hi)].astype(np.uint64)
-            value = np.where(j < lengths, (value << np.uint64(1)) | bit, value)
-        self.packed.append((lengths, value, used_rules, machines, producers))
+        if lo.size:
+            # each output and the cells after it, as the high bits of a 64-bit word
+            cells = _runs(tape, span)[lo].view(np.uint8)
+            word = np.zeros((lo.size, 8), np.uint8)
+            word[:, :span // 8] = np.packbits(cells).reshape(lo.size, -1)
+            value = word.view(">u8")[:, 0] >> (64 - lengths).astype(np.uint64)
+            self.packed.append((lengths, value.astype(np.uint64), used_rules, machines, producers))
 
     def emit(self) -> None:
         if not self.packed:
@@ -634,6 +669,14 @@ class _Outputs:
                 self.sink.add(_image_string(s, *image), group_counts[k], group_used[k], prod[k])
 
 
+def _runs(flat: np.ndarray, k: int) -> np.ndarray:
+    """A read-only view of the uint8 array flat whose item i is the k bytes
+    flat[i:i + k]; a gather from it copies each run whole."""
+    view = np.ndarray((flat.size - k + 1,), f"V{k}", flat, 0, (1,))
+    view.flags.writeable = False
+    return view
+
+
 def _with_room(buf: np.ndarray, used: int, extra: int, fill) -> np.ndarray:
     """buf, or a copy 1.25 times larger, with room for extra rows after its first used."""
     if used + extra <= buf.shape[0]:
@@ -643,114 +686,197 @@ def _with_room(buf: np.ndarray, used: int, extra: int, fill) -> np.ndarray:
     return grown
 
 
+# Rows of _Pass.live, one entry per live row: 2 * (state - 1), the
+# used-rule mask, r * 2n for tape row r and the escape word; then, as flat
+# tape indices that move with the row's tape, the head and the visited
+# bounds. The first snapshot appends the head's excursion since the
+# snapshot and the start of the snapshot's window (flat indices too), and
+# the snapshot's visited bounds as offsets from that start, its window
+# word and its _ST2 (-1 when the window left the tape array).
+(_ST2, _USED, _ORD, _ESCW, _HEAD, _LO, _HI,
+ _XLO, _XHI, _SNAP, _SNAP_LO, _SNAP_HI, _SNAP_WORD, _SNAP_ST2) = range(14)
+
+
 class _Pass:
     """The rows of one batch stepped in lockstep on one blank.
 
     A row is a machine, or a family whose unread entries (code 4n + 2) the
     run has not read yet. Row r of the tape (width cells) and of ords
-    belong to it; children are appended to both. The live rows sit in
-    contiguous arrays, a tuple (head, lo, hi, st2, used, ordoff, escw):
-    head and the visited bounds as flat tape indices, 2 * (state - 1), the
-    used-rule mask, r * 2n and the escape word. Only live rows are
-    stepped; one keep-mask filters them on the steps where some row stops.
+    belong to it; children are appended to both. The live rows are the
+    columns of one int64 array, live (see _ST2 above); only they are
+    stepped, and one keep-mask filters them on the steps where some row
+    stops.
     """
 
     def __init__(self, spec: SpaceSpec, ords: np.ndarray, blank: int, images, sink):
         n = spec.n
         self.n, self.blank, self.max_steps = n, blank, spec.max_steps
         self.write_of, self.delta_of, self.next2_of = _action_tables(n)
-        self.pow2 = (np.uint16(1) << np.arange(2 * n)).astype(np.uint16)
+        self.pow2 = np.int64(1) << np.arange(2 * n)
         self.outputs = _Outputs(sink, n, images)
         self.half = min(16, spec.max_steps)
         count = ords.shape[0]
         self.ords = np.ascontiguousarray(ords)
         self.tape = np.full((count, 2 * self.half + 1), blank, np.uint8)
         self.rows = count  # rows of the tape and of ords in use
-        head = np.arange(count, dtype=np.intp) * self.tape.shape[1] + self.half
-        self.live = (
-            head, head.copy(), head.copy(), np.zeros(count, np.intp),
-            np.zeros(count, np.uint16), np.arange(count, dtype=np.intp) * 2 * n,
-            _escape_bits(ords, n, blank),
-        )
+        escw = _escape_bits(ords, n, blank)
+        self.live = np.empty((_HI + 1, count), np.int64)
+        self.live[_ST2:_USED + 1] = 0
+        self.live[_ORD] = np.arange(count) * 2 * n
+        self.live[_ESCW] = escw
+        self.live[_HEAD:_HI + 1] = np.arange(count) * self.tape.shape[1] + self.half
 
     def run(self) -> None:
         """Step until every row stops or the cutoff.
 
         The tape starts 2 * min(16, max_steps) + 1 cells wide and doubles
         its half-width whenever the step count reaches it; it is also
-        copied, live rows only, when they fall below half its rows.
+        copied, live rows only, when they fall below half its rows. Rows
+        take snapshots at steps 8, 16, 32, ..., after the copy, so that a
+        row covers every cell its run can visit before the next snapshot.
         """
         for step in range(1, self.max_steps + 1):
-            live, o, slot, stop = self.advance(self.live)
-            self.live = live  # frees the old state array before settling
+            o, slot, stop = self.advance(self.live)
+            if step > _FIRST_SNAPSHOT:
+                looped = self.looped(stop)
+                o[looped] = 4 * self.n + 3
+                stop[looped] = True
             if stop.any():
-                self.live = live = self.settle(live, o, slot, stop)
-            if live[0].size == 0:
+                self.live = self.settle(self.live, o, slot, stop)
+            if self.live.shape[1] == 0:
                 break
             grow = step == self.half < self.max_steps
-            if grow or live[0].size < self.rows // 2:
+            # a copy that only drops rows saves memory, and under a megabyte
+            # of tape not enough to pay for the copy and the pack
+            if grow or self.live.shape[1] < self.rows // 2 and self.tape.nbytes > 1 << 20:
                 self.outputs.pack(self.tape.reshape(-1), self.ords)
                 if grow:
                     self.half = min(2 * self.half, self.max_steps)
                 self.compact(2 * self.half + 1)
+            if _FIRST_SNAPSHOT <= step < self.max_steps and step & (step - 1) == 0:
+                self.snapshot()
         self.outputs.pack(self.tape.reshape(-1), self.ords)
-        self.outputs.non_halting(self.ords[self.live[5] // (2 * self.n)], "step_limited")
+        self.outputs.non_halting(self.ords[self.live[_ORD] // (2 * self.n)], "step_limited")
         self.outputs.emit()
 
     def advance(self, live):
-        """One step of the given rows: (rows, action codes, read slots, stop mask).
+        """One step of the given rows, in place: (action codes, read slots, stop mask).
 
         A row stops when it reads a halt code or the unread marker (both
         from 4n up) or lands on fresh tape with a set escape bit.
         """
-        head, lo, hi, st2, used, ordoff, escw = live
+        st2, used = live[_ST2], live[_USED]
+        head, lo, hi = live[_HEAD:_HI + 1]
         tape = self.tape.reshape(-1)
         slot = st2 + tape[head]
-        used |= self.pow2[slot]
-        o = self.ords.reshape(-1)[ordoff + slot].astype(np.intp)
+        used |= self.pow2.take(slot)
+        code = self.ords.reshape(-1)[live[_ORD] + slot]
+        o = code.astype(np.intp)  # for the lookups; settle gets the narrow codes
         tape[head] = self.write_of[o]
         head += self.delta_of[o]
         fresh = (head > hi) | (head < lo)
         np.maximum(hi, head, out=hi)
         np.minimum(lo, head, out=lo)
-        stop = (o >= 4 * self.n) | (fresh & ((escw >> o) & _ESC).astype(bool))
-        return (head, lo, hi, self.next2_of[o], used, ordoff, escw), o, slot, stop
+        a, b = live[_XLO:_XLO + 1], live[_XHI:_XHI + 1]  # empty before the first snapshot
+        np.minimum(a, head, out=a)
+        np.maximum(b, head, out=b)
+        self.next2_of.take(o, out=live[_ST2])
+        stop = (o >= 4 * self.n) | (fresh & ((live[_ESCW] >> o) & _ESC).astype(bool))
+        return code, slot, stop
+
+    def window(self, start):
+        """The cells start .. start + 2 * _WINDOW of the flat tape as words
+        (bit k for cell start + k), and whether they lie inside the array."""
+        tape, width = self.tape.reshape(-1), 2 * _WINDOW + 2
+        clipped = np.clip(start, 0, tape.size - width)
+        cells = _runs(tape, width)[clipped].view(np.uint8)
+        return np.packbits(cells, bitorder="little").view("<u2"), clipped == start
+
+    def snapshot(self) -> None:
+        """Each live row's snapshot; its excursion starts again at the head."""
+        if self.live.shape[0] == _XLO:  # the first snapshot
+            extra = np.empty((_SNAP_ST2 + 1 - _XLO, self.live.shape[1]), np.int64)
+            self.live = np.concatenate((self.live, extra))
+        live = self.live
+        start = live[_HEAD] - _WINDOW
+        word, inside = self.window(start)
+        live[_XLO:_XHI + 1] = live[_HEAD]
+        live[_SNAP] = start
+        live[_SNAP_LO:_SNAP_HI + 1] = live[_LO:_HI + 1] - start
+        live[_SNAP_WORD] = word
+        live[_SNAP_ST2] = np.where(inside, live[_ST2], -1)
+
+    def looped(self, stop):
+        """The live rows, not stopped, that repeat their snapshot shifted by d.
+
+        With [a, b] the head's excursion since the snapshot, as offsets
+        from the snapshot's head, and d how far the head has moved, a row
+        repeats when it is in the snapshot's state and
+        - d = 0, and the cells at offsets [a, b] are as they were;
+        - d > 0, hi - head is the snapshot's, and the cells at offsets
+          [a, hi - head] from the head are the snapshot's;
+        - d < 0, head - lo is the snapshot's, and the cells at offsets
+          [lo - head, b] from the head are the snapshot's.
+        Since the snapshot the run read only the cells at [a, b] from its
+        head, and the cells beyond the frontier are blank in both, so the
+        run repeats itself shifted by d forever (Lin & Rado, J. ACM 12,
+        1965). It never halts, and its later landings on fresh tape repeat
+        landings that already failed the escape test, so at any cutoff it
+        ends step_limited. A row whose compared cells leave the window
+        waits for its next snapshot.
+        """
+        live = self.live
+        c = np.flatnonzero((live[_ST2] == live[_SNAP_ST2]) > stop)
+        if c.size == 0:
+            return c
+        head, lo, hi, a, b, hw, lp, rp, word0 = live[_HEAD:_SNAP_ST2].take(c, axis=1)
+        start = head - _WINDOW
+        shift = start - hw  # d
+        # as bits of the windows: the visited cells of the current one, the
+        # excursion in the snapshot's, and the compared cells, which with
+        # the frontier condition met give the ranges above
+        lo, hi = lo - start, hi - start
+        first, last = np.maximum(a - hw, lo), np.minimum(b - hw, hi)
+        ok = (first >= 0) & (last <= 2 * _WINDOW)
+        ok &= ((lo == lp) | (shift >= 0)) & ((hi == rp) | (shift <= 0))
+        word, inside = self.window(start)
+        mask = np.take(_LOW, last + 1, mode="clip") ^ np.take(_LOW, first, mode="clip")
+        return c[ok & inside & ((word ^ word0) & mask == 0)]
 
     def settle(self, live, o, slot, stop):
         """The live rows after sorting out the stopped ones.
 
-        Halted and escaped rows become outputs. A row that read an unread
-        entry is replaced, at the same step, by its children, one per code
-        of that entry, which then take the step. A row whose escape depends
-        on unread entries is decided by expanding them (decide).
+        Halted, escaped and looped (code 4n + 3) rows become outputs. A row
+        that read an unread entry is replaced, at the same step, by its
+        children, one per code of that entry, which then take the step. A
+        row whose escape depends on unread entries is decided by expanding
+        them (decide).
         """
         two_n, marker = 2 * self.n, 4 * self.n + 2
         idx = np.nonzero(stop)[0]
         oi = o[idx]
-        head, lo, hi, st2, used, ordoff, escw = live
         halted = idx[(oi >= 4 * self.n) & (oi < marker)]
-        self.outputs.pending.append((lo[halted], hi[halted], used[halted], ordoff[halted] // two_n))
+        lo, hi, used, ordoff = (live[row][halted] for row in (_LO, _HI, _USED, _ORD))
+        self.outputs.pending.append((lo, hi, used, ordoff // two_n))
+        self.outputs.looped.append(live[_ORD][idx[oi > marker]] // two_n)
         moved = idx[oi < 4 * self.n]
-        sure = ((escw[moved] >> o[moved]) & 1).astype(bool)
-        self.outputs.escaped.append(ordoff[moved[sure]] // two_n)
-        keep = ~stop
-        parts = [tuple(a[keep] for a in live)]
+        sure = ((live[_ESCW][moved] >> o[moved]) & 1).astype(bool)
+        self.outputs.escaped.append(live[_ORD][moved[sure]] // two_n)
+        parts = [live.compress(~stop, axis=1)]
         read = idx[oi == marker]
         if read.size:
-            self.tape.reshape(-1)[head[read]] = slot[read] & 1  # undo the marker's write
+            self.tape.reshape(-1)[live[_HEAD][read]] = slot[read] & 1  # undo the marker's write
             children, src = self.spawn(live, read, slot[read])
             # the children take this step from its start, in the state that read the slot
-            children = children[:3] + ((slot[read] & -2)[src],) + children[4:]
-            children, c_o, c_slot, c_stop = self.advance(children)
+            children[_ST2] = (slot[read] & -2)[src]
+            c_o, c_slot, c_stop = self.advance(children)
             if c_stop.any():  # children read no marker, so this does not recurse further
                 children = self.settle(children, c_o, c_slot, c_stop)
             parts.append(children)
         undecided = moved[~sure]
         if undecided.size:
-            parts.append(self.decide(tuple(a[undecided] for a in live), o[undecided]))
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(a) for a in zip(*parts))
+            parts.append(self.decide(live.take(undecided, axis=1), o[undecided]))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def decide(self, live, o):
         """Rows that landed on fresh tape with code o, where escape depends on unread entries.
@@ -761,22 +887,22 @@ class _Pass:
         most n rounds are needed. Returns the children that go on.
         """
         go_on = []
-        while live[0].size:
-            live, src = self.spawn(live, np.arange(live[0].size), self.walk_slot(live))
+        while live.shape[1]:
+            live, src = self.spawn(live, np.arange(live.shape[1]), self.walk_slot(live))
             o = o[src]
-            bits = live[6] >> o
+            bits = live[_ESCW] >> o
             sure = (bits & 1).astype(bool)
             open_ = ((bits >> 32) & 1).astype(bool)
-            self.outputs.escaped.append(live[5][sure] // (2 * self.n))
-            go_on.append(tuple(a[~(sure | open_)] for a in live))
-            live, o = tuple(a[open_] for a in live), o[open_]
-        return tuple(np.concatenate(a) for a in zip(*go_on))
+            self.outputs.escaped.append(live[_ORD][sure] // (2 * self.n))
+            go_on.append(live.compress(~(sure | open_), axis=1))
+            live, o = live.compress(open_, axis=1), o[open_]
+        return np.concatenate(go_on, axis=1)
 
     def walk_slot(self, live):
         """The first unread blank-read entry on each row's walk from its state."""
         n = self.n
-        rows = live[5] // (2 * n)
-        cur = live[3] // 2
+        rows = live[_ORD] // (2 * n)
+        cur = live[_ST2] // 2
         found = np.full(rows.size, -1, np.intp)
         for _ in range(n):
             slot = 2 * cur + self.blank
@@ -789,55 +915,70 @@ class _Pass:
     def spawn(self, live, parents, slots):
         """The children of parent rows, alike but for its slot, which takes each code.
 
-        Children that cannot halt are counted to no_halt_rule at once.
-        Returns the other children, and each one's index into parents.
+        A child has run exactly as its parent, so it keeps the parent's
+        snapshot and excursion, and its escape word unless the slot is read
+        on the blank. Children that cannot halt are counted to
+        no_halt_rule at once. Returns the other children, and each one's
+        index into parents.
         """
-        n, b, width = self.n, 4 * self.n + 2, self.tape.shape[1]
+        n, b = self.n, 4 * self.n + 2
         src = np.repeat(np.arange(parents.size), b)
-        digits = self.ords[live[5][parents[src]] // (2 * n)]
+        digits = self.ords[live[_ORD][parents[src]] // (2 * n)]
         digits[np.arange(src.size), slots[src]] = np.tile(np.arange(b, dtype=np.uint8), parents.size)
         can_halt = _can_halt(digits, n)
         self.outputs.no_halt_rule(src.size - int(np.count_nonzero(can_halt)))
         src, digits = src[can_halt], digits[can_halt]
-        rep = live[5][parents[src]] // (2 * n)
+        children = live.take(parents[src], axis=1)
+        rep = children[_ORD] // (2 * n)
         new = np.arange(self.rows, self.rows + src.size)
         self.tape = _with_room(self.tape, self.rows, src.size, self.blank)
         self.ords = _with_room(self.ords, self.rows, src.size, 0)
         self.rows += src.size
         self.tape[new] = self.tape[rep]
         self.ords[new] = digits
-        shift = (new - rep) * width
-        head, lo, hi, st2, used = (a[parents[src]] for a in live[:5])
-        escw = _escape_bits(digits, n, self.blank)
-        return (head + shift, lo + shift, hi + shift, st2, used, new * (2 * n), escw), src
+        self.move(children, (new - rep) * self.tape.shape[1])
+        children[_ORD] = new * (2 * n)
+        # the escape word depends only on the blank-read entries
+        blank_read = slots[src] % 2 == self.blank
+        if blank_read.any():
+            children[_ESCW][blank_read] = _escape_bits(digits[blank_read], n, self.blank)
+        return children, src
+
+    @staticmethod
+    def move(live, shift) -> None:
+        """Shift the flat tape indices of rows whose tape moved (before the
+        first snapshot the slice ends at _HI)."""
+        live[_HEAD:_SNAP + 1] += shift
 
     def compact(self, width: int) -> None:
         """Keep only the live rows, in order, the tape centred in rows width wide."""
-        head, lo, hi, st2, used, ordoff, escw = self.live
-        rows = ordoff // (2 * self.n)
+        rows = self.live[_ORD] // (2 * self.n)
         old = self.tape.shape[1]
         pad = (width - old) // 2
         tape = np.full((rows.size, width), self.blank, np.uint8)
         tape[:, pad:pad + old] = self.tape[rows]
         self.tape, self.ords, self.rows = tape, self.ords[rows], rows.size
-        shift = np.arange(rows.size) * width + pad - rows * old
-        ordoff = np.arange(rows.size, dtype=np.intp) * 2 * self.n
-        self.live = (head + shift, lo + shift, hi + shift, st2, used, ordoff, escw)
+        self.move(self.live, np.arange(rows.size) * width + pad - rows * old)
+        self.live[_ORD] = np.arange(rows.size) * 2 * self.n
 
 
-def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable, passes) -> None:
-    """Run one batch of machine indices through its (blank, images) passes."""
-    n = spec.n
+def _decode(idx: np.ndarray, n: int) -> np.ndarray:
+    """The rows of action codes of machine indices."""
     base = 4 * n + 2
     rem = idx.astype(np.uint64, copy=True)
     ords = np.empty((idx.size, 2 * n), np.uint8)
     for slot in range(2 * n - 1, -1, -1):
         ords[:, slot] = (rem % base).astype(np.uint8)
         rem //= base
-    # decoded once and shared by every pass
-    can_halt = _can_halt(ords, n)
-    no_halt = int(idx.size - np.count_nonzero(can_halt))
-    ords = ords[can_halt]
+    return ords
+
+
+def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable, passes) -> None:
+    """Run one batch of machine indices through its (blank, images) passes."""
+    n = spec.n
+    ords = _decode(idx, n)  # decoded once and shared by every pass
+    ords = ords[_can_halt(ords, n)]
+    no_halt = idx.size - ords.shape[0]
     for blank, images in passes:
         sink.census.total_runs += len(images) * idx.size
         sink.census.no_halt_rule += len(images) * no_halt
@@ -981,8 +1122,8 @@ def run_space(spec: SpaceSpec, plan: ShardPlan = None, workers: int = 1) -> Freq
     bound the unit of parallel work (default: one per worker, cut at equal
     shares of the orbit representatives, the machines the shards step). A
     cut inside an aligned block splits that block's families, so more
-    shards step more rows: a (3,2) run steps 170,044 rows as one shard and
-    467,086 as eight. Partial tables are merged in shard order.
+    shards step more rows: a (3,2) run steps 73,316 rows as one shard and
+    194,796 as eight. Partial tables are merged in shard order.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")

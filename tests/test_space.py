@@ -194,7 +194,20 @@ def test_first_step_halts_are_counted_in_closed_form():
         assert sink.census.halted == sink.census.total_runs == sum(counts.values())
 
 
-def test_engines_agree_on_four_state_sample_at_busy_beaver_cutoff():
+def test_engines_agree_on_four_state_sample_at_busy_beaver_cutoff(monkeypatch):
+    live_at_64 = []
+
+    class Spy(space._Pass):
+        steps = 0
+
+        def advance(self, live):
+            if live is self.live:  # a step of the pass, not of new children
+                self.steps += 1
+                if self.steps == 64:
+                    live_at_64.append(live.shape[1])
+            return super().advance(live)
+
+    monkeypatch.setattr(space, "_Pass", Spy)
     rng = random.Random(47)
     indices = np.array(sorted(rng.sample(range(space_size(4)), 2000)), np.uint64)
     spec = SpaceSpec(4, max_steps=107)
@@ -202,6 +215,22 @@ def test_engines_agree_on_four_state_sample_at_busy_beaver_cutoff():
     vector = run_index_array(spec, indices, engine="vector")
     assert scalar.census.step_limited > 0
     assert scalar.canonical_bytes() == vector.canonical_bytes()
+    # the cycle check retires nearly all of them long before the cutoff
+    assert sum(live_at_64) <= 0.1 * scalar.census.step_limited
+
+
+def test_engines_agree_on_three_state_samples_around_the_snapshots():
+    # The vector engine takes snapshots at steps 8, 16, 32 and 64 and retires
+    # repeating runs from step 9 on; the scalar engine runs them to the
+    # cutoff. Cutoffs just past the first two snapshots and past the last.
+    rng = random.Random(79)
+    indices = np.array(sorted(rng.sample(range(space_size(3)), 800)), np.uint64)
+    for max_steps in (9, 17, 40, 70):
+        for mode in ("zero", "both"):
+            spec = SpaceSpec(3, blank_mode=mode, max_steps=max_steps)
+            scalar = run_index_array(spec, indices, engine="scalar")
+            assert scalar.census.step_limited > 0
+            assert run_index_array(spec, indices).canonical_bytes() == scalar.canonical_bytes()
 
 
 def test_engines_agree_on_three_state_sample_at_long_cutoff():
@@ -375,13 +404,39 @@ def test_four_state_shard_equals_the_vector_run_of_its_orbits():
     assert shard.census == whole.census
 
 
+def test_children_keep_their_parents_excursion():
+    # Families here read unread entries between a snapshot and the step that
+    # repeats it. Their children keep the parent's snapshot and so must keep
+    # its excursion too; one that started its excursion afresh at the head
+    # would be retired on a partial comparison. The oracle: the scalar run
+    # of the shard's orbits.
+    spec = SpaceSpec(4, max_steps=107)
+    for lo in (3_463_105_263, 8_944_634_986):
+        shard = space._run_shard((spec, lo, lo + 781))
+        span = np.arange(lo, lo + 781)
+        mirrors = space._image_indices(_digits(span, 4), 4, True, False)
+        orbits = np.union1d(span, mirrors).astype(np.uint64)
+        whole = run_index_array(spec, orbits, engine="scalar")
+        assert whole.census.step_limited > 0
+        assert _same_outputs(shard, whole)
+        assert shard.census == whole.census
+
+
 @functools.cache
 def _scalar_bytes(spec):
     return _scalar_space(spec).canonical_bytes()
 
 
+@pytest.mark.parametrize("mode", ["zero", "both"])
+def test_family_runs_reproduce_the_scalar_oracle_at_every_cutoff_to_twenty(mode):
+    # every cutoff from before the first snapshot (step 8) to past the second
+    for max_steps in range(3, 21):
+        spec = SpaceSpec(2, blank_mode=mode, max_steps=max_steps)
+        assert run_space(spec).canonical_bytes() == _scalar_bytes(spec)
+
+
 @settings(max_examples=40, deadline=None)
-@given(mode=st.sampled_from(["zero", "both"]), max_steps=st.integers(1, 12),
+@given(mode=st.sampled_from(["zero", "both"]), max_steps=st.integers(1, 20),
        cuts=st.sets(st.integers(1, 9999), min_size=1, max_size=9))
 def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, cuts):
     spec = SpaceSpec(2, blank_mode=mode, max_steps=max_steps)
@@ -391,15 +446,16 @@ def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, cu
 
 
 def test_halted_outputs_pack_narrow_and_wide_spans():
-    # Spans wider than 64 cells take the row-by-row path; the rest are packed.
-    # Every span is credited as is and reversed, to the machine and its mirror.
+    # Spans wider than 64 cells, and the one too near the end of the tape for
+    # a 64-cell run, take the row-by-row path; the rest are packed. Every span
+    # is credited as is and reversed, to the machine and its mirror.
     tape = np.random.default_rng(59).integers(0, 2, 400).astype(np.uint8)
-    lo = np.array([0, 10, 100, 200, 300, 12], np.intp)
-    hi = lo + np.array([0, 2, 63, 64, 99, 2])
-    idx = np.array([2100, 2345, 3456, 3000, 2999, 3999], np.uint64)
+    lo = np.array([0, 10, 100, 200, 300, 12, 390], np.intp)
+    hi = lo + np.array([0, 2, 63, 64, 99, 2, 2])
+    idx = np.array([2100, 2345, 3456, 3000, 2999, 3999, 2222], np.uint64)
     sink = space.empty_table(SpaceSpec(2))
     outputs = space._Outputs(sink, 2, ((False, False), (True, False)))
-    outputs.pending.append((lo, hi, np.full(6, 3, np.uint16), np.arange(6)))
+    outputs.pending.append((lo, hi, np.full(7, 3, np.uint16), np.arange(7)))
     outputs.pack(tape, _digits(idx, 2))
     outputs.emit()
     expected, first = {}, {}
