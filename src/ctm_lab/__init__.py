@@ -80,9 +80,11 @@ from .bdm import (
     bdm_value,
     block_entropy_equiv_check,
     decompose,
+    decompose_many,
     decomposition_value,
     partition,
     partition_entropy,
+    partition_many,
 )
 from .baselines import (
     block_entropy,

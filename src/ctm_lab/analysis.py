@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._canon import fmt_value, meta_dumps
-from .baselines import entropy_of_counts, lz78_bit_length, require_one_block, shannon_entropy
-from .bdm import BOUNDARY_KEEP, BdmConfig, bdm_value, decompose, decomposition_value
+from .baselines import entropy_of_counts, lz78_bit_length, require_one_block
+from .bdm import BdmConfig, check_decomposable, decompose_many, decomposition_value, partition_many
 from .ctm import CtmTable
 from .errors import ValidationError
 
@@ -232,17 +232,24 @@ def divergence_report(table: CtmTable, corpus, cfg: BdmConfig) -> Report:
     strings = sorted(set(corpus), key=lambda s: (len(s), s))
     if not strings:
         raise ValidationError("empty corpus")
-    values = {}
+    # every string is checked before the corpus is cut, so the first bad one
+    # in (len, s) order is the one reported; the block entropy counts full
+    # blocks only, so a kept tail stays out of it, and a string with no full
+    # block is an error as in block_entropy
     for s in strings:
-        # one cut per string serves both BDM and block entropy; the block
-        # entropy counts full blocks only, so a kept tail stays out of it,
-        # and a string with no full block is an error as in block_entropy
-        # (decompose already checks this under drop_remainder)
-        decomp = decompose(s, cfg)
-        bdm = decomposition_value(decomp, table, cfg)
-        if cfg.boundary == BOUNDARY_KEEP:
-            require_one_block(s, cfg.block_len)
-        values[s] = (bdm, shannon_entropy(s), entropy_of_counts(decomp.blocks.values()),
+        check_decomposable(s, cfg)
+        require_one_block(s, cfg.block_len)
+    # one cut serves BDM, block entropy and the symbol entropy: the ones of
+    # a binary string are those of its distinct blocks, times their
+    # multiplicities, plus those of its remainder
+    k = cfg.block_len
+    values = {}
+    for s, decomp in zip(strings, partition_many(strings, cfg)):
+        ones = s[len(s) - len(s) % k:].count("1")
+        ones += sum(m * b.count("1") for b, m in decomp.blocks.items())
+        values[s] = (decomposition_value(decomp, table, cfg),
+                     entropy_of_counts([c for c in (ones, len(s) - ones) if c]),
+                     entropy_of_counts(decomp.blocks.values()),
                      lz78_bit_length(s))
     bdm_sorted = sorted(v[0] for v in values.values())
     ent_sorted = sorted(v[1] for v in values.values())
@@ -277,11 +284,11 @@ def diversity_report(table: CtmTable, length: int, cfg: BdmConfig) -> Report:
     """Value-class counts of both measures over every string of one length."""
     if not 1 <= length <= 16:
         raise ValidationError("diversity sweeps support lengths 1..16")
+    strings = [format(i, f"0{length}b") for i in range(2 ** length)]
     bdm_hist = {}
     lz_hist = {}
-    for i in range(2 ** length):
-        s = format(i, f"0{length}b")
-        v = bdm_value(s, table, cfg)
+    for s, decomp in zip(strings, decompose_many(strings, cfg)):
+        v = decomposition_value(decomp, table, cfg)
         bdm_hist[v] = bdm_hist.get(v, 0) + 1
         lz = lz78_bit_length(s)
         lz_hist[lz] = lz_hist.get(lz, 0) + 1

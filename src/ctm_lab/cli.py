@@ -24,7 +24,15 @@ from .analysis import (
     used_rules_consistency,
 )
 from .baselines import block_entropy, lz78_bit_length, rle_decode, rle_encode, shannon_entropy
-from .bdm import BOUNDARY_DROP, BOUNDARY_KEEP, FALLBACK_ERROR, FALLBACK_LOG_LENGTH, BdmConfig, bdm_value
+from .bdm import (
+    BOUNDARY_DROP,
+    BOUNDARY_KEEP,
+    FALLBACK_ERROR,
+    FALLBACK_LOG_LENGTH,
+    BdmConfig,
+    decompose_many,
+    decomposition_value,
+)
 from .ctm import NORM_ALL, NORM_HALTING, load_ctm_table, merge_ctm, save_ctm_table, to_ctm
 from .errors import CtmLabError, ValidationError
 from .machine import RunConfig, decode_machine, format_rule_table, simulate
@@ -231,7 +239,8 @@ def _cmd_bdm_eval(args) -> int:
     table = load_ctm_table(args.table)
     cfg = _bdm_config(args)
     strings = [args.string] if args.string is not None else _read_corpus(args.file)
-    rows = [(s, bdm_value(s, table, cfg)) for s in strings]
+    decomps = decompose_many(strings, cfg)
+    rows = [(s, decomposition_value(d, table, cfg)) for s, d in zip(strings, decomps)]
     _emit_records(args, ("string", "value"), rows)
     return 0
 

@@ -21,7 +21,7 @@ from ctm_lab.analysis import (
     spearman_rho,
     used_rules_consistency,
 )
-from ctm_lab.bdm import BdmConfig
+from ctm_lab.bdm import BOUNDARIES, FALLBACK_ERROR, FALLBACKS, BdmConfig
 from ctm_lab.ctm import CtmEntry, CtmTable, NORM_HALTING
 from ctm_lab.errors import ValidationError
 
@@ -171,6 +171,34 @@ def test_divergence_quartile_flags(d3_zero_builtin):
 def test_divergence_singleton_corpus_is_never_flagged(d3_zero_builtin):
     report = divergence_report(d3_zero_builtin, ["00000000"], BdmConfig(block_len=4))
     assert report.section("strings").rows[0][5] is False
+
+
+def test_reports_name_the_first_offender_in_length_then_string_order(d3_both_builtin):
+    # every string is checked, in (len, s) order, before the corpus is cut
+    nonbinary_first = ["0110", "01x1", "2", "0101010101", "010"]
+    short_first = ["0110", "01x1", "010", "0000"]
+    for boundary in BOUNDARIES:
+        for fallback in FALLBACKS:
+            cfg = BdmConfig(block_len=4, boundary=boundary, fallback=fallback)
+            with pytest.raises(ValidationError) as err:
+                divergence_report(d3_both_builtin, nonbinary_first, cfg)
+            assert str(err.value) == "not a binary string: '2' at position 0"
+            with pytest.raises(ValidationError) as err:
+                divergence_report(d3_both_builtin, short_first, cfg)
+            assert str(err.value) == "string of length 3 is shorter than one block of 4"
+            # the strict fallback names the smallest missing block of the
+            # first string in that order that has one
+            strict = BdmConfig(block_len=4, boundary=boundary, fallback=FALLBACK_ERROR)
+            sparse = mini_table({"0000": 2, "1111": 1})
+            with pytest.raises(ValidationError) as err:
+                divergence_report(sparse, ["1110", "0111", "0000"], strict)
+            assert str(err.value) == "no table entry for block '0111'"
+            with pytest.raises(ValidationError) as err:
+                diversity_report(sparse, 8, strict)
+            assert str(err.value) == "no table entry for block '0001'"
+    with pytest.raises(ValidationError) as err:
+        diversity_report(d3_both_builtin, 3, BdmConfig(block_len=4))
+    assert str(err.value) == "string of length 3 is shorter than one block of 4"
 
 
 # --- diversity

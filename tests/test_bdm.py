@@ -1,6 +1,7 @@
 """Block decomposition: partitioning, the value laws, fallbacks, entropy checks."""
 
 import math
+import pathlib
 import random
 
 import pytest
@@ -22,6 +23,9 @@ from ctm_lab.ctm import CtmEntry, CtmTable, NORM_HALTING, complexity_of
 from ctm_lab.errors import ValidationError
 from ctm_lab.analysis import spearman_rho
 from ctm_lab.baselines import block_entropy
+from ctm_lab.cli import main
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "ctm_lab" / "data"
 
 
 def synthetic_table(values):
@@ -77,6 +81,35 @@ def test_missing_block_error_names_the_block():
     with pytest.raises(ValidationError) as err:
         bdm_value("0111", table, cfg)
     assert "'11'" in str(err.value)
+    # the smallest missing full block, not the first one cut; the tail only
+    # when every full block is known
+    table = synthetic_table({"00": 1.0, "0": 0.5})
+    for boundary in (BOUNDARY_DROP, BOUNDARY_KEEP):
+        cfg = BdmConfig(block_len=2, boundary=boundary, fallback=FALLBACK_ERROR)
+        with pytest.raises(ValidationError) as err:
+            bdm_value("111001001", table, cfg)
+        assert str(err.value) == "no table entry for block '01'"
+    table = synthetic_table({"00": 1.0, "01": 1.0, "10": 1.0, "11": 1.0})
+    cfg = BdmConfig(block_len=2, boundary=BOUNDARY_KEEP, fallback=FALLBACK_ERROR)
+    with pytest.raises(ValidationError) as err:
+        bdm_value("000110111", table, cfg)
+    assert str(err.value) == "no table entry for block '1'"
+
+
+def test_bdm_eval_file_names_the_first_offender_in_file_order(tmp_path, capsys):
+    table = str(DATA / "d3_both.ctm")
+    cases = (
+        ("0110\n01x1\n010\n", [], "not a binary string: 'x' at position 2"),
+        ("0110\n01x1\n010\n", ["--keep-tail"], "not a binary string: 'x' at position 2"),
+        ("010\n01x1\n", [], "string of length 3 is shorter than one block of 4"),
+        ("010\n01x1\n", ["--keep-tail"], "not a binary string: 'x' at position 2"),
+    )
+    for text, flags, message in cases:
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text)
+        argv = ["bdm", "eval", "--table", table, "--block-len", "4", "--file", str(corpus)]
+        assert main(argv + flags) == 1
+        assert capsys.readouterr().err == f"ctm-lab: error: {message}\n"
 
 
 def test_non_binary_strings_are_rejected(d3_zero_builtin):

@@ -2,18 +2,21 @@
 
 The references below are the plain per-character and per-block versions
 of LZ78, entropy, block entropy and the BDM partition. The library's
-versions walk a trie, count symbols with str.count and cut each string
-once; they must give the same integers and the same floats, bit for bit.
+versions walk a trie, count symbols with str.count and cut a whole corpus
+in numpy chunks; they must give the same integers and the same floats,
+bit for bit.
 """
 
 import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctm_lab import bdm
 from ctm_lab.analysis import divergence_report
 from ctm_lab.baselines import (
     block_entropy,
@@ -22,7 +25,7 @@ from ctm_lab.baselines import (
     shannon_entropy,
     sum_ceil_log2,
 )
-from ctm_lab.bdm import BOUNDARIES, BOUNDARY_KEEP, BdmConfig, partition
+from ctm_lab.bdm import BOUNDARIES, BOUNDARY_KEEP, BdmConfig, partition, partition_many
 from ctm_lab.ctm import complexity_of
 from ctm_lab.errors import ValidationError
 
@@ -142,6 +145,51 @@ def test_partition_equals_the_reference(s, block_len, boundary):
     blocks, tail = ref_partition(s, block_len, boundary == BOUNDARY_KEEP)
     assert list(cut.blocks.items()) == list(blocks.items())  # first-occurrence order too
     assert cut.tail == tail
+
+
+# block lengths 62-64 put a block's code on both sides of one int64 limb
+BLOCK_LENS = st.one_of(st.integers(1, 100), st.sampled_from([62, 63, 64]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(strings(), min_size=1, max_size=8), BLOCK_LENS, st.sampled_from(BOUNDARIES),
+       st.sampled_from([None, 1, 100, 2000]))
+def test_corpus_cut_equals_the_reference_string_by_string(corpus, block_len, boundary, chunk):
+    cfg = BdmConfig(block_len=block_len, boundary=boundary)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:  # small chunks: one corpus spans several numpy passes
+            mp.setattr(bdm, "_CHUNK_CHARS", chunk)
+        cuts = list(partition_many(corpus, cfg))
+    assert len(cuts) == len(corpus)
+    for s, cut in zip(corpus, cuts):
+        blocks, tail = ref_partition(s, block_len, boundary == BOUNDARY_KEEP)
+        assert list(cut.blocks.items()) == list(blocks.items())  # first-occurrence order too
+        assert cut.tail == tail
+
+
+def test_corpus_cut_of_long_blocks_and_short_strings():
+    corpus = ["01" * 200, "0" * 63 + "1", "1" * 64 + "0" * 64, "0110", "1" * 129]
+    for block_len in (62, 63, 64, 65, 100):
+        cfg = BdmConfig(block_len=block_len, boundary=BOUNDARY_KEEP)
+        for s, cut in zip(corpus, partition_many(corpus, cfg)):
+            blocks, tail = ref_partition(s, block_len, True)
+            assert list(cut.blocks.items()) == list(blocks.items()) and cut.tail == tail
+
+
+def test_symbols_wider_than_a_limb_are_split_into_digits():
+    # 62-bit symbol codes leave too few bits beside the rank and block index
+    # for a whole symbol, so each one is compared as two digits
+    rng = np.random.default_rng(5)
+    codes = rng.integers(0, 1 << 62, 600, dtype=np.int64)
+    codes[rng.random(600) < 0.5] = codes[0]  # repeats across blocks
+    starts = np.arange(0, 600, 3)
+    owner = starts // 150
+    first, mult, content, content_first = bdm._distinct_blocks(codes, starts, owner, 3, 62)
+    want = {}
+    for i, p in enumerate(starts.tolist()):
+        want.setdefault((owner[i], tuple(codes[p:p + 3].tolist())), [i, 0])[1] += 1
+    assert [[f, m] for f, m in zip(first.tolist(), mult.tolist())] == sorted(want.values())
+    assert len(set(content.tolist())) == len({c for _, c in want}) == len(content_first)
 
 
 def test_closed_form_ceil_log2_sum_equals_the_loop():
