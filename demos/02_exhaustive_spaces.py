@@ -7,7 +7,7 @@ most frequent outputs, and double-checks that the step cutoff is safely
 above every halting runtime.
 """
 
-from ctm_lab import SpaceSpec, representative_shard_plan, run_space, space_size
+from ctm_lab import SpaceSpec, run_space, space_size
 
 
 def census_line(freq):
@@ -29,11 +29,11 @@ def main():
         print("most frequent outputs:", ranked[:6])
         print()
 
-    # Sharding is bookkeeping only: one shard or eight give identical bytes.
+    # Parallelism is bookkeeping only: one worker or two give identical bytes.
     spec = SpaceSpec(2)
-    one = run_space(spec, plan=representative_shard_plan(spec, 1))
-    eight = run_space(spec, plan=representative_shard_plan(spec, 8), workers=2)
-    print("1-shard == 8-shard, byte for byte:", one.canonical_bytes() == eight.canonical_bytes())
+    one = run_space(spec)
+    two = run_space(spec, workers=2)
+    print("1 worker == 2 workers, byte for byte:", one.canonical_bytes() == two.canonical_bytes())
 
     # Cutoff sanity: ten times the budget changes no output counts.
     slow = run_space(SpaceSpec(2, max_steps=100))

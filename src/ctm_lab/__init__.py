@@ -43,13 +43,11 @@ from .space import (
     BLANK_ZERO,
     Census,
     FrequencyTable,
-    ShardPlan,
     SpaceSpec,
     default_max_steps,
     empty_table,
     load_frequency_table,
     merge_shards,
-    representative_shard_plan,
     run_index_array,
     run_space,
     run_strided_sample,

@@ -36,7 +36,7 @@ from .bdm import (
 from .ctm import NORM_ALL, NORM_HALTING, load_ctm_table, merge_ctm, save_ctm_table, to_ctm
 from .errors import CtmLabError, ValidationError
 from .machine import RunConfig, decode_machine, format_rule_table, simulate
-from .space import BLANK_BOTH, BLANK_ZERO, SpaceSpec, representative_shard_plan, run_space
+from .space import BLANK_BOTH, BLANK_ZERO, SpaceSpec, run_space
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--both-blanks", action="store_true",
                    help="run every machine on blank 0 and blank 1")
     p.add_argument("--max-steps", type=int, default=0)
-    p.add_argument("--shards", type=int,
-                   help="shard count (default: one per thread)")
     p.add_argument("--norm", choices=(NORM_HALTING, NORM_ALL), default=NORM_HALTING)
 
     p = sub.add_parser("table", help="table file operations")
@@ -209,8 +207,7 @@ def _cmd_run_space(args) -> int:
         blank_mode=BLANK_BOTH if args.both_blanks else BLANK_ZERO,
         max_steps=args.max_steps,
     )
-    plan = None if args.shards is None else representative_shard_plan(spec, args.shards)
-    freq = run_space(spec, plan=plan, workers=args.threads)
+    freq = run_space(spec, workers=args.threads)
     save_ctm_table(to_ctm(freq, args.norm), args.out)
     return 0
 

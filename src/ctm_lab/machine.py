@@ -31,6 +31,9 @@ BLANK_ESCAPE = "blank_escape"
 CYCLE_DETECTED = "cycle_detected"
 PROOF_REASONS = (NO_HALT_RULE, BLANK_ESCAPE, CYCLE_DETECTED)
 
+# simulate's cycle check remembers at most this many configurations
+CYCLE_MEMORY_LIMIT = 10_000
+
 
 @dataclass(frozen=True)
 class Step:
@@ -156,15 +159,12 @@ class RunConfig:
     check_no_halt_rule: bool = True
     check_blank_escape: bool = True
     check_cycles: bool = True
-    cycle_memory_limit: int = 10_000
 
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValidationError("max_steps must be >= 1")
         if self.blank not in (0, 1):
             raise ValidationError("blank symbol must be 0 or 1")
-        if self.cycle_memory_limit < 1:
-            raise ValidationError("cycle_memory_limit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ def simulate(table: RuleTable, cfg: RunConfig = RunConfig()) -> RunOutcome:
             snap = (state, pos - lo, tuple(tape.get(c, blank) for c in range(lo, hi + 1)))
             if snap in seen:
                 return NonHaltingProved(CYCLE_DETECTED)
-            if len(seen) < cfg.cycle_memory_limit:
+            if len(seen) < CYCLE_MEMORY_LIMIT:
                 seen.add(snap)
     return STEP_LIMIT
 
@@ -271,7 +271,8 @@ def prove_non_halting(table: RuleTable, cfg: RunConfig = RunConfig()) -> Optiona
 
     Sound but necessarily incomplete: a returned reason is a proof, None
     says nothing. All three analyses are probed regardless of the cfg
-    flags; cfg supplies the bounds (max_steps, cycle_memory_limit, blank).
+    flags; cfg supplies the step bound and the blank (max_steps, blank), and
+    the cycle check remembers at most CYCLE_MEMORY_LIMIT configurations.
     """
     if not table.has_halt_rule():
         return NO_HALT_RULE

@@ -371,46 +371,6 @@ def _loads_frequency_table(data: bytes) -> FrequencyTable:
     return table
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """Disjoint, ordered, exhaustive contiguous index ranges."""
-
-    shards: tuple
-
-    def __post_init__(self):
-        prev = None
-        for lo, hi in self.shards:
-            if lo >= hi:
-                raise ValidationError(f"empty shard range ({lo}, {hi})")
-            if prev is not None and lo != prev:
-                raise ValidationError("shard ranges must be contiguous and ordered")
-            prev = hi
-
-
-def representative_shard_plan(spec: SpaceSpec, shard_count: int) -> ShardPlan:
-    """Shards of [0, size) that hold equal shares of the orbit representatives.
-
-    The vector engine steps only the representatives (_run_shard), which
-    fill two of the 4n+2 top-digit blocks, so an even cut of the index
-    range would leave some shards with nothing to step.
-    """
-    if shard_count < 1:
-        raise ValidationError("shard_count must be >= 1")
-    ranges = _representative_ranges(spec.n, 0, spec.size)
-    total = sum(hi - lo for lo, hi in ranges)
-    shard_count = min(shard_count, total)
-
-    def index_of(q):  # the q-th representative, counting from 0
-        for lo, hi in ranges:
-            if q < hi - lo:
-                return lo + q
-            q -= hi - lo
-
-    inner = [index_of(total * i // shard_count) for i in range(1, shard_count)]
-    bounds = [0, *inner, spec.size]
-    return ShardPlan(tuple(zip(bounds, bounds[1:])))
-
-
 # ---------------------------------------------------------------------------
 # Scalar engine (reference implementation)
 
@@ -973,28 +933,31 @@ def _decode(idx: np.ndarray, n: int) -> np.ndarray:
     return ords
 
 
-def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable, passes) -> None:
-    """Run one batch of machine indices through its (blank, images) passes."""
+def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
+    """Run one batch of machine indices on every blank of spec."""
     n = spec.n
-    ords = _decode(idx, n)  # decoded once and shared by every pass
+    ords = _decode(idx, n)  # decoded once and shared by every blank
     ords = ords[_can_halt(ords, n)]
     no_halt = idx.size - ords.shape[0]
-    for blank, images in passes:
-        sink.census.total_runs += len(images) * idx.size
-        sink.census.no_halt_rule += len(images) * no_halt
+    for blank in spec.blanks:
+        sink.census.total_runs += idx.size
+        sink.census.no_halt_rule += no_halt
         if ords.size:
-            _Pass(spec, ords, blank, images, sink).run()
+            _Pass(spec, ords, blank, _IDENTITY, sink).run()
+
+
+def _representative_digits(n: int):
+    """The top digits whose (1,0) entry is a right-moving step: n..2n-1
+    (write 0) and 3n..4n-1 (write 1)."""
+    return (*range(n, 2 * n), *range(3 * n, 4 * n))
 
 
 def _representative_ranges(n: int, lo: int, hi: int):
-    """The parts of [lo, hi) whose (1,0) entry is a right-moving step.
-
-    Those are the top digits n..2n-1 (write 0) and 3n..4n-1 (write 1).
-    """
+    """The parts of [lo, hi) whose top digit is a representative digit, one per digit."""
     top = (4 * n + 2) ** (2 * n - 1)
     ranges = []
-    for a, b in ((n * top, 2 * n * top), (3 * n * top, 4 * n * top)):
-        a, b = max(a, lo), min(b, hi)
+    for d in _representative_digits(n):
+        a, b = max(d * top, lo), min((d + 1) * top, hi)
         if a < b:
             ranges.append((a, b))
     return ranges
@@ -1007,9 +970,10 @@ def _family_groups(n: int, lo: int, hi: int):
     each one row whose top 2n - j digits are those of p and whose low j
     digits are unread. A block holds at most 8 * _BATCH machines, and so
     does a group (a list of (p * b^j, j)), which bounds a group's live
-    rows: on the (4,2) top-digit block [13 * 18^7, 14 * 18^7) they peaked
-    at 87,578, and groups eight times larger peaked at 250,706 and ran
-    slower.
+    rows and so the memory of a pass: on the (4,2) top-digit block
+    [13 * 18^7, 14 * 18^7) they peaked at 87,578. Groups eight times
+    larger peaked at 250,706; they ran faster, but took the heaviest
+    (4,2) block from 66 to 206 MB.
     """
     b = 4 * n + 2
     cap = 8 * _BATCH
@@ -1031,11 +995,9 @@ def _family_groups(n: int, lo: int, hi: int):
 
 def _family_rows(n: int, group) -> np.ndarray:
     """The action-code rows of a group of blocks, unread digits as 4n + 2."""
-    ords = np.empty((len(group), 2 * n), np.uint8)
-    for r, (a, j) in enumerate(group):
-        for slot in range(2 * n - 1, -1, -1):
-            a, ords[r, slot] = divmod(a, 4 * n + 2)
-        ords[r, 2 * n - j:] = 4 * n + 2
+    starts, unread = (np.array(column) for column in zip(*group))
+    ords = _decode(starts, n)  # a block's start has its low j digits 0
+    ords[np.arange(2 * n) >= 2 * n - unread[:, None]] = 4 * n + 2
     return ords
 
 
@@ -1074,8 +1036,8 @@ def _run_shard(job) -> FrequencyTable:
     (_family_groups), one group at a time, credits each run to its mirror
     and complement images, and counts the first-step halts of [lo, hi) in
     closed form. So the table aggregates the orbits whose representative
-    lies in [lo, hi), and the merged tables of a whole-space plan equal
-    the scalar engine's whole-space run.
+    lies in [lo, hi), and the merged tables of shards that tile the space
+    equal the scalar engine's whole-space run.
     """
     spec, lo, hi = job
     sink = empty_table(spec, ((lo, hi),))
@@ -1105,38 +1067,46 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
     if engine == "scalar":
         _run_scalar(spec, indices, sink)
     elif engine == "vector":
-        passes = tuple((blank, _IDENTITY) for blank in spec.blanks)
         for start in range(0, indices.size, _BATCH):
-            _run_vector(spec, indices[start:start + _BATCH], sink, passes)
+            _run_vector(spec, indices[start:start + _BATCH], sink)
     else:
         raise ValidationError(f"unknown engine {engine!r}")
     sink.validate()
     return sink
 
 
-def run_space(spec: SpaceSpec, plan: ShardPlan = None, workers: int = 1) -> FrequencyTable:
+def _top_digit_shards(spec: SpaceSpec, workers: int):
+    """At most 2n shards of [0, size), cut only where a top digit starts.
+
+    The 2n representative top digits fall into min(workers, 2n) contiguous
+    groups of near-equal count, and a shard ends where the next group's
+    first digit starts. A cut there splits no family block, so every shard
+    count steps the same rows.
+    """
+    n = spec.n
+    top = (4 * n + 2) ** (2 * n - 1)
+    digits = _representative_digits(n)
+    k = min(workers, len(digits))
+    bounds = [0, *(digits[len(digits) * i // k] * top for i in range(1, k)), spec.size]
+    return list(zip(bounds, bounds[1:]))
+
+
+def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
     """Enumerate the whole space described by spec into a FrequencyTable.
 
-    Every shard runs the symmetry-reduced vector engine (_run_shard). The
-    result is byte-identical for every plan and worker count; shards only
-    bound the unit of parallel work (default: one per worker, cut at equal
-    shares of the orbit representatives, the machines the shards step). A
-    cut inside an aligned block splits that block's families, so more
-    shards step more rows: a (3,2) run steps 73,316 rows as one shard and
-    194,796 as eight. Partial tables are merged in shard order.
+    Every shard runs the symmetry-reduced vector engine (_run_shard); the
+    shards are whole top-digit blocks (_top_digit_shards), one per worker
+    up to 2n, and run in as many processes. The result is byte-identical
+    for every worker count. Partial tables are merged in shard order.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    if plan is None:
-        plan = representative_shard_plan(spec, workers)
-    if plan.shards[0][0] != 0 or plan.shards[-1][1] != spec.size:
-        raise ValidationError("shard plan must cover the full index range")
-    jobs = [(spec, lo, hi) for lo, hi in plan.shards]
-    if workers == 1 or len(jobs) == 1:
-        parts = [_run_shard(job) for job in jobs]
+    jobs = [(spec, lo, hi) for lo, hi in _top_digit_shards(spec, workers)]
+    if len(jobs) == 1:
+        parts = [_run_shard(jobs[0])]
     else:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
+        with ctx.Pool(processes=len(jobs)) as pool:
             parts = pool.map(_run_shard, jobs, chunksize=1)
     table = merge_shards(parts)
     table.validate()

@@ -10,7 +10,7 @@ import pytest
 
 from ctm_lab.ctm import to_ctm
 from ctm_lab.data import builtin_table
-from ctm_lab.space import SpaceSpec, representative_shard_plan, run_space
+from ctm_lab.space import SpaceSpec, run_space
 
 GOLDENS = __import__("pathlib").Path(__file__).parent / "goldens"
 
@@ -35,10 +35,10 @@ def d2_zero_table(d2_zero_freq):
 
 @pytest.fixture(scope="session")
 def d3_zero_timed():
-    """Fresh full (3,2) run on a 4-worker plan, with its wall time."""
+    """Fresh full (3,2) run on 4 workers, with its wall time."""
     spec = SpaceSpec(3)
     start = time.perf_counter()
-    freq = run_space(spec, plan=representative_shard_plan(spec, 4), workers=4)
+    freq = run_space(spec, workers=4)
     elapsed = time.perf_counter() - start
     return freq, elapsed
 

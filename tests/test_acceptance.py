@@ -25,7 +25,6 @@ from ctm_lab.bdm import BdmConfig, bdm_value
 from ctm_lab.ctm import NORM_ALL, NORM_HALTING, CtmEntry, CtmTable, to_ctm
 from ctm_lab.space import (
     SpaceSpec,
-    representative_shard_plan,
     run_space,
     run_strided_sample,
     space_size,
@@ -42,7 +41,7 @@ def test_criterion_01_space_cardinalities():
 def test_criterion_02_runtimes_and_worker_independence(d3_zero_timed):
     """criterion 2: run budgets hold and results ignore worker count"""
     start = time.perf_counter()
-    d2_ref = run_space(SpaceSpec(2), plan=representative_shard_plan(SpaceSpec(2), 1), workers=1)
+    d2_ref = run_space(SpaceSpec(2), workers=1)
     d2_elapsed = time.perf_counter() - start
     assert d2_elapsed < 5.0
 
@@ -52,12 +51,10 @@ def test_criterion_02_runtimes_and_worker_independence(d3_zero_timed):
     d2_bytes = d2_ref.canonical_bytes()
     d3_bytes = d3_ref.canonical_bytes()
     for workers in (1, 2, 4, 8):
-        plan2 = representative_shard_plan(SpaceSpec(2), workers)
-        assert run_space(SpaceSpec(2), plan=plan2, workers=workers).canonical_bytes() == d2_bytes
+        assert run_space(SpaceSpec(2), workers=workers).canonical_bytes() == d2_bytes
         if workers == 4:
             continue  # the fixture already is the 4-worker run
-        plan3 = representative_shard_plan(SpaceSpec(3), workers)
-        assert run_space(SpaceSpec(3), plan=plan3, workers=workers).canonical_bytes() == d3_bytes
+        assert run_space(SpaceSpec(3), workers=workers).canonical_bytes() == d3_bytes
 
 
 def test_criterion_03_cutoff_safety(d3_zero_freq):

@@ -26,7 +26,7 @@ def small_tables(tmp_path_factory):
     d1 = base / "d1.ctm"
     d2 = base / "d2.ctm"
     assert main(["run-space", "--states", "1", "--out", str(d1)]) == 0
-    assert main(["run-space", "--states", "2", "--out", str(d2), "--shards", "3"]) == 0
+    assert main(["run-space", "--states", "2", "--out", str(d2)]) == 0
     return d1, d2
 
 
@@ -142,7 +142,7 @@ def test_exit_codes(capsys, tmp_path):
     # bad arguments -> validation (1)
     assert main(["run-space"]) == 1
     assert main(["entropy", "--string", ""]) == 1
-    assert main(["run-space", "--states", "1", "--shards", "-3",
+    assert main(["run-space", "--states", "1", "--threads", "0",
                  "--out", str(tmp_path / "d1.ctm")]) == 1
     non_object_meta = tmp_path / "list-meta.ctm"
     non_object_meta.write_text(
@@ -269,7 +269,6 @@ def _fuzz_argv(draw, table, other, corpus, out):
         "run-space": lambda: [
             "run-space", "--states", str(draw(st.integers(1, 2))), "--out", out,
             *maybe("--both-blanks"), *maybe("--max-steps", str(draw(st.integers(-2, 200)))),
-            *maybe("--shards", str(draw(st.integers(-2, 50)))),
             *maybe("--threads", str(draw(st.integers(-1, 1)))),
             *maybe("--norm", draw(st.sampled_from(["halting_machines", "all_machines"]))),
         ],

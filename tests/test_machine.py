@@ -261,5 +261,3 @@ def test_run_config_validation():
         RunConfig(max_steps=0)
     with pytest.raises(ValidationError):
         RunConfig(blank=2)
-    with pytest.raises(ValidationError):
-        RunConfig(cycle_memory_limit=0)

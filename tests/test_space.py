@@ -27,12 +27,10 @@ from ctm_lab.machine import (
 )
 from ctm_lab import space
 from ctm_lab.space import (
-    ShardPlan,
     SpaceSpec,
     empty_table,
     load_frequency_table,
     merge_shards,
-    representative_shard_plan,
     run_index_array,
     run_space,
     run_strided_sample,
@@ -147,12 +145,24 @@ def _assert_same_census(reduced, full):
     assert reduced.census == full.census
 
 
+def _run_ranges(spec, ranges):
+    """The merged shards of contiguous ranges that tile the space: run_space
+    on an arbitrary cut."""
+    table = merge_shards([space._run_shard((spec, lo, hi)) for lo, hi in ranges])
+    table.validate()
+    return table
+
+
+def _tiling(size, cuts):
+    bounds = [0, *sorted(cuts), size]
+    return tuple(zip(bounds, bounds[1:]))
+
+
 # even cuts of the index range: they split digit blocks and leave some
 # shards with no representatives to step
 SEVEN_EVEN_SHARDS = {
-    1: ShardPlan(((0, 5), (5, 10), (10, 15), (15, 20), (20, 25), (25, 30), (30, 36))),
-    2: ShardPlan(((0, 1428), (1428, 2857), (2857, 4285), (4285, 5714), (5714, 7142),
-                  (7142, 8571), (8571, 10_000))),
+    1: _tiling(36, (5, 10, 15, 20, 25, 30)),
+    2: _tiling(10_000, (1428, 2857, 4285, 5714, 7142, 8571)),
 }
 
 
@@ -162,9 +172,9 @@ def test_reduced_census_equals_the_full_census_on_small_spaces():
         for mode in ("zero", "both"):
             spec = SpaceSpec(n, blank_mode=mode)
             full = _full_census(spec)
-            seven = SEVEN_EVEN_SHARDS[n]
-            for plan, workers in ((None, 1), (seven, 1), (seven, 2)):
-                _assert_same_census(run_space(spec, plan=plan, workers=workers), full)
+            _assert_same_census(run_space(spec), full)
+            _assert_same_census(run_space(spec, workers=2), full)
+            _assert_same_census(_run_ranges(spec, SEVEN_EVEN_SHARDS[n]), full)
 
 
 def test_reduced_census_equals_the_full_census_on_three_states(d3_zero_freq, d3_both_freq):
@@ -440,9 +450,7 @@ def test_family_runs_reproduce_the_scalar_oracle_at_every_cutoff_to_twenty(mode)
        cuts=st.sets(st.integers(1, 9999), min_size=1, max_size=9))
 def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, cuts):
     spec = SpaceSpec(2, blank_mode=mode, max_steps=max_steps)
-    bounds = [0, *sorted(cuts), spec.size]
-    plan = ShardPlan(tuple(zip(bounds, bounds[1:])))
-    assert run_space(spec, plan=plan).canonical_bytes() == _scalar_bytes(spec)
+    assert _run_ranges(spec, _tiling(spec.size, cuts)).canonical_bytes() == _scalar_bytes(spec)
 
 
 def test_halted_outputs_pack_narrow_and_wide_spans():
@@ -557,50 +565,101 @@ def test_busy_beaver_cutoff_is_exact_on_three_states(d3_zero_freq):
     assert below.census.halted == 2_147_184 - 8
 
 
-# --- shard plans and merging
+# --- shards and merging
 
 
-def test_shard_plan_validation():
-    with pytest.raises(ValidationError):
-        ShardPlan(((0, 0),))
-    with pytest.raises(ValidationError):
-        ShardPlan(((0, 5), (6, 10)))
+class _InlineContext:
+    """Stands in for the fork context: its pools record their size and map inline."""
+
+    def __init__(self):
+        self.processes = []
+
+    def Pool(self, processes):
+        self.processes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    @staticmethod
+    def map(fn, jobs, chunksize=1):
+        return [fn(job) for job in jobs]
+
+
+def _inline_pools(monkeypatch):
+    ctx = _InlineContext()
+    monkeypatch.setattr(space.multiprocessing, "get_context", lambda method: ctx)
+    return ctx
 
 
 def test_representative_shard_plan_splits_the_stepped_work_evenly():
-    for n, shard_count in ((1, 5), (1, 40), (2, 8), (3, 8), (4, 16)):
-        spec = SpaceSpec(n)
-        plan = representative_shard_plan(spec, shard_count)
-        assert plan.shards[0][0] == 0 and plan.shards[-1][1] == spec.size
-        shares = [
-            sum(b - a for a, b in space._representative_ranges(n, lo, hi))
-            for lo, hi in plan.shards
-        ]
-        assert sum(shares) == 2 * n * (4 * n + 2) ** (2 * n - 1)
-        assert len(plan.shards) == min(shard_count, sum(shares))
-        assert max(shares) - min(shares) <= 1
-    with pytest.raises(ValidationError):
-        representative_shard_plan(SpaceSpec(2), 0)
+    # shards are whole top-digit blocks, and the representative top digits
+    # they hold differ by at most one between shards; at 1 and 2 workers
+    # they are the former equal-share plans: one shard, or one cut where
+    # top digit 3n starts
+    second = {1: 18, 2: 6000, 3: 4_840_416, 4: 7_346_640_384}
+    for n in (1, 2, 3, 4):
+        size, top = space_size(n), (4 * n + 2) ** (2 * n - 1)
+        for workers in range(1, 11):
+            shards = space._top_digit_shards(SpaceSpec(n), workers)
+            assert len(shards) == min(workers, 2 * n)
+            assert shards[0][0] == 0 and shards[-1][1] == size
+            assert all(a[1] == b[0] and b[0] % top == 0 for a, b in zip(shards, shards[1:]))
+            shares = [len(space._representative_ranges(n, lo, hi)) for lo, hi in shards]
+            assert sum(shares) == 2 * n
+            assert max(shares) - min(shares) <= 1
+        assert space._top_digit_shards(SpaceSpec(n), 1) == [(0, size)]
+        assert space._top_digit_shards(SpaceSpec(n), 2) == [(0, second[n]), (second[n], size)]
 
 
-def test_default_plan_is_balanced_on_representatives(monkeypatch):
-    # one shard per worker; the merge sees every worker's part
-    covers = []
+def test_default_plan_is_balanced_on_representatives(monkeypatch, d3_zero_freq):
+    # run_space merges the top-digit shards; no cut splits a family, so every worker
+    # count steps the same 73,316 rows of (3,2), where equal shares of the
+    # representatives stepped 131,466 at 4 shards and 194,796 at 8
+    ctx = _inline_pools(monkeypatch)
+    covers, rows = [], [0]
     merge = space.merge_shards
     monkeypatch.setattr(space, "merge_shards",
                         lambda parts: covers.extend(p.covers for p in parts) or merge(parts))
-    spec = SpaceSpec(2, blank_mode="both")
-    for workers in (1, 2):
+
+    class Spy(space._Pass):
+        def advance(self, live):
+            rows[0] += live.shape[1]
+            return super().advance(live)
+
+    monkeypatch.setattr(space, "_Pass", Spy)
+    spec = SpaceSpec(3)
+    for workers in range(1, 9):
         covers.clear()
-        vector = run_space(spec, workers=workers)
-        assert tuple(c for (c,) in covers) == representative_shard_plan(spec, workers).shards
-        assert vector.canonical_bytes() == _scalar_space(spec).canonical_bytes()
+        rows[0] = 0
+        assert run_space(spec, workers=workers).canonical_bytes() == d3_zero_freq.canonical_bytes()
+        assert rows[0] == 73_316
+        assert [c for (c,) in covers] == space._top_digit_shards(spec, workers)
+    assert ctx.processes == [2, 3, 4, 5, 6, 6, 6]
+
+
+def test_pool_never_exceeds_the_top_digit_shards(monkeypatch):
+    # a huge worker count asks for no more processes than shards, 2n; the
+    # fake context starts none
+    ctx = _inline_pools(monkeypatch)
+    spec = SpaceSpec(2, blank_mode="both")
+    assert run_space(spec, workers=10 ** 6).canonical_bytes() == _scalar_bytes(spec)
+    assert ctx.processes == [4]
+
+
+def test_run_space_rejects_a_worker_count_below_one():
+    for workers in (0, -1):
+        with pytest.raises(ValidationError):
+            run_space(SpaceSpec(1), workers=workers)
 
 
 def test_sharded_run_is_byte_identical_to_single_shard():
-    even = ShardPlan(tuple((lo, lo + 1250) for lo in range(0, 10_000, 1250)))
-    one = run_space(SpaceSpec(2), plan=ShardPlan(((0, 10_000),)))
-    eight = run_space(SpaceSpec(2), plan=even)
+    even = tuple((lo, lo + 1250) for lo in range(0, 10_000, 1250))
+    one = _run_ranges(SpaceSpec(2), ((0, 10_000),))
+    eight = _run_ranges(SpaceSpec(2), even)
     assert one.canonical_bytes() == eight.canonical_bytes()
 
 
@@ -611,7 +670,7 @@ def test_merge_with_empty_is_identity(d2_zero_freq):
 
 def test_merge_is_commutative():
     spec = SpaceSpec(2)
-    whole = run_space(spec, plan=representative_shard_plan(spec, 1))
+    whole = run_space(spec)
     # two disjoint halves, merged in both orders
     lo = run_index_array(spec, np.arange(0, 5000, dtype=np.uint64))
     hi = run_index_array(spec, np.arange(5000, 10_000, dtype=np.uint64))
@@ -742,8 +801,7 @@ def test_strided_sample_is_deterministic():
 
 def test_run_space_multiprocess_matches_inline():
     spec = SpaceSpec(2)
-    even = ShardPlan(((0, 2500), (2500, 5000), (5000, 7500), (7500, 10_000)))
-    inline = run_space(spec, plan=even, workers=1)
-    pooled = run_space(spec, plan=even, workers=2)
-    assert inline.canonical_bytes() == pooled.canonical_bytes()
+    inline = run_space(spec, workers=1).canonical_bytes()
+    for workers in (2, 4):
+        assert run_space(spec, workers=workers).canonical_bytes() == inline
 
