@@ -2,8 +2,9 @@
 """A tour of single machines: indexing, running, and proving non-halting.
 
 Every n-state binary machine lives at one index of the space (4n+2)^(2n).
-This script decodes a few, runs them, and shows the two sound arguments
-used to discard never-halting machines without burning the step budget.
+This script decodes a few, runs them, and shows the three sound arguments
+used to discard never-halting machines without burning the step budget:
+no halting rule, a blank runway the head escapes down, and a cycle.
 """
 
 from ctm_lab import (
@@ -30,7 +31,7 @@ def main():
     print(f"(2,2) holds {machine_count(2):,} machines; (3,2) holds {machine_count(3):,}.\n")
 
     # Index 0 is the all-"write 0, move left, stay in state 1" machine: it
-    # runs off the tape forever and the blank-runway argument proves it.
+    # has no halting rule at all, so it never halts.
     show("the very first machine", decode_machine(0, 2))
 
     # The last index is all halting writes: it stops after one step.
@@ -45,8 +46,11 @@ def main():
     mirrored = simulate(transform(table, REFLECT_DIRECTIONS), RunConfig(max_steps=50))
     print("reflection demo:", out, "vs", mirrored, "\n")
 
-    # prove_non_halting returns the reason, or None when undecided.
-    for idx in (0, 5_000, 9_999):
+    # prove_non_halting returns the reason, or None when undecided. Index 8
+    # walks left over blank tape in states that only move left there. Index
+    # 1860 drifts left too, but erases what it wrote: no configuration
+    # repeats, yet it repeats itself shifted along the tape (a translated cycle).
+    for idx in (0, 5_000, 8, 1_860, 9_999):
         table = decode_machine(idx, 2)
         print(f"index {idx}: proof = {prove_non_halting(table, RunConfig(max_steps=50))}")
 

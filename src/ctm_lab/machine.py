@@ -31,9 +31,6 @@ BLANK_ESCAPE = "blank_escape"
 CYCLE_DETECTED = "cycle_detected"
 PROOF_REASONS = (NO_HALT_RULE, BLANK_ESCAPE, CYCLE_DETECTED)
 
-# simulate's cycle check remembers at most this many configurations
-CYCLE_MEMORY_LIMIT = 10_000
-
 
 @dataclass(frozen=True)
 class Step:
@@ -150,8 +147,8 @@ class RunConfig:
 
     Defaults suit single-machine inspection: all sound checks on. Space
     runs build theirs with SpaceSpec.run_config, which keeps the
-    no-halt-rule and blank-escape proofs and turns cycle detection off
-    (it is costly and changes no halting count).
+    no-halt-rule and blank-escape proofs and turns cycle detection off to
+    keep the scalar engine independent of the vector engine's cycle check.
     """
 
     max_steps: int = 100
@@ -221,7 +218,8 @@ def simulate(table: RuleTable, cfg: RunConfig = RunConfig()) -> RunOutcome:
     """Run a machine from a blank tape; deterministic in (table, cfg).
 
     Returns Halted with the visited-span output, NonHaltingProved when an
-    enabled sound check fires, or StepLimit after cfg.max_steps steps.
+    enabled sound check fires, or StepLimit after cfg.max_steps steps. The
+    cycle check is space._Pass.looped's rule, over the dict tape, no window.
     """
     if cfg.check_no_halt_rule and not table.has_halt_rule():
         return NonHaltingProved(NO_HALT_RULE)
@@ -229,13 +227,10 @@ def simulate(table: RuleTable, cfg: RunConfig = RunConfig()) -> RunOutcome:
 
     blank = cfg.blank
     tape = {}
-    pos = 0
+    pos = lo = hi = used = 0
     state = 1
-    lo = hi = 0
-    used = 0
-    seen = None
-    if cfg.check_cycles:
-        seen = {(1, 0, (blank,))}
+    check_cycles = cfg.check_cycles
+    s_tape = None  # the last snapshot's tape; s_state, s_pos, s_lo, s_hi and [a, b] go with it
 
     for step in range(1, cfg.max_steps + 1):
         sym = tape.get(pos, blank)
@@ -257,12 +252,16 @@ def simulate(table: RuleTable, cfg: RunConfig = RunConfig()) -> RunOutcome:
             if esc is not None and esc[state - 1][0]:
                 return NonHaltingProved(BLANK_ESCAPE)
             lo = pos
-        if seen is not None:
-            snap = (state, pos - lo, tuple(tape.get(c, blank) for c in range(lo, hi + 1)))
-            if snap in seen:
-                return NonHaltingProved(CYCLE_DETECTED)
-            if len(seen) < CYCLE_MEMORY_LIMIT:
-                seen.add(snap)
+        if check_cycles:
+            if s_tape is not None:
+                a, b = min(a, pos), max(b, pos)
+                if (state == s_state and (pos <= s_pos or hi - pos == s_hi - s_pos)
+                        and (pos >= s_pos or pos - lo == s_pos - s_lo)
+                        and all(tape.get(pos + k, blank) == s_tape.get(s_pos + k, blank) for k in
+                                range(max(a - s_pos, lo - pos), min(b - s_pos, hi - pos) + 1))):
+                    return NonHaltingProved(CYCLE_DETECTED)
+            if step >= 8 and step & (step - 1) == 0 and step < cfg.max_steps:
+                s_state, s_pos, s_lo, s_hi, s_tape, a, b = state, pos, lo, hi, dict(tape), pos, pos
     return STEP_LIMIT
 
 
@@ -271,8 +270,7 @@ def prove_non_halting(table: RuleTable, cfg: RunConfig = RunConfig()) -> Optiona
 
     Sound but necessarily incomplete: a returned reason is a proof, None
     says nothing. All three analyses are probed regardless of the cfg
-    flags; cfg supplies the step bound and the blank (max_steps, blank), and
-    the cycle check remembers at most CYCLE_MEMORY_LIMIT configurations.
+    flags; cfg supplies the step bound and the blank (max_steps, blank).
     """
     if not table.has_halt_rule():
         return NO_HALT_RULE
@@ -350,8 +348,8 @@ def parse_rule_table(text: str) -> RuleTable:
                 raise ValueError("bad action")
         except ValueError as exc:
             raise ParseError(f"cannot parse entry: {raw!r} ({exc})", line=lineno) from exc
-        if read not in (0, 1):
-            raise ParseError(f"read symbol must be 0 or 1: {raw!r}", line=lineno)
+        if state < 1 or read not in (0, 1):
+            raise ParseError(f"state must be >= 1, read 0 or 1: {raw!r}", line=lineno)
         if (state, read) in found:
             raise ParseError(f"duplicate entry for state {state}, read {read}", line=lineno)
         found[(state, read)] = action

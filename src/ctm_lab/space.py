@@ -59,10 +59,11 @@ it was. Such a run repeats itself shifted by d forever: it never halts,
 and each later landing on fresh tape repeats one that already failed the
 escape test, so it would end step_limited at any cutoff and is credited
 so now, its members without a halting entry to no_halt_rule as before.
-Children keep their parent's snapshot and excursion. On the seed-0
-census-d4-sample (4,194,884 runs at cutoff 107) this retires 285,215 of
-the 287,122 step-limited runs, and the rows stepped fall from 34,986,985
-to 7,803,652.
+Children keep their parent's snapshot and excursion. machine.simulate
+implements the rule independently, and tests check each retirement by it.
+On the seed-0 census-d4-sample (4,194,884 runs at cutoff 107) this
+retires 285,215 of the 287,122 step-limited runs, and the rows stepped
+fall from 34,986,985 to 7,803,652.
 
 The step loop touches only live rows: state, head, visited bounds,
 used-rule mask, escape word and snapshot are the columns of one int64

@@ -166,6 +166,32 @@ def test_cycle_detected_on_two_cell_ping_pong():
     assert simulate(table, RunConfig(max_steps=100)) == NonHaltingProved(CYCLE_DETECTED)
 
 
+def test_cycle_detected_on_translated_cycle():
+    # The head drifts left two cells every four steps and leaves blanks
+    # behind: its visited span grows, so no configuration repeats, but at
+    # step 12 it repeats its step-8 snapshot two cells further on, at the
+    # frontier again (Lin & Rado's translated cycle).
+    table = parse_rule_table("1,0 -> 0,L,2\n1,1 -> 0,HALT\n2,0 -> 1,R,1\n2,1 -> 0,L,1\n")
+    assert encode_machine(table) == 1860
+    assert simulate(table, RunConfig(max_steps=50)) == NonHaltingProved(CYCLE_DETECTED)
+    assert prove_non_halting(table, RunConfig(max_steps=50)) == CYCLE_DETECTED
+
+
+def test_cycle_proofs_are_sound_on_three_states():
+    # Every cycle proved at 30 steps must still run, unproved, at 300.
+    rng = random.Random(29)
+    long_cfg = RunConfig(
+        max_steps=300, check_no_halt_rule=False, check_blank_escape=False, check_cycles=False
+    )
+    proved = 0
+    for _ in range(10_000):
+        table = random_table(rng, 3)
+        if simulate(table, RunConfig(max_steps=30)) == NonHaltingProved(CYCLE_DETECTED):
+            proved += 1
+            assert isinstance(simulate(table, long_cfg), StepLimit)
+    assert proved > 300
+
+
 def test_proofs_are_sound_under_longer_budgets():
     # Whatever is proved non-halting must still not halt with 10x the steps.
     rng = random.Random(13)
@@ -254,6 +280,9 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 2
     with pytest.raises(ParseError):
         parse_rule_table("garbage\n")
+    with pytest.raises(ParseError) as err:  # a state below 1 is an error, not dropped
+        parse_rule_table("1,0 -> 1,HALT\n1,1 -> 1,HALT\n0,0 -> 0,L,1\n-3,1 -> 0,HALT\n")
+    assert err.value.line == 3
 
 
 def test_run_config_validation():

@@ -15,9 +15,12 @@ from ctm_lab.ctm import load_ctm_table
 from ctm_lab.errors import ParseError, ValidationError
 from ctm_lab.machine import (
     COMPLEMENT_SYMBOLS,
+    CYCLE_DETECTED,
     REFLECT_DIRECTIONS,
     HaltWrite,
+    NonHaltingProved,
     RuleTable,
+    RunConfig,
     Step,
     decode_machine,
     encode_machine,
@@ -253,6 +256,52 @@ def test_engines_agree_on_three_state_sample_at_long_cutoff():
     vector = run_index_array(spec, indices, engine="vector")
     assert scalar.census.step_limited > 0
     assert scalar.canonical_bytes() == vector.canonical_bytes()
+
+
+@pytest.mark.parametrize("n, size, seed, max_steps", [
+    (3, 3000, 83, 17), (3, 3000, 83, 40), (4, 20_000, 89, 107),
+])
+@pytest.mark.parametrize("mode", ["zero", "both"])
+def test_engine_retires_exactly_the_runs_simulate_proves_cyclic(
+    monkeypatch, n, size, seed, max_steps, mode
+):
+    # The vector engine's cycle check (_Pass.looped) and simulate's are two
+    # implementations of one rule; simulate, with cycles on, is the per-run
+    # oracle. Every run the engine retires at step t must be proved cyclic
+    # by simulate at a budget of t steps and not at t - 1, and every run
+    # simulate proves at the cutoff must be retired.
+    retired = []
+
+    class Spy(space._Pass):
+        steps = 0
+
+        def advance(self, live):
+            if live is self.live:  # a step of the pass, not of new children
+                self.steps += 1
+            return super().advance(live)
+
+        def looped(self, stop):
+            rows = super().looped(stop)
+            codes = self.ords[self.live[space._ORD][rows] // (2 * self.n)]
+            retired.extend((int(i), self.blank, self.steps) for i in _index(codes, self.n))
+            return rows
+
+    monkeypatch.setattr(space, "_Pass", Spy)
+    rng = random.Random(seed)
+    indices = sorted(rng.sample(range(space_size(n)), size))
+    spec = SpaceSpec(n, blank_mode=mode, max_steps=max_steps)
+    run_index_array(spec, np.array(indices, np.uint64))
+
+    def cyclic(index, blank, budget):
+        outcome = simulate(decode_machine(index, n), RunConfig(max_steps=budget, blank=blank))
+        return outcome == NonHaltingProved(CYCLE_DETECTED)
+
+    proved = {(i, b) for b in spec.blanks for i in indices if cyclic(i, b, max_steps)}
+    assert proved
+    assert len(retired) == len(proved)
+    assert {(i, b) for i, b, _ in retired} == proved
+    for index, blank, step in retired:
+        assert cyclic(index, blank, step) and not cyclic(index, blank, step - 1)
 
 
 def _digits(index, n):
