@@ -71,10 +71,13 @@ array that one keep-mask filters whenever a row stops, and three lookup
 tables over the action codes give the written symbol, head delta and
 next state. The marker shares the halt codes' stop test (codes from 4n
 up), so decoded rows pay nothing for it. The blank-runway closure runs
-once per distinct tuple of blank-read entries. The tape starts narrow
-and widens as the step count grows; each copy keeps only live rows, and
-halted rows are packed into (length, value) pairs before the tape is
-replaced.
+once per distinct tuple of walk classes of the blank-read entries: a
+step's move and next state, since on blank runway its written symbol
+cannot matter, one class for both halts and one for the marker. Indices
+decode from per-space tables, one gather per chunk of digits. The tape
+starts narrow and widens as the step count grows; each copy keeps only
+live rows, and halted rows are packed into (length, value) pairs before
+the tape is replaced.
 
 Determinism contract: the resulting FrequencyTable depends only on the
 SpaceSpec, never on shard boundaries, worker count, or scheduling. Shards
@@ -83,6 +86,7 @@ are disjoint contiguous index ranges; merging is an associative fold.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import asdict, dataclass, fields
 
@@ -98,7 +102,10 @@ BLANK_ZERO = "zero"
 BLANK_BOTH = "both"
 BLANK_MODES = (BLANK_ZERO, BLANK_BOTH)
 
-_MAX_STATES = 6  # keeps indices inside uint64 for the vector engine
+_MAX_STATES = 6  # indices, and _decode's chunk quotients, stay exact in int64: 26^12 < 2^63
+# Entries of the largest table _decode gathers digits from; _escape_bits
+# replaces its keys by their ranks before a key table grows past it.
+_TABLE_SIZE = 1 << 17
 _BATCH = 1 << 19  # decoded rows per run_index_array batch; see _family_groups for families
 
 _FREQ_MAGIC = "# ctm-freq v1"
@@ -470,30 +477,66 @@ _WINDOW = 7
 _LOW = (np.int64(1) << np.arange(2 * _WINDOW + 2)) - 1  # _LOW[j]: the low j bits set
 
 
+@functools.cache
+def _walk_classes(n: int) -> np.ndarray:
+    """The walk class of each action code, read-only: code % 2n for a step
+    (its move and next state), 2n for both halts, 2n + 1 for the unread
+    marker. A walk on blank runway never reads what it writes, so the
+    written symbol cannot change its outcome."""
+    codes = np.arange(4 * n + 3)
+    halt_or_marker = np.where(codes < 4 * n + 2, 2 * n, 2 * n + 1)
+    classes = np.where(codes < 4 * n, codes % (2 * n), halt_or_marker)
+    classes.flags.writeable = False
+    return classes
+
+
+def _dense_ranks(values: np.ndarray, size: int):
+    """Each value's rank among the distinct values (all below size), and one
+    row per distinct value, in rank order.
+
+    Each row writes its number at its value in a table of size entries, and
+    the rows that read their own number back are one per value. Only the
+    entries at the values are written and read, so the table is never
+    zeroed or scanned, and no sort is needed.
+    """
+    table = np.empty(size, np.int32)
+    rows = np.arange(values.size, dtype=np.int32)
+    table[values] = rows
+    firsts = np.flatnonzero(table.take(values) == rows)
+    table[values[firsts]] = np.arange(firsts.size, dtype=np.int32)
+    return table.take(values), firsts
+
+
 def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
     """The escape word of each row of action codes (see _ESC).
 
-    The blank-runway closure depends only on the n blank-read entries, so
-    it runs once per distinct key and is gathered back to the rows. A walk
-    that meets an unread entry (code 4n + 2) before it fails is undecided;
-    fully decoded rows have no undecided bits.
+    The blank-runway closure depends only on the walk classes of the n
+    blank-read entries (_walk_classes), so a row's key is those classes in
+    base 2n + 2, below (2n + 2)^n (10^4 at n = 4). The closure runs once per
+    distinct key (_dense_ranks) and is gathered back to the rows. Where the
+    key table would outgrow _TABLE_SIZE, the classes so far are first
+    replaced by their ranks, so at n = 6 a few rows never build a table of
+    14^6 entries. A walk that meets an unread entry before it fails is
+    undecided; fully decoded rows have no undecided bits.
     """
-    base = 4 * n + 3
-    key = np.zeros(ords.shape[0], np.int64)
-    for j in range(n):
-        key = key * base + ords[:, 2 * j + blank]
-    # the keys decode back to their digits, so no representative row (and
-    # no stable sort for return_index) is needed
-    keys, inverse = np.unique(key, return_inverse=True)
-    b_ord = np.empty((keys.size, n), np.int64)
-    for j in range(n - 1, -1, -1):
-        keys, b_ord[:, j] = np.divmod(keys, base)
-    b_step = b_ord < 4 * n
-    unread = b_ord == 4 * n + 2
-    b_move = (b_ord % (2 * n)) // n
+    base = 2 * n + 2
+    classes = _walk_classes(n)
+    key, size = classes.take(ords[:, blank]), base
+    for j in range(1, n):
+        if size * base > _TABLE_SIZE:
+            ranks, firsts = _dense_ranks(key, size)
+            key, size = ranks.astype(np.intp), firsts.size
+        key *= base
+        key += classes.take(ords[:, 2 * j + blank])
+        size *= base
+    ranks, firsts = _dense_ranks(key, size)
+    b_cls = classes.take(ords[firsts, blank::2])
+    b_step = b_cls < 2 * n
+    unread = b_cls == 2 * n + 1
+    b_move = b_cls // n
     # for each entry, the flat index of its next state's entry in the same key row
-    b_next = (b_ord % n + np.arange(keys.size)[:, None] * n).ravel()
-    bits = np.zeros(b_ord.shape[0], np.int64)
+    b_next = (b_cls % n + np.arange(b_cls.shape[0])[:, None] * n).ravel()
+    bits = np.zeros(b_cls.shape[0], np.int64)
     for d in (0, 1):
         step_d = b_step & (b_move == d)
         sure, maybe = step_d, step_d | unread
@@ -507,12 +550,15 @@ def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
         for flags, shift in ((sure, d * n), (maybe & ~sure, 32 + d * n)):
             word = np.packbits(flags, axis=1, bitorder="little")[:, 0].astype(np.int64)
             bits |= (word << shift) | (word << (shift + 2 * n))
-    return bits[inverse.ravel()]
+    return bits.take(ranks)
 
 
 def _can_halt(digits: np.ndarray, n: int) -> np.ndarray:
     """Rows with a halting or an unread entry; the others are machines without a halting rule."""
-    return (digits >= 4 * n).any(axis=1)
+    mask = digits[:, 0] >= 4 * n
+    for slot in range(1, digits.shape[1]):
+        mask |= digits[:, slot] >= 4 * n
+    return mask
 
 
 def _machines(digits: np.ndarray, n: int) -> np.ndarray:
@@ -888,7 +934,7 @@ class _Pass:
         digits[np.arange(src.size), slots[src]] = np.tile(np.arange(b, dtype=np.uint8), parents.size)
         can_halt = _can_halt(digits, n)
         self.outputs.no_halt_rule(src.size - int(np.count_nonzero(can_halt)))
-        src, digits = src[can_halt], digits[can_halt]
+        src, digits = src[can_halt], digits.compress(can_halt, axis=0)
         children = live.take(parents[src], axis=1)
         rep = children[_ORD] // (2 * n)
         new = np.arange(self.rows, self.rows + src.size)
@@ -923,14 +969,46 @@ class _Pass:
         self.live[_ORD] = np.arange(rows.size) * 2 * self.n
 
 
-def _decode(idx: np.ndarray, n: int) -> np.ndarray:
-    """The rows of action codes of machine indices."""
+@functools.cache
+def _digit_table(n: int, width: int) -> np.ndarray:
+    """The width base-(4n + 2) digits of each value below (4n + 2)^width,
+    most significant first, one read-only V{width} item per value."""
     base = 4 * n + 2
-    rem = idx.astype(np.uint64, copy=True)
-    ords = np.empty((idx.size, 2 * n), np.uint8)
-    for slot in range(2 * n - 1, -1, -1):
-        ords[:, slot] = (rem % base).astype(np.uint8)
-        rem //= base
+    codes = np.arange(base, dtype=np.uint8)
+    # digits[v_0, ..., v_{width-1}] holds the digits v_0 .. v_{width-1}
+    digits = np.empty((base,) * width + (width,), np.uint8)
+    for slot in range(width):
+        digits[..., slot] = codes.reshape((base,) + (1,) * (width - 1 - slot))
+    table = digits.reshape(-1, width).view(f"V{width}")[:, 0]
+    table.flags.writeable = False
+    return table
+
+
+def _decode(idx: np.ndarray, n: int) -> np.ndarray:
+    """The rows of action codes of machine indices, which must lie in the space.
+
+    An index splits into chunks of the largest c digits with
+    (4n + 2)^c <= _TABLE_SIZE (c = 4 for (4,2)), low chunks first, and
+    each chunk's digits are gathered whole from _digit_table into their
+    columns.
+    """
+    base = 4 * n + 2
+    width = 1
+    while width < 2 * n and base ** (width + 1) <= _TABLE_SIZE:
+        width += 1
+    rest = np.asarray(idx, np.int64)
+    ords = np.empty((rest.size, 2 * n), np.uint8)
+    end = 2 * n
+    while end:
+        start = max(end - width, 0)
+        if start:
+            rest, chunk = np.divmod(rest, base ** (end - start))
+        else:
+            chunk = rest
+        # columns start .. end - 1 of ords, as one item per row
+        columns = np.ndarray((rest.size,), f"V{end - start}", ords, start, (2 * n,))
+        columns[...] = _digit_table(n, end - start)[chunk]
+        end = start
     return ords
 
 
@@ -938,7 +1016,7 @@ def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
     """Run one batch of machine indices on every blank of spec."""
     n = spec.n
     ords = _decode(idx, n)  # decoded once and shared by every blank
-    ords = ords[_can_halt(ords, n)]
+    ords = ords.compress(_can_halt(ords, n), axis=0)
     no_halt = idx.size - ords.shape[0]
     for blank in spec.blanks:
         sink.census.total_runs += idx.size
@@ -1050,9 +1128,25 @@ def _run_shard(job) -> FrequencyTable:
         can_halt = _can_halt(ords, spec.n)
         sink.census.no_halt_rule += len(images) * (len(ords) - int(np.count_nonzero(can_halt)))
         if can_halt.any():
-            _Pass(spec, ords[can_halt], 0, images, sink).run()
+            _Pass(spec, ords.compress(can_halt, axis=0), 0, images, sink).run()
     _count_initial_halts(spec, lo, hi, sink)
     return sink
+
+
+def _index_array(indices, size: int) -> np.ndarray:
+    """indices as an integer array, checked to lie in [0, size), strictly increasing."""
+    array = np.asarray(indices)
+    if array.size == 0:
+        return np.empty(0, np.int64)
+    if array.ndim != 1 or not np.issubdtype(array.dtype, np.integer):
+        raise ValidationError(f"machine indices must be a list of integers, got {array.dtype} "
+                              f"with shape {array.shape}")
+    if not (array[1:] > array[:-1]).all():
+        raise ValidationError("machine indices must be sorted and distinct")
+    if array[0] < 0 or array[-1] >= size:
+        raise ValidationError(f"machine indices must lie in [0, {size}), "
+                              f"got {array[0]} .. {array[-1]}")
+    return array
 
 
 def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> FrequencyTable:
@@ -1061,9 +1155,11 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
     Every machine runs on every blank of spec, without the symmetry
     reduction. engine is "vector" (the array in batches of fully decoded
     rows, which never expand) or "scalar" (machine.simulate, one run at a
-    time), the oracle the tests compare the vector engine against.
+    time), the oracle the tests compare the vector engine against. Indices
+    that are not integers of [0, size) in increasing order raise
+    ValidationError before either engine runs.
     """
-    indices = np.asarray(indices, np.uint64)
+    indices = _index_array(indices, spec.size)
     sink = empty_table(spec, covers=None)
     if engine == "scalar":
         _run_scalar(spec, indices, sink)

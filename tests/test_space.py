@@ -340,6 +340,67 @@ def test_escape_bits_match_the_escape_closure_on_two_states():
         for row, codes in enumerate(ords.tolist()):
             index = sum(o * 14 ** (2 * n - 1 - j) for j, o in enumerate(codes))
             assert int(bits[row]) == _expected_escape_bits(decode_machine(index, n), blank)
+    # seeded decoded rows of the deeper spaces, whose walks reach n - 1 passes
+    rng = random.Random(67)
+    for n in (4, 5, 6):
+        indices = sorted(rng.sample(range(space_size(n)), 1500))
+        ords = _digits(indices, n)
+        for blank in (0, 1):
+            bits = space._escape_bits(ords, n, blank)
+            for row, index in enumerate(indices):
+                assert int(bits[row]) == _expected_escape_bits(decode_machine(index, n), blank)
+
+
+def _codes(machine):
+    """The action code of each entry of a rule table, from its fields."""
+    n = machine.n
+    return [4 * n + a.write if isinstance(a, HaltWrite)
+            else a.write * 2 * n + (a.move == "R") * n + a.next_state - 1
+            for a in machine.entries]
+
+
+def test_decode_matches_decode_machine_in_every_space():
+    rng = random.Random(97)
+    for n in range(1, 7):
+        size = space_size(n)
+        indices = sorted({0, size - 1, *rng.sample(range(size), 2000 if n > 1 else 30)})
+        ords = space._decode(np.array(indices, np.int64), n)
+        assert ords.dtype == np.uint8 and ords.shape == (len(indices), 2 * n)
+        assert ords.tolist() == [_codes(decode_machine(i, n)) for i in indices]
+
+
+def test_lookup_tables_are_read_only():
+    tables = [space._walk_classes(n) for n in range(1, 7)]
+    tables += [space._digit_table(n, width) for n in (3, 4) for width in (2, 4)]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = table[1]
+
+
+@pytest.mark.parametrize("indices", [
+    [10_000, 10_001],  # past the end of (2,2)
+    [9_999, 10_000],
+    [-1],
+    [5, 3],  # not sorted
+    [3, 3],  # not distinct
+    [1.5],
+    [True],
+    [[1, 2]],
+])
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+def test_run_index_array_rejects_indices_outside_the_space(indices, engine):
+    with pytest.raises(ValidationError):
+        run_index_array(SpaceSpec(2), indices, engine=engine)
+
+
+def test_run_index_array_accepts_the_ends_of_the_space():
+    spec = SpaceSpec(2, blank_mode="both")
+    for indices in ([], [0, spec.size - 1], np.array([0, spec.size - 1], np.uint64)):
+        vector = run_index_array(spec, indices)
+        scalar = run_index_array(spec, indices, engine="scalar")
+        assert vector.census.total_runs == 2 * len(indices)
+        assert vector.canonical_bytes() == scalar.canonical_bytes()
 
 
 def test_image_indices_match_the_symmetry_transforms():
@@ -387,17 +448,23 @@ def test_image_indices_of_families_are_their_smallest_images():
 
 
 def test_escape_words_of_families_agree_with_their_members():
-    # a bit is set when every member escapes, undecided when members differ
-    n = 2
+    # a bit is set when every member escapes, undecided when members differ;
+    # (5,2) keys outgrow space._TABLE_SIZE, so those rows also take the
+    # early rank fold of _escape_bits
+    rng = np.random.default_rng(101)
+    wide = rng.integers(0, 22, (60, 10)).astype(np.uint8)
+    for row in wide:
+        row[rng.choice(10, 2, replace=False)] = 22
     for blank in (0, 1):
-        for row in _family_samples(n, 300, 73 + blank):
-            word = int(space._escape_bits(row[None, :], n, blank)[0])
-            members = space._escape_bits(_completions(row, n), n, blank)
-            assert not (members >> 32).any()
-            for o in range(4 * n):
-                share = ((members >> o) & 1).mean()
-                assert (word >> o) & 1 == (share == 1)
-                assert (word >> (32 + o)) & 1 == (0 < share < 1)
+        for n, rows in ((2, _family_samples(2, 300, 73 + blank)), (5, wide)):
+            for row in rows:
+                word = int(space._escape_bits(row[None, :], n, blank)[0])
+                members = space._escape_bits(_completions(row, n), n, blank)
+                assert not (members >> 32).any()
+                for o in range(4 * n):
+                    share = ((members >> o) & 1).mean()
+                    assert (word >> o) & 1 == (share == 1)
+                    assert (word >> (32 + o)) & 1 == (0 < share < 1)
 
 
 def test_results_do_not_depend_on_batch_size(monkeypatch):
