@@ -30,10 +30,13 @@ def main():
         print()
 
     # Parallelism is bookkeeping only: one worker or two give identical bytes.
+    # (2,2) is far too small to pay for a pool, so both runs stay in this
+    # process; only spaces of 10^9 machines or more fork workers.
     spec = SpaceSpec(2)
     one = run_space(spec)
     two = run_space(spec, workers=2)
-    print("1 worker == 2 workers, byte for byte:", one.canonical_bytes() == two.canonical_bytes())
+    print("1 worker == 2 workers (both in one process for (2,2)), byte for byte:",
+          one.canonical_bytes() == two.canonical_bytes())
 
     # Cutoff sanity: ten times the budget changes no output counts.
     slow = run_space(SpaceSpec(2, max_steps=100))

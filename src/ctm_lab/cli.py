@@ -65,7 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-space",
                        help="enumerate a rule space into a canonical table file")
     _out_flag(p)
-    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="at most this many worker processes; a space below 10^9 machines "
+                        "runs in one process (default: 1)")
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--both-blanks", action="store_true",
                    help="run every machine on blank 0 and blank 1")

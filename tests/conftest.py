@@ -35,7 +35,8 @@ def d2_zero_table(d2_zero_freq):
 
 @pytest.fixture(scope="session")
 def d3_zero_timed():
-    """Fresh full (3,2) run on 4 workers, with its wall time."""
+    """Fresh full (3,2) run at workers=4, with its wall time; (3,2) is below
+    the pool threshold, so it runs in one process."""
     spec = SpaceSpec(3)
     start = time.perf_counter()
     freq = run_space(spec, workers=4)

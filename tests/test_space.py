@@ -711,30 +711,26 @@ def _inline_pools(monkeypatch):
     return ctx
 
 
-def test_representative_shard_plan_splits_the_stepped_work_evenly():
-    # shards are whole top-digit blocks, and the representative top digits
-    # they hold differ by at most one between shards; at 1 and 2 workers
-    # they are the former equal-share plans: one shard, or one cut where
-    # top digit 3n starts
-    second = {1: 18, 2: 6000, 3: 4_840_416, 4: 7_346_640_384}
+def test_top_digit_shards_hold_one_representative_block_each():
+    # the 2n shards tile [0, size), each cut where a representative top digit
+    # starts, and each holds that digit's whole block of representatives
     for n in (1, 2, 3, 4):
         size, top = space_size(n), (4 * n + 2) ** (2 * n - 1)
-        for workers in range(1, 11):
-            shards = space._top_digit_shards(SpaceSpec(n), workers)
-            assert len(shards) == min(workers, 2 * n)
-            assert shards[0][0] == 0 and shards[-1][1] == size
-            assert all(a[1] == b[0] and b[0] % top == 0 for a, b in zip(shards, shards[1:]))
-            shares = [len(space._representative_ranges(n, lo, hi)) for lo, hi in shards]
-            assert sum(shares) == 2 * n
-            assert max(shares) - min(shares) <= 1
-        assert space._top_digit_shards(SpaceSpec(n), 1) == [(0, size)]
-        assert space._top_digit_shards(SpaceSpec(n), 2) == [(0, second[n]), (second[n], size)]
+        shards = space._top_digit_shards(SpaceSpec(n))
+        assert len(shards) == 2 * n
+        assert shards[0][0] == 0 and shards[-1][1] == size
+        assert all(a[1] == b[0] and b[0] % top == 0 for a, b in zip(shards, shards[1:]))
+        for d, (lo, hi) in zip(space._representative_digits(n), shards):
+            assert space._representative_ranges(n, lo, hi) == [(d * top, (d + 1) * top)]
 
 
-def test_default_plan_is_balanced_on_representatives(monkeypatch, d3_zero_freq):
-    # run_space merges the top-digit shards; no cut splits a family, so every worker
-    # count steps the same 73,316 rows of (3,2), where equal shares of the
-    # representatives stepped 131,466 at 4 shards and 194,796 at 8
+def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_freq):
+    # with the pool threshold lowered, (3,2) goes to a pool at 2 workers and
+    # up: its parts are the 2n top-digit shards, submitted from the highest
+    # digit down, to min(workers, 2n) processes; one worker runs one
+    # whole-space shard. No cut splits a family, so every worker count steps
+    # the same 73,316 rows
+    monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
     ctx = _inline_pools(monkeypatch)
     covers, rows = [], [0]
     merge = space.merge_shards
@@ -753,17 +749,52 @@ def test_default_plan_is_balanced_on_representatives(monkeypatch, d3_zero_freq):
         rows[0] = 0
         assert run_space(spec, workers=workers).canonical_bytes() == d3_zero_freq.canonical_bytes()
         assert rows[0] == 73_316
-        assert [c for (c,) in covers] == space._top_digit_shards(spec, workers)
+        shards = [(0, spec.size)] if workers == 1 else space._top_digit_shards(spec)[::-1]
+        assert [c for (c,) in covers] == shards
     assert ctx.processes == [2, 3, 4, 5, 6, 6, 6]
 
 
 def test_pool_never_exceeds_the_top_digit_shards(monkeypatch):
     # a huge worker count asks for no more processes than shards, 2n; the
     # fake context starts none
+    monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
     ctx = _inline_pools(monkeypatch)
     spec = SpaceSpec(2, blank_mode="both")
     assert run_space(spec, workers=10 ** 6).canonical_bytes() == _scalar_bytes(spec)
     assert ctx.processes == [4]
+
+
+def test_small_spaces_start_no_pool(monkeypatch, d3_zero_freq):
+    # at the default threshold (2,2) and (3,2) run in the calling process,
+    # whatever the worker count
+    ctx = _inline_pools(monkeypatch)
+    assert space_size(3) < space._POOL_MIN_SIZE < space_size(4)
+    for workers in (2, 8):
+        assert run_space(SpaceSpec(2), workers=workers).canonical_bytes() == _scalar_bytes(SpaceSpec(2))
+        assert run_space(SpaceSpec(3), workers=workers).canonical_bytes() == d3_zero_freq.canonical_bytes()
+    assert ctx.processes == []
+
+
+def test_four_state_pool_gets_its_shards_heaviest_first(monkeypatch):
+    # the (4,2) plan, with a stub for the shard runs: its 8 top-digit shards,
+    # from top digit 15 down to 4, on min(workers, 8) processes
+    ctx = _inline_pools(monkeypatch)
+    jobs = []
+
+    def stub(job):
+        jobs.append(job)
+        spec, lo, hi = job
+        return empty_table(spec, ((lo, hi),))
+
+    monkeypatch.setattr(space, "_run_shard", stub)
+    spec = SpaceSpec(4)
+    for workers in (2, 3, 100):
+        jobs.clear()
+        assert run_space(spec, workers=workers).covers == ((0, spec.size),)
+        assert [(lo, hi) for _, lo, hi in jobs] == space._top_digit_shards(spec)[::-1]
+        digits = [space._representative_ranges(4, lo, hi)[0][0] // 18 ** 7 for _, lo, hi in jobs]
+        assert digits == [15, 14, 13, 12, 7, 6, 5, 4]
+    assert ctx.processes == [2, 3, 8]
 
 
 def test_run_space_rejects_a_worker_count_below_one():
@@ -915,9 +946,14 @@ def test_strided_sample_is_deterministic():
         merge_shards([a, a])
 
 
-def test_run_space_multiprocess_matches_inline():
-    spec = SpaceSpec(2)
-    inline = run_space(spec, workers=1).canonical_bytes()
-    for workers in (2, 4):
-        assert run_space(spec, workers=workers).canonical_bytes() == inline
-
+def test_real_pools_match_the_one_process_run(monkeypatch, d3_both_freq):
+    # with the pool threshold lowered, (3,2) forks real pools of 2, 3 and 6
+    # processes; each merged result equals the one-process run byte for byte
+    monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
+    forked, get_context = [], space.multiprocessing.get_context
+    monkeypatch.setattr(space.multiprocessing, "get_context",
+                        lambda method: forked.append(method) or get_context(method))
+    spec = SpaceSpec(3, blank_mode="both")
+    for workers in (2, 3, 8):
+        assert run_space(spec, workers=workers).canonical_bytes() == d3_both_freq.canonical_bytes()
+    assert forked == ["fork"] * 3

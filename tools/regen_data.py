@@ -6,9 +6,10 @@
 
 Everything here is deterministic, so reruns must reproduce the committed
 files byte for byte. Runs from a source checkout without installing: the
-package is imported from src/. Takes about a second on two cores (0.9 s
-for --check, about 0.4 s of it the two full (3,2) enumerations, which
-step machine families rather than single machines; see ctm_lab.space).
+package is imported from src/. Takes about half a second on two cores
+(0.4-0.6 s for --check, about 0.06 s of it the two full (3,2)
+enumerations, which run in one process and step machine families rather
+than single machines; see ctm_lab.space).
 """
 
 import argparse
