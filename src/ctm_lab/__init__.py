@@ -83,6 +83,7 @@ from .bdm import (
     partition,
     partition_entropy,
     partition_many,
+    resolve_config,
 )
 from .baselines import (
     block_entropy,

@@ -15,7 +15,10 @@ import numpy as np
 
 from ._canon import fmt_value, meta_dumps
 from .baselines import entropy_of_counts, lz78_bit_length, require_one_block
-from .bdm import BdmConfig, check_decomposable, decompose_many, decomposition_value, partition_many
+from .bdm import (
+    BdmConfig, check_decomposable, decompose_many, decomposition_value, partition_many,
+    resolve_config,
+)
 from .ctm import CtmTable
 from .errors import ValidationError
 
@@ -135,15 +138,11 @@ def _anomaly_rows(table: CtmTable):
             if k >= len(s):
                 break
             counts = sorted_counts[k]
-            ahead += _count_less_than(counts, e.count)
+            ahead += bisect.bisect_left(counts, e.count)
         if ahead > 0:
             rows.append((s, e.count, ahead))
     rows.sort(key=lambda r: (-r[1], len(r[0]), r[0]))
     return tuple(rows)
-
-
-def _count_less_than(sorted_values, x) -> int:
-    return bisect.bisect_left(sorted_values, x)
 
 
 def length_block_report(table: CtmTable) -> Report:
@@ -227,8 +226,9 @@ def divergence_report(table: CtmTable, corpus, cfg: BdmConfig) -> Report:
     A string is flagged when it sits in the top entropy quartile but the
     bottom decomposition quartile (nearest-rank percentiles over the
     corpus; ties are inclusive, so reordering the corpus cannot change the
-    flags).
+    flags). A config without a block length takes the table's complete length.
     """
+    cfg = resolve_config(cfg, table)
     strings = sorted(set(corpus), key=lambda s: (len(s), s))
     if not strings:
         raise ValidationError("empty corpus")
@@ -281,9 +281,13 @@ def divergence_report(table: CtmTable, corpus, cfg: BdmConfig) -> Report:
 
 
 def diversity_report(table: CtmTable, length: int, cfg: BdmConfig) -> Report:
-    """Value-class counts of both measures over every string of one length."""
+    """Value-class counts of both measures over every string of one length.
+
+    A config without a block length takes the table's complete length.
+    """
     if not 1 <= length <= 16:
         raise ValidationError("diversity sweeps support lengths 1..16")
+    cfg = resolve_config(cfg, table)
     strings = [format(i, f"0{length}b") for i in range(2 ** length)]
     bdm_hist = {}
     lz_hist = {}

@@ -6,19 +6,23 @@ log2 of the block's multiplicity. Repeats are therefore nearly free (the
 log term), while novel blocks pay their full complexity, which is what
 makes the measure collapse to a block-entropy-like quantity when the table
 knows nothing and improve on it when it does.
+
+The block length defaults to the table's complete length, the longest L for
+which the table holds every binary string of length L or less, so that no
+block of a binary string falls back to the length penalty.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._canon import is_binary
 from .baselines import entropy_of_counts, require_one_block
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .ctm import CtmTable
 
 BOUNDARY_DROP = "drop_remainder"
@@ -32,17 +36,35 @@ FALLBACKS = (FALLBACK_ERROR, FALLBACK_LOG_LENGTH)
 
 @dataclass(frozen=True)
 class BdmConfig:
-    block_len: int = 12
+    block_len: int | None = None  # None: the table's complete length, see resolve_config
     boundary: str = BOUNDARY_DROP
     fallback: str = FALLBACK_LOG_LENGTH
 
     def __post_init__(self):
-        if self.block_len < 1:
-            raise ValidationError("block_len must be >= 1")
+        if self.block_len is not None:
+            require_int("block_len", self.block_len)
+            if self.block_len < 1:
+                raise ValidationError("block_len must be >= 1")
         if self.boundary not in BOUNDARIES:
             raise ValidationError(f"unknown boundary policy {self.boundary!r}")
         if self.fallback not in FALLBACKS:
             raise ValidationError(f"unknown fallback policy {self.fallback!r}")
+
+
+def resolve_config(cfg: BdmConfig, table: CtmTable) -> BdmConfig:
+    """cfg with a block length: one it has, else the table's complete length."""
+    if cfg.block_len is not None:
+        return cfg
+    k = table.complete_length()
+    if k == 0:
+        raise ValidationError('the table lacks "0" or "1", so it sets no block length; pass one')
+    return replace(cfg, block_len=k)
+
+
+def _block_len(cfg: BdmConfig) -> int:
+    if cfg.block_len is None:
+        raise ValidationError("no block length: pass one, or resolve the config against a table")
+    return cfg.block_len
 
 
 @dataclass(slots=True)
@@ -80,6 +102,7 @@ def partition_many(strings, cfg: BdmConfig) -> Iterator[Decomposition]:
     chunk's decompositions are made only when the iterator reaches it, so
     memory follows the chunk, not the corpus.
     """
+    _block_len(cfg)
     strings = list(strings)
     if not all(strings):
         raise ValidationError("cannot partition an empty string")
@@ -189,13 +212,14 @@ def check_decomposable(s: str, cfg: BdmConfig) -> None:
     Under drop_remainder a string shorter than one block would have no
     blocks left and a meaningless value of 0, so it is a ValidationError too.
     """
+    k = _block_len(cfg)
     if not s:
         raise ValidationError("cannot partition an empty string")
     if not is_binary(s):
         pos = next(i for i, c in enumerate(s) if c not in "01")
         raise ValidationError(f"not a binary string: {s[pos]!r} at position {pos}")
     if cfg.boundary == BOUNDARY_DROP:
-        require_one_block(s, cfg.block_len)
+        require_one_block(s, k)
 
 
 def decompose(s: str, cfg: BdmConfig) -> Decomposition:
@@ -239,6 +263,7 @@ def decomposition_value(decomp: Decomposition, table: CtmTable, cfg: BdmConfig) 
 
 def bdm_value(s: str, table: CtmTable, cfg: BdmConfig = BdmConfig()) -> float:
     """Block decomposition value of s in bits; see decompose for what s may be."""
+    cfg = resolve_config(cfg, table)
     return decomposition_value(decompose(s, cfg), table, cfg)
 
 
@@ -264,6 +289,7 @@ class EquivRecord:
 
 def block_entropy_equiv_check(s: str, table: CtmTable, cfg: BdmConfig = BdmConfig()) -> EquivRecord:
     """Compare the decomposition value with block entropy on the same partition."""
+    cfg = resolve_config(cfg, table)
     decomp = decompose(s, cfg)
     value = decomposition_value(decomp, table, cfg)
     ent = partition_entropy(decomp)

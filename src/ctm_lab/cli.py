@@ -32,6 +32,7 @@ from .bdm import (
     BdmConfig,
     decompose_many,
     decomposition_value,
+    resolve_config,
 )
 from .ctm import NORM_ALL, NORM_HALTING, load_ctm_table, merge_ctm, save_ctm_table, to_ctm
 from .errors import CtmLabError, ValidationError
@@ -45,16 +46,33 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _out_flag(parser):
-    parser.add_argument("--out", help="write output to this file instead of stdout")
+def _leaf(sub, name, run, records=True, **kwargs):
+    """A subcommand parser that runs run(args), with --out, and --format when
+    records is true."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(run=run)
+    p.add_argument("--out", help="write output to this file instead of stdout")
+    if records:
+        p.add_argument(
+            "--format", choices=("csv", "json-lines"), default="csv",
+            help="record output format (default: csv)",
+        )
+    return p
 
 
-def _record_flags(parser):
-    _out_flag(parser)
-    parser.add_argument(
-        "--format", choices=("csv", "json-lines"), default="csv",
-        help="record output format (default: csv)",
-    )
+def _bdm_flags(parser):
+    parser.add_argument("--block-len", type=int,
+                        help="block length (default: the table's complete length, the largest L "
+                             "such that it holds every binary string of length <= L)")
+    parser.add_argument("--keep-tail", action="store_true",
+                        help="evaluate the short remainder instead of dropping it")
+    parser.add_argument("--strict", action="store_true",
+                        help="error on blocks missing from the table instead of penalizing")
+
+
+def _group(sub, name, **kwargs):
+    p = sub.add_parser(name, **kwargs)
+    return p.add_subparsers(parser_class=_Parser, dest=f"{name}_command", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,9 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ctm-lab {__version__}")
     sub = parser.add_subparsers(parser_class=_Parser, dest="command", required=True)
 
-    p = sub.add_parser("run-space",
-                       help="enumerate a rule space into a canonical table file")
-    _out_flag(p)
+    p = _leaf(sub, "run-space", _cmd_run_space, records=False,
+              help="enumerate a rule space into a canonical table file")
     p.add_argument("--threads", type=int, default=1,
                    help="at most this many worker processes; a space below 10^9 machines "
                         "runs in one process (default: 1)")
@@ -74,90 +91,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=0)
     p.add_argument("--norm", choices=(NORM_HALTING, NORM_ALL), default=NORM_HALTING)
 
-    p = sub.add_parser("table", help="table file operations")
-    table_sub = p.add_subparsers(parser_class=_Parser, dest="table_command", required=True)
-    m = table_sub.add_parser("merge",
-                             help="merge two tables, larger rule space winning shared strings")
-    _out_flag(m)
-    m.add_argument("older")
-    m.add_argument("newer")
+    p = _leaf(_group(sub, "table", help="table file operations"), "merge", _cmd_table_merge,
+              records=False, help="merge two tables, larger rule space winning shared strings")
+    p.add_argument("older")
+    p.add_argument("newer")
 
-    p = sub.add_parser("ctm", help="table lookups")
-    ctm_sub = p.add_subparsers(parser_class=_Parser, dest="ctm_command", required=True)
-    e = ctm_sub.add_parser("eval",
-                           help="complexity of a string according to a table")
-    _record_flags(e)
-    e.add_argument("--table", required=True)
-    e.add_argument("--string", required=True)
+    p = _leaf(_group(sub, "ctm", help="table lookups"), "eval", _cmd_ctm_eval,
+              help="complexity of a string according to a table")
+    p.add_argument("--table", required=True)
+    p.add_argument("--string", required=True)
 
-    p = sub.add_parser("bdm", help="block decomposition values")
-    bdm_sub = p.add_subparsers(parser_class=_Parser, dest="bdm_command", required=True)
-    e = bdm_sub.add_parser("eval")
-    _record_flags(e)
-    e.add_argument("--table", required=True)
-    e.add_argument("--block-len", type=int, default=12)
-    e.add_argument("--keep-tail", action="store_true",
-                   help="evaluate the short remainder instead of dropping it")
-    e.add_argument("--strict", action="store_true",
-                   help="error on blocks missing from the table instead of penalizing")
-    g = e.add_mutually_exclusive_group(required=True)
+    p = _leaf(_group(sub, "bdm", help="block decomposition values"), "eval", _cmd_bdm_eval)
+    p.add_argument("--table", required=True)
+    _bdm_flags(p)
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--string")
     g.add_argument("--file", help="one string per line")
 
-    p = sub.add_parser("entropy",
-                       help="Shannon entropy, or block entropy with --block")
-    _record_flags(p)
+    p = _leaf(sub, "entropy", _cmd_entropy,
+              help="Shannon entropy, or block entropy with --block")
     p.add_argument("--string", required=True)
     p.add_argument("--block", type=int, default=0)
 
-    p = sub.add_parser("rle", help="run-length codec")
-    rle_sub = p.add_subparsers(parser_class=_Parser, dest="rle_command", required=True)
-    for name in ("encode", "decode"):
-        r = rle_sub.add_parser(name)
-        _out_flag(r)
-        r.add_argument("--string", required=True)
+    rle_sub = _group(sub, "rle", help="run-length codec")
+    for name, codec in (("encode", rle_encode), ("decode", rle_decode)):
+        p = _leaf(rle_sub, name, lambda args, codec=codec: _emit(args, codec(args.string) + "\n"),
+                  records=False)
+        p.add_argument("--string", required=True)
 
-    p = sub.add_parser("compress", help="baseline compressors")
-    comp_sub = p.add_subparsers(parser_class=_Parser, dest="compress_command", required=True)
-    lz = comp_sub.add_parser("lz78")
-    _record_flags(lz)
-    g = lz.add_mutually_exclusive_group(required=True)
+    p = _leaf(_group(sub, "compress", help="baseline compressors"), "lz78", _cmd_compress)
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--string")
     g.add_argument("--file", help="one string per line")
 
-    p = sub.add_parser("machine", help="single machine inspection")
-    mach_sub = p.add_subparsers(parser_class=_Parser, dest="machine_command", required=True)
-    s = mach_sub.add_parser("show",
-                            help="decode an index, print its table and run outcome")
-    _out_flag(s)
-    s.add_argument("--states", type=int, required=True)
-    s.add_argument("--index", type=int, required=True)
-    s.add_argument("--max-steps", type=int, default=100)
+    p = _leaf(_group(sub, "machine", help="single machine inspection"), "show", _cmd_machine_show,
+              records=False, help="decode an index, print its table and run outcome")
+    p.add_argument("--states", type=int, required=True)
+    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--max-steps", type=int, default=100)
 
-    p = sub.add_parser("report", help="distribution reports")
-    rep_sub = p.add_subparsers(parser_class=_Parser, dest="report_command", required=True)
-    for name in ("length-blocks", "anomalies", "used-rules"):
-        r = rep_sub.add_parser(name)
-        _record_flags(r)
-        r.add_argument("--table", required=True)
-    r = rep_sub.add_parser("divergence")
-    _record_flags(r)
-    r.add_argument("--table", required=True)
-    r.add_argument("--file", required=True, help="corpus, one string per line")
-    r.add_argument("--block-len", type=int, default=12)
-    r.add_argument("--keep-tail", action="store_true")
-    r.add_argument("--strict", action="store_true")
-    r = rep_sub.add_parser("diversity")
-    _record_flags(r)
-    r.add_argument("--table", required=True)
-    r.add_argument("--length", type=int, required=True)
-    r.add_argument("--block-len", type=int, default=6)
-    r.add_argument("--keep-tail", action="store_true")
-    r.add_argument("--strict", action="store_true")
-    r = rep_sub.add_parser("cross-space")
-    _record_flags(r)
-    r.add_argument("--small", required=True)
-    r.add_argument("--large", required=True)
+    rep_sub = _group(sub, "report", help="distribution reports")
+    for name, report in (("length-blocks", length_block_report), ("anomalies", anomaly_report),
+                         ("used-rules", used_rules_consistency)):
+        p = _leaf(rep_sub, name, _report_cmd(lambda args, report=report:
+                                             report(load_ctm_table(args.table))))
+        p.add_argument("--table", required=True)
+    p = _leaf(rep_sub, "divergence", _report_cmd(lambda args: divergence_report(
+        load_ctm_table(args.table), _read_corpus(args.file), _bdm_config(args))))
+    p.add_argument("--table", required=True)
+    p.add_argument("--file", required=True, help="corpus, one string per line")
+    _bdm_flags(p)
+    p = _leaf(rep_sub, "diversity", _report_cmd(lambda args: diversity_report(
+        load_ctm_table(args.table), args.length, _bdm_config(args))))
+    p.add_argument("--table", required=True)
+    p.add_argument("--length", type=int, required=True)
+    _bdm_flags(p)
+    p = _leaf(rep_sub, "cross-space", _report_cmd(lambda args: cross_space_report(
+        load_ctm_table(args.small), load_ctm_table(args.large))))
+    p.add_argument("--small", required=True)
+    p.add_argument("--large", required=True)
 
     return parser
 
@@ -178,14 +170,17 @@ def _emit_records(args, columns, rows) -> None:
     _emit(args, "\n".join(lines) + "\n")
 
 
-def _emit_report(args, report) -> None:
-    if args.format == "json-lines":
-        _emit(args, report_to_json_lines(report))
-    else:
-        _emit(args, report_to_csv(report))
+def _report_cmd(build):
+    """The command that emits the report build(args)."""
+    def run(args):
+        report = build(args)
+        _emit(args, report_to_json_lines(report) if args.format == "json-lines"
+              else report_to_csv(report))
+    return run
 
 
 def _bdm_config(args) -> BdmConfig:
+    """The BDM flags; a missing --block-len is resolved against the table later."""
     return BdmConfig(
         block_len=args.block_len,
         boundary=BOUNDARY_KEEP if args.keep_tail else BOUNDARY_DROP,
@@ -201,7 +196,7 @@ def _read_corpus(path):
     return read_file(path, _parse_corpus)
 
 
-def _cmd_run_space(args) -> int:
+def _cmd_run_space(args) -> None:
     if not args.out:
         raise ValidationError("run-space requires --out")
     spec = SpaceSpec(
@@ -211,18 +206,16 @@ def _cmd_run_space(args) -> int:
     )
     freq = run_space(spec, workers=args.threads)
     save_ctm_table(to_ctm(freq, args.norm), args.out)
-    return 0
 
 
-def _cmd_table_merge(args) -> int:
+def _cmd_table_merge(args) -> None:
     if not args.out:
         raise ValidationError("table merge requires --out")
     merged = merge_ctm(load_ctm_table(args.older), load_ctm_table(args.newer))
     save_ctm_table(merged, args.out)
-    return 0
 
 
-def _cmd_ctm_eval(args) -> int:
+def _cmd_ctm_eval(args) -> None:
     table = load_ctm_table(args.table)
     entry = table.entries.get(args.string)
     row = (
@@ -231,20 +224,18 @@ def _cmd_ctm_eval(args) -> int:
         else (args.string, "", "", 0)
     )
     _emit_records(args, ("string", "complexity_bits", "probability", "count"), [row])
-    return 0
 
 
-def _cmd_bdm_eval(args) -> int:
+def _cmd_bdm_eval(args) -> None:
     table = load_ctm_table(args.table)
-    cfg = _bdm_config(args)
+    cfg = resolve_config(_bdm_config(args), table)
     strings = [args.string] if args.string is not None else _read_corpus(args.file)
     decomps = decompose_many(strings, cfg)
     rows = [(s, decomposition_value(d, table, cfg)) for s, d in zip(strings, decomps)]
     _emit_records(args, ("string", "value"), rows)
-    return 0
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> None:
     if args.block:
         value = block_entropy(args.string, args.block)
         columns = ("string", "block_len", "bits_per_block")
@@ -253,73 +244,25 @@ def _cmd_entropy(args) -> int:
         columns = ("string", "bits_per_symbol")
         rows = [(args.string, shannon_entropy(args.string))]
     _emit_records(args, columns, rows)
-    return 0
 
 
-def _cmd_rle(args) -> int:
-    codec = rle_encode if args.rle_command == "encode" else rle_decode
-    _emit(args, codec(args.string) + "\n")
-    return 0
-
-
-def _cmd_compress(args) -> int:
+def _cmd_compress(args) -> None:
     strings = [args.string] if args.string is not None else _read_corpus(args.file)
     rows = [(s, lz78_bit_length(s)) for s in strings]
     _emit_records(args, ("string", "bits"), rows)
-    return 0
 
 
-def _cmd_machine_show(args) -> int:
+def _cmd_machine_show(args) -> None:
     table = decode_machine(args.index, args.states)
     outcome = simulate(table, RunConfig(max_steps=args.max_steps))
     _emit(args, format_rule_table(table) + f"# outcome: {outcome!r}\n")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    if args.report_command == "cross-space":
-        report = cross_space_report(load_ctm_table(args.small), load_ctm_table(args.large))
-    else:
-        table = load_ctm_table(args.table)
-        if args.report_command == "length-blocks":
-            report = length_block_report(table)
-        elif args.report_command == "anomalies":
-            report = anomaly_report(table)
-        elif args.report_command == "used-rules":
-            report = used_rules_consistency(table)
-        elif args.report_command == "divergence":
-            report = divergence_report(table, _read_corpus(args.file), _bdm_config(args))
-        elif args.report_command == "diversity":
-            report = diversity_report(table, args.length, _bdm_config(args))
-        else:
-            raise ValidationError(f"unknown report {args.report_command!r}")
-    _emit_report(args, report)
-    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run-space":
-            return _cmd_run_space(args)
-        if args.command == "table":
-            return _cmd_table_merge(args)
-        if args.command == "ctm":
-            return _cmd_ctm_eval(args)
-        if args.command == "bdm":
-            return _cmd_bdm_eval(args)
-        if args.command == "entropy":
-            return _cmd_entropy(args)
-        if args.command == "rle":
-            return _cmd_rle(args)
-        if args.command == "compress":
-            return _cmd_compress(args)
-        if args.command == "machine":
-            return _cmd_machine_show(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise ValidationError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        args.run(args)
+        return 0
     except CtmLabError as exc:
         print(f"ctm-lab: error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ enumeration is strictly more evidence.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from ._canon import (
@@ -22,6 +23,7 @@ from ._canon import (
     canonical_key,
     decode_utf8,
     fmt_float,
+    is_binary,
     meta_dumps,
     read_file,
     read_header,
@@ -68,6 +70,15 @@ class CtmTable:
 
     def probability_sum(self) -> float:
         return math.fsum(e.probability for e in self.entries.values())
+
+    def complete_length(self) -> int:
+        """The largest L such that every binary string of length 1..L has an
+        entry; 0 when "0" or "1" is missing."""
+        per_length = Counter(len(s) for s in self.entries if is_binary(s))
+        k = 0
+        while per_length[k + 1] == 2 ** (k + 1):
+            k += 1
+        return k
 
     def records(self):
         recs = [

@@ -27,3 +27,9 @@ class ParseError(CtmLabError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def require_int(name: str, value) -> None:
+    """ValidationError unless value is an int; a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an int, got {value!r}")

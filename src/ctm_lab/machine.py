@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, require_int
 
 LEFT = "L"
 RIGHT = "R"
@@ -158,6 +158,8 @@ class RunConfig:
     check_cycles: bool = True
 
     def __post_init__(self):
+        require_int("max_steps", self.max_steps)
+        require_int("blank", self.blank)
         if self.max_steps < 1:
             raise ValidationError("max_steps must be >= 1")
         if self.blank not in (0, 1):

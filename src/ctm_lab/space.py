@@ -95,8 +95,10 @@ import numpy as np
 from ._canon import (
     canonical_int, canonical_key, decode_utf8, meta_dumps, read_file, read_header, read_records,
 )
-from .errors import ParseError, ValidationError
-from .machine import NO_HALT_RULE, Halted, NonHaltingProved, RunConfig, decode_machine, simulate
+from .errors import ParseError, ValidationError, require_int
+from .machine import (
+    NO_HALT_RULE, Halted, NonHaltingProved, RunConfig, decode_machine, machine_count, simulate,
+)
 
 BLANK_ZERO = "zero"
 BLANK_BOTH = "both"
@@ -158,7 +160,7 @@ def space_size(n: int) -> int:
         raise ValidationError(
             f"space size for n={n} exceeds the supported enumeration range (n <= {_MAX_STATES})"
         )
-    return (4 * n + 2) ** (2 * n)
+    return machine_count(n)
 
 
 def default_max_steps(n: int) -> int:
@@ -187,9 +189,11 @@ class SpaceSpec:
     max_steps: int = 0  # 0 means: use default_max_steps(n)
 
     def __post_init__(self):
+        require_int("n", self.n)
         space_size(self.n)  # validates n
         if self.blank_mode not in BLANK_MODES:
             raise ValidationError(f"unknown blank mode {self.blank_mode!r}")
+        require_int("max_steps", self.max_steps)
         if self.max_steps == 0:
             object.__setattr__(self, "max_steps", default_max_steps(self.n))
         if self.max_steps < 1:

@@ -18,6 +18,7 @@ from ctm_lab.bdm import (
     decomposition_value,
     partition,
     partition_entropy,
+    resolve_config,
 )
 from ctm_lab.ctm import CtmEntry, CtmTable, NORM_HALTING, complexity_of
 from ctm_lab.errors import ValidationError
@@ -224,3 +225,36 @@ def test_config_validation():
         BdmConfig(boundary="wrap")
     with pytest.raises(ValidationError):
         BdmConfig(fallback="zero")
+
+
+def test_config_takes_only_an_int_block_length():
+    for block_len in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValidationError, match="must be an int"):
+            BdmConfig(block_len=block_len)
+    assert BdmConfig().block_len is None
+
+
+def test_block_length_defaults_to_the_complete_length(d3_both_builtin):
+    cfg = resolve_config(BdmConfig(boundary=BOUNDARY_KEEP), d3_both_builtin)
+    assert cfg == BdmConfig(block_len=5, boundary=BOUNDARY_KEEP)
+    assert resolve_config(cfg, synthetic_table({})) is cfg
+    s = "010101010101"
+    assert bdm_value(s, d3_both_builtin) == bdm_value(s, d3_both_builtin, BdmConfig(block_len=5))
+    assert bdm_value(s, d3_both_builtin) == 29.08432259853911
+    assert (block_entropy_equiv_check(s, d3_both_builtin)
+            == block_entropy_equiv_check(s, d3_both_builtin, BdmConfig(block_len=5)))
+
+
+def test_a_table_without_both_symbols_sets_no_block_length():
+    table = synthetic_table({"0": 1.0, "00": 2.0, "01": 2.0})
+    assert table.complete_length() == 0
+    with pytest.raises(ValidationError, match="pass one"):
+        resolve_config(BdmConfig(), table)
+    with pytest.raises(ValidationError, match="pass one"):
+        bdm_value("0101", table)
+
+
+def test_an_unresolved_config_cannot_cut():
+    for cut in (partition, decompose):
+        with pytest.raises(ValidationError, match="no block length"):
+            cut("0101", BdmConfig())

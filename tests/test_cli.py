@@ -131,6 +131,27 @@ def test_reports_via_cli(small_tables, tmp_path, capsys):
     assert first["kind"] == "divergence"
 
 
+def test_bdm_commands_default_to_the_complete_length(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(format(i * 37 % 4096, "012b") for i in range(40)) + "\n")
+    for name, length in (("d2_zero", 2), ("d2_both", 3), ("d3_zero", 5), ("d3_both", 5)):
+        table = str(TABLE_D2.with_name(f"{name}.ctm"))
+        for cmd in (["bdm", "eval", "--table", table, "--file", str(corpus)],
+                    ["report", "divergence", "--table", table, "--file", str(corpus)],
+                    ["report", "diversity", "--table", table, "--length", "8", "--keep-tail"]):
+            assert main(cmd) == 0
+            default = capsys.readouterr().out
+            assert main(cmd + ["--block-len", str(length)]) == 0
+            assert default == capsys.readouterr().out
+
+
+def test_bdm_eval_of_the_alternation_on_d3_both(capsys):
+    # blocks 01010 and 10101, tail 01 dropped: both blocks are in the table
+    assert main(["bdm", "eval", "--table", str(TABLE_D3_BOTH),
+                 "--string", "010101010101"]) == 0
+    assert capsys.readouterr().out == "string,value\n010101010101,29.08432259853911\n"
+
+
 def test_report_out_file(small_tables, tmp_path):
     _, d2 = small_tables
     out = tmp_path / "report.csv"
@@ -153,7 +174,7 @@ def test_exit_codes(capsys, tmp_path):
     for block_len in ("12", "2"):
         assert main(["bdm", "eval", "--table", str(TABLE_D2), "--block-len", block_len,
                      "--string", "01x1010"]) == 1
-    # shorter than one block of the default length 12: no blocks are left
+    # shorter than one block of d3_both's complete length 5: no blocks are left
     assert main(["bdm", "eval", "--table", str(TABLE_D3_BOTH), "--string", "0101"]) == 1
     # an empty --string is a string, not a missing one; block lengths are positive
     assert main(["bdm", "eval", "--table", str(TABLE_D2), "--string", ""]) == 1

@@ -19,6 +19,7 @@ from ctm_lab.ctm import (
     save_ctm_table,
     to_ctm,
 )
+from ctm_lab import builtin_table
 from ctm_lab._canon import fmt_float
 from ctm_lab.errors import CtmLabError, ParseError, ValidationError
 from ctm_lab.space import Census, FrequencyTable, SpaceSpec, empty_table, load_frequency_table
@@ -163,6 +164,13 @@ def test_malformed_headers_raise(tmp_path):
         loads_ctm_table(b"nope\n")
     with pytest.raises(ParseError):
         loads_ctm_table(b"# ctm-table v1\nmissing meta\n")
+
+
+def test_complete_length_of_the_shipped_tables():
+    # every binary string up to this length has an entry; d3 holds 52 of
+    # the 64 strings of length 6
+    for name, length in (("d2_zero", 2), ("d2_both", 3), ("d3_zero", 5), ("d3_both", 5)):
+        assert builtin_table(name).complete_length() == length
 
 
 def test_unknown_normalization_rejected():

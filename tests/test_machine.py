@@ -290,3 +290,9 @@ def test_run_config_validation():
         RunConfig(max_steps=0)
     with pytest.raises(ValidationError):
         RunConfig(blank=2)
+
+
+def test_run_config_takes_only_ints():
+    for kwargs in ({"max_steps": 10.0}, {"max_steps": True}, {"blank": 1.0}, {"blank": False}):
+        with pytest.raises(ValidationError, match="must be an int"):
+            RunConfig(**kwargs)

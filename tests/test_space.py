@@ -56,6 +56,14 @@ def test_space_size_rejects_out_of_range_states():
         space_size(7)
 
 
+def test_space_spec_takes_only_ints():
+    # a bool max_steps used to run and write a table its own loader rejects
+    for kwargs in ({"n": 2.0}, {"n": True}, {"n": 2, "max_steps": True},
+                   {"n": 2, "max_steps": 10.5}):
+        with pytest.raises(ValidationError, match="must be an int"):
+            SpaceSpec(**kwargs)
+
+
 def test_default_cutoffs_follow_busy_beaver_bounds():
     assert SpaceSpec(4).max_steps == 107  # S(4), Brady 1983
     with pytest.raises(ValidationError):
