@@ -20,7 +20,7 @@ from .bdm import (
     resolve_config,
 )
 from .ctm import CtmTable
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 KIND_LENGTH_BLOCKS = "length_blocks"
 KIND_ANOMALIES = "anomalies"
@@ -285,6 +285,7 @@ def diversity_report(table: CtmTable, length: int, cfg: BdmConfig) -> Report:
 
     A config without a block length takes the table's complete length.
     """
+    require_int("length", length)
     if not 1 <= length <= 16:
         raise ValidationError("diversity sweeps support lengths 1..16")
     cfg = resolve_config(cfg, table)

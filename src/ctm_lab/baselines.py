@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, require_int
 
 RLE_MAX_RUN = 9  # single-digit counts; longer runs split into several tokens
 
@@ -32,6 +32,7 @@ def block_entropy(s: str, block_len: int) -> float:
 
     Alphabet-agnostic like shannon_entropy: blocks of any symbols count.
     """
+    require_int("block_len", block_len)
     if block_len < 1:
         raise ValidationError("block_len must be >= 1")
     require_one_block(s, block_len)

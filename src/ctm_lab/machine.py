@@ -58,6 +58,7 @@ def action_count(n: int) -> int:
 
 def machine_count(n: int) -> int:
     """Size of the rule space (n, 2) under the fixed formalism."""
+    require_int("n", n)
     return action_count(n) ** (2 * n)
 
 
@@ -86,6 +87,7 @@ class RuleTable:
     entries: tuple
 
     def __post_init__(self):
+        require_int("n", self.n)
         if self.n < 1:
             raise ValidationError(f"state count must be >= 1, got {self.n}")
         if len(self.entries) != 2 * self.n:
@@ -119,6 +121,7 @@ def decode_machine(index: int, n: int) -> RuleTable:
     Mixed-radix decoding in base 4n + 2 over 2n digits; entry (1, 0) is the
     most significant digit, then (1, 1), (2, 0), and so on.
     """
+    require_int("index", index)
     total = machine_count(n)
     if not 0 <= index < total:
         raise ValidationError(f"index {index} out of range [0, {total}) for n={n}")

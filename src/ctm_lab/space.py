@@ -45,7 +45,12 @@ test that depends on an unread blank-read entry expands that entry. On
 (3,2) this steps 73,316 rows in all (summed over the steps), where the
 3,226,944 representatives one by one take 4,673,656 machine-steps.
 run_index_array runs arbitrary index sets, every machine on every blank,
-as batches of fully decoded rows that never expand.
+by the same rule with a batch's machines in place of a block's: each
+batch of _BATCH indices starts as one row with every entry unread whose
+members are the batch's machines that can halt (_Members). A row that
+reads an unread entry splits its members stably by their codes there,
+one child per code that occurs. A finished row credits its member count
+to its bucket, and a halted one its first (smallest) member as producer.
 
 Cycles. Most runs that reach the cutoff repeat themselves within a few
 steps, in place or shifted along the tape (Lin & Rado's translated
@@ -59,18 +64,21 @@ it was. Such a run repeats itself shifted by d forever: it never halts,
 and each later landing on fresh tape repeats one that already failed the
 escape test, so it would end step_limited at any cutoff and is credited
 so now, its members without a halting entry to no_halt_rule as before.
-Children keep their parent's snapshot and excursion. machine.simulate
-implements the rule independently, and tests check each retirement by it.
-On the seed-0 census-d4-sample (4,194,884 runs at cutoff 107) this
-retires 285,215 of the 287,122 step-limited runs, and the rows stepped
-fall from 34,986,985 to 7,803,652.
+Children keep their parent's snapshot and excursion, and are checked at
+the step they are born in, like every row that takes a step.
+machine.simulate implements the rule independently, and tests check each
+retirement by it. On the seed-0 census-d4-sample (4,194,884 runs at
+cutoff 107) this retires 285,215 of the 287,122 step-limited runs. The
+rows stepped (summed over the steps) fall from 6,741,528 to 798,783, plus
+170,699 children stepped when born; one decoded row per machine stepped
+34,986,985 rows without the check and 7,803,652 with it.
 
 The step loop touches only live rows: state, head, visited bounds,
 used-rule mask, escape word and snapshot are the columns of one int64
 array that one keep-mask filters whenever a row stops, and three lookup
 tables over the action codes give the written symbol, head delta and
 next state. The marker shares the halt codes' stop test (codes from 4n
-up), so decoded rows pay nothing for it. The blank-runway closure runs
+up), so a step pays nothing for it. The blank-runway closure runs
 once per distinct tuple of walk classes of the blank-read entries: a
 step's move and next state, since on blank runway its written symbol
 cannot matter, one class for both halts and one for the marker. Indices
@@ -108,7 +116,9 @@ _MAX_STATES = 6  # indices, and _decode's chunk quotients, stay exact in int64: 
 # Entries of the largest table _decode gathers digits from; _escape_bits
 # replaces its keys by their ranks before a key table grows past it.
 _TABLE_SIZE = 1 << 17
-_BATCH = 1 << 19  # decoded rows per run_index_array batch; see _family_groups for families
+# Indices per run_index_array batch, the members of one pass's first row
+# (_Members); _family_groups caps run_space's groups at 8 * _BATCH.
+_BATCH = 1 << 19
 
 _FREQ_MAGIC = "# ctm-freq v1"
 _FREQ_COLUMNS = "string,count,min_used_rules,first_producer"
@@ -154,6 +164,7 @@ def _from_meta(cls, d, kind: str):
 
 def space_size(n: int) -> int:
     """(4n + 2)^(2n), the number of machines with n states and 2 symbols."""
+    require_int("n", n)
     if n < 1:
         raise ValidationError(f"state count must be >= 1, got {n}")
     if n > _MAX_STATES:
@@ -171,6 +182,7 @@ def default_max_steps(n: int) -> int:
     (Brady, Math. Comp. 40, 1983): every halting (4,2) machine stops
     within 107 steps, so the cutoff loses no halting run.
     """
+    require_int("n", n)
     if n <= 2:
         return 10
     if n == 3:
@@ -189,7 +201,6 @@ class SpaceSpec:
     max_steps: int = 0  # 0 means: use default_max_steps(n)
 
     def __post_init__(self):
-        require_int("n", self.n)
         space_size(self.n)  # validates n
         if self.blank_mode not in BLANK_MODES:
             raise ValidationError(f"unknown blank mode {self.blank_mode!r}")
@@ -455,7 +466,6 @@ def _image_indices(digits: np.ndarray, n: int, reverse: bool, complement: bool) 
 # right-moving step) stands for, as (reverse, complement): R on blank 0; its
 # mirror on blank 0, which prints the reversed output; and in both mode the
 # complements of these two on blank 1, which print the complemented outputs.
-_IDENTITY = ((False, False),)
 _ORBIT_IMAGES = {
     BLANK_ZERO: ((False, False), (True, False)),
     BLANK_BOTH: ((False, False), (True, False), (False, True), (True, True)),
@@ -567,8 +577,6 @@ def _can_halt(digits: np.ndarray, n: int) -> np.ndarray:
 
 def _machines(digits: np.ndarray, n: int) -> np.ndarray:
     """How many machines each row of action codes stands for: (4n+2)^u for u unread entries."""
-    if digits.max(initial=0) < 4 * n + 2:  # no unread entry: one machine each
-        return np.ones(digits.shape[0], np.int64)
     return np.power(np.int64(4 * n + 2), np.count_nonzero(digits == 4 * n + 2, axis=1))
 
 
@@ -580,11 +588,64 @@ def _no_halt_machines(digits: np.ndarray, n: int) -> np.ndarray:
     without unread entries has one, since no pass steps a row that cannot
     halt (_can_halt).
     """
-    if digits.max(initial=0) < 4 * n + 2:
-        return np.zeros(digits.shape[0], np.int64)
     unread = np.count_nonzero(digits == 4 * n + 2, axis=1)
     fixed_halt = ((digits >= 4 * n) & (digits < 4 * n + 2)).any(axis=1)
     return np.where(fixed_halt, 0, np.power(np.int64(4 * n), unread))
+
+
+class _Members:
+    """The machines of an index batch, as segments of member ids per pass row.
+
+    Members are the batch's machines that can halt, in index order: index
+    holds their indices and codes their rows of action codes. Pass row r
+    stands for the members perm[seg[r, 0]:seg[r, 1]]; a pass starts as one
+    row with every entry unread and all members. Splits are stable, so a
+    segment always lists its members in index order, the smallest first.
+    """
+
+    def __init__(self, index: np.ndarray, codes: np.ndarray):
+        self.index, self.codes = index, codes
+        self.perm = np.arange(index.size)
+        self.seg = np.array([[0, index.size]])
+
+    def sizes(self, rows) -> np.ndarray:
+        lo, hi = self.seg[rows].T
+        return hi - lo
+
+    def first(self, rows) -> np.ndarray:
+        """The smallest member index of each row."""
+        return self.index[self.perm[self.seg[rows, 0]]]
+
+    def split(self, rows, slots):
+        """Split each row's segment stably by its members' codes at the row's slot.
+
+        Returns, for each code that occurs, one child: its row's position in
+        rows, the code and its segment. The sort key is (row, code) in the
+        narrowest type that holds it; numpy sorts 8- and 16-bit keys by
+        radix. Keys already in order (as on blank 0's first read of the top
+        digit) skip the sort.
+        """
+        width = self.codes.shape[1]
+        b = width * 2 + 2  # 4n + 2 codes
+        lo, hi = self.seg[rows].T
+        sizes = hi - lo
+        pos = np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        pos += np.arange(pos.size)
+        ids = self.perm.take(pos)
+        flat = ids * width
+        flat += np.repeat(slots, sizes)
+        top = rows.size * b
+        dtype = np.uint8 if top <= 1 << 8 else np.uint16 if top <= 1 << 16 else np.int64
+        key = np.repeat(np.arange(0, top, b, dtype=dtype), sizes)
+        key += self.codes.reshape(-1).take(flat)
+        if (key[1:] < key[:-1]).any():
+            order = np.argsort(key, kind="stable")
+            key = key.take(order)
+            self.perm.put(pos, ids.take(order))
+        ends = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1, [key.size]))
+        first = ends[:-1]
+        seg = np.stack((pos[first], pos[ends[1:] - 1] + 1), axis=1)
+        return key[first] // b, key[first] % b, seg
 
 
 class _Outputs:
@@ -595,13 +656,16 @@ class _Outputs:
     machines to the image string, with the image of its smallest member
     (unread digits 0) as producer. Halted spans are packed before the tape
     moves; an escaped or step-limited row credits its members without a
-    halting entry to no_halt_rule and the rest to its bucket.
+    halting entry to no_halt_rule and the rest to its bucket. With members
+    (an index batch, see _Members) a row stands for its segment of them
+    instead, all of which can halt, and its smallest member is the producer.
     """
 
-    def __init__(self, sink, n, images):
+    def __init__(self, sink, n, images, members=None):
         self.sink = sink
         self.n = n
         self.images = images
+        self.members = members
         self.pending = []  # (lo, hi, used, row) spans into the current tape
         self.escaped = []  # rows proved to escape
         self.looped = []  # rows proved to repeat themselves
@@ -610,27 +674,35 @@ class _Outputs:
     def no_halt_rule(self, machines: int) -> None:
         self.sink.census.no_halt_rule += len(self.images) * machines
 
-    def non_halting(self, digits, bucket: str) -> None:
+    def non_halting(self, ords, rows, bucket: str) -> None:
         """Credit rows that stopped without halting to no_halt_rule and to bucket."""
-        machines, no_halt = _machines(digits, self.n), _no_halt_machines(digits, self.n)
-        self.no_halt_rule(int(no_halt.sum()))
+        if self.members is None:
+            digits = ords[rows]
+            machines, no_halt = _machines(digits, self.n), _no_halt_machines(digits, self.n)
+            self.no_halt_rule(int(no_halt.sum()))
+            machines -= no_halt
+        else:
+            machines = self.members.sizes(rows)
         census = self.sink.census
-        rest = len(self.images) * int((machines - no_halt).sum())
+        rest = len(self.images) * int(machines.sum())
         setattr(census, bucket, getattr(census, bucket) + rest)
 
     def pack(self, tape, ords) -> None:
         for rows, bucket in ((self.escaped, "blank_escape"), (self.looped, "step_limited")):
             if rows:
-                self.non_halting(ords[np.concatenate(rows)], bucket)
+                self.non_halting(ords, np.concatenate(rows), bucket)
                 rows.clear()
         if not self.pending:
             return
         lo, hi, used, row = (np.concatenate(a) for a in zip(*self.pending))
         self.pending = []
-        digits = ords[row]
-        machines = _machines(digits, self.n)
+        if self.members is None:
+            digits = ords[row]
+            machines = _machines(digits, self.n)
+            producers = np.stack([_image_indices(digits, self.n, *image) for image in self.images])
+        else:
+            machines, producers = self.members.sizes(row), self.members.first(row)[None]
         self.sink.census.halted += len(self.images) * int(machines.sum())
-        producers = np.stack([_image_indices(digits, self.n, *image) for image in self.images])
         lengths = hi - lo + 1
         used_rules = np.bitwise_count(used).astype(np.int64)
         # cells read per output: a whole number of bytes, at most 64 bits
@@ -711,20 +783,23 @@ def _with_room(buf: np.ndarray, used: int, extra: int, fill) -> np.ndarray:
 class _Pass:
     """The rows of one batch stepped in lockstep on one blank.
 
-    A row is a machine, or a family whose unread entries (code 4n + 2) the
-    run has not read yet. Row r of the tape (width cells) and of ords
-    belong to it; children are appended to both. The live rows are the
-    columns of one int64 array, live (see _ST2 above); only they are
-    stepped, and one keep-mask filters them on the steps where some row
-    stops.
+    A row is a family whose unread entries (code 4n + 2) the run has not
+    read yet: every machine alike in its read entries, or, with members,
+    its segment of them. Row r of the tape (width cells), of ords and of
+    members.seg belong to it; children are appended to each. The live
+    rows are the columns of one int64 array, live (see _ST2 above); only
+    they are stepped, and one keep-mask filters them on the steps where
+    some row stops.
     """
 
-    def __init__(self, spec: SpaceSpec, ords: np.ndarray, blank: int, images, sink):
+    def __init__(self, spec: SpaceSpec, ords: np.ndarray, blank: int, images, sink,
+                 members=None):
         n = spec.n
         self.n, self.blank, self.max_steps = n, blank, spec.max_steps
         self.write_of, self.delta_of, self.next2_of = _action_tables(n)
         self.pow2 = np.int64(1) << np.arange(2 * n)
-        self.outputs = _Outputs(sink, n, images)
+        self.members = members
+        self.outputs = _Outputs(sink, n, images, members)
         self.half = min(16, spec.max_steps)
         count = ords.shape[0]
         self.ords = np.ascontiguousarray(ords)
@@ -748,10 +823,7 @@ class _Pass:
         """
         for step in range(1, self.max_steps + 1):
             o, slot, stop = self.advance(self.live)
-            if step > _FIRST_SNAPSHOT:
-                looped = self.looped(stop)
-                o[looped] = 4 * self.n + 3
-                stop[looped] = True
+            self.retire(self.live, o, stop)
             if stop.any():
                 self.live = self.settle(self.live, o, slot, stop)
             if self.live.shape[1] == 0:
@@ -767,7 +839,7 @@ class _Pass:
             if _FIRST_SNAPSHOT <= step < self.max_steps and step & (step - 1) == 0:
                 self.snapshot()
         self.outputs.pack(self.tape.reshape(-1), self.ords)
-        self.outputs.non_halting(self.ords[self.live[_ORD] // (2 * self.n)], "step_limited")
+        self.outputs.non_halting(self.ords, self.live[_ORD] // (2 * self.n), "step_limited")
         self.outputs.emit()
 
     def advance(self, live):
@@ -817,8 +889,14 @@ class _Pass:
         live[_SNAP_WORD] = word
         live[_SNAP_ST2] = np.where(inside, live[_ST2], -1)
 
-    def looped(self, stop):
-        """The live rows, not stopped, that repeat their snapshot shifted by d.
+    def retire(self, live, o, stop) -> None:
+        """Stop the rows that repeat their snapshot (looped), with code 4n + 3."""
+        looped = self.looped(live, stop)
+        o[looped] = 4 * self.n + 3
+        stop[looped] = True
+
+    def looped(self, live, stop):
+        """The rows of live, not stopped, that repeat their snapshot shifted by d.
 
         With [a, b] the head's excursion since the snapshot, as offsets
         from the snapshot's head, and d how far the head has moved, a row
@@ -834,9 +912,10 @@ class _Pass:
         1965). It never halts, and its later landings on fresh tape repeat
         landings that already failed the escape test, so at any cutoff it
         ends step_limited. A row whose compared cells leave the window
-        waits for its next snapshot.
+        waits for its next snapshot; before the first snapshot none repeats.
         """
-        live = self.live
+        if live.shape[0] == _XLO:
+            return np.empty(0, np.intp)
         c = np.flatnonzero((live[_ST2] == live[_SNAP_ST2]) > stop)
         if c.size == 0:
             return c
@@ -859,9 +938,8 @@ class _Pass:
 
         Halted, escaped and looped (code 4n + 3) rows become outputs. A row
         that read an unread entry is replaced, at the same step, by its
-        children, one per code of that entry, which then take the step. A
-        row whose escape depends on unread entries is decided by expanding
-        them (decide).
+        children (spawn), which then take the step. A row whose escape
+        depends on unread entries is decided by expanding them (decide).
         """
         two_n, marker = 2 * self.n, 4 * self.n + 2
         idx = np.nonzero(stop)[0]
@@ -881,6 +959,7 @@ class _Pass:
             # the children take this step from its start, in the state that read the slot
             children[_ST2] = (slot[read] & -2)[src]
             c_o, c_slot, c_stop = self.advance(children)
+            self.retire(children, c_o, c_stop)
             if c_stop.any():  # children read no marker, so this does not recurse further
                 children = self.settle(children, c_o, c_slot, c_stop)
             parts.append(children)
@@ -895,7 +974,9 @@ class _Pass:
         The blank-runway walk from the new state meets an unread blank-read
         entry before it is decided. That entry is expanded and the children
         are decided again; each round fixes one entry of the walk, so at
-        most n rounds are needed. Returns the children that go on.
+        most n rounds are needed. A child that does not escape has taken
+        the step, so it is checked for a cycle (looped). Returns the
+        children that go on.
         """
         go_on = []
         while live.shape[1]:
@@ -905,7 +986,11 @@ class _Pass:
             sure = (bits & 1).astype(bool)
             open_ = ((bits >> 32) & 1).astype(bool)
             self.outputs.escaped.append(live[_ORD][sure] // (2 * self.n))
-            go_on.append(live.compress(~(sure | open_), axis=1))
+            stop = sure | open_
+            looped = self.looped(live, stop)
+            self.outputs.looped.append(live[_ORD][looped] // (2 * self.n))
+            stop[looped] = True
+            go_on.append(live.compress(~stop, axis=1))
             live, o = live.compress(open_, axis=1), o[open_]
         return np.concatenate(go_on, axis=1)
 
@@ -926,24 +1011,34 @@ class _Pass:
     def spawn(self, live, parents, slots):
         """The children of parent rows, alike but for its slot, which takes each code.
 
-        A child has run exactly as its parent, so it keeps the parent's
-        snapshot and excursion, and its escape word unless the slot is read
-        on the blank. Children that cannot halt are counted to
-        no_halt_rule at once. Returns the other children, and each one's
-        index into parents.
+        A family row has a child for every code; those that cannot halt
+        are counted to no_halt_rule at once. A row of members has a child
+        for each code its members hold there (_Members.split). A child has
+        run exactly as its parent, so it keeps the parent's snapshot and
+        excursion, and its escape word unless the slot is read on the
+        blank. Returns the children, and each one's index into parents.
         """
         n, b = self.n, 4 * self.n + 2
-        src = np.repeat(np.arange(parents.size), b)
-        digits = self.ords[live[_ORD][parents[src]] // (2 * n)]
-        digits[np.arange(src.size), slots[src]] = np.tile(np.arange(b, dtype=np.uint8), parents.size)
-        can_halt = _can_halt(digits, n)
-        self.outputs.no_halt_rule(src.size - int(np.count_nonzero(can_halt)))
-        src, digits = src[can_halt], digits.compress(can_halt, axis=0)
+        rows = live[_ORD][parents] // (2 * n)
+        if self.members is None:
+            src = np.repeat(np.arange(parents.size), b)
+            codes = np.tile(np.arange(b, dtype=np.uint8), parents.size)
+        else:
+            src, codes, seg = self.members.split(rows, slots)
+        digits = self.ords[rows[src]]
+        digits[np.arange(src.size), slots[src]] = codes
+        if self.members is None:
+            can_halt = _can_halt(digits, n)
+            self.outputs.no_halt_rule(src.size - int(np.count_nonzero(can_halt)))
+            src, digits = src[can_halt], digits.compress(can_halt, axis=0)
         children = live.take(parents[src], axis=1)
-        rep = children[_ORD] // (2 * n)
+        rep = rows[src]
         new = np.arange(self.rows, self.rows + src.size)
         self.tape = _with_room(self.tape, self.rows, src.size, self.blank)
         self.ords = _with_room(self.ords, self.rows, src.size, 0)
+        if self.members is not None:
+            self.members.seg = _with_room(self.members.seg, self.rows, src.size, 0)
+            self.members.seg[new] = seg
         self.rows += src.size
         self.tape[new] = self.tape[rep]
         self.ords[new] = digits
@@ -969,6 +1064,8 @@ class _Pass:
         tape = np.full((rows.size, width), self.blank, np.uint8)
         tape[:, pad:pad + old] = self.tape[rows]
         self.tape, self.ords, self.rows = tape, self.ords[rows], rows.size
+        if self.members is not None:
+            self.members.seg = self.members.seg[rows]
         self.move(self.live, np.arange(rows.size) * width + pad - rows * old)
         self.live[_ORD] = np.arange(rows.size) * 2 * self.n
 
@@ -1017,16 +1114,24 @@ def _decode(idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
-    """Run one batch of machine indices on every blank of spec."""
+    """Run one batch of machine indices on every blank of spec.
+
+    The machines that can halt are the members (_Members) of one row with
+    every entry unread, which splits as its runs read entries; the others
+    are counted to no_halt_rule up front.
+    """
     n = spec.n
-    ords = _decode(idx, n)  # decoded once and shared by every blank
-    ords = ords.compress(_can_halt(ords, n), axis=0)
-    no_halt = idx.size - ords.shape[0]
+    codes = _decode(idx, n)  # decoded once and shared by every blank
+    can_halt = _can_halt(codes, n)
+    index = np.asarray(idx.compress(can_halt), np.int64)
+    codes = codes.compress(can_halt, axis=0)
+    unread = np.full((1, 2 * n), 4 * n + 2, np.uint8)
     for blank in spec.blanks:
         sink.census.total_runs += idx.size
-        sink.census.no_halt_rule += no_halt
-        if ords.size:
-            _Pass(spec, ords, blank, _IDENTITY, sink).run()
+        sink.census.no_halt_rule += idx.size - index.size
+        if index.size:
+            # an index set is not reduced by symmetry: its one image is the run itself
+            _Pass(spec, unread, blank, ((False, False),), sink, _Members(index, codes)).run()
 
 
 def _representative_digits(n: int):
@@ -1157,8 +1262,9 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
     """Run an arbitrary (sorted, duplicate-free) index set; covers stays None.
 
     Every machine runs on every blank of spec, without the symmetry
-    reduction. engine is "vector" (the array in batches of fully decoded
-    rows, which never expand) or "scalar" (machine.simulate, one run at a
+    reduction. engine is "vector" (batches of _BATCH indices, each one
+    family row whose members are the batch's machines that can halt; see
+    the module docstring) or "scalar" (machine.simulate, one run at a
     time), the oracle the tests compare the vector engine against. Indices
     that are not integers of [0, size) in increasing order raise
     ValidationError before either engine runs.
@@ -1210,6 +1316,7 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
     it is free. The shards depend only on the space, and the result is
     byte-identical for every worker count.
     """
+    require_int("workers", workers)
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     if workers == 1 or spec.size < _POOL_MIN_SIZE:
@@ -1226,6 +1333,7 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
 
 def run_strided_sample(spec: SpaceSpec, stride: int, engine: str = "vector") -> FrequencyTable:
     """Deterministic sample: every stride-th index starting at 0."""
+    require_int("stride", stride)
     if stride < 1:
         raise ValidationError("stride must be >= 1")
     return run_index_array(spec, np.arange(0, spec.size, stride, dtype=np.uint64), engine)

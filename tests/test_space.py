@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctm_lab.analysis import diversity_report
+from ctm_lab.baselines import block_entropy
+from ctm_lab.bdm import BdmConfig
 from ctm_lab.ctm import load_ctm_table
+from ctm_lab.data import builtin_table
 from ctm_lab.errors import ParseError, ValidationError
 from ctm_lab.machine import (
     COMPLEMENT_SYMBOLS,
@@ -25,6 +29,7 @@ from ctm_lab.machine import (
     decode_machine,
     encode_machine,
     escape_closure,
+    machine_count,
     simulate,
     transform,
 )
@@ -62,6 +67,29 @@ def test_space_spec_takes_only_ints():
                    {"n": 2, "max_steps": 10.5}):
         with pytest.raises(ValidationError, match="must be an int"):
             SpaceSpec(**kwargs)
+
+
+_INT_PARAMETERS = {
+    "run_strided_sample-stride": lambda v: run_strided_sample(SpaceSpec(2), v),
+    "run_space-workers": lambda v: run_space(SpaceSpec(1), workers=v),
+    "space_size-n": space_size,
+    "machine_count-n": machine_count,
+    "default_max_steps-n": space.default_max_steps,
+    "decode_machine-index": lambda v: decode_machine(v, 2),
+    "decode_machine-n": lambda v: decode_machine(0, v),
+    "RuleTable-n": lambda v: RuleTable(v, (HaltWrite(0), HaltWrite(1))),
+    "block_entropy-block_len": lambda v: block_entropy("0101", v),
+    "diversity_report-length": lambda v: diversity_report(builtin_table("d2_zero"), v, BdmConfig()),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("call", _INT_PARAMETERS.values(), ids=_INT_PARAMETERS)
+def test_public_int_parameters_take_only_ints(call, value):
+    # run_strided_sample(SpaceSpec(2), 2.5) used to run 4,000 indices at
+    # stride 2, and RuleTable(True, ...) built a one-state machine
+    with pytest.raises(ValidationError, match="must be an int"):
+        call(value)
 
 
 def test_default_cutoffs_follow_busy_beaver_bounds():
@@ -277,7 +305,8 @@ def test_engine_retires_exactly_the_runs_simulate_proves_cyclic(
     # implementations of one rule; simulate, with cycles on, is the per-run
     # oracle. Every run the engine retires at step t must be proved cyclic
     # by simulate at a budget of t steps and not at t - 1, and every run
-    # simulate proves at the cutoff must be retired.
+    # simulate proves at the cutoff must be retired. A retired row stands
+    # for its segment of the batch's members, each one run.
     retired = []
 
     class Spy(space._Pass):
@@ -288,10 +317,12 @@ def test_engine_retires_exactly_the_runs_simulate_proves_cyclic(
                 self.steps += 1
             return super().advance(live)
 
-        def looped(self, stop):
-            rows = super().looped(stop)
-            codes = self.ords[self.live[space._ORD][rows] // (2 * self.n)]
-            retired.extend((int(i), self.blank, self.steps) for i in _index(codes, self.n))
+        def looped(self, live, stop):
+            rows = super().looped(live, stop)
+            members = self.members
+            for lo, hi in members.seg[live[space._ORD][rows] // (2 * self.n)]:
+                runs = members.index[members.perm[lo:hi]]
+                retired.extend((int(i), self.blank, self.steps) for i in runs)
             return rows
 
     monkeypatch.setattr(space, "_Pass", Spy)
@@ -310,6 +341,51 @@ def test_engine_retires_exactly_the_runs_simulate_proves_cyclic(
     assert {(i, b) for i, b, _ in retired} == proved
     for index, blank, step in retired:
         assert cyclic(index, blank, step) and not cyclic(index, blank, step - 1)
+
+
+def _row_spy(monkeypatch):
+    """Patch _Pass to record each step it takes: (spawned children?, rows)."""
+    calls = []
+
+    class Spy(space._Pass):
+        def advance(self, live):
+            calls.append((live is not self.live, live.shape[1]))
+            return super().advance(live)
+
+    monkeypatch.setattr(space, "_Pass", Spy)
+    return calls
+
+
+def test_machines_alike_in_every_entry_they_read_step_as_one_row(monkeypatch):
+    # (1,0) Step(1, R, 2), then (2,0) halts writing 1: the run prints 11 and
+    # never reads (1,1), so its 18 codes (digit weight 18^6) make 18
+    # machines that step as one row
+    entries = [Step(0, "L", 1)] * 8
+    entries[0], entries[2] = Step(1, "R", 2), HaltWrite(1)
+    first = encode_machine(RuleTable(4, tuple(entries)))
+    indices = [first + code * 18 ** 6 for code in range(18)]
+    calls = _row_spy(monkeypatch)
+    spec = SpaceSpec(4)
+    vector = run_index_array(spec, np.array(indices, np.uint64))
+    # step 1 reads (1,0), so the row's one child takes it; step 2 halts
+    assert calls == [(False, 1), (True, 1), (False, 1)]
+    assert vector.counts == {"11": 18}
+    assert vector.first_producer == {"11": first}
+    scalar = run_index_array(spec, indices, engine="scalar")
+    assert vector.canonical_bytes() == scalar.canonical_bytes()
+
+
+def test_families_step_under_a_quarter_of_the_decoded_rows(monkeypatch):
+    # a seeded strided (4,2) sample of 419,536 machines at cutoff 107; one
+    # decoded row per machine stepped 778,707 rows
+    offset = random.Random(7).randrange(26_267)
+    indices = np.arange(offset, space_size(4), 26_267, dtype=np.uint64)
+    calls = _row_spy(monkeypatch)
+    table = run_index_array(SpaceSpec(4), indices)
+    assert table.census.total_runs == indices.size == 419_536
+    assert sum(rows for child, rows in calls if not child) < 778_707 / 4
+    # with the spawned children, which take the step they are born in
+    assert sum(rows for _, rows in calls) < 778_707 / 4
 
 
 def _digits(index, n):
