@@ -16,10 +16,11 @@ reaches it as the independent oracle for the fast path. Every run fills a
 FrequencyTable through FrequencyTable.add.
 
 Orbits. run_space's shards step only orbit representatives: machines
-whose (1,0) entry is a right-moving step, 2n of the 4n+2 top digits, run
-on blank 0. Reflecting the directions of a machine reverses its blank-0
-run; complementing its symbols (and swapping its read-0/read-1 entries)
-turns its blank-0 run into the complemented blank-1 run of the image. So
+whose (1,0) entry is a right-moving step to state 1 or 2, 4 of the 4n+2
+top digits (2 for n = 1), run on blank 0 (Namings, below). Reflecting the
+directions of a machine reverses its blank-0 run; complementing its
+symbols (and swapping its read-0/read-1 entries) turns its blank-0 run
+into the complemented blank-1 run of the image. So
 each representative run also stands for its mirror's blank-0 run and, in
 both mode, for the two complements' blank-1 runs, each credited with the
 image string and the image machine's index as producer. Runs whose first
@@ -27,6 +28,19 @@ step reads a halting entry print one symbol and are counted in closed form.
 A shard therefore aggregates the orbits whose representative index lies in
 its range, plus the first-step halts of that range; whole-space results are
 unchanged.
+
+Namings. Renaming states 2..n maps the space onto itself and each run
+onto a run with the same output, step count, used rules and census
+bucket; only the index moves. The transposition (2 k) maps the machines
+whose (1,0) entry steps to state 2 one to one onto those that step to
+state k with the same write and move. So a row whose top step goes to
+state 2 also stands for its n - 2 renamings, n - 1 namings in all
+(_namings): its machine, no_halt_rule and bucket counts are multiplied
+by n - 1, and digits whose top step goes to state 3..n are never
+stepped. A renaming raises the top step's next state, so the row's own
+image index stays the smallest under the identity and mirror images. A
+complement image starts with the renamed (1,1) entry instead, and its
+producer is the least over the row's renamings (_image_producers).
 
 Families. A run reads only some of its 2n entries, and every machine that
 differs from it only in unread entries runs the same way. So a shard
@@ -36,14 +50,17 @@ as one row whose low j digits hold the unread marker 4n + 2. A row that
 reads an unread entry is replaced, at the same step, by b children, one
 per code; a child with neither an unread nor a halting entry is a
 machine without a halting rule and is counted at once. A finished row
-with u unread entries stands for b^u machines: a halted one credits b^u
-runs to its string, with the family's smallest member (unread digits 0)
-as producer. Of a non-halting row none of whose fixed entries halts, the
-(4n)^u members with only steps in their unread entries go to
-no_halt_rule and the rest to its bucket (escape or cutoff). An escape
+with u unread entries stands for b^u machines, times its namings: a
+halted one credits them to its string, with the family's smallest member
+(unread digits 0) as producer. Of a non-halting row none of whose fixed
+entries halts, the (4n)^u members with only steps in their unread
+entries go to no_halt_rule and the rest to its bucket (escape or
+cutoff), each count times the namings. An escape
 test that depends on an unread blank-read entry expands that entry. On
-(3,2) this steps 73,316 rows in all (summed over the steps), where the
-3,226,944 representatives one by one take 4,673,656 machine-steps.
+(3,2) this steps 36,659 rows in all (summed over the steps) for its
+2,151,296 representatives. Without the namings it stepped 73,316 rows
+for the 3,226,944 machines of all six right-moving top digits, which
+one by one take 4,673,656 machine-steps.
 run_index_array runs arbitrary index sets, every machine on every blank,
 by the same rule with a batch's machines in place of a block's: each
 batch of _BATCH indices starts as one row with every entry unread whose
@@ -462,6 +479,51 @@ def _image_indices(digits: np.ndarray, n: int, reverse: bool, complement: bool) 
     return index
 
 
+@functools.cache
+def _transpositions(n: int):
+    """For each transposition (2 k) of state names, k = 3..n, the slot
+    order and code table that rename a row of action codes, read-only.
+
+    The renamed row takes state k's entries where state 2's were and the
+    other way round (row[:, order]), and a step to state 2 goes to k and
+    one to k goes to 2 (table). Halt codes and the unread marker keep
+    their code.
+    """
+    codes = np.arange(4 * n + 3)
+    target = codes % n  # a step code's next state - 1
+    renamings = []
+    for k in range(3, n + 1):
+        swap = np.arange(n)  # (2 k) on state - 1
+        swap[[1, k - 1]] = k - 1, 1
+        order = (2 * swap[:, None] + np.arange(2)).ravel()
+        table = np.where(codes < 4 * n, codes - target + swap[target], codes).astype(np.uint8)
+        for a in (order, table):
+            a.flags.writeable = False
+        renamings.append((order, table))
+    return tuple(renamings)
+
+
+def _image_producers(digits: np.ndarray, n: int, reverse: bool, complement: bool) -> np.ndarray:
+    """The smallest index of each family row's image, over every naming it stands for.
+
+    A row whose top step goes to state 2 also stands for its renamings
+    under (2 k), k = 3..n (_namings), whose top steps go to state k. Those
+    keep the row's top digit but for a larger next state, so without
+    complement the row's own image is the smallest (_image_indices). A
+    complement image starts with the renamed (1,1) entry instead, so it
+    takes the minimum over the renamings.
+    """
+    index = _image_indices(digits, n, reverse, complement)
+    named = np.flatnonzero(_namings(digits[:, 0], n) > 1) if complement else ()
+    if len(named):
+        rows = digits[named]
+        least = index[named]
+        for order, table in _transpositions(n):
+            np.minimum(least, _image_indices(table[rows[:, order]], n, reverse, True), out=least)
+        index[named] = least
+    return index
+
+
 # The runs an orbit representative R (a machine whose (1,0) entry is a
 # right-moving step) stands for, as (reverse, complement): R on blank 0; its
 # mirror on blank 0, which prints the reversed output; and in both mode the
@@ -575,22 +637,37 @@ def _can_halt(digits: np.ndarray, n: int) -> np.ndarray:
     return mask
 
 
+def _namings(top, n: int):
+    """How many namings of states 2..n a family row stands for, from its
+    top digit: n - 1 when its (1,0) entry steps to state 2, else 1.
+
+    Such a row stands for itself and its renamings under the
+    transpositions (2 k), k = 3..n, which run exactly as it does (see
+    Namings in the module docstring); rows whose top step goes to state
+    3..n are never stepped.
+    """
+    return np.where((top < 4 * n) & (top % n == 1), n - 1, 1)
+
+
 def _machines(digits: np.ndarray, n: int) -> np.ndarray:
-    """How many machines each row of action codes stands for: (4n+2)^u for u unread entries."""
-    return np.power(np.int64(4 * n + 2), np.count_nonzero(digits == 4 * n + 2, axis=1))
+    """How many machines each family row stands for: (4n+2)^u for u unread
+    entries, times its namings."""
+    unread = np.count_nonzero(digits == 4 * n + 2, axis=1)
+    return _namings(digits[:, 0], n) * np.power(np.int64(4 * n + 2), unread)
 
 
 def _no_halt_machines(digits: np.ndarray, n: int) -> np.ndarray:
-    """How many of each row's machines have no halting entry.
+    """How many of each family row's machines have no halting entry.
 
     If none of its fixed entries halts, the (4n)^u members whose u unread
-    entries are all steps have none; otherwise every member has one. A row
-    without unread entries has one, since no pass steps a row that cannot
-    halt (_can_halt).
+    entries are all steps have none, times the row's namings; otherwise
+    every member has one. A row without unread entries has one, since no
+    pass steps a row that cannot halt (_can_halt).
     """
     unread = np.count_nonzero(digits == 4 * n + 2, axis=1)
     fixed_halt = ((digits >= 4 * n) & (digits < 4 * n + 2)).any(axis=1)
-    return np.where(fixed_halt, 0, np.power(np.int64(4 * n), unread))
+    no_halt = _namings(digits[:, 0], n) * np.power(np.int64(4 * n), unread)
+    return np.where(fixed_halt, 0, no_halt)
 
 
 class _Members:
@@ -653,8 +730,8 @@ class _Outputs:
 
     A row is a machine or a family that differs only in its unread entries,
     so all its members run the same way. A halted row credits its
-    machines to the image string, with the image of its smallest member
-    (unread digits 0) as producer. Halted spans are packed before the tape
+    machines to the image string, with the least image of its members
+    (_image_producers) as producer. Halted spans are packed before the tape
     moves; an escaped or step-limited row credits its members without a
     halting entry to no_halt_rule and the rest to its bucket. With members
     (an index batch, see _Members) a row stands for its segment of them
@@ -699,7 +776,7 @@ class _Outputs:
         if self.members is None:
             digits = ords[row]
             machines = _machines(digits, self.n)
-            producers = np.stack([_image_indices(digits, self.n, *image) for image in self.images])
+            producers = np.stack([_image_producers(digits, self.n, *image) for image in self.images])
         else:
             machines, producers = self.members.sizes(row), self.members.first(row)[None]
         self.sink.census.halted += len(self.images) * int(machines.sum())
@@ -1029,7 +1106,7 @@ class _Pass:
         digits[np.arange(src.size), slots[src]] = codes
         if self.members is None:
             can_halt = _can_halt(digits, n)
-            self.outputs.no_halt_rule(src.size - int(np.count_nonzero(can_halt)))
+            self.outputs.no_halt_rule(int(_machines(digits[~can_halt], n).sum()))
             src, digits = src[can_halt], digits.compress(can_halt, axis=0)
         children = live.take(parents[src], axis=1)
         rep = rows[src]
@@ -1135,9 +1212,9 @@ def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
 
 
 def _representative_digits(n: int):
-    """The top digits whose (1,0) entry is a right-moving step: n..2n-1
-    (write 0) and 3n..4n-1 (write 1)."""
-    return (*range(n, 2 * n), *range(3 * n, 4 * n))
+    """The top digits whose (1,0) entry is a right-moving step to state 1
+    or 2: n and n + 1 (write 0), 3n and 3n + 1 (write 1); n and 3n if n = 1."""
+    return tuple(d for d in (*range(n, 2 * n), *range(3 * n, 4 * n)) if d % n < 2)
 
 
 def _representative_ranges(n: int, lo: int, hi: int):
@@ -1160,8 +1237,8 @@ def _family_groups(n: int, lo: int, hi: int):
     does a group (a list of (p * b^j, j)), which bounds a group's live
     rows and so the memory of a pass: on the (4,2) top-digit block
     [13 * 18^7, 14 * 18^7) they peaked at 87,578. Groups eight times
-    larger peaked at 250,706; they ran faster, but took the heaviest
-    (4,2) block from 66 to 206 MB.
+    larger peaked at 250,706; they ran faster, but took the (4,2) block
+    of top digit 15 from 66 to 206 MB.
     """
     b = 4 * n + 2
     cap = 8 * _BATCH
@@ -1222,20 +1299,21 @@ def _run_shard(job) -> FrequencyTable:
 
     It runs the orbit representatives in [lo, hi) on blank 0 as families
     (_family_groups), one group at a time, credits each run to its mirror
-    and complement images, and counts the first-step halts of [lo, hi) in
-    closed form. So the table aggregates the orbits whose representative
-    lies in [lo, hi), and the merged tables of shards that tile the space
-    equal the scalar engine's whole-space run.
+    and complement images and to its namings (_namings), and counts the
+    first-step halts of [lo, hi) in closed form. So the table aggregates
+    the orbits whose representative lies in [lo, hi), and the merged
+    tables of shards that tile the space equal the scalar engine's
+    whole-space run.
     """
     spec, lo, hi = job
     sink = empty_table(spec, ((lo, hi),))
     images = _ORBIT_IMAGES[spec.blank_mode]
-    b = 4 * spec.n + 2
     for group in _family_groups(spec.n, lo, hi):
-        sink.census.total_runs += len(images) * sum(b ** j for _, j in group)
         ords = _family_rows(spec.n, group)
+        machines = _machines(ords, spec.n)
         can_halt = _can_halt(ords, spec.n)
-        sink.census.no_halt_rule += len(images) * (len(ords) - int(np.count_nonzero(can_halt)))
+        sink.census.total_runs += len(images) * int(machines.sum())
+        sink.census.no_halt_rule += len(images) * int(machines[~can_halt].sum())
         if can_halt.any():
             _Pass(spec, ords.compress(can_halt, axis=0), 0, images, sink).run()
     _count_initial_halts(spec, lo, hi, sink)
@@ -1283,26 +1361,31 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
 
 
 # A pool pays only for spaces far larger than (3,2). On two cores the whole
-# (3,2) `both` run takes 0.036-0.041 s as one shard in one process, 0.07 s
-# as its 6 top-digit shards in one process, and 0.10-0.12 s through a pool
-# of 2: forking and warming cold children costs more than the work. A (4,2)
-# top-digit shard takes up to 13 s. Smaller spaces run as one shard.
+# (3,2) `both` run takes 0.017-0.019 s as one shard in one process,
+# 0.025-0.028 s as its 4 top-digit shards in one process, and 0.05 s
+# through a pool of 2: forking and warming cold children costs more than
+# the work. A (4,2) top-digit shard takes up to 11 s. Smaller spaces run
+# as one shard.
 _POOL_MIN_SIZE = 10 ** 9
 
 
 def _top_digit_shards(spec: SpaceSpec):
-    """The 2n shards of [0, size), one per representative top digit.
+    """The shards of [0, size), one per representative top digit, heaviest first.
 
     A shard runs from its digit's block start (0 for the first) to the next
     representative digit's start (size for the last), so it holds one whole
-    top-digit block of representatives and splits no family block. Its cost
-    rises with the digit's next state: on (4,2), digits 15, 14 and 13 take
-    11.7, 12.9 and 9.0 s in one process, digits 4 and 12 under 0.1 s.
+    top-digit block of representatives and splits no family block. The
+    digits that step to state 2 cost the most, so they come first, each
+    group from the highest digit down: on (4,2), digits 13, 5, 12 and 4
+    take 9.1, 5.3, 0.13 and 0.13 s in one process (zero blank; 10.6, 5.2,
+    0.15 and 0.15 s for both).
     """
     n = spec.n
     top = (4 * n + 2) ** (2 * n - 1)
-    bounds = [0, *(d * top for d in _representative_digits(n)[1:]), spec.size]
-    return list(zip(bounds, bounds[1:]))
+    digits = _representative_digits(n)
+    bounds = [0, *(d * top for d in digits[1:]), spec.size]
+    shards = sorted(zip(digits, bounds, bounds[1:]), key=lambda s: (s[0] % n, s[0]), reverse=True)
+    return [(lo, hi) for _, lo, hi in shards]
 
 
 def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
@@ -1310,10 +1393,11 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
 
     Every shard runs the symmetry-reduced vector engine (_run_shard). A
     space below _POOL_MIN_SIZE machines, or a run with one worker, is one
-    whole-space shard in the calling process. Otherwise the 2n top-digit
-    shards (_top_digit_shards) go, highest digit first, to a pool of
-    min(workers, 2n) processes, and each process takes the next shard when
-    it is free. The shards depend only on the space, and the result is
+    whole-space shard in the calling process. Otherwise the 4 top-digit
+    shards (_top_digit_shards) go, heaviest first, to a pool of
+    min(workers, 4) processes, and each process takes the next shard when
+    it is free: on (4,2) one process runs digit 13 while the other runs
+    the rest. The shards depend only on the space, and the result is
     byte-identical for every worker count.
     """
     require_int("workers", workers)
@@ -1322,7 +1406,7 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
     if workers == 1 or spec.size < _POOL_MIN_SIZE:
         parts = [_run_shard((spec, 0, spec.size))]
     else:
-        jobs = [(spec, lo, hi) for lo, hi in reversed(_top_digit_shards(spec))]
+        jobs = [(spec, lo, hi) for lo, hi in _top_digit_shards(spec)]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=min(workers, len(jobs))) as pool:
             parts = pool.map(_run_shard, jobs, chunksize=1)

@@ -217,8 +217,12 @@ def test_reduced_census_equals_the_full_census_on_small_spaces():
 
 
 def test_reduced_census_equals_the_full_census_on_three_states(d3_zero_freq, d3_both_freq):
+    # byte for byte, producers included: the reduced run steps only top
+    # digits 3, 4, 9 and 10, and credits digits 4 and 10 for their
+    # renamings (2 3) too, whose producers it computes without running them
     for reduced in (d3_zero_freq, d3_both_freq):
-        _assert_same_census(reduced, _full_census(reduced.spec))
+        full = dataclasses.replace(_full_census(reduced.spec), covers=((0, reduced.spec.size),))
+        assert reduced.canonical_bytes() == full.canonical_bytes()
 
 
 def test_first_step_halts_are_counted_in_closed_form():
@@ -592,23 +596,47 @@ def test_shards_start_from_aligned_block_rows(monkeypatch):
     first = _index(np.where(rows == 14, 0, rows), 3)
     assert first.tolist() == (lo + np.cumsum([0] + (14 ** unread).tolist()[:-1])).tolist()
     # the oracle: the shard equals the scalar run of its orbits
-    span = np.arange(lo, lo + 4500)
-    mirrors = space._image_indices(_digits(span, 3), 3, True, False)
-    orbits = np.union1d(span, mirrors).astype(np.uint64)
-    whole = run_index_array(SpaceSpec(3), orbits, engine="scalar")
+    whole = run_index_array(SpaceSpec(3), _orbits(lo, lo + 4500, 3), engine="scalar")
     assert _same_outputs(shard, whole)
     assert shard.census == whole.census
 
 
+def _renamed(index, n, k):
+    """The index of machine index with states 2 and k swapped: their
+    entries trade places, and steps to either go to the other."""
+    table = decode_machine(int(index), n)
+    swap = {2: k, k: 2}
+
+    def rename(action):
+        if isinstance(action, Step):
+            return Step(action.write, action.move, swap.get(action.next_state, action.next_state))
+        return action
+
+    entries = [rename(table.entry(swap.get(s, s), r)) for s in range(1, n + 1) for r in (0, 1)]
+    return encode_machine(RuleTable(n, tuple(entries)))
+
+
+def _orbits(lo, hi, n):
+    """The blank-0 runs a shard of [lo, hi) steps for: each representative,
+    its renamings (2 k), k = 3..n, when its (1,0) entry steps to state 2,
+    and the mirrors of all of these."""
+    span = np.arange(lo, hi)
+    digit = span // (4 * n + 2) ** (2 * n - 1)
+    named = span[(digit < 4 * n) & (digit % n == 1)]
+    renamed = [_renamed(i, n, k) for i in named for k in range(3, n + 1)]
+    machines = np.union1d(span, np.array(renamed, np.int64))
+    mirrors = space._image_indices(_digits(machines, n), n, True, False)
+    return np.union1d(machines, mirrors).astype(np.uint64)
+
+
 def test_four_state_shard_equals_the_vector_run_of_its_orbits():
-    # 5,000 representatives that start with Step(1, R, 2), Step(0, L, 4)
+    # 5,000 representatives that start with Step(1, R, 2), Step(0, L, 4):
+    # each stands for itself and its renamings (2 3) and (2 4)
     lo = (13 * 18 + 3) * 18 ** 6 + 123_456
     spec = SpaceSpec(4, max_steps=107)
     shard = space._run_shard((spec, lo, lo + 5000))
-    span = np.arange(lo, lo + 5000)
-    mirrors = space._image_indices(_digits(span, 4), 4, True, False)
-    orbits = np.union1d(span, mirrors).astype(np.uint64)
-    whole = run_index_array(spec, orbits)
+    whole = run_index_array(spec, _orbits(lo, lo + 5000, 4))
+    assert whole.census.total_runs == 2 * 3 * 5000
     assert min(dataclasses.astuple(whole.census)) > 0
     assert _same_outputs(shard, whole)
     assert shard.census == whole.census
@@ -619,17 +647,81 @@ def test_children_keep_their_parents_excursion():
     # repeats it. Their children keep the parent's snapshot and so must keep
     # its excursion too; one that started its excursion afresh at the head
     # would be retired on a partial comparison. The oracle: the scalar run
-    # of the shard's orbits.
+    # of the shard's orbits. Both ranges lie in top-digit blocks that step
+    # to state 2 (digits 5 and 13), so their orbits hold their renamings.
     spec = SpaceSpec(4, max_steps=107)
-    for lo in (3_463_105_263, 8_944_634_986):
+    for lo in (3_463_105_263, 8_281_344_744):
         shard = space._run_shard((spec, lo, lo + 781))
-        span = np.arange(lo, lo + 781)
-        mirrors = space._image_indices(_digits(span, 4), 4, True, False)
-        orbits = np.union1d(span, mirrors).astype(np.uint64)
-        whole = run_index_array(spec, orbits, engine="scalar")
+        whole = run_index_array(spec, _orbits(lo, lo + 781, 4), engine="scalar")
         assert whole.census.step_limited > 0
         assert _same_outputs(shard, whole)
         assert shard.census == whole.census
+
+
+def test_renaming_states_keeps_every_run():
+    # Swapping the names of states 2 and 3 maps the (3,2) machines whose
+    # (1,0) entry steps right to state 2 (top digit 4, writing 0; 10,
+    # writing 1) one to one onto those that step right to state 3 (5; 11),
+    # and keeps each run's output, used rules and bucket on both blanks.
+    # The unreduced engine runs both blocks of each pair.
+    spec = SpaceSpec(3, blank_mode="both")
+    top = 14 ** 5
+    for pair in ((4, 5), (10, 11)):
+        a, b = (run_index_array(spec, np.arange(d * top, (d + 1) * top)) for d in pair)
+        assert a.counts == b.counts
+        assert a.min_used_rules == b.min_used_rules
+        assert a.census == b.census
+        assert a.first_producer != b.first_producer
+
+
+def test_complement_producers_take_the_least_renaming():
+    # A family row whose (1,0) entry steps to state 2 stands for its
+    # renamings (2 3) and (2 4) too. Its producer under each image is the
+    # least image index over all members of all three namings: brute force
+    # over the members, renamed one by one through RuleTable
+    n = 4
+    rng = np.random.default_rng(103)
+    for _ in range(300):
+        row = rng.integers(0, 4 * n + 2, 2 * n).astype(np.uint8)
+        row[0] = rng.choice([5, 13])  # Step(0, R, 2) and Step(1, R, 2)
+        unread = rng.choice(np.arange(1, 2 * n), 2 if rng.random() < 0.2 else 1, replace=False)
+        row[unread] = 4 * n + 2
+        members = _index(_completions(row, n), n)
+        named = np.array([_renamed(i, n, k) if k > 2 else i for i in members for k in (2, 3, 4)])
+        images = _digits(named, n)
+        for image in ((False, False), (True, False), (False, True), (True, True)):
+            got = space._image_producers(row[None, :], n, *image)
+            assert got.tolist() == [space._image_indices(images, n, *image).min()]
+            if not image[1]:  # without complement, the row's own image is the least
+                assert got.tolist() == space._image_indices(row[None, :], n, *image).tolist()
+
+
+def test_passes_step_no_top_digit_that_goes_past_state_two(monkeypatch):
+    # every row a pass steps has a top digit whose step goes to state 1 or
+    # 2; a (4,2) shard inside the block of Step(1, R, 3) steps no row and
+    # counts no run
+    tops = []
+
+    class Spy(space._Pass):
+        def advance(self, live):
+            tops.append(self.ords[live[space._ORD] // (2 * self.n), 0])
+            return super().advance(live)
+
+    def stepped(n):
+        digits = np.unique(np.concatenate(tops))
+        tops.clear()
+        assert (digits % n < 2).all()
+        return digits.tolist()
+
+    monkeypatch.setattr(space, "_Pass", Spy)
+    run_space(SpaceSpec(3, blank_mode="both"))
+    assert stepped(3) == [3, 4, 9, 10]
+    shard = space._run_shard((SpaceSpec(4), 5 * 18 ** 7 + 500, 5 * 18 ** 7 + 5500))
+    assert stepped(4) == [5]
+    assert shard.census.total_runs == 2 * 3 * 5000
+    lo = 14 * 18 ** 7 + 123_456
+    shard = space._run_shard((SpaceSpec(4, blank_mode="both"), lo, lo + 5000))
+    assert tops == [] and shard.census == space.Census()
 
 
 @functools.cache
@@ -796,24 +888,29 @@ def _inline_pools(monkeypatch):
 
 
 def test_top_digit_shards_hold_one_representative_block_each():
-    # the 2n shards tile [0, size), each cut where a representative top digit
-    # starts, and each holds that digit's whole block of representatives
+    # one shard per representative top digit, a right-moving step to state
+    # 1 or 2: sorted, they tile [0, size), each cut where its digit starts,
+    # and each holds that digit's whole block of representatives. They come
+    # heaviest first: the digits that step to state 2, then the others,
+    # each from the highest digit down
+    expected = {1: [3, 1], 2: [7, 3, 6, 2], 3: [10, 4, 9, 3], 4: [13, 5, 12, 4]}
     for n in (1, 2, 3, 4):
         size, top = space_size(n), (4 * n + 2) ** (2 * n - 1)
         shards = space._top_digit_shards(SpaceSpec(n))
-        assert len(shards) == 2 * n
-        assert shards[0][0] == 0 and shards[-1][1] == size
-        assert all(a[1] == b[0] and b[0] % top == 0 for a, b in zip(shards, shards[1:]))
-        for d, (lo, hi) in zip(space._representative_digits(n), shards):
+        digits = [space._representative_ranges(n, lo, hi)[0][0] // top for lo, hi in shards]
+        assert digits == expected[n]
+        tiling = sorted(shards)
+        assert tiling[0][0] == 0 and tiling[-1][1] == size
+        assert all(a[1] == b[0] and b[0] % top == 0 for a, b in zip(tiling, tiling[1:]))
+        for d, (lo, hi) in zip(space._representative_digits(n), tiling):
             assert space._representative_ranges(n, lo, hi) == [(d * top, (d + 1) * top)]
 
 
 def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_freq):
     # with the pool threshold lowered, (3,2) goes to a pool at 2 workers and
-    # up: its parts are the 2n top-digit shards, submitted from the highest
-    # digit down, to min(workers, 2n) processes; one worker runs one
-    # whole-space shard. No cut splits a family, so every worker count steps
-    # the same 73,316 rows
+    # up: its parts are the 4 top-digit shards, submitted heaviest first, to
+    # min(workers, 4) processes; one worker runs one whole-space shard. No
+    # cut splits a family, so every worker count steps the same 36,659 rows
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
     ctx = _inline_pools(monkeypatch)
     covers, rows = [], [0]
@@ -832,14 +929,14 @@ def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_fre
         covers.clear()
         rows[0] = 0
         assert run_space(spec, workers=workers).canonical_bytes() == d3_zero_freq.canonical_bytes()
-        assert rows[0] == 73_316
-        shards = [(0, spec.size)] if workers == 1 else space._top_digit_shards(spec)[::-1]
+        assert rows[0] == 36_659
+        shards = [(0, spec.size)] if workers == 1 else space._top_digit_shards(spec)
         assert [c for (c,) in covers] == shards
-    assert ctx.processes == [2, 3, 4, 5, 6, 6, 6]
+    assert ctx.processes == [2, 3, 4, 4, 4, 4, 4]
 
 
 def test_pool_never_exceeds_the_top_digit_shards(monkeypatch):
-    # a huge worker count asks for no more processes than shards, 2n; the
+    # a huge worker count asks for no more processes than shards, 4; the
     # fake context starts none
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
     ctx = _inline_pools(monkeypatch)
@@ -860,8 +957,9 @@ def test_small_spaces_start_no_pool(monkeypatch, d3_zero_freq):
 
 
 def test_four_state_pool_gets_its_shards_heaviest_first(monkeypatch):
-    # the (4,2) plan, with a stub for the shard runs: its 8 top-digit shards,
-    # from top digit 15 down to 4, on min(workers, 8) processes
+    # the (4,2) plan, with a stub for the shard runs: its 4 top-digit
+    # shards, those that step to state 2 first (top digits 13 and 5, then 12
+    # and 4), on min(workers, 4) processes
     ctx = _inline_pools(monkeypatch)
     jobs = []
 
@@ -875,10 +973,10 @@ def test_four_state_pool_gets_its_shards_heaviest_first(monkeypatch):
     for workers in (2, 3, 100):
         jobs.clear()
         assert run_space(spec, workers=workers).covers == ((0, spec.size),)
-        assert [(lo, hi) for _, lo, hi in jobs] == space._top_digit_shards(spec)[::-1]
+        assert [(lo, hi) for _, lo, hi in jobs] == space._top_digit_shards(spec)
         digits = [space._representative_ranges(4, lo, hi)[0][0] // 18 ** 7 for _, lo, hi in jobs]
-        assert digits == [15, 14, 13, 12, 7, 6, 5, 4]
-    assert ctx.processes == [2, 3, 8]
+        assert digits == [13, 5, 12, 4]
+    assert ctx.processes == [2, 3, 4]
 
 
 def test_run_space_rejects_a_worker_count_below_one():
