@@ -46,12 +46,10 @@ from .space import (
     SpaceSpec,
     default_max_steps,
     empty_table,
-    load_frequency_table,
     merge_shards,
     run_index_array,
     run_space,
     run_strided_sample,
-    save_frequency_table,
     space_size,
 )
 from .ctm import (

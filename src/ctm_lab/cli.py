@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import __version__
-from ._canon import decode_utf8, fmt_value, meta_dumps, read_file
+from ._canon import decode_utf8, fmt_value, is_binary, meta_dumps, read_file
 from .analysis import (
     anomaly_report,
     cross_space_report,
@@ -216,6 +216,8 @@ def _cmd_table_merge(args) -> None:
 
 
 def _cmd_ctm_eval(args) -> None:
+    if not is_binary(args.string):
+        raise ValidationError(f"--string must be a nonempty binary string, got {args.string!r}")
     table = load_ctm_table(args.table)
     entry = table.entries.get(args.string)
     row = (

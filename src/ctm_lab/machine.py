@@ -53,12 +53,14 @@ Action = Union[Step, HaltWrite]
 
 def action_count(n: int) -> int:
     """Distinct actions available to one entry of an n-state machine."""
+    require_int("n", n)
+    if n < 1:
+        raise ValidationError(f"state count must be >= 1, got {n}")
     return 4 * n + 2
 
 
 def machine_count(n: int) -> int:
     """Size of the rule space (n, 2) under the fixed formalism."""
-    require_int("n", n)
     return action_count(n) ** (2 * n)
 
 

@@ -117,10 +117,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._canon import (
-    canonical_int, canonical_key, decode_utf8, meta_dumps, read_file, read_header, read_records,
-)
-from .errors import ParseError, ValidationError, require_int
+from ._canon import canonical_key, meta_dumps
+from .errors import ValidationError, require_int
 from .machine import (
     NO_HALT_RULE, Halted, NonHaltingProved, RunConfig, decode_machine, machine_count, simulate,
 )
@@ -137,6 +135,8 @@ _TABLE_SIZE = 1 << 17
 # (_Members); _family_groups caps run_space's groups at 8 * _BATCH.
 _BATCH = 1 << 19
 
+# Header of FrequencyTable.canonical_bytes(), the in-memory comparison key of
+# a run (the benchmark's census-d4-sample hashes it); no file format uses it.
 _FREQ_MAGIC = "# ctm-freq v1"
 _FREQ_COLUMNS = "string,count,min_used_rules,first_producer"
 
@@ -182,8 +182,6 @@ def _from_meta(cls, d, kind: str):
 def space_size(n: int) -> int:
     """(4n + 2)^(2n), the number of machines with n states and 2 symbols."""
     require_int("n", n)
-    if n < 1:
-        raise ValidationError(f"state count must be >= 1, got {n}")
     if n > _MAX_STATES:
         raise ValidationError(
             f"space size for n={n} exceeds the supported enumeration range (n <= {_MAX_STATES})"
@@ -282,7 +280,7 @@ class Census:
 
 @dataclass
 class FrequencyTable:
-    """Aggregated halting outputs of a space run.
+    """Aggregated halting outputs of a space run, held in memory only.
 
     counts maps each produced binary string to how many runs produced it;
     min_used_rules keeps the smallest number of distinct transition entries
@@ -339,6 +337,8 @@ class FrequencyTable:
         return recs
 
     def canonical_bytes(self) -> bytes:
+        """Canonical text of the table, the key that runs are compared by.
+        Tables are saved through to_ctm as .ctm files, never in this form."""
         meta = {
             "census": self.census.as_dict(),
             "covers": None if self.covers is None else [list(r) for r in self.covers],
@@ -348,67 +348,6 @@ class FrequencyTable:
         for s, count, used, first in self.records():
             lines.append(f"{s},{count},{used},{first}")
         return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def save_frequency_table(table: FrequencyTable, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(table.canonical_bytes())
-
-
-def load_frequency_table(path) -> FrequencyTable:
-    """Read a .freq file; counts must be positive, min_used_rules at least 1
-    and first_producer an index of the space. Errors name the file."""
-    return read_file(path, _loads_frequency_table)
-
-
-def _covers_from_meta(covers, size: int):
-    """None, or ordered, disjoint [lo, hi] ranges with 0 <= lo < hi <= size."""
-    if covers is None:
-        return None
-    if not isinstance(covers, list):
-        raise ValidationError(f"covers is not a list: {covers!r}")
-    prev = 0
-    for r in covers:
-        if not (isinstance(r, list) and len(r) == 2 and all(type(v) is int for v in r)
-                and prev <= r[0] < r[1] <= size):
-            raise ValidationError(f"covers has a bad range {r!r}")
-        prev = r[1]
-    return tuple(tuple(r) for r in covers)
-
-
-def _freq_meta(meta: dict):
-    """(spec, census, covers) from a meta header holding exactly those keys."""
-    if sorted(meta) != ["census", "covers", "spec"]:
-        raise ValidationError(f"keys must be census, covers and spec, got {sorted(meta)}")
-    spec = SpaceSpec.from_dict(meta["spec"])
-    census = Census.from_dict(meta["census"])
-    return spec, census, _covers_from_meta(meta["covers"], spec.size)
-
-
-def _loads_frequency_table(data: bytes) -> FrequencyTable:
-    lines = decode_utf8(data).splitlines()
-    spec, census, covers = read_header(lines, _FREQ_MAGIC, _FREQ_COLUMNS, "ctm-freq", _freq_meta)
-    counts, used, first = {}, {}, {}
-    parsers = (canonical_int,) * 3
-    for lineno, s, (count, min_used, producer) in read_records(lines, parsers):
-        if count <= 0:
-            raise ParseError(f"count must be positive, got {count}", line=lineno)
-        if min_used < 1:
-            raise ParseError(f"min_used_rules must be >= 1, got {min_used}", line=lineno)
-        if not 0 <= producer < spec.size:
-            raise ParseError(f"first_producer {producer} is not an index of the space",
-                             line=lineno)
-        counts[s], used[s], first[s] = count, min_used, producer
-    table = FrequencyTable(
-        spec=spec,
-        counts=counts,
-        min_used_rules=used,
-        first_producer=first,
-        census=census,
-        covers=covers,
-    )
-    table.validate()
-    return table
 
 
 # ---------------------------------------------------------------------------

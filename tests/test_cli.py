@@ -80,6 +80,15 @@ def test_bdm_eval_string_and_file(small_tables, tmp_path, capsys):
     assert len(rows) == 4  # header + 3 records
 
 
+def test_ctm_eval_rejects_strings_no_table_can_hold(capsys):
+    # these used to print an empty row with count 0 and exit 0; a binary
+    # string the table lacks still does (test_ctm_eval_records)
+    for string in ("abc", "", "01 "):
+        assert main(["ctm", "eval", "--table", str(TABLE_D2), "--string", string]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+
+
 def test_entropy_command(capsys):
     assert main(["entropy", "--string", "0101"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "0101,1"
@@ -180,6 +189,10 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["bdm", "eval", "--table", str(TABLE_D2), "--string", ""]) == 1
     assert main(["compress", "lz78", "--string", ""]) == 1
     assert main(["entropy", "--string", "0101", "--block", "-1"]) == 1
+    # a space needs a state: this used to report "index 5 out of range [0, 1) for n=0"
+    for states in ("0", "-1"):
+        assert main(["machine", "show", "--states", states, "--index", "5"]) == 1
+        assert f"state count must be >= 1, got {states}" in capsys.readouterr().err
     # --threads and --format exist only where they are read
     assert main(["entropy", "--string", "0101", "--threads", "2"]) == 1
     assert main(["rle", "encode", "--string", "11", "--format", "json-lines"]) == 1

@@ -22,7 +22,7 @@ from ctm_lab.ctm import (
 from ctm_lab import builtin_table
 from ctm_lab._canon import fmt_float
 from ctm_lab.errors import CtmLabError, ParseError, ValidationError
-from ctm_lab.space import Census, FrequencyTable, SpaceSpec, empty_table, load_frequency_table
+from ctm_lab.space import Census, FrequencyTable, SpaceSpec, empty_table
 
 
 def toy_freq(counts, total_runs=None, n=2):
@@ -236,7 +236,7 @@ def test_meaningless_row_from_the_roadmap_exits_one(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
-def test_meta_headers_hold_exactly_what_the_writers_write(tmp_path, capsys, d2_zero_freq):
+def test_meta_headers_hold_exactly_what_the_writers_write(tmp_path, capsys):
     # such a file used to load and then re-serialize to other bytes
     from ctm_lab.cli import main
 
@@ -249,22 +249,6 @@ def test_meta_headers_hold_exactly_what_the_writers_write(tmp_path, capsys, d2_z
     assert err.value.line == 2
     assert main(["ctm", "eval", "--table", str(path), "--string", "01"]) == 1
     assert capsys.readouterr().err.splitlines() == [f"ctm-lab: error: {err.value}"]
-    freq = tmp_path / "bad.freq"
-    freq.write_bytes(d2_zero_freq.canonical_bytes().replace(b'{"census"', b'{"zzz":1,"census"', 1))
-    with pytest.raises(ParseError) as err:
-        load_frequency_table(freq)
-    assert err.value.line == 2
-    assert str(err.value).startswith(f"{freq}: line 2: ")
-
-
-def test_freq_loader_rejects_meaningless_rows(tmp_path, d2_zero_freq):
-    path = tmp_path / "d2.freq"
-    data = d2_zero_freq.canonical_bytes()
-    for field, text in ((2, "0"), (3, "-1"), (3, "10000"), (1, "0")):
-        path.write_bytes(_with_field(data, 4, field, text))
-        with pytest.raises(ParseError) as err:
-            load_frequency_table(path)
-        assert err.value.line == 4
 
 
 def _field_text(original):
@@ -282,22 +266,16 @@ def _field_text(original):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_single_field_mutations_round_trip_or_raise(data, tmp_path_factory, d2_zero_freq):
-    """Any one-field change to a shipped d2 table or a d2 .freq loads to the same bytes or raises."""
-    kind = data.draw(st.sampled_from(["d2_zero", "d2_both", "freq"]))
-    original = d2_zero_freq.canonical_bytes() if kind == "freq" else _shipped(kind)
+def test_single_field_mutations_round_trip_or_raise(data):
+    """Any one-field change to a shipped d2 table loads to the same bytes or raises."""
+    original = _shipped(data.draw(st.sampled_from(["d2_zero", "d2_both"])))
     lines = original.decode().split("\n")
     line = data.draw(st.integers(4, len(lines) - 1))  # 1-based data rows
     fields = lines[line - 1].split(",")
     field = data.draw(st.integers(0, len(fields) - 1))
     mutated = _with_field(original, line, field, data.draw(_field_text(fields[field])))
     try:
-        if kind == "freq":
-            path = tmp_path_factory.getbasetemp() / "mutated.freq"
-            path.write_bytes(mutated)
-            again = load_frequency_table(path).canonical_bytes()
-        else:
-            again = dumps_ctm_table(loads_ctm_table(mutated))
+        again = dumps_ctm_table(loads_ctm_table(mutated))
     except CtmLabError:
         return
     assert again == mutated

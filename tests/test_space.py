@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import pathlib
 import random
 
 import numpy as np
@@ -26,6 +27,7 @@ from ctm_lab.machine import (
     RuleTable,
     RunConfig,
     Step,
+    action_count,
     decode_machine,
     encode_machine,
     escape_closure,
@@ -37,12 +39,10 @@ from ctm_lab import space
 from ctm_lab.space import (
     SpaceSpec,
     empty_table,
-    load_frequency_table,
     merge_shards,
     run_index_array,
     run_space,
     run_strided_sample,
-    save_frequency_table,
     space_size,
 )
 
@@ -55,8 +55,11 @@ def test_space_sizes():
 
 
 def test_space_size_rejects_out_of_range_states():
-    with pytest.raises(ValidationError):
-        space_size(0)
+    # machine_count(-1) used to return 0.25 and machine_count(0) 1
+    for n in (0, -1):
+        for count in (space_size, machine_count, action_count):
+            with pytest.raises(ValidationError, match=f"state count must be >= 1, got {n}"):
+                count(n)
     with pytest.raises(ValidationError):
         space_size(7)
 
@@ -1022,100 +1025,83 @@ def test_merge_rejects_overlapping_ranges(d2_zero_freq):
         merge_shards([d2_zero_freq, d2_zero_freq])
 
 
-# --- persistence
-
-
-def test_frequency_table_round_trip(tmp_path, d2_zero_freq):
-    path = tmp_path / "d2.freq"
-    save_frequency_table(d2_zero_freq, path)
-    loaded = load_frequency_table(path)
-    assert loaded.canonical_bytes() == d2_zero_freq.canonical_bytes()
-    assert loaded.spec == d2_zero_freq.spec
+# --- persistence: a run is saved as a .ctm table, whose sources carry its spec and census
 
 
 def test_frequency_table_parse_errors(tmp_path):
     bad = tmp_path / "bad"
     spec, census = SpaceSpec(2).as_dict(), space.Census().as_dict()
-    freq_meta = {"census": census, "covers": [[0, 10], [20, 10_000]], "spec": spec}
-    ctm_meta = {"normalization": "all_machines", "sources": [{"census": census, "spec": spec}],
-                "tool_version": "0.1.0"}
-    loaders = (
-        (load_frequency_table, "# ctm-freq v1", "string,count,min_used_rules,first_producer",
-         freq_meta, (
-             {"census": census, "covers": None},
-             {**freq_meta, "spec": {**spec, "states": 2}},
-             {**freq_meta, "spec": {**spec, "n": "2"}},
-             {**freq_meta, "spec": {**spec, "n": True}},
-             {**freq_meta, "spec": {**spec, "max_steps": 0}},
-             {**freq_meta, "census": {**census, "halted": -1}},
-             {**freq_meta, "covers": 5},
-             {**freq_meta, "covers": [[0]]},
-             {**freq_meta, "covers": [[5, 1]]},
-             {**freq_meta, "covers": [[0, 20], [10, 30]]},
-             {**freq_meta, "covers": [[0, 10_001]]},
-             {**freq_meta, "zzz": 1},
-         )),
-        (load_ctm_table, "# ctm-table v1",
-         "string,count,probability,complexity_bits,min_used_rules,source_space",
-         ctm_meta, (
-             {**ctm_meta, "normalization": "percentiles"},
-             {"normalization": "all_machines"},
-             {**ctm_meta, "sources": 5},
-             {**ctm_meta, "sources": [1]},
-             {**ctm_meta, "sources": [{}]},
-             {**ctm_meta, "sources": [{"census": census, "spec": {**spec, "n": 2.0}}]},
-             {**ctm_meta, "sources": [{"census": {**census, "halted": "5"}, "spec": spec}]},
-             {**ctm_meta, "tool_version": "9", "zzz": 1},
-             {**ctm_meta, "tool_version": "9"},
-             {**ctm_meta, "zzz": 1},
-             {"normalization": "all_machines", "sources": []},
-         )),
+    magic = "# ctm-table v1"
+    columns = "string,count,probability,complexity_bits,min_used_rules,source_space"
+    good_meta = {"normalization": "all_machines", "sources": [{"census": census, "spec": spec}],
+                 "tool_version": "0.1.0"}
+
+    def source(spec=spec, census=census):
+        return {**good_meta, "sources": [{"census": census, "spec": spec}]}
+
+    bad_metas = (
+        {**good_meta, "normalization": "percentiles"},
+        {"normalization": "all_machines"},
+        {**good_meta, "sources": 5},
+        {**good_meta, "sources": [1]},
+        {**good_meta, "sources": [{}]},
+        source(spec={**spec, "n": 2.0}),
+        source(spec={**spec, "n": "2"}),
+        source(spec={**spec, "n": True}),
+        source(spec={**spec, "states": 2}),
+        source(spec={**spec, "max_steps": 0}),
+        source(census={**census, "halted": "5"}),
+        source(census={**census, "halted": -1}),
+        {**good_meta, "tool_version": "9", "zzz": 1},
+        {**good_meta, "tool_version": "9"},
+        {**good_meta, "zzz": 1},
+        {"normalization": "all_machines", "sources": []},
     )
-    for load, magic, columns, good_meta, bad_metas in loaders:
-        bad.write_text(f"{magic}\n# meta {json.dumps(good_meta)}\n{columns}\n")
-        load(bad)
-        cases = (
-            ("not a table\n", 1),
-            (f"{magic}\nstray\n{columns}\n", 2),
-            (f"{magic}\n# meta {{bad\n{columns}\n", 2),
-            (f"{magic}\n# meta [1]\n{columns}\n", 2),
-            (f"{magic}\n# meta {'[' * 100_000}\n{columns}\n", 2),
-            (f"{magic}\n# meta {{}}\nstring,count\n", 3),
-        ) + tuple((f"{magic}\n# meta {json.dumps(meta)}\n{columns}\n", 2) for meta in bad_metas)
-        for text, line in cases:
-            bad.write_text(text)
-            with pytest.raises(ParseError) as err:
-                load(bad)
-            assert err.value.line == line
-            assert str(err.value).startswith(f"{bad}: line {line}: ")
+    bad.write_text(f"{magic}\n# meta {json.dumps(good_meta)}\n{columns}\n")
+    load_ctm_table(bad)
+    cases = (
+        ("not a table\n", 1),
+        (f"{magic}\nstray\n{columns}\n", 2),
+        (f"{magic}\n# meta {{bad\n{columns}\n", 2),
+        (f"{magic}\n# meta [1]\n{columns}\n", 2),
+        (f"{magic}\n# meta {'[' * 100_000}\n{columns}\n", 2),
+        (f"{magic}\n# meta {{}}\nstring,count\n", 3),
+    ) + tuple((f"{magic}\n# meta {json.dumps(meta)}\n{columns}\n", 2) for meta in bad_metas)
+    for text, line in cases:
+        bad.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_ctm_table(bad)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"{bad}: line {line}: ")
 
 
-def _with_meta(path, d2_zero_freq, edit):
-    save_frequency_table(d2_zero_freq, path)
-    magic, meta, rest = path.read_text().split("\n", 2)
+def _with_source(path, edit):
+    """The shipped d2_zero.ctm at path, with edit applied to its first source."""
+    shipped = pathlib.Path(space.__file__).with_name("data") / "d2_zero.ctm"
+    magic, meta, rest = shipped.read_text().split("\n", 2)
     meta = json.loads(meta[len("# meta "):])
-    edit(meta)
+    edit(meta["sources"][0])
     path.write_text(f"{magic}\n# meta {json.dumps(meta)}\n{rest}")
 
 
-def test_frequency_table_rejects_other_proof_settings(tmp_path, d2_zero_freq):
-    path = tmp_path / "d2.freq"
+def test_frequency_table_rejects_other_proof_settings(tmp_path):
+    path = tmp_path / "d2.ctm"
 
-    def cycle_on(meta):
-        meta["spec"]["filters"]["cycle"] = True
+    def cycle_on(source):
+        source["spec"]["filters"]["cycle"] = True
 
-    def other_memory_limit(meta):
-        meta["spec"]["cycle_memory_limit"] = 5000
+    def other_memory_limit(source):
+        source["spec"]["cycle_memory_limit"] = 5000
 
-    def cycles_counted(meta):
-        meta["census"]["cycle_detected"] = 3
+    def cycles_counted(source):
+        source["census"]["cycle_detected"] = 3
 
-    _with_meta(path, d2_zero_freq, lambda meta: None)
-    assert load_frequency_table(path).canonical_bytes() == d2_zero_freq.canonical_bytes()
+    _with_source(path, lambda source: None)
+    assert load_ctm_table(path) == builtin_table("d2_zero")
     for edit in (cycle_on, other_memory_limit, cycles_counted):
-        _with_meta(path, d2_zero_freq, edit)
+        _with_source(path, edit)
         with pytest.raises(ParseError) as err:
-            load_frequency_table(path)
+            load_ctm_table(path)
         assert err.value.line == 2
 
 
