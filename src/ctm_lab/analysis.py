@@ -324,10 +324,17 @@ def cross_space_report(small: CtmTable, large: CtmTable) -> Report:
     Inversions are strict count disagreements between the two tables; each
     inverted pair is recorded with the small-table frequency percentile of
     both members (percentile = share of shared strings with a count no
-    larger than the member's).
+    larger than the member's). The small table's spaces must be no larger
+    than the large table's: its largest source n may not exceed their
+    smallest.
     """
     if small.normalization != large.normalization:
         raise ValidationError("tables use different normalizations")
+    small_n = [src["spec"]["n"] for src in small.sources]
+    large_n = [src["spec"]["n"] for src in large.sources]
+    if small_n and large_n and max(small_n) > min(large_n):
+        raise ValidationError(f"the small table comes from n = {max(small_n)}, "
+                              f"larger than the large table's n = {min(large_n)}")
     shared = sorted(set(small.entries) & set(large.entries), key=lambda s: (len(s), s))
     if not shared:
         raise ValidationError("tables share no strings")

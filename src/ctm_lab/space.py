@@ -63,8 +63,12 @@ for the 3,226,944 machines of all six right-moving top digits, which
 one by one take 4,673,656 machine-steps.
 run_index_array runs arbitrary index sets, every machine on every blank,
 by the same rule with a batch's machines in place of a block's: each
-batch of _BATCH indices starts as one row with every entry unread whose
-members are the batch's machines that can halt (_Members). A row that
+batch of _BATCH = 2^20 indices starts as one row with every entry unread
+whose members are the batch's machines that can halt (_Members). The
+batch is decoded and filtered 2^16 indices at a time (_DECODE_CHUNK), so
+the decode's temporaries do not grow with it, and a member keeps only its
+2n action codes and its int32 place in the permutation, 12 bytes at
+n = 4; a producer's index is read back from its codes. A row that
 reads an unread entry splits its members stably by their codes there,
 one child per code that occurs. A finished row credits its member count
 to its bucket, and a halted one its first (smallest) member as producer.
@@ -86,8 +90,8 @@ the step they are born in, like every row that takes a step.
 machine.simulate implements the rule independently, and tests check each
 retirement by it. On the seed-0 census-d4-sample (4,194,884 runs at
 cutoff 107) this retires 285,215 of the 287,122 step-limited runs. The
-rows stepped (summed over the steps) fall from 6,741,528 to 798,783, plus
-170,699 children stepped when born; one decoded row per machine stepped
+rows stepped (summed over the steps) fall from 6,483,006 to 770,592, plus
+163,221 children stepped when born; one decoded row per machine stepped
 34,986,985 rows without the check and 7,803,652 with it.
 
 The step loop touches only live rows: state, head, visited bounds,
@@ -132,8 +136,16 @@ _MAX_STATES = 6  # indices, and _decode's chunk quotients, stay exact in int64: 
 # replaces its keys by their ranks before a key table grows past it.
 _TABLE_SIZE = 1 << 17
 # Indices per run_index_array batch, the members of one pass's first row
-# (_Members); _family_groups caps run_space's groups at 8 * _BATCH.
-_BATCH = 1 << 19
+# (_Members), decoded _DECODE_CHUNK indices at a time. Larger batches pay
+# the per-step overhead fewer times and let machines of more indices share
+# rows. The seed-0 census-d4-sample (4,194,884 indices, cutoff 107), run
+# in one process on a 2-core x86-64 box, medians of five: 2^19 took
+# 0.66 s at 90 MB peak RSS, 2^20 0.57 s at 96 MB, 2^21 0.54 s at 113 MB
+# (the process, its 34 MB index array included).
+_BATCH = 1 << 20
+_DECODE_CHUNK = 1 << 16
+# Machines per run_space family block and group (_family_groups).
+_GROUP_MACHINES = 1 << 22
 
 # Header of FrequencyTable.canonical_bytes(), the in-memory comparison key of
 # a run (the benchmark's census-d4-sample hashes it); no file format uses it.
@@ -612,44 +624,55 @@ def _no_halt_machines(digits: np.ndarray, n: int) -> np.ndarray:
 class _Members:
     """The machines of an index batch, as segments of member ids per pass row.
 
-    Members are the batch's machines that can halt, in index order: index
-    holds their indices and codes their rows of action codes. Pass row r
-    stands for the members perm[seg[r, 0]:seg[r, 1]]; a pass starts as one
-    row with every entry unread and all members. Splits are stable, so a
+    Members are the batch's machines that can halt, in index order; codes
+    holds their rows of action codes (uint8), and nothing else is kept per
+    member but the int32 perm: 2n + 4 bytes, 12 at n = 4. Pass row r stands
+    for the members perm[seg[r, 0]:seg[r, 1]]; a pass starts as one row
+    with every entry unread and all members. Splits are stable, so a
     segment always lists its members in index order, the smallest first.
     """
 
-    def __init__(self, index: np.ndarray, codes: np.ndarray):
-        self.index, self.codes = index, codes
-        self.perm = np.arange(index.size)
-        self.seg = np.array([[0, index.size]])
+    def __init__(self, codes: np.ndarray):
+        self.codes = codes
+        self.perm = np.arange(codes.shape[0], dtype=np.int32)
+        self.seg = np.array([[0, codes.shape[0]]])
 
     def sizes(self, rows) -> np.ndarray:
         lo, hi = self.seg[rows].T
         return hi - lo
 
+    def indices(self, ids) -> np.ndarray:
+        """The machine indices of member ids, read back from their codes
+        (exact in int64 up to _MAX_STATES)."""
+        digits = self.codes[ids]
+        index = np.zeros(digits.shape[0], np.int64)
+        for slot in range(digits.shape[1]):
+            index *= 2 * digits.shape[1] + 2  # 4n + 2 codes
+            index += digits[:, slot]
+        return index
+
     def first(self, rows) -> np.ndarray:
         """The smallest member index of each row."""
-        return self.index[self.perm[self.seg[rows, 0]]]
+        return self.indices(self.perm[self.seg[rows, 0]])
 
     def split(self, rows, slots):
         """Split each row's segment stably by its members' codes at the row's slot.
 
         Returns, for each code that occurs, one child: its row's position in
-        rows, the code and its segment. The sort key is (row, code) in the
-        narrowest type that holds it; numpy sorts 8- and 16-bit keys by
-        radix. Keys already in order (as on blank 0's first read of the top
-        digit) skip the sort.
+        rows, the code and its segment. Positions and member ids are int32.
+        The sort key is (row, code) in the narrowest type that holds it;
+        numpy sorts 8- and 16-bit keys by radix. Keys already in order (as
+        on blank 0's first read of the top digit) skip the sort.
         """
         width = self.codes.shape[1]
         b = width * 2 + 2  # 4n + 2 codes
         lo, hi = self.seg[rows].T
         sizes = hi - lo
-        pos = np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-        pos += np.arange(pos.size)
+        pos = np.repeat((lo - np.cumsum(sizes) + sizes).astype(np.int32), sizes)
+        pos += np.arange(pos.size, dtype=np.int32)
         ids = self.perm.take(pos)
         flat = ids * width
-        flat += np.repeat(slots, sizes)
+        flat += np.repeat(slots.astype(np.int32), sizes)
         top = rows.size * b
         dtype = np.uint8 if top <= 1 << 8 else np.uint16 if top <= 1 << 16 else np.int64
         key = np.repeat(np.arange(0, top, b, dtype=dtype), sizes)
@@ -1132,22 +1155,24 @@ def _decode(idx: np.ndarray, n: int) -> np.ndarray:
 def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
     """Run one batch of machine indices on every blank of spec.
 
-    The machines that can halt are the members (_Members) of one row with
-    every entry unread, which splits as its runs read entries; the others
-    are counted to no_halt_rule up front.
+    The batch is decoded and filtered _DECODE_CHUNK indices at a time, and
+    only the codes of machines that can halt are kept, so the decode's
+    temporaries do not grow with the batch. Those machines are the members
+    (_Members) of one row with every entry unread, which splits as its runs
+    read entries; the others are counted to no_halt_rule up front.
     """
     n = spec.n
-    codes = _decode(idx, n)  # decoded once and shared by every blank
-    can_halt = _can_halt(codes, n)
-    index = np.asarray(idx.compress(can_halt), np.int64)
-    codes = codes.compress(can_halt, axis=0)
+    chunks = (_decode(idx[i:i + _DECODE_CHUNK], n) for i in range(0, idx.size, _DECODE_CHUNK))
+    # decoded once and shared by every blank
+    codes = np.concatenate([c.compress(_can_halt(c, n), axis=0) for c in chunks])
+    count = codes.shape[0]
     unread = np.full((1, 2 * n), 4 * n + 2, np.uint8)
     for blank in spec.blanks:
         sink.census.total_runs += idx.size
-        sink.census.no_halt_rule += idx.size - index.size
-        if index.size:
+        sink.census.no_halt_rule += idx.size - count
+        if count:
             # an index set is not reduced by symmetry: its one image is the run itself
-            _Pass(spec, unread, blank, ((False, False),), sink, _Members(index, codes)).run()
+            _Pass(spec, unread, blank, ((False, False),), sink, _Members(codes)).run()
 
 
 def _representative_digits(n: int):
@@ -1172,15 +1197,15 @@ def _family_groups(n: int, lo: int, hi: int):
 
     The range splits into aligned blocks [p * b^j, (p + 1) * b^j), b = 4n+2,
     each one row whose top 2n - j digits are those of p and whose low j
-    digits are unread. A block holds at most 8 * _BATCH machines, and so
-    does a group (a list of (p * b^j, j)), which bounds a group's live
-    rows and so the memory of a pass: on the (4,2) top-digit block
-    [13 * 18^7, 14 * 18^7) they peaked at 87,578. Groups eight times
+    digits are unread. A block holds at most _GROUP_MACHINES = 2^22
+    machines, and so does a group (a list of (p * b^j, j)), which bounds a
+    group's live rows and so the memory of a pass: on the (4,2) top-digit
+    block [13 * 18^7, 14 * 18^7) they peaked at 87,578. Groups eight times
     larger peaked at 250,706; they ran faster, but took the (4,2) block
     of top digit 15 from 66 to 206 MB.
     """
     b = 4 * n + 2
-    cap = 8 * _BATCH
+    cap = _GROUP_MACHINES
     group, size = [], 0
     for a, c in _representative_ranges(n, lo, hi):
         while a < c:

@@ -243,6 +243,14 @@ def test_cross_space_disjoint_tables_error():
         cross_space_report(a, b)
 
 
+def test_cross_space_rejects_tables_in_the_wrong_order(d2_zero_table, d3_zero_table):
+    # the inversion percentiles come from the small table, so it must be
+    # the smaller space; equal spaces are allowed
+    with pytest.raises(ValidationError, match="n = 3"):
+        cross_space_report(d3_zero_table, d2_zero_table)
+    cross_space_report(d2_zero_table, d3_zero_table)
+
+
 def test_cross_space_mixed_normalization_errors(d2_zero_table):
     other = CtmTable("all_machines", dict(d2_zero_table.entries), ())
     with pytest.raises(ValidationError):

@@ -89,6 +89,13 @@ def test_ctm_eval_rejects_strings_no_table_can_hold(capsys):
         assert out == "" and len(err.splitlines()) == 1
 
 
+def test_cross_space_rejects_a_small_table_from_the_larger_space(small_tables, capsys):
+    d1, d2 = small_tables
+    assert main(["report", "cross-space", "--small", str(d2), "--large", str(d1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "n = 2" in err
+
+
 def test_entropy_command(capsys):
     assert main(["entropy", "--string", "0101"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "0101,1"

@@ -6,6 +6,7 @@ import itertools
 import json
 import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,7 +329,7 @@ def test_engine_retires_exactly_the_runs_simulate_proves_cyclic(
             rows = super().looped(live, stop)
             members = self.members
             for lo, hi in members.seg[live[space._ORD][rows] // (2 * self.n)]:
-                runs = members.index[members.perm[lo:hi]]
+                runs = members.indices(members.perm[lo:hi])
                 retired.extend((int(i), self.blank, self.steps) for i in runs)
             return rows
 
@@ -559,22 +560,65 @@ def test_escape_words_of_families_agree_with_their_members():
 
 
 def test_results_do_not_depend_on_batch_size(monkeypatch):
-    # _BATCH cuts index arrays into decoded batches and bounds the machines
-    # of a shard's family groups at 8 * _BATCH
+    # _BATCH cuts index arrays into batches, each decoded _DECODE_CHUNK
+    # indices at a time, and _GROUP_MACHINES bounds the machines of a
+    # shard's family groups
     both = SpaceSpec(2, blank_mode="both")
     span = np.arange(3_000_000, 3_020_000, dtype=np.uint64)
+    # 2509 indices: a multiple of neither batch nor of either decode chunk
+    stride = np.arange(11, space_size(3), 3001, dtype=np.uint64)
     expected = (
         run_space(both).canonical_bytes(),
         run_index_array(SpaceSpec(3), span).canonical_bytes(),
+        run_index_array(SpaceSpec(3, blank_mode="both"), stride).canonical_bytes(),
     )
     groups = space._family_groups
     for batch in (7, 999):
         monkeypatch.setattr(space, "_BATCH", batch)
+        monkeypatch.setattr(space, "_DECODE_CHUNK", batch // 2)
+        monkeypatch.setattr(space, "_GROUP_MACHINES", 8 * batch)
         sizes = [sum(10 ** j for _, j in g) for g in groups(2, 0, both.size)]
         assert sum(sizes) == 4000 and max(sizes) <= 8 * batch
         assert len(sizes) == (80 if batch == 7 else 1)
         assert run_space(both).canonical_bytes() == expected[0]
         assert run_index_array(SpaceSpec(3), span).canonical_bytes() == expected[1]
+        assert stride.size % batch and stride.size % (batch // 2)
+        assert run_index_array(SpaceSpec(3, blank_mode="both"), stride).canonical_bytes() \
+            == expected[2]
+
+
+def test_index_batches_hold_a_bounded_number_of_bytes_per_index():
+    # numpy reports its buffers to tracemalloc, so unlike RSS the peak is
+    # deterministic. One (4,2) batch of 2^20 strided indices peaks at 19.5
+    # bytes per index above the index array: 12 per member that can halt
+    # (61% of them), the pass's rows and the temporaries of one split.
+    # Members that also hold their int64 index, with an int64 perm and a
+    # decode of the whole batch at once, peak at 32.9 and fail.
+    spec = SpaceSpec(4, max_steps=107)
+    indices = np.arange(1 << 20, dtype=np.int64) * (spec.size >> 20)
+    tracemalloc.start()  # after the index array, so it is not counted
+    try:
+        run_index_array(spec, indices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * indices.size
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_member_producers_are_exact_at_the_top_of_the_largest_spaces(n):
+    # A member's index is read back from its codes in int64 (_Members.indices).
+    # Indices near (4n + 2)^(2n), 26^12 at n = 6, catch an overflow or a wrong
+    # radix: the last 300 of the space, all first-step halts, and the last
+    # 300 before the top digit 4n, which step and then read their low digits.
+    spec = SpaceSpec(n, blank_mode="both", max_steps=12)
+    top = 4 * n * (4 * n + 2) ** (2 * n - 1)
+    for end in (top, spec.size):
+        indices = np.arange(end - 300, end, dtype=np.uint64)
+        vector = run_index_array(spec, indices)
+        scalar = run_index_array(spec, indices, engine="scalar")
+        assert vector.canonical_bytes() == scalar.canonical_bytes()
+        assert min(vector.first_producer.values()) == end - 300
 
 
 def test_shards_start_from_aligned_block_rows(monkeypatch):
