@@ -86,6 +86,7 @@ from .bdm import (
 from .baselines import (
     block_entropy,
     lz78_bit_length,
+    lz78_bit_lengths,
     rle_decode,
     rle_encode,
     shannon_entropy,

@@ -24,6 +24,13 @@ def is_binary(s: str) -> bool:
     return _BINARY.fullmatch(s) is not None
 
 
+def require_binary(s: str) -> None:
+    """ValidationError naming the first symbol of nonempty s that is not 0 or 1."""
+    if not is_binary(s):
+        pos = next(i for i, c in enumerate(s) if c not in "01")
+        raise ValidationError(f"not a binary string: {s[pos]!r} at position {pos}")
+
+
 def read_file(path, parse):
     """parse(the bytes of the file at path); a CtmLabError it raises names the file."""
     with open(path, "rb") as fh:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._canon import fmt_value, meta_dumps
-from .baselines import entropy_of_counts, lz78_bit_length, require_one_block
+from .baselines import entropy_of_counts, lz78_bit_lengths, require_one_block
 from .bdm import (
     BdmConfig, check_decomposable, decompose_many, decomposition_value, partition_many,
     resolve_config,
@@ -241,16 +242,17 @@ def divergence_report(table: CtmTable, corpus, cfg: BdmConfig) -> Report:
         require_one_block(s, cfg.block_len)
     # one cut serves BDM, block entropy and the symbol entropy: the ones of
     # a binary string are those of its distinct blocks, times their
-    # multiplicities, plus those of its remainder
+    # multiplicities, plus those of its remainder; LZ78 prices the whole
+    # corpus in one lockstep pass, whose node table is freed before the cut
     k = cfg.block_len
     values = {}
-    for s, decomp in zip(strings, partition_many(strings, cfg)):
+    for s, decomp, lz in zip(strings, partition_many(strings, cfg), lz78_bit_lengths(strings)):
         ones = s[len(s) - len(s) % k:].count("1")
         ones += sum(m * b.count("1") for b, m in decomp.blocks.items())
         values[s] = (decomposition_value(decomp, table, cfg),
                      entropy_of_counts([c for c in (ones, len(s) - ones) if c]),
                      entropy_of_counts(decomp.blocks.values()),
-                     lz78_bit_length(s))
+                     lz)
     bdm_sorted = sorted(v[0] for v in values.values())
     ent_sorted = sorted(v[1] for v in values.values())
     rows = []
@@ -291,12 +293,10 @@ def diversity_report(table: CtmTable, length: int, cfg: BdmConfig) -> Report:
     cfg = resolve_config(cfg, table)
     strings = [format(i, f"0{length}b") for i in range(2 ** length)]
     bdm_hist = {}
-    lz_hist = {}
-    for s, decomp in zip(strings, decompose_many(strings, cfg)):
+    for decomp in decompose_many(strings, cfg):
         v = decomposition_value(decomp, table, cfg)
         bdm_hist[v] = bdm_hist.get(v, 0) + 1
-        lz = lz78_bit_length(s)
-        lz_hist[lz] = lz_hist.get(lz, 0) + 1
+    lz_hist = Counter(lz78_bit_lengths(strings))
     return Report(
         kind=KIND_DIVERSITY,
         provenance={

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._canon import is_binary
+from ._canon import require_binary
 from .baselines import entropy_of_counts, require_one_block
 from .errors import ValidationError, require_int
 from .ctm import CtmTable
@@ -215,9 +215,7 @@ def check_decomposable(s: str, cfg: BdmConfig) -> None:
     k = _block_len(cfg)
     if not s:
         raise ValidationError("cannot partition an empty string")
-    if not is_binary(s):
-        pos = next(i for i, c in enumerate(s) if c not in "01")
-        raise ValidationError(f"not a binary string: {s[pos]!r} at position {pos}")
+    require_binary(s)
     if cfg.boundary == BOUNDARY_DROP:
         require_one_block(s, k)
 

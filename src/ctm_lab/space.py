@@ -661,8 +661,11 @@ class _Members:
         Returns, for each code that occurs, one child: its row's position in
         rows, the code and its segment. Positions and member ids are int32.
         The sort key is (row, code) in the narrowest type that holds it;
-        numpy sorts 8- and 16-bit keys by radix. Keys already in order (as
-        on blank 0's first read of the top digit) skip the sort.
+        numpy sorts 8- and 16-bit keys by radix. Past 16 bits the key is
+        int32, which holds every key: a row has a member, so rows.size <=
+        _BATCH = 2^20, and 2^20 * (4n + 2) < 2^31 up to _MAX_STATES. Keys
+        already in order (as on blank 0's first read of the top digit) skip
+        the sort.
         """
         width = self.codes.shape[1]
         b = width * 2 + 2  # 4n + 2 codes
@@ -674,7 +677,7 @@ class _Members:
         flat = ids * width
         flat += np.repeat(slots.astype(np.int32), sizes)
         top = rows.size * b
-        dtype = np.uint8 if top <= 1 << 8 else np.uint16 if top <= 1 << 16 else np.int64
+        dtype = np.uint8 if top <= 1 << 8 else np.uint16 if top <= 1 << 16 else np.int32
         key = np.repeat(np.arange(0, top, b, dtype=dtype), sizes)
         key += self.codes.reshape(-1).take(flat)
         if (key[1:] < key[:-1]).any():

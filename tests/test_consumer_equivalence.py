@@ -2,9 +2,9 @@
 
 The references below are the plain per-character and per-block versions
 of LZ78, entropy, block entropy and the BDM partition. The library's
-versions walk a trie, count symbols with str.count and cut a whole corpus
-in numpy chunks; they must give the same integers and the same floats,
-bit for bit.
+versions walk a trie (or the tries of a whole corpus in numpy lockstep),
+count symbols with str.count and cut a whole corpus in numpy chunks; they
+must give the same integers and the same floats, bit for bit.
 """
 
 import math
@@ -16,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctm_lab import bdm
+from ctm_lab import baselines, bdm
 from ctm_lab.analysis import divergence_report
 from ctm_lab.baselines import (
     block_entropy,
     entropy_of_counts,
     lz78_bit_length,
+    lz78_bit_lengths,
     shannon_entropy,
     sum_ceil_log2,
 )
@@ -116,6 +117,99 @@ def strings(draw):
 @given(strings())
 def test_lz78_equals_the_reference(s):
     assert lz78_bit_length(s) == ref_lz78_bit_length(s)
+
+
+@st.composite
+def binary_strings(draw, length=None):
+    """A random, periodic (period 1-16) or biased binary string of 1-3000 bits."""
+    if length is None:
+        length = draw(st.integers(1, 3000))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "periodic", "biased")))
+    if kind == "periodic":
+        unit = "".join(rng.choice("01") for _ in range(rng.randint(1, 16)))
+        return (unit * (length // len(unit) + 1))[:length]
+    p = 0.5 if kind == "random" else rng.uniform(0.0, 0.3)
+    return "".join("1" if rng.random() < p else "0" for _ in range(length))
+
+
+@st.composite
+def binary_corpora(draw):
+    """One string, or 2-30 of free or of equal lengths, with some repeated."""
+    shape = draw(st.sampled_from(("one", "equal_lengths", "free_lengths")))
+    if shape == "one":
+        return [draw(binary_strings())]
+    length = draw(st.integers(1, 3000)) if shape == "equal_lengths" else None
+    corpus = draw(st.lists(binary_strings(length), min_size=2, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(corpus), max_size=5))
+    return draw(st.permutations(corpus + repeats))
+
+
+# (step cost, group size) of lz78_bit_lengths: a step cost of 0 steps every
+# string in lockstep, 10^9 walks every string, 4 walks the strings much
+# longer than the next; groups of 4000 characters split a corpus into
+# several node tables; None keeps the default
+LZ78_PATHS = st.tuples(st.sampled_from([None, 0, 4, 10**9]), st.sampled_from([None, 4000]))
+
+
+def lz78_batch(corpus, path):
+    step_cost, group_chars = path
+    with pytest.MonkeyPatch.context() as mp:
+        if step_cost is not None:
+            mp.setattr(baselines, "_STEP_COST_CHARS", step_cost)
+        if group_chars is not None:
+            mp.setattr(baselines, "_GROUP_CHARS", group_chars)
+        return lz78_bit_lengths(corpus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(binary_corpora(), LZ78_PATHS)
+def test_lz78_batch_equals_the_single_string_walk_and_the_reference(corpus, path):
+    assert lz78_batch(corpus, path) \
+        == [lz78_bit_length(s) for s in corpus] == [ref_lz78_bit_length(s) for s in corpus]
+
+
+@settings(max_examples=100, deadline=None)
+@given(binary_corpora(), st.randoms(use_true_random=False), LZ78_PATHS)
+def test_lz78_batch_cost_of_a_string_does_not_depend_on_its_batch(corpus, rng, path):
+    cost = dict(zip(corpus, lz78_batch(corpus, path)))
+    shuffled = rng.sample(corpus, len(corpus))
+    subset = [s for s in corpus if rng.random() < 0.5] or corpus[:1]
+    for batch in (shuffled, subset):
+        assert lz78_batch(batch, path) == [cost[s] for s in batch]
+
+
+def test_lz78_batch_of_every_string_up_to_ten_bits():
+    # every parse end occurs: "0001" ends on a phrase boundary (0|00|1),
+    # "0000" inside one (0|00|0); 2046 lanes step in lockstep by default
+    corpus = [format(i, f"0{n}b") for n in range(1, 11) for i in range(2**n)]
+    assert lz78_bit_lengths(corpus) == [ref_lz78_bit_length(s) for s in corpus]
+
+
+def test_lz78_batch_steps_most_strings_and_walks_the_few_long_ones(monkeypatch):
+    walked = []
+
+    def spy(s):
+        walked.append(s)
+        return lz78_bit_length(s)
+
+    monkeypatch.setattr(baselines, "lz78_bit_length", spy)
+    long_ones = _seeded_corpus(3, count=3, min_bits=20000, max_bits=20000)
+    corpus = _seeded_corpus(4, count=500, min_bits=64, max_bits=512) + long_ones
+    assert lz78_bit_lengths(corpus) == [ref_lz78_bit_length(s) for s in corpus]
+    assert sorted(walked) == sorted(long_ones)
+
+
+def test_lz78_batch_of_nothing_is_empty():
+    assert lz78_bit_lengths([]) == []
+
+
+@pytest.mark.parametrize("step_cost", [0, 10**9])  # stepped and walked
+@pytest.mark.parametrize("bad", ["", "012", "01 ", "0\u00e91", "1" * 200 + "2"])
+def test_lz78_batch_rejects_an_empty_or_non_binary_string(monkeypatch, step_cost, bad):
+    monkeypatch.setattr(baselines, "_STEP_COST_CHARS", step_cost)
+    with pytest.raises(ValidationError):
+        lz78_bit_lengths(["0101", bad] + ["1"] * 300)
 
 
 @settings(max_examples=300, deadline=None)
