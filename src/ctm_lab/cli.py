@@ -83,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _leaf(sub, "run-space", _cmd_run_space, records=False,
               help="enumerate a rule space into a canonical table file")
     p.add_argument("--threads", type=int, default=1,
-                   help="at most this many worker processes; a space below 10^9 machines "
-                        "runs in one process (default: 1)")
+                   help="worker processes, capped at the CPU count; each takes one family "
+                        "group at a time, and a space below 10^9 machines runs in one "
+                        "process (default: 1)")
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--both-blanks", action="store_true",
                    help="run every machine on blank 0 and blank 1")

@@ -117,6 +117,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -1329,30 +1330,28 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
 
 # A pool pays only for spaces far larger than (3,2). On two cores the whole
 # (3,2) `both` run takes 0.017-0.019 s as one shard in one process,
-# 0.025-0.028 s as its 4 top-digit shards in one process, and 0.05 s
+# 0.025-0.028 s as its 4 top-digit blocks in one process, and 0.05 s
 # through a pool of 2: forking and warming cold children costs more than
-# the work. A (4,2) top-digit shard takes up to 11 s. Smaller spaces run
-# as one shard.
+# the work. Smaller spaces run as one shard.
 _POOL_MIN_SIZE = 10 ** 9
 
 
-def _top_digit_shards(spec: SpaceSpec):
-    """The shards of [0, size), one per representative top digit, heaviest first.
+def _group_shards(spec: SpaceSpec):
+    """The shards (spec, lo, hi) of [0, size), one per family group, lazily.
 
-    A shard runs from its digit's block start (0 for the first) to the next
-    representative digit's start (size for the last), so it holds one whole
-    top-digit block of representatives and splits no family block. The
-    digits that step to state 2 cost the most, so they come first, each
-    group from the highest digit down: on (4,2), digits 13, 5, 12 and 4
-    take 9.1, 5.3, 0.13 and 0.13 s in one process (zero blank; 10.6, 5.2,
-    0.15 and 0.15 s for both).
+    A shard runs from its group's first block start (0 for the first group)
+    to the next group's start (size for the last), so the shards tile the
+    space and _family_groups over a shard yields exactly its group: a block
+    depends only on its alignment, its top digit's end and _GROUP_MACHINES,
+    and it ends at or before the next group's start.
     """
-    n = spec.n
-    top = (4 * n + 2) ** (2 * n - 1)
-    digits = _representative_digits(n)
-    bounds = [0, *(d * top for d in digits[1:]), spec.size]
-    shards = sorted(zip(digits, bounds, bounds[1:]), key=lambda s: (s[0] % n, s[0]), reverse=True)
-    return [(lo, hi) for _, lo, hi in shards]
+    starts = (group[0][0] for group in _family_groups(spec.n, 0, spec.size))
+    next(starts)  # the first shard starts at 0
+    lo = 0
+    for start in starts:
+        yield spec, lo, start
+        lo = start
+    yield spec, lo, spec.size
 
 
 def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
@@ -1360,24 +1359,22 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
 
     Every shard runs the symmetry-reduced vector engine (_run_shard). A
     space below _POOL_MIN_SIZE machines, or a run with one worker, is one
-    whole-space shard in the calling process. Otherwise the 4 top-digit
-    shards (_top_digit_shards) go, heaviest first, to a pool of
-    min(workers, 4) processes, and each process takes the next shard when
-    it is free: on (4,2) one process runs digit 13 while the other runs
-    the rest. The shards depend only on the space, and the result is
+    whole-space shard in the calling process. Otherwise each family group
+    is a shard (_group_shards, 648 on (4,2)), read lazily by a pool of
+    min(workers, CPUs) processes, each of which takes the next shard when
+    it is free, and merged as the shards finish. No shard splits a family,
+    so every worker count steps the same rows, and the result is
     byte-identical for every worker count.
     """
     require_int("workers", workers)
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     if workers == 1 or spec.size < _POOL_MIN_SIZE:
-        parts = [_run_shard((spec, 0, spec.size))]
+        table = merge_shards([_run_shard((spec, 0, spec.size))])
     else:
-        jobs = [(spec, lo, hi) for lo, hi in _top_digit_shards(spec)]
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-            parts = pool.map(_run_shard, jobs, chunksize=1)
-    table = merge_shards(parts)
+        with ctx.Pool(processes=min(workers, os.cpu_count() or 1)) as pool:
+            table = merge_shards(pool.imap(_run_shard, _group_shards(spec), chunksize=1))
     table.validate()
     return table
 
@@ -1403,23 +1400,22 @@ def _normalize_covers(ranges):
 
 
 def merge_shards(parts) -> FrequencyTable:
-    """Associative, order-insensitive merge of disjoint partial tables."""
-    parts = list(parts)
-    if not parts:
-        raise ValidationError("nothing to merge")
-    spec = parts[0].spec
-    ranges = []
+    """Associative, order-insensitive merge of disjoint partial tables,
+    read one at a time from any iterable."""
+    table = None
     for part in parts:
-        if part.spec != spec:
+        if table is None:
+            table = empty_table(part.spec)
+        if part.spec != table.spec:
             raise ValidationError("cannot merge tables from different space specs")
         if part.covers is None:
             raise ValidationError("cannot merge ad-hoc index samples")
-        ranges.extend(part.covers)
-    table = empty_table(spec, _normalize_covers(ranges))
-    for part in parts:
+        table.covers = _normalize_covers((*table.covers, *part.covers))
         table.census.add(part.census)
         for s, count in part.counts.items():
             table.add(s, count, part.min_used_rules[s], part.first_producer[s])
+    if table is None:
+        raise ValidationError("nothing to merge")
     return table
 
 

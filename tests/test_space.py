@@ -909,10 +909,12 @@ def test_busy_beaver_cutoff_is_exact_on_three_states(d3_zero_freq):
 
 
 class _InlineContext:
-    """Stands in for the fork context: its pools record their size and map inline."""
+    """Stands in for the fork context: its pools record their size and whether
+    they were handed a lazy iterator of jobs, and run the jobs inline."""
 
     def __init__(self):
         self.processes = []
+        self.lazy = []
 
     def Pool(self, processes):
         self.processes.append(processes)
@@ -924,47 +926,60 @@ class _InlineContext:
     def __exit__(self, *exc):
         return False
 
-    @staticmethod
-    def map(fn, jobs, chunksize=1):
-        return [fn(job) for job in jobs]
+    def imap(self, fn, jobs, chunksize=1):
+        self.lazy.append(iter(jobs) is jobs)
+        return (fn(job) for job in jobs)
 
 
-def _inline_pools(monkeypatch):
+def _inline_pools(monkeypatch, cpus):
     ctx = _InlineContext()
     monkeypatch.setattr(space.multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(space.os, "cpu_count", lambda: cpus)
     return ctx
 
 
-def test_top_digit_shards_hold_one_representative_block_each():
-    # one shard per representative top digit, a right-moving step to state
-    # 1 or 2: sorted, they tile [0, size), each cut where its digit starts,
-    # and each holds that digit's whole block of representatives. They come
-    # heaviest first: the digits that step to state 2, then the others,
-    # each from the highest digit down
-    expected = {1: [3, 1], 2: [7, 3, 6, 2], 3: [10, 4, 9, 3], 4: [13, 5, 12, 4]}
-    for n in (1, 2, 3, 4):
-        size, top = space_size(n), (4 * n + 2) ** (2 * n - 1)
-        shards = space._top_digit_shards(SpaceSpec(n))
-        digits = [space._representative_ranges(n, lo, hi)[0][0] // top for lo, hi in shards]
-        assert digits == expected[n]
-        tiling = sorted(shards)
-        assert tiling[0][0] == 0 and tiling[-1][1] == size
-        assert all(a[1] == b[0] and b[0] % top == 0 for a, b in zip(tiling, tiling[1:]))
-        for d, (lo, hi) in zip(space._representative_digits(n), tiling):
-            assert space._representative_ranges(n, lo, hi) == [(d * top, (d + 1) * top)]
+def test_group_shards_tile_the_space_one_family_group_each(monkeypatch):
+    # each shard runs from its group's first block start (0 for the first)
+    # to the next group's start (size for the last): the shards tile
+    # [0, size), and _family_groups over a shard yields exactly the
+    # whole-space group at its place. At the default cap (1..3, 2) are one
+    # group and (4,2) 648; lowered caps cut (3,2) into 4 and 2,196 groups
+    def check(n, expected):
+        size = space_size(n)
+        groups = list(space._family_groups(n, 0, size))
+        shards = list(space._group_shards(SpaceSpec(n)))
+        assert len(shards) == len(groups) == expected
+        assert shards[0][1] == 0 and shards[-1][2] == size
+        assert all(a[2] == b[1] for a, b in zip(shards, shards[1:]))
+        for (spec, lo, hi), group in zip(shards, groups):
+            assert spec == SpaceSpec(n)
+            assert list(space._family_groups(n, lo, hi)) == [group]
+            assert lo == 0 or lo == group[0][0]
+
+    for n, expected in ((1, 1), (2, 1), (3, 1), (4, 648)):
+        check(n, expected)
+    for cap, expected in ((14 ** 5, {2: 1, 3: 4}), (999, {2: 5, 3: 2_196})):
+        monkeypatch.setattr(space, "_GROUP_MACHINES", cap)
+        for n in (2, 3):
+            check(n, expected[n])
 
 
 def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_freq):
-    # with the pool threshold lowered, (3,2) goes to a pool at 2 workers and
-    # up: its parts are the 4 top-digit shards, submitted heaviest first, to
-    # min(workers, 4) processes; one worker runs one whole-space shard. No
-    # cut splits a family, so every worker count steps the same 36,659 rows
+    # with the pool threshold lowered and groups capped at 14^5 machines,
+    # (3,2) goes to a pool at 2 workers and up: its parts are its 4 group
+    # shards, in index order, on min(workers, CPUs) processes; one worker
+    # runs one whole-space shard. No shard splits a family, so every worker
+    # count steps the same 36,659 rows as the 1-worker run
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
-    ctx = _inline_pools(monkeypatch)
+    monkeypatch.setattr(space, "_GROUP_MACHINES", 14 ** 5)
+    ctx = _inline_pools(monkeypatch, cpus=4)
     covers, rows = [], [0]
     merge = space.merge_shards
-    monkeypatch.setattr(space, "merge_shards",
-                        lambda parts: covers.extend(p.covers for p in parts) or merge(parts))
+
+    def spy_merge(parts):
+        return merge(p for p in parts if not covers.append(p.covers))
+
+    monkeypatch.setattr(space, "merge_shards", spy_merge)
 
     class Spy(space._Pass):
         def advance(self, live):
@@ -973,30 +988,33 @@ def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_fre
 
     monkeypatch.setattr(space, "_Pass", Spy)
     spec = SpaceSpec(3)
+    shards = [(lo, hi) for _, lo, hi in space._group_shards(spec)]
+    assert len(shards) == 4
     for workers in range(1, 9):
         covers.clear()
         rows[0] = 0
         assert run_space(spec, workers=workers).canonical_bytes() == d3_zero_freq.canonical_bytes()
         assert rows[0] == 36_659
-        shards = [(0, spec.size)] if workers == 1 else space._top_digit_shards(spec)
-        assert [c for (c,) in covers] == shards
+        assert [c for (c,) in covers] == ([(0, spec.size)] if workers == 1 else shards)
     assert ctx.processes == [2, 3, 4, 4, 4, 4, 4]
+    assert ctx.lazy == [True] * 7
 
 
-def test_pool_never_exceeds_the_top_digit_shards(monkeypatch):
-    # a huge worker count asks for no more processes than shards, 4; the
-    # fake context starts none
+def test_pool_never_exceeds_the_cpu_count(monkeypatch):
+    # a huge worker count asks for no more processes than CPUs, and an
+    # unknown CPU count for one; the fake context starts none
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
-    ctx = _inline_pools(monkeypatch)
     spec = SpaceSpec(2, blank_mode="both")
-    assert run_space(spec, workers=10 ** 6).canonical_bytes() == _scalar_bytes(spec)
-    assert ctx.processes == [4]
+    for cpus, processes in ((3, 3), (None, 1)):
+        ctx = _inline_pools(monkeypatch, cpus)
+        assert run_space(spec, workers=10 ** 6).canonical_bytes() == _scalar_bytes(spec)
+        assert ctx.processes == [processes]
 
 
 def test_small_spaces_start_no_pool(monkeypatch, d3_zero_freq):
     # at the default threshold (2,2) and (3,2) run in the calling process,
-    # whatever the worker count
-    ctx = _inline_pools(monkeypatch)
+    # whatever the worker and CPU counts
+    ctx = _inline_pools(monkeypatch, cpus=8)
     assert space_size(3) < space._POOL_MIN_SIZE < space_size(4)
     for workers in (2, 8):
         assert run_space(SpaceSpec(2), workers=workers).canonical_bytes() == _scalar_bytes(SpaceSpec(2))
@@ -1004,11 +1022,10 @@ def test_small_spaces_start_no_pool(monkeypatch, d3_zero_freq):
     assert ctx.processes == []
 
 
-def test_four_state_pool_gets_its_shards_heaviest_first(monkeypatch):
-    # the (4,2) plan, with a stub for the shard runs: its 4 top-digit
-    # shards, those that step to state 2 first (top digits 13 and 5, then 12
-    # and 4), on min(workers, 4) processes
-    ctx = _inline_pools(monkeypatch)
+def test_four_state_pool_gets_one_shard_per_family_group(monkeypatch):
+    # the (4,2) plan, with a stub for the shard runs: its 648 group shards,
+    # in index order, read lazily by a pool of min(workers, CPUs) processes
+    ctx = _inline_pools(monkeypatch, cpus=4)
     jobs = []
 
     def stub(job):
@@ -1021,10 +1038,10 @@ def test_four_state_pool_gets_its_shards_heaviest_first(monkeypatch):
     for workers in (2, 3, 100):
         jobs.clear()
         assert run_space(spec, workers=workers).covers == ((0, spec.size),)
-        assert [(lo, hi) for _, lo, hi in jobs] == space._top_digit_shards(spec)
-        digits = [space._representative_ranges(4, lo, hi)[0][0] // 18 ** 7 for _, lo, hi in jobs]
-        assert digits == [13, 5, 12, 4]
+        assert jobs == list(space._group_shards(spec))
+        assert len(jobs) == 648
     assert ctx.processes == [2, 3, 4]
+    assert ctx.lazy == [True] * 3
 
 
 def test_run_space_rejects_a_worker_count_below_one():
@@ -1160,13 +1177,25 @@ def test_strided_sample_is_deterministic():
 
 
 def test_real_pools_match_the_one_process_run(monkeypatch, d3_both_freq):
-    # with the pool threshold lowered, (3,2) forks real pools of 2, 3 and 6
-    # processes; each merged result equals the one-process run byte for byte
+    # with the pool threshold lowered and groups capped at 14^5 machines,
+    # (3,2) sends its 4 group shards to real pools; 3 CPUs cap the pools at
+    # 2, 3 and 3 processes. Each merged result equals the one-process run
+    # byte for byte
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
+    monkeypatch.setattr(space, "_GROUP_MACHINES", 14 ** 5)
+    monkeypatch.setattr(space.os, "cpu_count", lambda: 3)
     forked, get_context = [], space.multiprocessing.get_context
-    monkeypatch.setattr(space.multiprocessing, "get_context",
-                        lambda method: forked.append(method) or get_context(method))
+
+    class RecordingContext:
+        def __init__(self, method):
+            self.method = method
+
+        def Pool(self, processes):
+            forked.append((self.method, processes))
+            return get_context(self.method).Pool(processes)
+
+    monkeypatch.setattr(space.multiprocessing, "get_context", RecordingContext)
     spec = SpaceSpec(3, blank_mode="both")
     for workers in (2, 3, 8):
         assert run_space(spec, workers=workers).canonical_bytes() == d3_both_freq.canonical_bytes()
-    assert forked == ["fork"] * 3
+    assert forked == [("fork", 2), ("fork", 3), ("fork", 3)]
