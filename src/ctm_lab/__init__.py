@@ -46,7 +46,6 @@ from .space import (
     SpaceSpec,
     default_max_steps,
     empty_table,
-    merge_shards,
     run_index_array,
     run_space,
     run_strided_sample,

@@ -15,7 +15,7 @@ every machine on every blank; run_index_array(..., engine="scalar")
 reaches it as the independent oracle for the fast path. Every run fills a
 FrequencyTable through FrequencyTable.add.
 
-Orbits. run_space's shards step only orbit representatives: machines
+Orbits. run_space steps only orbit representatives: machines
 whose (1,0) entry is a right-moving step to state 1 or 2, 4 of the 4n+2
 top digits (2 for n = 1), run on blank 0 (Namings, below). Reflecting the
 directions of a machine reverses its blank-0 run; complementing its
@@ -24,10 +24,8 @@ into the complemented blank-1 run of the image. So
 each representative run also stands for its mirror's blank-0 run and, in
 both mode, for the two complements' blank-1 runs, each credited with the
 image string and the image machine's index as producer. Runs whose first
-step reads a halting entry print one symbol and are counted in closed form.
-A shard therefore aggregates the orbits whose representative index lies in
-its range, plus the first-step halts of that range; whole-space results are
-unchanged.
+step reads a halting entry print one symbol and are counted in closed form,
+once for the whole space.
 
 Namings. Renaming states 2..n maps the space onto itself and each run
 onto a run with the same output, step count, used rules and census
@@ -43,8 +41,8 @@ complement image starts with the renamed (1,1) entry instead, and its
 producer is the least over the row's renamings (_image_producers).
 
 Families. A run reads only some of its 2n entries, and every machine that
-differs from it only in unread entries runs the same way. So a shard
-does not step its representatives one by one: its range splits into
+differs from it only in unread entries runs the same way. So run_space
+does not step its representatives one by one: their ranges split into
 aligned blocks [p * b^j, (p + 1) * b^j), b = 4n + 2, and each block starts
 as one row whose low j digits hold the unread marker 4n + 2. A row that
 reads an unread entry is replaced, at the same step, by b children, one
@@ -109,8 +107,9 @@ live rows, and halted rows are packed into (length, value) pairs before
 the tape is replaced.
 
 Determinism contract: the resulting FrequencyTable depends only on the
-SpaceSpec, never on shard boundaries, worker count, or scheduling. Shards
-are disjoint contiguous index ranges; merging is an associative fold.
+SpaceSpec, never on the worker count or scheduling. The unit of work is
+the family group, which every worker count runs whole, and a group's
+table adds into the result by sums and minima, in any order.
 """
 
 from __future__ import annotations
@@ -299,11 +298,8 @@ class FrequencyTable:
     min_used_rules keeps the smallest number of distinct transition entries
     any producer exercised, and first_producer the smallest producing
     machine index (blank-0 runs take precedence over blank-1 at equal
-    index). covers lists the contiguous index ranges the table aggregates,
-    or None for ad-hoc index sets such as strided samples. A run_space
-    shard aggregates the symmetry orbits whose representative index lies in
-    its ranges (see the module docstring), so its producers may lie outside
-    them; merged over the whole space the result is the same.
+    index). covers is ((0, size),) for a run_space table, the whole space,
+    and None for ad-hoc index sets such as strided samples.
     """
 
     spec: SpaceSpec
@@ -326,6 +322,12 @@ class FrequencyTable:
             self.counts[s] = count
             self.min_used_rules[s] = used
             self.first_producer[s] = first
+
+    def merge(self, other: "FrequencyTable") -> None:
+        """Add the runs of other, a table of the same spec, to this one."""
+        self.census.add(other.census)
+        for s, count in other.counts.items():
+            self.add(s, count, other.min_used_rules[s], other.first_producer[s])
 
     def validate(self) -> None:
         if sum(self.counts.values()) != self.census.halted:
@@ -666,7 +668,8 @@ class _Members:
         int32, which holds every key: a row has a member, so rows.size <=
         _BATCH = 2^20, and 2^20 * (4n + 2) < 2^31 up to _MAX_STATES. Keys
         already in order (as on blank 0's first read of the top digit) skip
-        the sort.
+        the sort. The gathers index with the int32 arrays as they are (take
+        would cast them to an intp copy first).
         """
         width = self.codes.shape[1]
         b = width * 2 + 2  # 4n + 2 codes
@@ -674,13 +677,14 @@ class _Members:
         sizes = hi - lo
         pos = np.repeat((lo - np.cumsum(sizes) + sizes).astype(np.int32), sizes)
         pos += np.arange(pos.size, dtype=np.int32)
-        ids = self.perm.take(pos)
+        ids = self.perm[pos]
         flat = ids * width
         flat += np.repeat(slots.astype(np.int32), sizes)
         top = rows.size * b
         dtype = np.uint8 if top <= 1 << 8 else np.uint16 if top <= 1 << 16 else np.int32
         key = np.repeat(np.arange(0, top, b, dtype=dtype), sizes)
-        key += self.codes.reshape(-1).take(flat)
+        key += self.codes.reshape(-1)[flat]
+        del flat
         if (key[1:] < key[:-1]).any():
             order = np.argsort(key, kind="stable")
             key = key.take(order)
@@ -1234,49 +1238,33 @@ def _family_rows(n: int, group) -> np.ndarray:
     return ords
 
 
-def _count_initial_halts(spec: SpaceSpec, lo: int, hi: int, sink: FrequencyTable) -> None:
-    """Runs of [lo, hi) that halt on their first step, counted in closed form.
+def _count_initial_halts(spec: SpaceSpec, sink: FrequencyTable) -> None:
+    """The runs of the whole space that halt on their first step, counted in closed form.
 
     On blank b such a machine's (1,b) entry is a halt writing w: the run
-    prints str(w) and uses one rule. Slot b is a digit of weight
-    place = (4n+2)^(2n-1-b), so the indices with digit d there form
-    blocks [k * period + d * place, ... + place) with period = place * (4n+2).
+    prints str(w) and uses one rule. That entry is the digit of weight
+    place = (4n+2)^(2n-1-b), so one machine in 4n+2 has it, and the
+    smallest is (4n+w) * place.
     """
     n = spec.n
+    count = spec.size // (4 * n + 2)
     for blank in spec.blanks:
         place = (4 * n + 2) ** (2 * n - 1 - blank)
-        period = place * (4 * n + 2)
         for w in (0, 1):
-            offset = (4 * n + w) * place
-
-            def below(x):
-                return x // period * place + min(max(x % period - offset, 0), place)
-
-            count = below(hi) - below(lo)
-            if count:
-                first = lo // period * period + offset
-                if first + place <= lo:
-                    first += period
-                sink.census.total_runs += count
-                sink.census.halted += count
-                sink.add(str(w), count, 1, max(first, lo))
+            sink.census.total_runs += count
+            sink.census.halted += count
+            sink.add(str(w), count, 1, (4 * n + w) * place)
 
 
-def _run_shard(job) -> FrequencyTable:
-    """One shard (spec, lo, hi) of run_space, with the vector engine.
+def _run_groups(spec: SpaceSpec, groups, sink: FrequencyTable) -> None:
+    """Run family groups (_family_groups) into sink, with the vector engine.
 
-    It runs the orbit representatives in [lo, hi) on blank 0 as families
-    (_family_groups), one group at a time, credits each run to its mirror
-    and complement images and to its namings (_namings), and counts the
-    first-step halts of [lo, hi) in closed form. So the table aggregates
-    the orbits whose representative lies in [lo, hi), and the merged
-    tables of shards that tile the space equal the scalar engine's
-    whole-space run.
+    Each group's orbit representatives run on blank 0 as families, and each
+    run is credited to its mirror and complement images and to its namings
+    (_namings). First-step halts are not counted here (_count_initial_halts).
     """
-    spec, lo, hi = job
-    sink = empty_table(spec, ((lo, hi),))
     images = _ORBIT_IMAGES[spec.blank_mode]
-    for group in _family_groups(spec.n, lo, hi):
+    for group in groups:
         ords = _family_rows(spec.n, group)
         machines = _machines(ords, spec.n)
         can_halt = _can_halt(ords, spec.n)
@@ -1284,7 +1272,13 @@ def _run_shard(job) -> FrequencyTable:
         sink.census.no_halt_rule += len(images) * int(machines[~can_halt].sum())
         if can_halt.any():
             _Pass(spec, ords.compress(can_halt, axis=0), 0, images, sink).run()
-    _count_initial_halts(spec, lo, hi, sink)
+
+
+def _run_group(job) -> FrequencyTable:
+    """One family group (spec, group) as a fresh table: a pool's job."""
+    spec, group = job
+    sink = empty_table(spec)
+    _run_groups(spec, (group,), sink)
     return sink
 
 
@@ -1329,52 +1323,38 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
 
 
 # A pool pays only for spaces far larger than (3,2). On two cores the whole
-# (3,2) `both` run takes 0.017-0.019 s as one shard in one process,
+# (3,2) `both` run takes 0.017-0.019 s in one process,
 # 0.025-0.028 s as its 4 top-digit blocks in one process, and 0.05 s
 # through a pool of 2: forking and warming cold children costs more than
-# the work. Smaller spaces run as one shard.
+# the work. Smaller spaces run in the calling process.
 _POOL_MIN_SIZE = 10 ** 9
-
-
-def _group_shards(spec: SpaceSpec):
-    """The shards (spec, lo, hi) of [0, size), one per family group, lazily.
-
-    A shard runs from its group's first block start (0 for the first group)
-    to the next group's start (size for the last), so the shards tile the
-    space and _family_groups over a shard yields exactly its group: a block
-    depends only on its alignment, its top digit's end and _GROUP_MACHINES,
-    and it ends at or before the next group's start.
-    """
-    starts = (group[0][0] for group in _family_groups(spec.n, 0, spec.size))
-    next(starts)  # the first shard starts at 0
-    lo = 0
-    for start in starts:
-        yield spec, lo, start
-        lo = start
-    yield spec, lo, spec.size
 
 
 def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
     """Enumerate the whole space described by spec into a FrequencyTable.
 
-    Every shard runs the symmetry-reduced vector engine (_run_shard). A
-    space below _POOL_MIN_SIZE machines, or a run with one worker, is one
-    whole-space shard in the calling process. Otherwise each family group
-    is a shard (_group_shards, 648 on (4,2)), read lazily by a pool of
-    min(workers, CPUs) processes, each of which takes the next shard when
-    it is free, and merged as the shards finish. No shard splits a family,
+    The symmetry-reduced vector engine runs the space's family groups
+    (_run_groups). A space below _POOL_MIN_SIZE machines, or a run with one
+    worker, runs them in the calling process. Otherwise each group is one
+    job (_run_group, 648 on (4,2)), read lazily by a pool of
+    min(workers, CPUs) processes, each of which takes the next group when
+    it is free, and merged as the groups finish. No job splits a family,
     so every worker count steps the same rows, and the result is
     byte-identical for every worker count.
     """
     require_int("workers", workers)
     if workers < 1:
         raise ValidationError("workers must be >= 1")
+    table = empty_table(spec, ((0, spec.size),))
+    groups = _family_groups(spec.n, 0, spec.size)
     if workers == 1 or spec.size < _POOL_MIN_SIZE:
-        table = merge_shards([_run_shard((spec, 0, spec.size))])
+        _run_groups(spec, groups, table)
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=min(workers, os.cpu_count() or 1)) as pool:
-            table = merge_shards(pool.imap(_run_shard, _group_shards(spec), chunksize=1))
+            for part in pool.imap(_run_group, ((spec, group) for group in groups), chunksize=1):
+                table.merge(part)
+    _count_initial_halts(spec, table)
     table.validate()
     return table
 
@@ -1385,38 +1365,6 @@ def run_strided_sample(spec: SpaceSpec, stride: int, engine: str = "vector") -> 
     if stride < 1:
         raise ValidationError("stride must be >= 1")
     return run_index_array(spec, np.arange(0, spec.size, stride, dtype=np.uint64), engine)
-
-
-def _normalize_covers(ranges):
-    merged = []
-    for lo, hi in sorted(ranges):
-        if merged and lo < merged[-1][1]:
-            raise ValidationError("shard index ranges overlap")
-        if merged and lo == merged[-1][1]:
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return tuple(merged)
-
-
-def merge_shards(parts) -> FrequencyTable:
-    """Associative, order-insensitive merge of disjoint partial tables,
-    read one at a time from any iterable."""
-    table = None
-    for part in parts:
-        if table is None:
-            table = empty_table(part.spec)
-        if part.spec != table.spec:
-            raise ValidationError("cannot merge tables from different space specs")
-        if part.covers is None:
-            raise ValidationError("cannot merge ad-hoc index samples")
-        table.covers = _normalize_covers((*table.covers, *part.covers))
-        table.census.add(part.census)
-        for s, count in part.counts.items():
-            table.add(s, count, part.min_used_rules[s], part.first_producer[s])
-    if table is None:
-        raise ValidationError("nothing to merge")
-    return table
 
 
 def empty_table(spec: SpaceSpec, covers=()) -> FrequencyTable:

@@ -40,7 +40,6 @@ from ctm_lab import space
 from ctm_lab.space import (
     SpaceSpec,
     empty_table,
-    merge_shards,
     run_index_array,
     run_space,
     run_strided_sample,
@@ -188,36 +187,20 @@ def _assert_same_census(reduced, full):
     assert reduced.census == full.census
 
 
-def _run_ranges(spec, ranges):
-    """The merged shards of contiguous ranges that tile the space: run_space
-    on an arbitrary cut."""
-    table = merge_shards([space._run_shard((spec, lo, hi)) for lo, hi in ranges])
-    table.validate()
-    return table
-
-
-def _tiling(size, cuts):
-    bounds = [0, *sorted(cuts), size]
-    return tuple(zip(bounds, bounds[1:]))
-
-
-# even cuts of the index range: they split digit blocks and leave some
-# shards with no representatives to step
-SEVEN_EVEN_SHARDS = {
-    1: _tiling(36, (5, 10, 15, 20, 25, 30)),
-    2: _tiling(10_000, (1428, 2857, 4285, 5714, 7142, 8571)),
-}
+def _run_range(spec, lo, hi):
+    """The family groups of [lo, hi), without its first-step halts."""
+    sink = empty_table(spec)
+    space._run_groups(spec, space._family_groups(spec.n, lo, hi), sink)
+    return sink
 
 
 def test_reduced_census_equals_the_full_census_on_small_spaces():
-    # seven shards cut the top-digit blocks and the blank-1 digit blocks
     for n in (1, 2):
         for mode in ("zero", "both"):
             spec = SpaceSpec(n, blank_mode=mode)
             full = _full_census(spec)
             _assert_same_census(run_space(spec), full)
             _assert_same_census(run_space(spec, workers=2), full)
-            _assert_same_census(_run_ranges(spec, SEVEN_EVEN_SHARDS[n]), full)
 
 
 def test_reduced_census_equals_the_full_census_on_three_states(d3_zero_freq, d3_both_freq):
@@ -230,24 +213,22 @@ def test_reduced_census_equals_the_full_census_on_three_states(d3_zero_freq, d3_
 
 
 def test_first_step_halts_are_counted_in_closed_form():
-    n = 2
-    spec = SpaceSpec(n, blank_mode="both")
-    digits = _digits(np.arange(spec.size), n)
-    rng = random.Random(67)
-    ranges = [(0, spec.size), (801, 805), (899, 1801), (900, 1801), (8000, 8001)]
-    ranges += [tuple(sorted(rng.sample(range(spec.size + 1), 2))) for _ in range(200)]
-    for lo, hi in ranges:
+    # brute force: the machines whose (1, blank) entry, the digit of
+    # weight (4n + 2)^(2n - 1 - blank), is the halt code 4n + w
+    for n in (1, 2, 3):
+        spec = SpaceSpec(n, blank_mode="both")
+        index = np.arange(spec.size, dtype=np.int32)
         sink = space.empty_table(spec)
-        space._count_initial_halts(spec, lo, hi, sink)
+        space._count_initial_halts(spec, sink)
         counts, first = {}, {}
         for blank in (0, 1):
+            digit = index // (4 * n + 2) ** (2 * n - 1 - blank) % (4 * n + 2)
             for w in (0, 1):
-                hits = lo + np.nonzero(digits[lo:hi, blank] == 4 * n + w)[0]
-                if hits.size:
-                    counts[str(w)] = counts.get(str(w), 0) + hits.size
-                    first[str(w)] = min(first.get(str(w), spec.size), int(hits[0]))
+                hits = np.flatnonzero(digit == 4 * n + w)
+                counts[str(w)] = counts.get(str(w), 0) + hits.size
+                first[str(w)] = min(first.get(str(w), spec.size), int(hits[0]))
         assert (sink.counts, sink.first_producer) == (counts, first)
-        assert set(sink.min_used_rules.values()) <= {1}
+        assert set(sink.min_used_rules.values()) == {1}
         assert sink.census.halted == sink.census.total_runs == sum(counts.values())
 
 
@@ -561,8 +542,8 @@ def test_escape_words_of_families_agree_with_their_members():
 
 def test_results_do_not_depend_on_batch_size(monkeypatch):
     # _BATCH cuts index arrays into batches, each decoded _DECODE_CHUNK
-    # indices at a time, and _GROUP_MACHINES bounds the machines of a
-    # shard's family groups
+    # indices at a time, and _GROUP_MACHINES bounds the machines of
+    # run_space's family groups
     both = SpaceSpec(2, blank_mode="both")
     span = np.arange(3_000_000, 3_020_000, dtype=np.uint64)
     # 2509 indices: a multiple of neither batch nor of either decode chunk
@@ -589,12 +570,14 @@ def test_results_do_not_depend_on_batch_size(monkeypatch):
 
 def test_index_batches_hold_a_bounded_number_of_bytes_per_index():
     # numpy reports its buffers to tracemalloc, so unlike RSS the peak is
-    # deterministic. One (4,2) batch of 2^20 strided indices peaks at 19.5
+    # deterministic. One (4,2) batch of 2^20 strided indices peaks at 17.0
     # bytes per index above the index array (numpy 2.4): 12 per member that
     # can halt (56% of them), the pass's rows and the temporaries of the
-    # batch's first split, whose one row sorts every member. Members that
+    # split that sorts the 354,245 members of 12 rows. Gathers through take,
+    # which casts the int32 member positions to an intp copy, peak at 19.5
+    # in the batch's first split, of every member, and fail; members that
     # also hold their int64 index, with an int64 perm and a decode of the
-    # whole batch at once, peak at 32.9 and fail.
+    # whole batch at once, peak at 32.9.
     spec = SpaceSpec(4, max_steps=107)
     indices = np.arange(1 << 20, dtype=np.int64) * (spec.size >> 20)
     tracemalloc.start()  # after the index array, so it is not counted
@@ -603,7 +586,7 @@ def test_index_batches_hold_a_bounded_number_of_bytes_per_index():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 21 * indices.size
+    assert peak <= 18 * indices.size
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -633,7 +616,7 @@ def test_shards_start_from_aligned_block_rows(monkeypatch):
     monkeypatch.setattr(space, "_Pass", Spy)
     # inside the block of machines whose (1,0) entry is Step(1, R, 1)
     lo = 9 * 14 ** 5
-    shard = space._run_shard((SpaceSpec(3), lo, lo + 4500))
+    shard = _run_range(SpaceSpec(3), lo, lo + 4500)
     # 4500 = 14^3 + 8 * 14^2 + 13 * 14 + 6: one row per aligned block, whose
     # fixed digits give the block's first index and whose unread digits its size
     (rows,) = starts
@@ -643,7 +626,7 @@ def test_shards_start_from_aligned_block_rows(monkeypatch):
     assert ((rows == 14) == (np.arange(6) >= 6 - unread[:, None])).all()
     first = _index(np.where(rows == 14, 0, rows), 3)
     assert first.tolist() == (lo + np.cumsum([0] + (14 ** unread).tolist()[:-1])).tolist()
-    # the oracle: the shard equals the scalar run of its orbits
+    # the oracle: the range's groups equal the scalar run of its orbits
     whole = run_index_array(SpaceSpec(3), _orbits(lo, lo + 4500, 3), engine="scalar")
     assert _same_outputs(shard, whole)
     assert shard.census == whole.census
@@ -665,7 +648,7 @@ def _renamed(index, n, k):
 
 
 def _orbits(lo, hi, n):
-    """The blank-0 runs a shard of [lo, hi) steps for: each representative,
+    """The blank-0 runs the family groups of [lo, hi) step for: each representative,
     its renamings (2 k), k = 3..n, when its (1,0) entry steps to state 2,
     and the mirrors of all of these."""
     span = np.arange(lo, hi)
@@ -682,7 +665,7 @@ def test_four_state_shard_equals_the_vector_run_of_its_orbits():
     # each stands for itself and its renamings (2 3) and (2 4)
     lo = (13 * 18 + 3) * 18 ** 6 + 123_456
     spec = SpaceSpec(4, max_steps=107)
-    shard = space._run_shard((spec, lo, lo + 5000))
+    shard = _run_range(spec, lo, lo + 5000)
     whole = run_index_array(spec, _orbits(lo, lo + 5000, 4))
     assert whole.census.total_runs == 2 * 3 * 5000
     assert min(dataclasses.astuple(whole.census)) > 0
@@ -695,11 +678,11 @@ def test_children_keep_their_parents_excursion():
     # repeats it. Their children keep the parent's snapshot and so must keep
     # its excursion too; one that started its excursion afresh at the head
     # would be retired on a partial comparison. The oracle: the scalar run
-    # of the shard's orbits. Both ranges lie in top-digit blocks that step
+    # of the range's orbits. Both ranges lie in top-digit blocks that step
     # to state 2 (digits 5 and 13), so their orbits hold their renamings.
     spec = SpaceSpec(4, max_steps=107)
     for lo in (3_463_105_263, 8_281_344_744):
-        shard = space._run_shard((spec, lo, lo + 781))
+        shard = _run_range(spec, lo, lo + 781)
         whole = run_index_array(spec, _orbits(lo, lo + 781, 4), engine="scalar")
         assert whole.census.step_limited > 0
         assert _same_outputs(shard, whole)
@@ -746,7 +729,7 @@ def test_complement_producers_take_the_least_renaming():
 
 def test_passes_step_no_top_digit_that_goes_past_state_two(monkeypatch):
     # every row a pass steps has a top digit whose step goes to state 1 or
-    # 2; a (4,2) shard inside the block of Step(1, R, 3) steps no row and
+    # 2; a (4,2) range inside the block of Step(1, R, 3) steps no row and
     # counts no run
     tops = []
 
@@ -764,11 +747,11 @@ def test_passes_step_no_top_digit_that_goes_past_state_two(monkeypatch):
     monkeypatch.setattr(space, "_Pass", Spy)
     run_space(SpaceSpec(3, blank_mode="both"))
     assert stepped(3) == [3, 4, 9, 10]
-    shard = space._run_shard((SpaceSpec(4), 5 * 18 ** 7 + 500, 5 * 18 ** 7 + 5500))
+    shard = _run_range(SpaceSpec(4), 5 * 18 ** 7 + 500, 5 * 18 ** 7 + 5500)
     assert stepped(4) == [5]
     assert shard.census.total_runs == 2 * 3 * 5000
     lo = 14 * 18 ** 7 + 123_456
-    shard = space._run_shard((SpaceSpec(4, blank_mode="both"), lo, lo + 5000))
+    shard = _run_range(SpaceSpec(4, blank_mode="both"), lo, lo + 5000)
     assert tops == [] and shard.census == space.Census()
 
 
@@ -783,14 +766,6 @@ def test_family_runs_reproduce_the_scalar_oracle_at_every_cutoff_to_twenty(mode)
     for max_steps in range(3, 21):
         spec = SpaceSpec(2, blank_mode=mode, max_steps=max_steps)
         assert run_space(spec).canonical_bytes() == _scalar_bytes(spec)
-
-
-@settings(max_examples=40, deadline=None)
-@given(mode=st.sampled_from(["zero", "both"]), max_steps=st.integers(1, 20),
-       cuts=st.sets(st.integers(1, 9999), min_size=1, max_size=9))
-def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, cuts):
-    spec = SpaceSpec(2, blank_mode=mode, max_steps=max_steps)
-    assert _run_ranges(spec, _tiling(spec.size, cuts)).canonical_bytes() == _scalar_bytes(spec)
 
 
 def test_halted_outputs_pack_narrow_and_wide_spans():
@@ -905,7 +880,7 @@ def test_busy_beaver_cutoff_is_exact_on_three_states(d3_zero_freq):
     assert below.census.halted == 2_147_184 - 8
 
 
-# --- shards and merging
+# --- pools and merging
 
 
 class _InlineContext:
@@ -938,23 +913,30 @@ def _inline_pools(monkeypatch, cpus):
     return ctx
 
 
-def test_group_shards_tile_the_space_one_family_group_each(monkeypatch):
-    # each shard runs from its group's first block start (0 for the first)
-    # to the next group's start (size for the last): the shards tile
-    # [0, size), and _family_groups over a shard yields exactly the
-    # whole-space group at its place. At the default cap (1..3, 2) are one
-    # group and (4,2) 648; lowered caps cut (3,2) into 4 and 2,196 groups
+def _joined(ranges):
+    """Sorted disjoint ranges, with the ones that touch joined."""
+    joined = []
+    for lo, hi in ranges:
+        if joined and joined[-1][1] == lo:
+            joined[-1] = (joined[-1][0], hi)
+        else:
+            joined.append((lo, hi))
+    return joined
+
+
+def test_family_groups_tile_the_representatives(monkeypatch):
+    # the groups' blocks are aligned, run in index order with no gap over
+    # the representative digits' ranges, and sum to at most the cap per
+    # group. At the default cap (1..3, 2) are one group and (4,2) 648;
+    # lowered caps cut (3,2) into 4 and 2,196 groups
     def check(n, expected):
-        size = space_size(n)
+        b, size = 4 * n + 2, space_size(n)
         groups = list(space._family_groups(n, 0, size))
-        shards = list(space._group_shards(SpaceSpec(n)))
-        assert len(shards) == len(groups) == expected
-        assert shards[0][1] == 0 and shards[-1][2] == size
-        assert all(a[2] == b[1] for a, b in zip(shards, shards[1:]))
-        for (spec, lo, hi), group in zip(shards, groups):
-            assert spec == SpaceSpec(n)
-            assert list(space._family_groups(n, lo, hi)) == [group]
-            assert lo == 0 or lo == group[0][0]
+        assert len(groups) == expected
+        assert all(sum(b ** j for _, j in g) <= space._GROUP_MACHINES for g in groups)
+        blocks = [(a, a + b ** j) for g in groups for a, j in g]
+        assert all(a % (hi - a) == 0 for a, hi in blocks)
+        assert _joined(blocks) == _joined(space._representative_ranges(n, 0, size))
 
     for n, expected in ((1, 1), (2, 1), (3, 1), (4, 648)):
         check(n, expected)
@@ -964,22 +946,38 @@ def test_group_shards_tile_the_space_one_family_group_each(monkeypatch):
             check(n, expected[n])
 
 
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["zero", "both"]), max_steps=st.integers(1, 20),
+       cap=st.integers(10, 200) | st.integers(200, 2 * 10 ** 4))
+def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, cap):
+    # any cap on the machines of a family group, through the pool path:
+    # the merged group tables equal the scalar run of every machine
+    spec = SpaceSpec(2, blank_mode=mode, max_steps=max_steps)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
+        monkeypatch.setattr(space, "_GROUP_MACHINES", cap)
+        ctx = _inline_pools(monkeypatch, cpus=2)
+        assert run_space(spec, workers=2).canonical_bytes() == _scalar_bytes(spec)
+    assert ctx.processes == [2]
+
+
 def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_freq):
     # with the pool threshold lowered and groups capped at 14^5 machines,
-    # (3,2) goes to a pool at 2 workers and up: its parts are its 4 group
-    # shards, in index order, on min(workers, CPUs) processes; one worker
-    # runs one whole-space shard. No shard splits a family, so every worker
-    # count steps the same 36,659 rows as the 1-worker run
+    # (3,2) goes to a pool at 2 workers and up: its jobs are its 4 family
+    # groups, in index order, on min(workers, CPUs) processes; one worker
+    # runs them in the calling process. No job splits a family, so every
+    # worker count steps the same 36,659 rows as the 1-worker run
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
     monkeypatch.setattr(space, "_GROUP_MACHINES", 14 ** 5)
     ctx = _inline_pools(monkeypatch, cpus=4)
-    covers, rows = [], [0]
-    merge = space.merge_shards
+    jobs, rows = [], [0]
+    run_group = space._run_group
 
-    def spy_merge(parts):
-        return merge(p for p in parts if not covers.append(p.covers))
+    def spy_run_group(job):
+        jobs.append(job)
+        return run_group(job)
 
-    monkeypatch.setattr(space, "merge_shards", spy_merge)
+    monkeypatch.setattr(space, "_run_group", spy_run_group)
 
     class Spy(space._Pass):
         def advance(self, live):
@@ -988,14 +986,14 @@ def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_fre
 
     monkeypatch.setattr(space, "_Pass", Spy)
     spec = SpaceSpec(3)
-    shards = [(lo, hi) for _, lo, hi in space._group_shards(spec)]
-    assert len(shards) == 4
+    groups = [(spec, group) for group in space._family_groups(3, 0, spec.size)]
+    assert len(groups) == 4
     for workers in range(1, 9):
-        covers.clear()
+        jobs.clear()
         rows[0] = 0
         assert run_space(spec, workers=workers).canonical_bytes() == d3_zero_freq.canonical_bytes()
         assert rows[0] == 36_659
-        assert [c for (c,) in covers] == ([(0, spec.size)] if workers == 1 else shards)
+        assert jobs == ([] if workers == 1 else groups)
     assert ctx.processes == [2, 3, 4, 4, 4, 4, 4]
     assert ctx.lazy == [True] * 7
 
@@ -1023,25 +1021,40 @@ def test_small_spaces_start_no_pool(monkeypatch, d3_zero_freq):
 
 
 def test_four_state_pool_gets_one_shard_per_family_group(monkeypatch):
-    # the (4,2) plan, with a stub for the shard runs: its 648 group shards,
-    # in index order, read lazily by a pool of min(workers, CPUs) processes
+    # the (4,2) plan, with a stub for the group runs: its 648 family
+    # groups, in index order, read lazily by a pool of min(workers, CPUs)
+    # processes
     ctx = _inline_pools(monkeypatch, cpus=4)
     jobs = []
 
     def stub(job):
         jobs.append(job)
-        spec, lo, hi = job
-        return empty_table(spec, ((lo, hi),))
+        return empty_table(job[0])
 
-    monkeypatch.setattr(space, "_run_shard", stub)
+    monkeypatch.setattr(space, "_run_group", stub)
     spec = SpaceSpec(4)
+    groups = [(spec, group) for group in space._family_groups(4, 0, spec.size)]
     for workers in (2, 3, 100):
         jobs.clear()
         assert run_space(spec, workers=workers).covers == ((0, spec.size),)
-        assert jobs == list(space._group_shards(spec))
+        assert jobs == groups
         assert len(jobs) == 648
     assert ctx.processes == [2, 3, 4]
     assert ctx.lazy == [True] * 3
+
+
+def test_sharded_run_is_byte_identical_to_single_shard(monkeypatch):
+    # (2,2)'s representatives as one family group, and capped at 500
+    # machines as eight, each run as a pool job into its own table and merged
+    spec = SpaceSpec(2)
+    one = _run_range(spec, 0, spec.size)
+    monkeypatch.setattr(space, "_GROUP_MACHINES", 500)
+    groups = list(space._family_groups(2, 0, spec.size))
+    assert len(groups) == 8
+    eight = empty_table(spec)
+    for group in groups:
+        eight.merge(space._run_group((spec, group)))
+    assert one.canonical_bytes() == eight.canonical_bytes()
 
 
 def test_run_space_rejects_a_worker_count_below_one():
@@ -1050,15 +1063,10 @@ def test_run_space_rejects_a_worker_count_below_one():
             run_space(SpaceSpec(1), workers=workers)
 
 
-def test_sharded_run_is_byte_identical_to_single_shard():
-    even = tuple((lo, lo + 1250) for lo in range(0, 10_000, 1250))
-    one = _run_ranges(SpaceSpec(2), ((0, 10_000),))
-    eight = _run_ranges(SpaceSpec(2), even)
-    assert one.canonical_bytes() == eight.canonical_bytes()
-
-
 def test_merge_with_empty_is_identity(d2_zero_freq):
-    merged = merge_shards([d2_zero_freq, empty_table(d2_zero_freq.spec)])
+    merged = empty_table(d2_zero_freq.spec, d2_zero_freq.covers)
+    merged.merge(d2_zero_freq)
+    merged.merge(empty_table(d2_zero_freq.spec))
     assert merged.canonical_bytes() == d2_zero_freq.canonical_bytes()
 
 
@@ -1068,23 +1076,12 @@ def test_merge_is_commutative():
     # two disjoint halves, merged in both orders
     lo = run_index_array(spec, np.arange(0, 5000, dtype=np.uint64))
     hi = run_index_array(spec, np.arange(5000, 10_000, dtype=np.uint64))
-    lo.covers, hi.covers = ((0, 5000),), ((5000, 10_000),)
-    ab = merge_shards([lo, hi])
-    ba = merge_shards([hi, lo])
+    ab, ba = empty_table(spec, whole.covers), empty_table(spec, whole.covers)
+    for table, parts in ((ab, (lo, hi)), (ba, (hi, lo))):
+        for part in parts:
+            table.merge(part)
     assert ab.canonical_bytes() == ba.canonical_bytes()
     assert ab.canonical_bytes() == whole.canonical_bytes()
-
-
-def test_merge_rejects_mismatched_specs():
-    a = empty_table(SpaceSpec(2))
-    b = empty_table(SpaceSpec(2, max_steps=99))
-    with pytest.raises(ValidationError):
-        merge_shards([a, b])
-
-
-def test_merge_rejects_overlapping_ranges(d2_zero_freq):
-    with pytest.raises(ValidationError):
-        merge_shards([d2_zero_freq, d2_zero_freq])
 
 
 # --- persistence: a run is saved as a .ctm table, whose sources carry its spec and census
@@ -1172,13 +1169,11 @@ def test_strided_sample_is_deterministic():
     b = run_strided_sample(SpaceSpec(2), 7)
     assert a.canonical_bytes() == b.canonical_bytes()
     assert a.covers is None
-    with pytest.raises(ValidationError):
-        merge_shards([a, a])
 
 
 def test_real_pools_match_the_one_process_run(monkeypatch, d3_both_freq):
     # with the pool threshold lowered and groups capped at 14^5 machines,
-    # (3,2) sends its 4 group shards to real pools; 3 CPUs cap the pools at
+    # (3,2) sends its 4 family groups to real pools; 3 CPUs cap the pools at
     # 2, 3 and 3 processes. Each merged result equals the one-process run
     # byte for byte
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)

@@ -8,8 +8,8 @@ Everything here is deterministic, so reruns must reproduce the committed
 files byte for byte. Runs from a source checkout without installing: the
 package is imported from src/. Takes about half a second on two cores
 (0.4-0.6 s for --check, about 0.06 s of it the two full (3,2)
-enumerations, which run in one process and step machine families rather
-than single machines; see ctm_lab.space).
+enumerations, which step machine families rather than single machines;
+see ctm_lab.space).
 """
 
 import argparse
@@ -42,7 +42,7 @@ def generate():
     for n in (2, 3):
         for mode in ("zero", "both"):
             name = f"d{n}_{mode}"
-            freq = run_space(SpaceSpec(n, blank_mode=mode), workers=2)
+            freq = run_space(SpaceSpec(n, blank_mode=mode))
             tables[name] = to_ctm(freq)
             files[DATA / f"{name}.ctm"] = dumps_ctm_table(tables[name])
             print(f"{name}: {len(tables[name].entries)} strings, halted {freq.census.halted}")
