@@ -75,11 +75,11 @@ from .bdm import (
     bdm_value,
     block_entropy_equiv_check,
     decompose,
-    decompose_many,
     decomposition_value,
     partition,
     partition_entropy,
     partition_many,
+    price_many,
     resolve_config,
 )
 from .baselines import (
@@ -98,6 +98,7 @@ from .analysis import (
     divergence_report,
     diversity_report,
     length_block_report,
+    report_lines,
     report_to_csv,
     report_to_json_lines,
     spearman_rho,

@@ -10,16 +10,14 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._canon import fmt_value, meta_dumps
 from .baselines import entropy_of_counts, lz78_bit_lengths, require_one_block
-from .bdm import (
-    BdmConfig, check_decomposable, decompose_many, decomposition_value, partition_many,
-    resolve_config,
-)
+from .bdm import BdmConfig, check_decomposable, price_many, resolve_config
 from .ctm import CtmTable
 from .errors import ValidationError, require_int
 
@@ -87,29 +85,47 @@ class Report:
         raise ValidationError(f"report has no section {name!r}")
 
 
-def report_to_csv(report: Report) -> str:
-    lines = [
-        _REPORT_MAGIC,
-        f"# kind {report.kind}",
-        "# provenance " + meta_dumps(report.provenance),
-    ]
+def report_lines(report: Report, fmt: str) -> Iterator[str]:
+    """The report in fmt ("csv" or "json-lines"), one line at a time.
+
+    Each line ends in a newline, so the lines can be written out as they
+    come, without the whole text in memory.
+    """
+    if fmt == "json-lines":
+        yield meta_dumps({"kind": report.kind, "provenance": report.provenance}) + "\n"
+        for sec in report.sections:
+            yield from record_lines(sec.columns, sec.rows, fmt, {"section": sec.name})
+        return
+    yield f"{_REPORT_MAGIC}\n# kind {report.kind}\n"
+    yield "# provenance " + meta_dumps(report.provenance) + "\n"
     for sec in report.sections:
-        lines.append(f"# section {sec.name}")
-        lines.append(",".join(sec.columns))
-        for row in sec.rows:
-            lines.append(",".join(fmt_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+        yield f"# section {sec.name}\n"
+        yield from record_lines(sec.columns, sec.rows, fmt)
+
+
+def record_lines(columns, rows, fmt: str, head=None) -> Iterator[str]:
+    """Rows of records in fmt, one line at a time, each ending in a newline.
+
+    csv writes a header line, then the values separated by commas;
+    json-lines writes one object per row, with the keys of head first.
+    """
+    if fmt == "json-lines":
+        for row in rows:
+            record = dict(head or {})
+            record.update(zip(columns, row))
+            yield meta_dumps(record) + "\n"
+        return
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(map(fmt_value, row)) + "\n"
+
+
+def report_to_csv(report: Report) -> str:
+    return "".join(report_lines(report, "csv"))
 
 
 def report_to_json_lines(report: Report) -> str:
-    out = [meta_dumps({"kind": report.kind, "provenance": report.provenance})]
-    for sec in report.sections:
-        for row in sec.rows:
-            record = {"section": sec.name}
-            for col, val in zip(sec.columns, row):
-                record[col] = val
-            out.append(meta_dumps(record))
-    return "\n".join(out) + "\n"
+    return "".join(report_lines(report, "json-lines"))
 
 
 def _table_provenance(table: CtmTable) -> dict:
@@ -228,6 +244,11 @@ def divergence_report(table: CtmTable, corpus, cfg: BdmConfig) -> Report:
     bottom decomposition quartile (nearest-rank percentiles over the
     corpus; ties are inclusive, so reordering the corpus cannot change the
     flags). A config without a block length takes the table's complete length.
+
+    The corpus is cut once, by price_many, which gives each string's BDM
+    value, block entropy and count of ones from the cut's arrays; the
+    ones give the symbol entropy. LZ78 prices the whole corpus in one
+    lockstep pass, whose node table is freed before the cut.
     """
     cfg = resolve_config(cfg, table)
     strings = sorted(set(corpus), key=lambda s: (len(s), s))
@@ -240,19 +261,11 @@ def divergence_report(table: CtmTable, corpus, cfg: BdmConfig) -> Report:
     for s in strings:
         check_decomposable(s, cfg)
         require_one_block(s, cfg.block_len)
-    # one cut serves BDM, block entropy and the symbol entropy: the ones of
-    # a binary string are those of its distinct blocks, times their
-    # multiplicities, plus those of its remainder; LZ78 prices the whole
-    # corpus in one lockstep pass, whose node table is freed before the cut
-    k = cfg.block_len
     values = {}
-    for s, decomp, lz in zip(strings, partition_many(strings, cfg), lz78_bit_lengths(strings)):
-        ones = s[len(s) - len(s) % k:].count("1")
-        ones += sum(m * b.count("1") for b, m in decomp.blocks.items())
-        values[s] = (decomposition_value(decomp, table, cfg),
-                     entropy_of_counts([c for c in (ones, len(s) - ones) if c]),
-                     entropy_of_counts(decomp.blocks.values()),
-                     lz)
+    for s, lz, (bdm, block_ent, ones) in zip(strings, lz78_bit_lengths(strings),
+                                             price_many(strings, table, cfg)):
+        values[s] = (bdm, entropy_of_counts([c for c in (ones, len(s) - ones) if c]),
+                     block_ent, lz)
     bdm_sorted = sorted(v[0] for v in values.values())
     ent_sorted = sorted(v[1] for v in values.values())
     rows = []
@@ -292,10 +305,9 @@ def diversity_report(table: CtmTable, length: int, cfg: BdmConfig) -> Report:
         raise ValidationError("diversity sweeps support lengths 1..16")
     cfg = resolve_config(cfg, table)
     strings = [format(i, f"0{length}b") for i in range(2 ** length)]
-    bdm_hist = {}
-    for decomp in decompose_many(strings, cfg):
-        v = decomposition_value(decomp, table, cfg)
-        bdm_hist[v] = bdm_hist.get(v, 0) + 1
+    for s in strings:
+        check_decomposable(s, cfg)
+    bdm_hist = Counter(v for v, _, _ in price_many(strings, table, cfg))
     lz_hist = Counter(lz78_bit_lengths(strings))
     return Report(
         kind=KIND_DIVERSITY,

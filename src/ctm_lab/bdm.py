@@ -102,57 +102,151 @@ def partition_many(strings, cfg: BdmConfig) -> Iterator[Decomposition]:
     chunk's decompositions are made only when the iterator reaches it, so
     memory follows the chunk, not the corpus.
     """
+    return _per_chunk(_partition_chunk, _nonempty(strings, cfg), cfg)
+
+
+def price_many(strings, table: CtmTable, cfg: BdmConfig) -> Iterator[tuple]:
+    """Iterator over (BDM value, block entropy, count of "1") per string.
+
+    The strings are cut as by partition_many, chunk by chunk, but each
+    string is priced from the arrays of its chunk's cut, with no
+    Decomposition: the value equals decomposition_value of its partition,
+    and the block entropy entropy_of_counts of its full blocks'
+    multiplicities, bit for bit. The strings are not checked (see
+    check_decomposable). Under the error fallback the first string in the
+    order given with a block the table lacks raises decomposition_value's
+    error, and the rest of its chunk is not priced.
+    """
+    return _per_chunk(_price_chunk, _nonempty(strings, cfg), cfg, table)
+
+
+def _nonempty(strings, cfg: BdmConfig) -> list:
     _block_len(cfg)
     strings = list(strings)
     if not all(strings):
         raise ValidationError("cannot partition an empty string")
-    return _partition_chunks(strings, cfg)
+    return strings
 
 
-def _partition_chunks(strings, cfg: BdmConfig) -> Iterator[Decomposition]:
+def _per_chunk(fn, strings, *args) -> Iterator:
+    """fn(chunk, *args) of consecutive chunks of about _CHUNK_CHARS characters."""
     lo = 0
     while lo < len(strings):
         hi, size = lo, 0
         while hi < len(strings) and size < _CHUNK_CHARS:
             size += len(strings[hi])
             hi += 1
-        yield from _partition_chunk(strings[lo:hi], cfg)
+        yield from fn(strings[lo:hi], *args)
         lo = hi
 
 
-def _partition_chunk(strings, cfg: BdmConfig) -> list:
-    """partition of nonempty strings, joined into one array of code points.
+@dataclass(slots=True)
+class _Cut:
+    """Nonempty strings joined and cut into blocks, as arrays.
+
+    chars holds the code points of the joined strings, and offsets the
+    start of each string in it. names lists the distinct block contents,
+    each sliced once at its first occurrence. Each distinct (string, block)
+    pair has a content id into names and a multiplicity; the pairs come
+    string by string, each string's in the order of first occurrence, and
+    a string's pairs end at its entry of ends.
+    """
+
+    chars: np.ndarray
+    offsets: np.ndarray
+    names: list
+    content: np.ndarray
+    mult: np.ndarray
+    ends: np.ndarray
+
+
+def _cut_chunk(strings, k: int) -> _Cut:
+    """The cut of nonempty strings into blocks of k, in one numpy pass.
 
     A symbol's code is its offset from the chunk's smallest code point.
-    Each distinct block is named by slicing the text once, at its first
-    occurrence in the chunk.
     """
-    k = cfg.block_len
     n = len(strings)
     text = "".join(strings)
     chars = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
     low = int(chars.min())
     bits = max(1, (int(chars.max()) - low).bit_length())
     lengths = np.fromiter(map(len, strings), dtype=np.int64, count=n)
+    offsets = np.cumsum(lengths) - lengths
     full = lengths // k
     owner = np.repeat(np.arange(n), full)
     block = np.arange(len(owner)) - (np.cumsum(full) - full)[owner]
-    starts = (np.cumsum(lengths) - lengths)[owner] + k * block
+    starts = offsets[owner] + k * block
     first, mult, content, content_first = _distinct_blocks(chars - low, starts, owner, k, bits)
     names = [text[p:p + k] for p in starts[content_first].tolist()]
-    names = np.array(names, dtype=object)[content].tolist()
-    mult = mult.tolist()
-    ends = np.cumsum(np.bincount(owner[first], minlength=n)).tolist()
+    ends = np.cumsum(np.bincount(owner[first], minlength=n))
+    return _Cut(chars, offsets, names, content, mult, ends)
 
+
+def _partition_chunk(strings, cfg: BdmConfig) -> list:
+    """partition of nonempty strings, one Decomposition per string from one cut."""
+    k = cfg.block_len
+    cut = _cut_chunk(strings, k)
+    names = np.array(cut.names, dtype=object)[cut.content].tolist()
+    mult = cut.mult.tolist()
     keep_tail = cfg.boundary == BOUNDARY_KEEP
     out = []
     lo = 0
-    for s, hi in zip(strings, ends):
-        cut = len(s) - len(s) % k
-        tail = s[cut:] if keep_tail and cut < len(s) else None
+    for s, hi in zip(strings, cut.ends.tolist()):
+        end = len(s) - len(s) % k
+        tail = s[end:] if keep_tail and end < len(s) else None
         out.append(Decomposition(dict(zip(names[lo:hi], mult[lo:hi])), tail))
         lo = hi
     return out
+
+
+def _price_chunk(strings, cfg: BdmConfig, table: CtmTable) -> list:
+    """price_many of nonempty strings, from one cut.
+
+    A string's value is one math.fsum over the complexity and the log2
+    multiplicity of each of its distinct blocks, plus its kept tail's
+    complexity. Both are looked up, never computed per pair: the
+    complexities per distinct content, and math.log2 (which np.log2 does
+    not always match to the last bit) per distinct multiplicity.
+    """
+    k = cfg.block_len
+    cut = _cut_chunk(strings, k)
+    entries = table.entries
+    found = [entries.get(b) for b in cut.names]
+    tails = {}
+    if cfg.boundary == BOUNDARY_KEEP:
+        for i, s in enumerate(strings):
+            if len(s) % k:
+                tail = s[len(s) - len(s) % k:]
+                tails[i] = (len(tail), entries.get(tail))
+    if cfg.fallback == FALLBACK_ERROR and (
+        any(e is None for e in found) or any(e is None for _, e in tails.values())
+    ):
+        # the first string that lacks a block raises the oracle's own error
+        for s in strings:
+            decomposition_value(partition(s, cfg), table, cfg)
+    cost = np.array([_complexity(k, e) for e in found], dtype=float)
+    distinct, which = np.unique(cut.mult, return_inverse=True)
+    log2 = np.array([math.log2(m) for m in distinct.tolist()], dtype=float)
+    terms = np.empty(2 * len(cut.mult))
+    terms[0::2] = cost[cut.content]
+    terms[1::2] = log2[which]
+    terms = terms.tolist()
+    mult = cut.mult.tolist()
+    ones = np.add.reduceat(cut.chars == ord("1"), cut.offsets, dtype=np.int64).tolist()
+    out = []
+    lo = 0
+    for i, hi in enumerate(cut.ends.tolist()):
+        own = terms[2 * lo:2 * hi]
+        if i in tails:
+            own.append(_complexity(*tails[i]))
+        out.append((math.fsum(own), entropy_of_counts(mult[lo:hi]), ones[i]))
+        lo = hi
+    return out
+
+
+def _complexity(length: int, entry) -> float:
+    """A table entry's complexity, or the length penalty of a block it lacks."""
+    return length + math.log2(length) if entry is None else entry.complexity_bits
 
 
 def _distinct_blocks(codes, starts, owner, k, bits):
@@ -222,15 +316,8 @@ def check_decomposable(s: str, cfg: BdmConfig) -> None:
 
 def decompose(s: str, cfg: BdmConfig) -> Decomposition:
     """Check that s can be priced by BDM, then partition it."""
-    return next(decompose_many([s], cfg))
-
-
-def decompose_many(strings, cfg: BdmConfig) -> Iterator[Decomposition]:
-    """Check every string in the order given, then partition_many them."""
-    strings = list(strings)
-    for s in strings:
-        check_decomposable(s, cfg)
-    return partition_many(strings, cfg)
+    check_decomposable(s, cfg)
+    return partition(s, cfg)
 
 
 def decomposition_value(decomp: Decomposition, table: CtmTable, cfg: BdmConfig) -> float:
@@ -241,6 +328,9 @@ def decomposition_value(decomp: Decomposition, table: CtmTable, cfg: BdmConfig) 
     lacks is priced by its length, k + log2(k) (a literal description of
     it), or under the error fallback is a ValidationError naming the
     smallest missing full block, else the tail.
+
+    This is the one-string form and the oracle of price_many, which prices
+    a corpus from the arrays of its cut instead.
     """
     entries = table.entries
     tail = () if decomp.tail is None else (decomp.tail,)

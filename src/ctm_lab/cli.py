@@ -12,15 +12,15 @@ import argparse
 import sys
 
 from . import __version__
-from ._canon import decode_utf8, fmt_value, is_binary, meta_dumps, read_file
+from ._canon import decode_utf8, is_binary, read_file
 from .analysis import (
     anomaly_report,
     cross_space_report,
     divergence_report,
     diversity_report,
     length_block_report,
-    report_to_csv,
-    report_to_json_lines,
+    record_lines,
+    report_lines,
     used_rules_consistency,
 )
 from .baselines import block_entropy, lz78_bit_length, rle_decode, rle_encode, shannon_entropy
@@ -30,8 +30,8 @@ from .bdm import (
     FALLBACK_ERROR,
     FALLBACK_LOG_LENGTH,
     BdmConfig,
-    decompose_many,
-    decomposition_value,
+    check_decomposable,
+    price_many,
     resolve_config,
 )
 from .ctm import NORM_ALL, NORM_HALTING, load_ctm_table, merge_ctm, save_ctm_table, to_ctm
@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rle_sub = _group(sub, "rle", help="run-length codec")
     for name, codec in (("encode", rle_encode), ("decode", rle_decode)):
-        p = _leaf(rle_sub, name, lambda args, codec=codec: _emit(args, codec(args.string) + "\n"),
-                  records=False)
+        p = _leaf(rle_sub, name, records=False,
+                  run=lambda args, codec=codec: _emit(args, [codec(args.string) + "\n"]))
         p.add_argument("--string", required=True)
 
     p = _leaf(_group(sub, "compress", help="baseline compressors"), "lz78", _cmd_compress)
@@ -155,28 +155,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, lines) -> None:
+    """Write the lines, each ending in a newline, as they come."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _emit_records(args, columns, rows) -> None:
-    if args.format == "json-lines":
-        lines = [meta_dumps(dict(zip(columns, row))) for row in rows]
-    else:
-        lines = [",".join(columns)] + [",".join(fmt_value(v) for v in row) for row in rows]
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, record_lines(columns, rows, args.format))
 
 
 def _report_cmd(build):
     """The command that emits the report build(args)."""
     def run(args):
-        report = build(args)
-        _emit(args, report_to_json_lines(report) if args.format == "json-lines"
-              else report_to_csv(report))
+        _emit(args, report_lines(build(args), args.format))
     return run
 
 
@@ -190,7 +185,7 @@ def _bdm_config(args) -> BdmConfig:
 
 
 def _parse_corpus(data: bytes):
-    return [line.strip() for line in decode_utf8(data).splitlines() if line.strip()]
+    return [s for s in map(str.strip, decode_utf8(data).splitlines()) if s]
 
 
 def _read_corpus(path):
@@ -233,8 +228,9 @@ def _cmd_bdm_eval(args) -> None:
     table = load_ctm_table(args.table)
     cfg = resolve_config(_bdm_config(args), table)
     strings = [args.string] if args.string is not None else _read_corpus(args.file)
-    decomps = decompose_many(strings, cfg)
-    rows = [(s, decomposition_value(d, table, cfg)) for s, d in zip(strings, decomps)]
+    for s in strings:
+        check_decomposable(s, cfg)
+    rows = [(s, v) for s, (v, _, _) in zip(strings, price_many(strings, table, cfg))]
     _emit_records(args, ("string", "value"), rows)
 
 
@@ -258,7 +254,7 @@ def _cmd_compress(args) -> None:
 def _cmd_machine_show(args) -> None:
     table = decode_machine(args.index, args.states)
     outcome = simulate(table, RunConfig(max_steps=args.max_steps))
-    _emit(args, format_rule_table(table) + f"# outcome: {outcome!r}\n")
+    _emit(args, [format_rule_table(table) + f"# outcome: {outcome!r}\n"])
 
 
 def main(argv=None) -> int:

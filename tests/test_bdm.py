@@ -18,9 +18,11 @@ from ctm_lab.bdm import (
     decomposition_value,
     partition,
     partition_entropy,
+    price_many,
     resolve_config,
 )
-from ctm_lab.ctm import CtmEntry, CtmTable, NORM_HALTING, complexity_of
+from ctm_lab import bdm
+from ctm_lab.ctm import CtmEntry, CtmTable, NORM_HALTING, complexity_of, load_ctm_table
 from ctm_lab.errors import ValidationError
 from ctm_lab.analysis import spearman_rho
 from ctm_lab.baselines import block_entropy
@@ -111,6 +113,43 @@ def test_bdm_eval_file_names_the_first_offender_in_file_order(tmp_path, capsys):
         argv = ["bdm", "eval", "--table", table, "--block-len", "4", "--file", str(corpus)]
         assert main(argv + flags) == 1
         assert capsys.readouterr().err == f"ctm-lab: error: {message}\n"
+
+
+def test_strict_pricing_names_the_first_offender_of_a_later_chunk(tmp_path, capsys, monkeypatch):
+    # d3_both lacks the 6-bit blocks 000101, 000111 and 010101, and has the
+    # rest used here. In file order B is the first string with a missing
+    # block; in (len, s) order, that of report divergence, C is. Neither
+    # is in the first chunk of 60 characters.
+    table_path = str(DATA / "d3_both.ctm")
+    table = load_ctm_table(table_path)
+    known = ["000000" * 4, "111111" * 4, "000000111111" * 2]
+    a = "111111" * 20
+    b = "000000" * 15 + "000101"
+    c = "000000" * 10 + "010101" + "000111"
+    corpus = [a, *known, b, c]
+    ordered = sorted(corpus, key=lambda s: (len(s), s))
+    corpus_path = tmp_path / "corpus.txt"
+    corpus_path.write_text("\n".join(corpus) + "\n")
+    monkeypatch.setattr(bdm, "_CHUNK_CHARS", 60)
+
+    def oracle(strings, cfg):
+        for s in strings:
+            decomposition_value(partition(s, cfg), table, cfg)
+
+    for flags, boundary in (([], BOUNDARY_DROP), (["--keep-tail"], BOUNDARY_KEEP)):
+        cfg = BdmConfig(block_len=6, boundary=boundary, fallback=FALLBACK_ERROR)
+        for strings, want in ((corpus, "'000101'"), (ordered, "'000111'")):
+            with pytest.raises(ValidationError) as err:
+                oracle(strings, cfg)
+            assert str(err.value) == f"no table entry for block {want}"
+            with pytest.raises(ValidationError) as err:
+                list(price_many(strings, table, cfg))
+            assert str(err.value) == f"no table entry for block {want}"
+        common = ["--table", table_path, "--block-len", "6", "--strict", *flags]
+        for argv, want in ((["bdm", "eval", "--file", str(corpus_path)], "'000101'"),
+                           (["report", "divergence", "--file", str(corpus_path)], "'000111'")):
+            assert main(argv + common) == 1
+            assert capsys.readouterr().err == f"ctm-lab: error: no table entry for block {want}\n"
 
 
 def test_non_binary_strings_are_rejected(d3_zero_builtin):

@@ -175,6 +175,26 @@ def test_report_out_file(small_tables, tmp_path):
     assert out.read_text().startswith("# ctm-report v1\n")
 
 
+def test_streamed_report_equals_the_joined_text(tmp_path, capsys):
+    from ctm_lab.analysis import divergence_report, report_to_csv, report_to_json_lines
+    from ctm_lab.bdm import BdmConfig
+
+    # padded and blank lines: a corpus line is stripped, and dropped if empty
+    strings = [format(i * 37 % 4096, "012b") for i in range(40)]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(f"  {s}\t" if i % 3 else s for i, s in enumerate(strings))
+                      + "\n\n   \n")
+    report = divergence_report(load_ctm_table(TABLE_D3_BOTH), strings, BdmConfig(block_len=4))
+    out = tmp_path / "report.txt"
+    for fmt, text in (("csv", report_to_csv(report)), ("json-lines", report_to_json_lines(report))):
+        argv = ["report", "divergence", "--table", str(TABLE_D3_BOTH), "--file", str(corpus),
+                "--block-len", "4", "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == text
+
+
 def test_exit_codes(capsys, tmp_path):
     # bad arguments -> validation (1)
     assert main(["run-space"]) == 1

@@ -26,7 +26,16 @@ from ctm_lab.baselines import (
     shannon_entropy,
     sum_ceil_log2,
 )
-from ctm_lab.bdm import BOUNDARIES, BOUNDARY_KEEP, BdmConfig, partition, partition_many
+from ctm_lab.bdm import (
+    BOUNDARIES,
+    BOUNDARY_KEEP,
+    FALLBACKS,
+    BdmConfig,
+    decomposition_value,
+    partition,
+    partition_many,
+    price_many,
+)
 from ctm_lab.ctm import complexity_of
 from ctm_lab.errors import ValidationError
 
@@ -284,6 +293,86 @@ def test_symbols_wider_than_a_limb_are_split_into_digits():
         want.setdefault((owner[i], tuple(codes[p:p + 3].tolist())), [i, 0])[1] += 1
     assert [[f, m] for f, m in zip(first.tolist(), mult.tolist())] == sorted(want.values())
     assert len(set(content.tolist())) == len({c for _, c in want}) == len(content_first)
+
+
+def _bits(priced):
+    """(value, block entropy, ones) tuples as exact text: repr tells -0.0
+    from 0.0 and a numpy scalar from a Python number."""
+    return [tuple(map(repr, t)) for t in priced]
+
+
+def prices_and_error(corpus, table, cfg, chunk=None):
+    """price_many's tuples up to its first error, and that error's message."""
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:  # small chunks: strings span several numpy passes
+            mp.setattr(bdm, "_CHUNK_CHARS", chunk)
+        try:
+            for priced in price_many(corpus, table, cfg):
+                got.append(priced)
+        except ValidationError as exc:
+            return got, str(exc)
+    return got, None
+
+
+def oracle_prices_and_error(corpus, table, cfg):
+    """The same from each string's Decomposition, one string at a time."""
+    want = []
+    for s in corpus:
+        cut = partition(s, cfg)
+        try:
+            value = decomposition_value(cut, table, cfg)
+        except ValidationError as exc:
+            return want, str(exc)
+        want.append((value, entropy_of_counts(cut.blocks.values()), s.count("1")))
+    return want, None
+
+
+def assert_priced_like_the_oracle(corpus, table, cfg, chunk=None):
+    got, error = prices_and_error(corpus, table, cfg, chunk)
+    want, want_error = oracle_prices_and_error(corpus, table, cfg)
+    assert error == want_error
+    if error is None:
+        assert len(got) == len(corpus)
+    # an error leaves the rest of its chunk unpriced, so fewer may come out
+    assert _bits(got) == _bits(want[:len(got)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(strings(), binary_strings()), min_size=1, max_size=8),
+       st.one_of(st.integers(1, 8), BLOCK_LENS), st.sampled_from(BOUNDARIES),
+       st.sampled_from(FALLBACKS), st.sampled_from([None, 1, 100, 2000]))
+def test_corpus_prices_equal_the_per_string_oracle(d3_both_builtin, corpus, block_len, boundary,
+                                                   fallback, chunk):
+    cfg = BdmConfig(block_len=block_len, boundary=boundary, fallback=fallback)
+    assert_priced_like_the_oracle(corpus, d3_both_builtin, cfg, chunk)
+
+
+def test_corpus_prices_take_log2_from_math_not_numpy(d3_both_builtin):
+    # 1621 repeats of "01" at block length 2: math.log2(1621) is where
+    # np.log2 can differ in the last bit; the kept tails pay their own term
+    corpus = ["01" * 1621, "01" * 1621 + "1", "0110" * 400, "1" * 4001, "0", "10" * 3]
+    for boundary in BOUNDARIES:
+        for fallback in FALLBACKS:
+            cfg = BdmConfig(block_len=2, boundary=boundary, fallback=fallback)
+            for chunk in (None, 1, 3300, 4000):
+                assert_priced_like_the_oracle(corpus, d3_both_builtin, cfg, chunk)
+    value, _, ones = next(price_many(["01" * 1621], d3_both_builtin, BdmConfig(block_len=2)))
+    assert value == math.fsum([complexity_of(d3_both_builtin, "01"), math.log2(1621)])
+    assert ones == 1621
+
+
+def test_corpus_prices_of_unknown_blocks_pay_the_length_penalty(d3_both_builtin):
+    # d3_both lacks 12 of the 6-bit blocks and most 9-bit ones; a tail of
+    # 1-5 bits is always in it
+    corpus = _seeded_corpus(7, count=60, min_bits=9, max_bits=700)
+    for block_len in (6, 9):
+        for boundary in BOUNDARIES:
+            cfg = BdmConfig(block_len=block_len, boundary=boundary)
+            assert_priced_like_the_oracle(corpus, d3_both_builtin, cfg, chunk=2000)
+            got, _ = prices_and_error(corpus, d3_both_builtin, cfg)
+            want = [ref_bdm_value(s, d3_both_builtin, cfg) for s in corpus]
+            assert [v for v, _, _ in got] == want
 
 
 def test_closed_form_ceil_log2_sum_equals_the_loop():
