@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,8 +141,7 @@ def _per_chunk(fn, strings, *args) -> Iterator:
         lo = hi
 
 
-@dataclass(slots=True)
-class _Cut:
+class _Cut(NamedTuple):
     """Nonempty strings joined and cut into blocks, as arrays.
 
     chars holds the code points of the joined strings, and offsets the
