@@ -96,7 +96,8 @@ def report_lines(report: Report, fmt: str) -> Iterator[str]:
         for sec in report.sections:
             yield from record_lines(sec.columns, sec.rows, fmt, {"section": sec.name})
         return
-    yield f"{_REPORT_MAGIC}\n# kind {report.kind}\n"
+    yield f"{_REPORT_MAGIC}\n"
+    yield f"# kind {report.kind}\n"
     yield "# provenance " + meta_dumps(report.provenance) + "\n"
     for sec in report.sections:
         yield f"# section {sec.name}\n"
