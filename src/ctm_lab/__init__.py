@@ -78,7 +78,6 @@ from .bdm import (
     decomposition_value,
     partition,
     partition_entropy,
-    partition_many,
     price_many,
     resolve_config,
 )

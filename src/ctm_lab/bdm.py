@@ -15,6 +15,7 @@ block of a binary string falls back to the length penalty.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -77,7 +78,7 @@ class Decomposition:
     """
 
     blocks: dict
-    tail: str = None
+    tail: str | None = None
 
     def covered_length(self) -> int:
         total = sum(len(b) * k for b, k in self.blocks.items())
@@ -90,61 +91,60 @@ _CHUNK_CHARS = 1 << 18
 
 
 def partition(s: str, cfg: BdmConfig) -> Decomposition:
-    """Cut s into consecutive non-overlapping blocks from the left."""
-    return next(partition_many([s], cfg))
+    """Cut s into consecutive non-overlapping blocks from the left.
 
-
-def partition_many(strings, cfg: BdmConfig) -> Iterator[Decomposition]:
-    """Iterator over the partition of every string, in the order given.
-
-    Any symbols may occur, as in partition; an empty string is a
-    ValidationError, raised before anything is cut. The strings are cut
-    in one numpy pass per chunk of about _CHUNK_CHARS characters, and a
-    chunk's decompositions are made only when the iterator reaches it, so
-    memory follows the chunk, not the corpus.
+    Any symbols may occur; an empty string is a ValidationError. One slice
+    per block, counted in the order of first occurrence: this plain count
+    is the oracle of price_many's numpy cut and shares no code with it.
     """
-    return _per_chunk(_partition_chunk, _nonempty(strings, cfg), cfg)
+    k = _block_len(cfg)
+    if not s:
+        raise ValidationError("cannot partition an empty string")
+    end = len(s) - len(s) % k
+    blocks = dict(Counter(s[i:i + k] for i in range(0, end, k)))
+    tail = s[end:] if cfg.boundary == BOUNDARY_KEEP and end < len(s) else None
+    return Decomposition(blocks, tail)
 
 
 def price_many(strings, table: CtmTable, cfg: BdmConfig) -> Iterator[tuple]:
     """Iterator over (BDM value, block entropy, count of "1") per string.
 
-    The strings are cut as by partition_many, chunk by chunk, but each
-    string is priced from the arrays of its chunk's cut, with no
-    Decomposition: the value equals decomposition_value of its partition,
-    and the block entropy entropy_of_counts of its full blocks'
-    multiplicities, bit for bit. The strings are not checked (see
-    check_decomposable). Under the error fallback the first string in the
-    order given with a block the table lacks raises decomposition_value's
-    error, and the rest of its chunk is not priced.
+    The strings are cut in one numpy pass per chunk of about _CHUNK_CHARS
+    characters, and a chunk is cut and priced only when the iterator
+    reaches it, so memory follows the chunk, not the corpus. Each string is
+    priced from the arrays of its chunk's cut, with no Decomposition: the
+    value equals decomposition_value of its partition, and the block
+    entropy entropy_of_counts of its full blocks' multiplicities, bit for
+    bit. An empty string is a ValidationError, raised before anything is
+    cut; a string with a symbol other than 0 or 1 is require_binary's,
+    raised for the first such string of its chunk. Other checks are the
+    caller's (see check_decomposable). Under the error fallback the first
+    string in the order given with a block the table lacks raises
+    decomposition_value's error, and the rest of its chunk is not priced.
     """
-    return _per_chunk(_price_chunk, _nonempty(strings, cfg), cfg, table)
-
-
-def _nonempty(strings, cfg: BdmConfig) -> list:
     _block_len(cfg)
     strings = list(strings)
     if not all(strings):
         raise ValidationError("cannot partition an empty string")
-    return strings
+    return _per_chunk(strings, table, cfg)
 
 
-def _per_chunk(fn, strings, *args) -> Iterator:
-    """fn(chunk, *args) of consecutive chunks of about _CHUNK_CHARS characters."""
+def _per_chunk(strings, table: CtmTable, cfg: BdmConfig) -> Iterator[tuple]:
+    """_price_chunk of consecutive chunks of about _CHUNK_CHARS characters."""
     lo = 0
     while lo < len(strings):
         hi, size = lo, 0
         while hi < len(strings) and size < _CHUNK_CHARS:
             size += len(strings[hi])
             hi += 1
-        yield from fn(strings[lo:hi], *args)
+        yield from _price_chunk(strings[lo:hi], cfg, table)
         lo = hi
 
 
 class _Cut(NamedTuple):
-    """Nonempty strings joined and cut into blocks, as arrays.
+    """Nonempty binary strings joined and cut into blocks, as arrays.
 
-    chars holds the code points of the joined strings, and offsets the
+    bits holds the symbols of the joined strings, 0 or 1, and offsets the
     start of each string in it. names lists the distinct block contents,
     each sliced once at its first occurrence. Each distinct (string, block)
     pair has a content id into names and a multiplicity; the pairs come
@@ -152,7 +152,7 @@ class _Cut(NamedTuple):
     a string's pairs end at its entry of ends.
     """
 
-    chars: np.ndarray
+    bits: np.ndarray
     offsets: np.ndarray
     names: list
     content: np.ndarray
@@ -163,40 +163,27 @@ class _Cut(NamedTuple):
 def _cut_chunk(strings, k: int) -> _Cut:
     """The cut of nonempty strings into blocks of k, in one numpy pass.
 
-    A symbol's code is its offset from the chunk's smallest code point.
+    A string with a symbol other than 0 or 1 is require_binary's
+    ValidationError, for the first such string of the chunk.
     """
     n = len(strings)
     text = "".join(strings)
-    chars = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    low = int(chars.min())
-    bits = max(1, (int(chars.max()) - low).bit_length())
+    # one byte per character: a non-ASCII symbol becomes "?", and every
+    # symbol but 0 and 1 lands above 1
+    bits = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    if bits.max() > 1:
+        for s in strings:
+            require_binary(s)
     lengths = np.fromiter(map(len, strings), dtype=np.int64, count=n)
     offsets = np.cumsum(lengths) - lengths
     full = lengths // k
     owner = np.repeat(np.arange(n), full)
     block = np.arange(len(owner)) - (np.cumsum(full) - full)[owner]
     starts = offsets[owner] + k * block
-    first, mult, content, content_first = _distinct_blocks(chars - low, starts, owner, k, bits)
+    first, mult, content, content_first = _distinct_blocks(bits, starts, owner, k)
     names = [text[p:p + k] for p in starts[content_first].tolist()]
     ends = np.cumsum(np.bincount(owner[first], minlength=n))
-    return _Cut(chars, offsets, names, content, mult, ends)
-
-
-def _partition_chunk(strings, cfg: BdmConfig) -> list:
-    """partition of nonempty strings, one Decomposition per string from one cut."""
-    k = cfg.block_len
-    cut = _cut_chunk(strings, k)
-    names = np.array(cut.names, dtype=object)[cut.content].tolist()
-    mult = cut.mult.tolist()
-    keep_tail = cfg.boundary == BOUNDARY_KEEP
-    out = []
-    lo = 0
-    for s, hi in zip(strings, cut.ends.tolist()):
-        end = len(s) - len(s) % k
-        tail = s[end:] if keep_tail and end < len(s) else None
-        out.append(Decomposition(dict(zip(names[lo:hi], mult[lo:hi])), tail))
-        lo = hi
-    return out
+    return _Cut(bits, offsets, names, content, mult, ends)
 
 
 def _price_chunk(strings, cfg: BdmConfig, table: CtmTable) -> list:
@@ -232,7 +219,7 @@ def _price_chunk(strings, cfg: BdmConfig, table: CtmTable) -> list:
     terms[1::2] = log2[which]
     terms = terms.tolist()
     mult = cut.mult.tolist()
-    ones = np.add.reduceat(cut.chars == ord("1"), cut.offsets, dtype=np.int64).tolist()
+    ones = np.add.reduceat(cut.bits, cut.offsets, dtype=np.int64).tolist()
     out = []
     lo = 0
     for i, hi in enumerate(cut.ends.tolist()):
@@ -249,19 +236,18 @@ def _complexity(length: int, entry) -> float:
     return length + math.log2(length) if entry is None else entry.complexity_bits
 
 
-def _distinct_blocks(codes, starts, owner, k, bits):
+def _distinct_blocks(bits, starts, owner, k):
     """Each distinct (string, block) pair: first block, multiplicity, content.
 
-    Block i holds the k symbol codes from starts[i], bits bits each, and
-    belongs to string owner[i]; the blocks of a string are consecutive.
-    A block can be too wide for one int64, so blocks are compared a limb
-    at a time: the limb's digits are packed under the rank of the block's
-    earlier limbs, with the block index in the low bits, and one sort
-    ranks the blocks again. Rank and index both stay below the number of
-    blocks; what is left of 63 bits holds the digits, and a symbol wider
-    than that is split into several digits. After the last sort the
-    copies of a block form a run, split by string, and each run's first
-    index is a first occurrence.
+    Block i holds the k bits from starts[i] and belongs to string
+    owner[i]; the blocks of a string are consecutive. A block can be too
+    wide for one int64, so blocks are compared a limb at a time: the
+    limb's bits are packed under the rank of the block's earlier limbs,
+    with the block index in the low bits, and one sort ranks the blocks
+    again. Rank and index both stay below the number of blocks; what is
+    left of 63 bits holds the limb. After the last sort the copies of a
+    block form a run, split by string, and each run's first index is a
+    first occurrence.
 
     The pairs come back in the order of their first occurrence, with a
     dense id of their block's content; the last array holds the first
@@ -269,19 +255,14 @@ def _distinct_blocks(codes, starts, owner, k, bits):
     """
     n = len(starts)
     index_bits = (n - 1).bit_length()
-    free = 63 - 2 * index_bits
-    digit = min(bits, free)
-    per = -(-bits // digit)  # digits per symbol
-    width = free // digit  # digits per limb
+    width = 63 - 2 * index_bits  # bits per limb
     rank = np.zeros(n, dtype=np.int64)
-    for j in range(0, k * per, width):
+    for j in range(0, k, width):
         if j:
             rank[index] = np.cumsum(new) - 1
         key = rank
-        for u in range(j, min(j + width, k * per)):
-            t, q = divmod(u, per)
-            part = (codes[starts + t] >> (digit * (per - 1 - q))) & ((1 << digit) - 1)
-            key = (key << digit) | part
+        for t in range(j, min(j + width, k)):
+            key = (key << 1) | bits[starts + t]
         ordered = np.sort((key << index_bits) | np.arange(n))
         key = ordered >> index_bits
         index = ordered & ((1 << index_bits) - 1)

@@ -11,12 +11,12 @@ import math
 import random
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctm_lab import baselines, bdm
+from ctm_lab._canon import require_binary
 from ctm_lab.analysis import divergence_report
 from ctm_lab.baselines import (
     block_entropy,
@@ -33,7 +33,6 @@ from ctm_lab.bdm import (
     BdmConfig,
     decomposition_value,
     partition,
-    partition_many,
     price_many,
 )
 from ctm_lab.ctm import complexity_of
@@ -250,49 +249,8 @@ def test_partition_equals_the_reference(s, block_len, boundary):
     assert cut.tail == tail
 
 
-# block lengths 62-64 put a block's code on both sides of one int64 limb
+# block lengths 62-64 put a block's bits on both sides of one int64 limb
 BLOCK_LENS = st.one_of(st.integers(1, 100), st.sampled_from([62, 63, 64]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(strings(), min_size=1, max_size=8), BLOCK_LENS, st.sampled_from(BOUNDARIES),
-       st.sampled_from([None, 1, 100, 2000]))
-def test_corpus_cut_equals_the_reference_string_by_string(corpus, block_len, boundary, chunk):
-    cfg = BdmConfig(block_len=block_len, boundary=boundary)
-    with pytest.MonkeyPatch.context() as mp:
-        if chunk is not None:  # small chunks: one corpus spans several numpy passes
-            mp.setattr(bdm, "_CHUNK_CHARS", chunk)
-        cuts = list(partition_many(corpus, cfg))
-    assert len(cuts) == len(corpus)
-    for s, cut in zip(corpus, cuts):
-        blocks, tail = ref_partition(s, block_len, boundary == BOUNDARY_KEEP)
-        assert list(cut.blocks.items()) == list(blocks.items())  # first-occurrence order too
-        assert cut.tail == tail
-
-
-def test_corpus_cut_of_long_blocks_and_short_strings():
-    corpus = ["01" * 200, "0" * 63 + "1", "1" * 64 + "0" * 64, "0110", "1" * 129]
-    for block_len in (62, 63, 64, 65, 100):
-        cfg = BdmConfig(block_len=block_len, boundary=BOUNDARY_KEEP)
-        for s, cut in zip(corpus, partition_many(corpus, cfg)):
-            blocks, tail = ref_partition(s, block_len, True)
-            assert list(cut.blocks.items()) == list(blocks.items()) and cut.tail == tail
-
-
-def test_symbols_wider_than_a_limb_are_split_into_digits():
-    # 62-bit symbol codes leave too few bits beside the rank and block index
-    # for a whole symbol, so each one is compared as two digits
-    rng = np.random.default_rng(5)
-    codes = rng.integers(0, 1 << 62, 600, dtype=np.int64)
-    codes[rng.random(600) < 0.5] = codes[0]  # repeats across blocks
-    starts = np.arange(0, 600, 3)
-    owner = starts // 150
-    first, mult, content, content_first = bdm._distinct_blocks(codes, starts, owner, 3, 62)
-    want = {}
-    for i, p in enumerate(starts.tolist()):
-        want.setdefault((owner[i], tuple(codes[p:p + 3].tolist())), [i, 0])[1] += 1
-    assert [[f, m] for f, m in zip(first.tolist(), mult.tolist())] == sorted(want.values())
-    assert len(set(content.tolist())) == len({c for _, c in want}) == len(content_first)
 
 
 def _bits(priced):
@@ -339,13 +297,72 @@ def assert_priced_like_the_oracle(corpus, table, cfg, chunk=None):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(strings(), binary_strings()), min_size=1, max_size=8),
+@given(st.lists(binary_strings(), min_size=1, max_size=8),
        st.one_of(st.integers(1, 8), BLOCK_LENS), st.sampled_from(BOUNDARIES),
        st.sampled_from(FALLBACKS), st.sampled_from([None, 1, 100, 2000]))
 def test_corpus_prices_equal_the_per_string_oracle(d3_both_builtin, corpus, block_len, boundary,
                                                    fallback, chunk):
     cfg = BdmConfig(block_len=block_len, boundary=boundary, fallback=fallback)
     assert_priced_like_the_oracle(corpus, d3_both_builtin, cfg, chunk)
+
+
+def test_corpus_prices_of_long_blocks_and_short_strings(d3_both_builtin):
+    # blocks of 62-65 bits fill one int64 limb and spill into the next;
+    # strings shorter than a block have only a tail
+    corpus = ["01" * 200, "0" * 63 + "1", "1" * 64 + "0" * 64, "0110", "1" * 129]
+    for block_len in (62, 63, 64, 65, 100):
+        for boundary in BOUNDARIES:
+            for fallback in FALLBACKS:
+                cfg = BdmConfig(block_len=block_len, boundary=boundary, fallback=fallback)
+                for chunk in (None, 1, 100, 2000):
+                    assert_priced_like_the_oracle(corpus, d3_both_builtin, cfg, chunk)
+
+
+@pytest.mark.parametrize("chunk", [None, 1])  # the bad string alone, or in a later chunk
+@pytest.mark.parametrize("bad", ["012", "01 ", "0\u00e91", "1" * 200 + "2"])
+def test_corpus_prices_reject_a_non_binary_string(d3_both_builtin, monkeypatch, chunk, bad):
+    if chunk is not None:
+        monkeypatch.setattr(bdm, "_CHUNK_CHARS", chunk)
+    with pytest.raises(ValidationError) as want:
+        require_binary(bad)
+    assert str(want.value).startswith("not a binary string")
+    for corpus in ([bad], ["0101", bad, "11"]):
+        with pytest.raises(ValidationError) as err:
+            list(price_many(corpus, d3_both_builtin, BdmConfig(block_len=2)))
+        assert str(err.value) == str(want.value)
+
+
+def test_the_oracle_shares_no_code_with_the_cut(d3_both_builtin, monkeypatch):
+    # partition and everything built on it run with the numpy cut broken
+    corpus = ["0110101", "01" * 40 + "1", "1" * 64, "0001110001"]
+    configs = [BdmConfig(block_len=k, boundary=boundary)
+               for k in (None, 2, 3) for boundary in BOUNDARIES]
+
+    def values():
+        out = []
+        for cfg in configs:
+            resolved = bdm.resolve_config(cfg, d3_both_builtin)
+            for s in corpus:
+                cut = partition(s, resolved)
+                out.append((cut, bdm.decompose(s, resolved),
+                            repr(bdm.bdm_value(s, d3_both_builtin, cfg)),
+                            bdm.block_entropy_equiv_check(s, d3_both_builtin, cfg)))
+                blocks, tail = ref_partition(s, resolved.block_len,
+                                             cfg.boundary == BOUNDARY_KEEP)
+                assert list(cut.blocks.items()) == list(blocks.items()) and cut.tail == tail
+        return out
+
+    want = values()
+
+    def broken(*args):
+        raise AssertionError("the oracle reached the numpy cut")
+
+    monkeypatch.setattr(bdm, "_cut_chunk", broken)
+    monkeypatch.setattr(bdm, "_distinct_blocks", broken)
+    assert values() == want
+    # any symbols may still be cut
+    assert partition("abcab", BdmConfig(block_len=2, boundary=BOUNDARY_KEEP)) \
+        == bdm.Decomposition({"ab": 1, "ca": 1}, "b")
 
 
 def test_corpus_prices_take_log2_from_math_not_numpy(d3_both_builtin):
