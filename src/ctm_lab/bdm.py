@@ -18,7 +18,6 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -141,31 +140,19 @@ def _per_chunk(strings, table: CtmTable, cfg: BdmConfig) -> Iterator[tuple]:
         lo = hi
 
 
-class _Cut(NamedTuple):
-    """Nonempty binary strings joined and cut into blocks, as arrays.
-
-    bits holds the symbols of the joined strings, 0 or 1, and offsets the
-    start of each string in it. names lists the distinct block contents,
-    each sliced once at its first occurrence. Each distinct (string, block)
-    pair has a content id into names and a multiplicity; the pairs come
-    string by string, each string's in the order of first occurrence, and
-    a string's pairs end at its entry of ends.
-    """
-
-    bits: np.ndarray
-    offsets: np.ndarray
-    names: list
-    content: np.ndarray
-    mult: np.ndarray
-    ends: np.ndarray
-
-
-def _cut_chunk(strings, k: int) -> _Cut:
-    """The cut of nonempty strings into blocks of k, in one numpy pass.
+def _price_chunk(strings, cfg: BdmConfig, table: CtmTable) -> list:
+    """price_many of nonempty strings, from one numpy cut of their join.
 
     A string with a symbol other than 0 or 1 is require_binary's
-    ValidationError, for the first such string of the chunk.
+    ValidationError, for the first such string of the chunk. A string's
+    value is one math.fsum over the complexity and the log2 multiplicity of
+    each of its distinct blocks, plus its kept tail's complexity. Both are
+    looked up, never computed per pair: the complexities per distinct
+    content, sliced once from the join at its first occurrence, and
+    math.log2 (which np.log2 does not always match to the last bit) per
+    distinct multiplicity.
     """
+    k = cfg.block_len
     n = len(strings)
     text = "".join(strings)
     # one byte per character: a non-ASCII symbol becomes "?", and every
@@ -180,25 +167,12 @@ def _cut_chunk(strings, k: int) -> _Cut:
     owner = np.repeat(np.arange(n), full)
     block = np.arange(len(owner)) - (np.cumsum(full) - full)[owner]
     starts = offsets[owner] + k * block
+    # each distinct (string, block) pair, string by string, each string's
+    # in the order of first occurrence; a string's pairs end at its ends
     first, mult, content, content_first = _distinct_blocks(bits, starts, owner, k)
-    names = [text[p:p + k] for p in starts[content_first].tolist()]
-    ends = np.cumsum(np.bincount(owner[first], minlength=n))
-    return _Cut(bits, offsets, names, content, mult, ends)
-
-
-def _price_chunk(strings, cfg: BdmConfig, table: CtmTable) -> list:
-    """price_many of nonempty strings, from one cut.
-
-    A string's value is one math.fsum over the complexity and the log2
-    multiplicity of each of its distinct blocks, plus its kept tail's
-    complexity. Both are looked up, never computed per pair: the
-    complexities per distinct content, and math.log2 (which np.log2 does
-    not always match to the last bit) per distinct multiplicity.
-    """
-    k = cfg.block_len
-    cut = _cut_chunk(strings, k)
+    ends = np.cumsum(np.bincount(owner[first], minlength=n)).tolist()
     entries = table.entries
-    found = [entries.get(b) for b in cut.names]
+    found = [entries.get(text[p:p + k]) for p in starts[content_first].tolist()]
     tails = {}
     if cfg.boundary == BOUNDARY_KEEP:
         for i, s in enumerate(strings):
@@ -212,17 +186,17 @@ def _price_chunk(strings, cfg: BdmConfig, table: CtmTable) -> list:
         for s in strings:
             decomposition_value(partition(s, cfg), table, cfg)
     cost = np.array([_complexity(k, e) for e in found], dtype=float)
-    distinct, which = np.unique(cut.mult, return_inverse=True)
+    distinct, which = np.unique(mult, return_inverse=True)
     log2 = np.array([math.log2(m) for m in distinct.tolist()], dtype=float)
-    terms = np.empty(2 * len(cut.mult))
-    terms[0::2] = cost[cut.content]
+    terms = np.empty(2 * len(mult))
+    terms[0::2] = cost[content]
     terms[1::2] = log2[which]
     terms = terms.tolist()
-    mult = cut.mult.tolist()
-    ones = np.add.reduceat(cut.bits, cut.offsets, dtype=np.int64).tolist()
+    mult = mult.tolist()
+    ones = np.add.reduceat(bits, offsets, dtype=np.int64).tolist()
     out = []
     lo = 0
-    for i, hi in enumerate(cut.ends.tolist()):
+    for i, hi in enumerate(ends):
         own = terms[2 * lo:2 * hi]
         if i in tails:
             own.append(_complexity(*tails[i]))

@@ -13,22 +13,13 @@ enumeration is strictly more evidence.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from ._canon import (
-    canonical_float,
-    canonical_int,
-    canonical_key,
-    decode_utf8,
-    fmt_float,
-    is_binary,
-    meta_dumps,
-    read_file,
-    read_header,
-    read_records,
-)
+from ._canon import canonical_key, decode_utf8, fmt_float, is_binary, meta_dumps, read_file
 from .errors import ParseError, ValidationError
 from .space import Census, FrequencyTable, SpaceSpec
 
@@ -158,36 +149,80 @@ def dumps_ctm_table(table: CtmTable) -> bytes:
 
 
 def loads_ctm_table(data: bytes) -> CtmTable:
-    """Parse a table file; rows that no space run can produce are errors.
+    """Parse a table file; it loads only if dumps_ctm_table writes it back
+    byte for byte, and rows that no space run can produce are errors.
 
-    Counts must be positive, probabilities finite and in (0, 1], and each
-    complexity -log2(probability) to within 1e-12. A table from one space
+    Lines end with "\n" alone. The header is the magic, a meta JSON object
+    that _table_meta accepts, and the column line. Each row holds six
+    fields and a binary string no other row holds; counts must be
+    positive, probabilities finite and in (0, 1], and each complexity
+    -log2(probability) to within 1e-12. The table read is then written back:
+    at the first line where the file differs (line ends, blank lines, meta
+    spacing or key order, number text, row order) a ParseError names the
+    line and shows what the writer writes there. A table from one space
     run under halting_machines must have probabilities summing to 1 within
     1e-9 (merged tables mix distributions, so they are not held to it).
     """
-    lines = decode_utf8(data).splitlines()
-    normalization, sources = read_header(
-        lines, _TABLE_MAGIC, _TABLE_COLUMNS, "ctm-table", _table_meta
-    )
+    text = decode_utf8(data)
+    lines = text.split("\n")
+    normalization, sources = _read_header(lines)
     entries = {}
-    parsers = (canonical_int, canonical_float, canonical_float, canonical_int, canonical_int)
-    for lineno, s, values in read_records(lines, parsers):
-        entry = CtmEntry(*values)
+    # the piece after the final "\n" is not a row: the round trip below
+    # requires it to be empty
+    for lineno, line in enumerate(lines[3:-1], start=4):
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise ParseError("expected 6 fields", line=lineno)
+        s = parts[0]
+        if not is_binary(s):
+            raise ParseError(f"not a binary string: {s!r}", line=lineno)
+        if s in entries:
+            raise ParseError(f"duplicate string {s!r}", line=lineno)
+        try:
+            entry = CtmEntry(int(parts[1]), float(parts[2]), float(parts[3]),
+                             int(parts[4]), int(parts[5]))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
         if entry.count <= 0:
             raise ParseError(f"count must be positive, got {entry.count}", line=lineno)
         if not 0.0 < entry.probability <= 1.0:
             raise ParseError(f"probability must be in (0, 1], got {entry.probability}", line=lineno)
-        if abs(entry.complexity_bits + math.log2(entry.probability)) > 1e-12:
+        # "not <=" so that a NaN complexity fails too
+        if not abs(entry.complexity_bits + math.log2(entry.probability)) <= 1e-12:
             raise ParseError("complexity_bits is not -log2(probability)", line=lineno)
         if entry.min_used_rules < 1 or entry.source_space < 1:
             raise ParseError("min_used_rules and source_space must be >= 1", line=lineno)
         entries[s] = entry
     table = CtmTable(normalization, entries, sources)
+    written = dumps_ctm_table(table).decode("utf-8").split("\n")
+    for lineno, (got, want) in enumerate(zip_longest(lines, written), start=1):
+        if got != want:
+            raise ParseError(f"not canonical: dumps_ctm_table writes {want!r} here", line=lineno)
     if normalization == NORM_HALTING and len(sources) == 1:
         total = table.probability_sum()
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"halting_machines probabilities sum to {total!r}, not 1")
     return table
+
+
+def _read_header(lines):
+    """(normalization, sources) from the three header lines of a table file."""
+    if lines[0] != _TABLE_MAGIC:
+        raise ParseError("not a ctm-table file", line=1)
+    if len(lines) < 3 or not lines[1].startswith("# meta "):
+        raise ParseError("missing meta header", line=2)
+    try:
+        meta = json.loads(lines[1][len("# meta "):])
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"bad meta header: {exc}", line=2) from exc
+    if not isinstance(meta, dict):
+        raise ParseError("meta header is not a JSON object", line=2)
+    if lines[2] != _TABLE_COLUMNS:
+        raise ParseError("unexpected column header", line=3)
+    try:
+        return _table_meta(meta)
+    except ValidationError as exc:
+        raise ParseError(f"bad meta header: {exc}", line=2) from exc
 
 
 def _table_meta(meta: dict):

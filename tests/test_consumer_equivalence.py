@@ -357,7 +357,7 @@ def test_the_oracle_shares_no_code_with_the_cut(d3_both_builtin, monkeypatch):
     def broken(*args):
         raise AssertionError("the oracle reached the numpy cut")
 
-    monkeypatch.setattr(bdm, "_cut_chunk", broken)
+    monkeypatch.setattr(bdm, "_price_chunk", broken)
     monkeypatch.setattr(bdm, "_distinct_blocks", broken)
     assert values() == want
     # any symbols may still be cut

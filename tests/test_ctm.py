@@ -1,5 +1,6 @@
 """Coding-theorem tables: normalization, identities, merging, persistence."""
 
+import json
 import math
 import pathlib
 
@@ -206,6 +207,7 @@ def test_ctm_loader_rejects_meaningless_rows():
         (3, "-3"), (3, fmt_float(float(first[3]) + 1e-9)),
         (4, "0"), (5, "0"),
     )
+    bad_rows += ((3, "nan"),)  # NaN passed a plain |c + log2 p| > 1e-12 test
     for field, text in bad_rows:
         with pytest.raises(ParseError) as err:
             loads_ctm_table(_with_field(data, 4, field, text))
@@ -249,6 +251,37 @@ def test_meta_headers_hold_exactly_what_the_writers_write(tmp_path, capsys):
     assert err.value.line == 2
     assert main(["ctm", "eval", "--table", str(path), "--string", "01"]) == 1
     assert capsys.readouterr().err.splitlines() == [f"ctm-lab: error: {err.value}"]
+
+
+def _meta_line(text, dumps):
+    lines = text.split("\n")
+    lines[1] = "# meta " + dumps(json.loads(lines[1][len("# meta "):]))
+    return "\n".join(lines)
+
+
+def _with_blank_line(text, line):
+    lines = text.split("\n")
+    lines.insert(line - 1, "")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda text: text.replace("\n", "\r\n"), 1),
+    (lambda text: _with_blank_line(text, 6), 6),
+    (lambda text: text[:-1], 20),
+    (lambda text: text + "\n", 21),
+    (lambda text: _meta_line(text, json.dumps), 2),
+    (lambda text: _meta_line(text, lambda meta: json.dumps(dict(reversed(meta.items())),
+                                                           separators=(",", ":"))), 2),
+], ids=["crlf", "blank-line", "no-final-newline", "extra-newline", "meta-spacing",
+        "meta-key-order"])
+def test_a_table_loads_only_in_the_layout_the_writer_writes(edit, line):
+    # each of these files used to load and then re-serialize to other bytes
+    text = _shipped("d2_zero").decode()
+    assert len(text.split("\n")) == 21
+    with pytest.raises(ParseError) as err:
+        loads_ctm_table(edit(text).encode())
+    assert err.value.line == line
 
 
 def _field_text(original):

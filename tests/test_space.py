@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctm_lab._canon import meta_dumps
 from ctm_lab.analysis import diversity_report
 from ctm_lab.baselines import block_entropy
 from ctm_lab.bdm import BdmConfig
@@ -1116,22 +1117,25 @@ def test_frequency_table_parse_errors(tmp_path):
         {**good_meta, "zzz": 1},
         {"normalization": "all_machines", "sources": []},
     )
-    bad.write_text(f"{magic}\n# meta {json.dumps(good_meta)}\n{columns}\n")
+    bad.write_text(f"{magic}\n# meta {meta_dumps(good_meta)}\n{columns}\n")
     load_ctm_table(bad)
+    # the bad metas are written as the writer writes them, so the meta
+    # check itself rejects them, not the round trip
     cases = (
-        ("not a table\n", 1),
-        (f"{magic}\nstray\n{columns}\n", 2),
-        (f"{magic}\n# meta {{bad\n{columns}\n", 2),
-        (f"{magic}\n# meta [1]\n{columns}\n", 2),
-        (f"{magic}\n# meta {'[' * 100_000}\n{columns}\n", 2),
-        (f"{magic}\n# meta {{}}\nstring,count\n", 3),
-    ) + tuple((f"{magic}\n# meta {json.dumps(meta)}\n{columns}\n", 2) for meta in bad_metas)
-    for text, line in cases:
+        ("not a table\n", 1, ""),
+        (f"{magic}\nstray\n{columns}\n", 2, ""),
+        (f"{magic}\n# meta {{bad\n{columns}\n", 2, "bad meta header: "),
+        (f"{magic}\n# meta [1]\n{columns}\n", 2, ""),
+        (f"{magic}\n# meta {'[' * 100_000}\n{columns}\n", 2, "bad meta header: "),
+        (f"{magic}\n# meta {{}}\nstring,count\n", 3, ""),
+    ) + tuple((f"{magic}\n# meta {meta_dumps(meta)}\n{columns}\n", 2, "bad meta header: ")
+              for meta in bad_metas)
+    for text, line, reason in cases:
         bad.write_text(text)
         with pytest.raises(ParseError) as err:
             load_ctm_table(bad)
         assert err.value.line == line
-        assert str(err.value).startswith(f"{bad}: line {line}: ")
+        assert str(err.value).startswith(f"{bad}: line {line}: {reason}")
 
 
 def _with_source(path, edit):
@@ -1140,7 +1144,7 @@ def _with_source(path, edit):
     magic, meta, rest = shipped.read_text().split("\n", 2)
     meta = json.loads(meta[len("# meta "):])
     edit(meta["sources"][0])
-    path.write_text(f"{magic}\n# meta {json.dumps(meta)}\n{rest}")
+    path.write_text(f"{magic}\n# meta {meta_dumps(meta)}\n{rest}")
 
 
 def test_frequency_table_rejects_other_proof_settings(tmp_path):
@@ -1159,7 +1163,7 @@ def test_frequency_table_rejects_other_proof_settings(tmp_path):
     assert load_ctm_table(path) == builtin_table("d2_zero")
     for edit in (cycle_on, other_memory_limit, cycles_counted):
         _with_source(path, edit)
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match="line 2: bad meta header: ") as err:
             load_ctm_table(path)
         assert err.value.line == 2
 
