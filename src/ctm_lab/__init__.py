@@ -48,7 +48,6 @@ from .space import (
     empty_table,
     run_index_array,
     run_space,
-    run_strided_sample,
     space_size,
 )
 from .ctm import (

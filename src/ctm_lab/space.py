@@ -42,12 +42,15 @@ producer is the least over the row's renamings (_image_producers).
 
 Families. A run reads only some of its 2n entries, and every machine that
 differs from it only in unread entries runs the same way. So run_space
-does not step its representatives one by one: their ranges split into
-aligned blocks [p * b^j, (p + 1) * b^j), b = 4n + 2, and each block starts
-as one row whose low j digits hold the unread marker 4n + 2. A row that
-reads an unread entry is replaced, at the same step, by b children, one
-per code; a child with neither an unread nor a halting entry is a
-machine without a halting rule and is counted at once. A finished row
+does not step its representatives one by one but starts from the top of
+their read tree (_subtree_rows). Every run reads its top digit, the (1,0)
+entry, at step 1, and, when that steps to a state q != 1, the blank-read
+entry (q,0) at step 2. So each representative digit is one row, or
+b = 4n + 2 rows, one per code of (q,0), and every other entry holds the
+unread marker 4n + 2. A row that reads an unread entry is replaced, at
+the same step, by b children, one per code; a child with neither an
+unread nor a halting entry is a machine without a halting rule and is
+counted at once. A finished row
 with u unread entries stands for b^u machines, times its namings: a
 halted one credits them to its string, with the family's smallest member
 (unread digits 0) as producer. Of a non-halting row none of whose fixed
@@ -55,12 +58,12 @@ entries halts, the (4n)^u members with only steps in their unread
 entries go to no_halt_rule and the rest to its bucket (escape or
 cutoff), each count times the namings. An escape
 test that depends on an unread blank-read entry expands that entry. On
-(3,2) this steps 36,659 rows in all (summed over the steps) for its
-2,151,296 representatives. Without the namings it stepped 73,316 rows
+(3,2) this steps 36,685 rows in all (summed over the steps) for its
+2,151,296 representatives. Without the namings it steps 73,368 rows
 for the 3,226,944 machines of all six right-moving top digits, which
 one by one take 4,673,656 machine-steps.
 run_index_array runs arbitrary index sets, every machine on every blank,
-by the same rule with a batch's machines in place of a block's: each
+by the same rule with a batch's machines in place of a row's: each
 batch of _BATCH = 2^20 indices starts as one row with every entry unread
 whose members are the batch's machines that can halt (_Members). The
 batch is decoded and filtered 2^16 indices at a time (_DECODE_CHUNK), so
@@ -108,8 +111,9 @@ the tape is replaced.
 
 Determinism contract: the resulting FrequencyTable depends only on the
 SpaceSpec, never on the worker count or scheduling. The unit of work is
-the family group, which every worker count runs whole, and a group's
-table adds into the result by sums and minima, in any order.
+the family group, a pass of whole subtree rows (_family_groups), which
+every worker count runs whole, and a group's table adds into the result
+by sums and minima, in any order.
 """
 
 from __future__ import annotations
@@ -144,7 +148,12 @@ _TABLE_SIZE = 1 << 17
 # (the process, its 34 MB index array included).
 _BATCH = 1 << 20
 _DECODE_CHUNK = 1 << 16
-# Machines per run_space family block and group (_family_groups).
+# Machines per run_space pass (_family_groups), counted before namings: a
+# pass packs subtree rows while they hold at most this many, and holds at
+# least one. The 30 (3,2) rows, 2,151,296 machines, fit one pass: its `both`
+# run takes 18-23 ms as one pass and 80-112 ms as one pass per row (one
+# process, 2 cores, 7 runs). A (4,2) row holds 18^6 or 18^7 machines, so
+# each is a pass of its own, whose live rows peak at 106,071.
 _GROUP_MACHINES = 1 << 22
 
 # Header of FrequencyTable.canonical_bytes(), the in-memory comparison key of
@@ -299,7 +308,7 @@ class FrequencyTable:
     any producer exercised, and first_producer the smallest producing
     machine index (blank-0 runs take precedence over blank-1 at equal
     index). covers is ((0, size),) for a run_space table, the whole space,
-    and None for ad-hoc index sets such as strided samples.
+    and None for ad-hoc index sets.
     """
 
     spec: SpaceSpec
@@ -1189,53 +1198,44 @@ def _representative_digits(n: int):
     return tuple(d for d in (*range(n, 2 * n), *range(3 * n, 4 * n)) if d % n < 2)
 
 
-def _representative_ranges(n: int, lo: int, hi: int):
-    """The parts of [lo, hi) whose top digit is a representative digit, one per digit."""
-    top = (4 * n + 2) ** (2 * n - 1)
-    ranges = []
-    for d in _representative_digits(n):
-        a, b = max(d * top, lo), min((d + 1) * top, hi)
-        if a < b:
-            ranges.append((a, b))
-    return ranges
+def _subtree_rows(n: int) -> np.ndarray:
+    """The representatives as rows of action codes, unread entries as 4n + 2.
 
-
-def _family_groups(n: int, lo: int, hi: int):
-    """The representatives of [lo, hi) as groups of family rows.
-
-    The range splits into aligned blocks [p * b^j, (p + 1) * b^j), b = 4n+2,
-    each one row whose top 2n - j digits are those of p and whose low j
-    digits are unread. A block holds at most _GROUP_MACHINES = 2^22
-    machines, and so does a group (a list of (p * b^j, j)), which bounds a
-    group's live rows and so the memory of a pass: on the (4,2) top-digit
-    block [13 * 18^7, 14 * 18^7) they peaked at 87,578. Groups eight times
-    larger peaked at 250,706; they ran faster, but took the (4,2) block
-    of top digit 15 from 66 to 206 MB.
+    Every run reads its top digit d, the (1,0) entry, at step 1. When d
+    steps to a state q != 1, it reads (q,0), the blank-read entry of q, at
+    step 2, so that slot takes each of the 4n + 2 codes, one row each.
+    Every other slot is unread.
     """
     b = 4 * n + 2
-    cap = _GROUP_MACHINES
-    group, size = [], 0
-    for a, c in _representative_ranges(n, lo, hi):
-        while a < c:
-            j = 0
-            while a % b ** (j + 1) == 0 and a + b ** (j + 1) <= c and b ** (j + 1) <= cap:
-                j += 1
-            if size + b ** j > cap:
-                yield group
-                group, size = [], 0
-            group.append((a, j))
-            size += b ** j
-            a += b ** j
-    if group:
-        yield group
+    rows = []
+    for d in _representative_digits(n):
+        row = np.full((1, 2 * n), b, np.uint8)
+        row[0, 0] = d
+        slot = 2 * (d % n)  # (q,0), with d % n = q - 1
+        if slot:
+            row = row.repeat(b, axis=0)
+            row[:, slot] = np.arange(b)
+        rows.append(row)
+    return np.concatenate(rows)
 
 
-def _family_rows(n: int, group) -> np.ndarray:
-    """The action-code rows of a group of blocks, unread digits as 4n + 2."""
-    starts, unread = (np.array(column) for column in zip(*group))
-    ords = _decode(starts, n)  # a block's start has its low j digits 0
-    ords[np.arange(2 * n) >= 2 * n - unread[:, None]] = 4 * n + 2
-    return ords
+def _family_groups(n: int):
+    """The subtree rows (_subtree_rows) packed in order into the passes of run_space.
+
+    A pass takes the next row while it holds at most _GROUP_MACHINES
+    machines, counted as (4n + 2)^u for a row with u unread entries, and
+    takes at least one row: (3,2) is one pass of 30 rows and (4,2) 38
+    passes of one row each.
+    """
+    rows = _subtree_rows(n)
+    sizes = [(4 * n + 2) ** int(u) for u in np.count_nonzero(rows == 4 * n + 2, axis=1)]
+    start, held = 0, 0
+    for i, size in enumerate(sizes):
+        if held + size > _GROUP_MACHINES and i > start:
+            yield rows[start:i]
+            start, held = i, 0
+        held += size
+    yield rows[start:]
 
 
 def _count_initial_halts(spec: SpaceSpec, sink: FrequencyTable) -> None:
@@ -1257,15 +1257,15 @@ def _count_initial_halts(spec: SpaceSpec, sink: FrequencyTable) -> None:
 
 
 def _run_groups(spec: SpaceSpec, groups, sink: FrequencyTable) -> None:
-    """Run family groups (_family_groups) into sink, with the vector engine.
+    """Run family groups (_family_groups), each an array of family rows,
+    into sink, with the vector engine.
 
     Each group's orbit representatives run on blank 0 as families, and each
     run is credited to its mirror and complement images and to its namings
     (_namings). First-step halts are not counted here (_count_initial_halts).
     """
     images = _ORBIT_IMAGES[spec.blank_mode]
-    for group in groups:
-        ords = _family_rows(spec.n, group)
+    for ords in groups:
         machines = _machines(ords, spec.n)
         can_halt = _can_halt(ords, spec.n)
         sink.census.total_runs += len(images) * int(machines.sum())
@@ -1323,10 +1323,9 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
 
 
 # A pool pays only for spaces far larger than (3,2). On two cores the whole
-# (3,2) `both` run takes 0.017-0.019 s in one process,
-# 0.025-0.028 s as its 4 top-digit blocks in one process, and 0.05 s
-# through a pool of 2: forking and warming cold children costs more than
-# the work. Smaller spaces run in the calling process.
+# (3,2) `both` run takes 18-23 ms in one process, as one pass, and 31-48 ms
+# through a pool of 2 (7 runs each): forking and warming cold children
+# costs more than the work. Smaller spaces run in the calling process.
 _POOL_MIN_SIZE = 10 ** 9
 
 
@@ -1336,17 +1335,17 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
     The symmetry-reduced vector engine runs the space's family groups
     (_run_groups). A space below _POOL_MIN_SIZE machines, or a run with one
     worker, runs them in the calling process. Otherwise each group is one
-    job (_run_group, 648 on (4,2)), read lazily by a pool of
+    job (_run_group, 38 on (4,2)), read lazily by a pool of
     min(workers, CPUs) processes, each of which takes the next group when
-    it is free, and merged as the groups finish. No job splits a family,
-    so every worker count steps the same rows, and the result is
+    it is free, and merged as the groups finish. No job splits a subtree
+    row, so every worker count steps the same rows, and the result is
     byte-identical for every worker count.
     """
     require_int("workers", workers)
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     table = empty_table(spec, ((0, spec.size),))
-    groups = _family_groups(spec.n, 0, spec.size)
+    groups = _family_groups(spec.n)
     if workers == 1 or spec.size < _POOL_MIN_SIZE:
         _run_groups(spec, groups, table)
     else:
@@ -1357,14 +1356,6 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
     _count_initial_halts(spec, table)
     table.validate()
     return table
-
-
-def run_strided_sample(spec: SpaceSpec, stride: int, engine: str = "vector") -> FrequencyTable:
-    """Deterministic sample: every stride-th index starting at 0."""
-    require_int("stride", stride)
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
-    return run_index_array(spec, np.arange(0, spec.size, stride, dtype=np.uint64), engine)
 
 
 def empty_table(spec: SpaceSpec, covers=()) -> FrequencyTable:

@@ -11,6 +11,8 @@ import math
 import random
 import time
 
+import numpy as np
+
 from conftest import golden_text
 from ctm_lab.analysis import (
     anomaly_report,
@@ -25,8 +27,8 @@ from ctm_lab.bdm import BdmConfig, bdm_value
 from ctm_lab.ctm import NORM_ALL, NORM_HALTING, CtmEntry, CtmTable, to_ctm
 from ctm_lab.space import (
     SpaceSpec,
+    run_index_array,
     run_space,
-    run_strided_sample,
     space_size,
 )
 
@@ -63,8 +65,9 @@ def test_criterion_03_cutoff_safety(d3_zero_freq):
     slow2 = run_space(SpaceSpec(2, max_steps=100))
     assert slow2.counts == base2.counts
 
-    sample30 = run_strided_sample(SpaceSpec(3), 100)
-    sample300 = run_strided_sample(SpaceSpec(3, max_steps=300), 100)
+    stride = np.arange(0, space_size(3), 100)
+    sample30 = run_index_array(SpaceSpec(3), stride)
+    sample300 = run_index_array(SpaceSpec(3, max_steps=300), stride)
     assert sample30.census.total_runs == 75_296
     assert sample300.counts == sample30.counts
     # the sampled distribution is consistent with the full run

@@ -43,7 +43,6 @@ from ctm_lab.space import (
     empty_table,
     run_index_array,
     run_space,
-    run_strided_sample,
     space_size,
 )
 
@@ -74,7 +73,6 @@ def test_space_spec_takes_only_ints():
 
 
 _INT_PARAMETERS = {
-    "run_strided_sample-stride": lambda v: run_strided_sample(SpaceSpec(2), v),
     "run_space-workers": lambda v: run_space(SpaceSpec(1), workers=v),
     "space_size-n": space_size,
     "machine_count-n": machine_count,
@@ -90,8 +88,7 @@ _INT_PARAMETERS = {
 @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
 @pytest.mark.parametrize("call", _INT_PARAMETERS.values(), ids=_INT_PARAMETERS)
 def test_public_int_parameters_take_only_ints(call, value):
-    # run_strided_sample(SpaceSpec(2), 2.5) used to run 4,000 indices at
-    # stride 2, and RuleTable(True, ...) built a one-state machine
+    # RuleTable(True, ...) used to build a one-state machine
     with pytest.raises(ValidationError, match="must be an int"):
         call(value)
 
@@ -188,10 +185,10 @@ def _assert_same_census(reduced, full):
     assert reduced.census == full.census
 
 
-def _run_range(spec, lo, hi):
-    """The family groups of [lo, hi), without its first-step halts."""
+def _run_rows(spec, rows):
+    """Family rows run as one pass of run_space, without first-step halts."""
     sink = empty_table(spec)
-    space._run_groups(spec, space._family_groups(spec.n, lo, hi), sink)
+    space._run_groups(spec, [np.array(rows, np.uint8)], sink)
     return sink
 
 
@@ -543,8 +540,9 @@ def test_escape_words_of_families_agree_with_their_members():
 
 def test_results_do_not_depend_on_batch_size(monkeypatch):
     # _BATCH cuts index arrays into batches, each decoded _DECODE_CHUNK
-    # indices at a time, and _GROUP_MACHINES bounds the machines of
-    # run_space's family groups
+    # indices at a time, and _GROUP_MACHINES caps the machines of
+    # run_space's passes unless a pass holds one row: the 22 (2,2) rows,
+    # of 1,000 or 100 machines, are 22 passes at a cap of 56 and one at 7,992
     both = SpaceSpec(2, blank_mode="both")
     span = np.arange(3_000_000, 3_020_000, dtype=np.uint64)
     # 2509 indices: a multiple of neither batch nor of either decode chunk
@@ -554,14 +552,15 @@ def test_results_do_not_depend_on_batch_size(monkeypatch):
         run_index_array(SpaceSpec(3), span).canonical_bytes(),
         run_index_array(SpaceSpec(3, blank_mode="both"), stride).canonical_bytes(),
     )
-    groups = space._family_groups
     for batch in (7, 999):
         monkeypatch.setattr(space, "_BATCH", batch)
         monkeypatch.setattr(space, "_DECODE_CHUNK", batch // 2)
         monkeypatch.setattr(space, "_GROUP_MACHINES", 8 * batch)
-        sizes = [sum(10 ** j for _, j in g) for g in groups(2, 0, both.size)]
-        assert sum(sizes) == 4000 and max(sizes) <= 8 * batch
-        assert len(sizes) == (80 if batch == 7 else 1)
+        groups = list(space._family_groups(2))
+        sizes = [int(space._machines(g, 2).sum()) for g in groups]
+        assert sum(sizes) == 4000
+        assert [len(g) for g in groups] == ([1] * 22 if batch == 7 else [22])
+        assert max(sizes) == (1000 if batch == 7 else 4000)
         assert run_space(both).canonical_bytes() == expected[0]
         assert run_index_array(SpaceSpec(3), span).canonical_bytes() == expected[1]
         assert stride.size % batch and stride.size % (batch // 2)
@@ -590,6 +589,26 @@ def test_index_batches_hold_a_bounded_number_of_bytes_per_index():
     assert peak <= 18 * indices.size
 
 
+def test_the_largest_four_state_pass_holds_a_bounded_number_of_live_rows(monkeypatch):
+    # The live rows of a pass set its memory. The largest (4,2) passes are
+    # the subtrees of Step(1, R, 2) whose (2,0) entry is code 10,
+    # Step(1, L, 3), or 11, Step(1, L, 4): their live rows peak at 106,071
+    # at the start of a step, the same on every run.
+    peak = [0]
+
+    class Spy(space._Pass):
+        def advance(self, live):
+            if live is self.live:  # a step of the pass, not of new children
+                peak[0] = max(peak[0], live.shape[1])
+            return super().advance(live)
+
+    monkeypatch.setattr(space, "_Pass", Spy)
+    row = [13, 18, 10, 18, 18, 18, 18, 18]
+    assert [row] in [g.tolist() for g in space._family_groups(4)]
+    _run_rows(SpaceSpec(4), [row])
+    assert peak[0] <= 106_071
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_member_producers_are_exact_at_the_top_of_the_largest_spaces(n):
     # A member's index is read back from its codes in int64 (_Members.indices).
@@ -606,7 +625,7 @@ def test_member_producers_are_exact_at_the_top_of_the_largest_spaces(n):
         assert min(vector.first_producer.values()) == end - 300
 
 
-def test_shards_start_from_aligned_block_rows(monkeypatch):
+def test_passes_start_from_subtree_rows(monkeypatch):
     starts = []
 
     class Spy(space._Pass):
@@ -615,20 +634,24 @@ def test_shards_start_from_aligned_block_rows(monkeypatch):
             super().__init__(spec, ords, *args)
 
     monkeypatch.setattr(space, "_Pass", Spy)
-    # inside the block of machines whose (1,0) entry is Step(1, R, 1)
-    lo = 9 * 14 ** 5
-    shard = _run_range(SpaceSpec(3), lo, lo + 4500)
-    # 4500 = 14^3 + 8 * 14^2 + 13 * 14 + 6: one row per aligned block, whose
-    # fixed digits give the block's first index and whose unread digits its size
+    run_space(SpaceSpec(3))
+    # (3,2) is one pass of 30 rows: each fixes its top digit and, for the
+    # digits 4 and 10 that step to state 2, the (2,0) entry to each code
     (rows,) = starts
-    assert rows.shape == (28, 6)
-    unread = (rows == 14).sum(axis=1)
-    assert unread.tolist() == [3] + [2] * 8 + [1] * 13 + [0] * 6
-    assert ((rows == 14) == (np.arange(6) >= 6 - unread[:, None])).all()
-    first = _index(np.where(rows == 14, 0, rows), 3)
-    assert first.tolist() == (lo + np.cumsum([0] + (14 ** unread).tolist()[:-1])).tolist()
-    # the oracle: the range's groups equal the scalar run of its orbits
-    whole = run_index_array(SpaceSpec(3), _orbits(lo, lo + 4500, 3), engine="scalar")
+    assert rows.shape == (30, 6)
+    assert rows[:, 0].tolist() == [3] + [4] * 14 + [9] + [10] * 14
+    fixed = np.zeros((30, 6), bool)
+    fixed[:, 0] = True
+    fixed[rows[:, 0] % 3 == 1, 2] = True
+    assert ((rows != 14) == fixed).all()
+    assert rows[fixed[:, 2], 2].tolist() == list(range(14)) * 2
+    # the oracle: rows of the Step(1, R, 1) subtree with (1,1) and (2,0)
+    # fixed too, 2 * 14^3 machines, equal the scalar run of their orbits
+    rows = [[9, 0, code, 14, 14, 14] for code in (0, 1)]
+    shard = _run_rows(SpaceSpec(3), rows)
+    members = _members(rows, 3)
+    assert members.size == 2 * 14 ** 3
+    whole = run_index_array(SpaceSpec(3), _orbits(members, 3), engine="scalar")
     assert _same_outputs(shard, whole)
     assert shard.census == whole.census
 
@@ -648,27 +671,32 @@ def _renamed(index, n, k):
     return encode_machine(RuleTable(n, tuple(entries)))
 
 
-def _orbits(lo, hi, n):
-    """The blank-0 runs the family groups of [lo, hi) step for: each representative,
-    its renamings (2 k), k = 3..n, when its (1,0) entry steps to state 2,
-    and the mirrors of all of these."""
-    span = np.arange(lo, hi)
-    digit = span // (4 * n + 2) ** (2 * n - 1)
-    named = span[(digit < 4 * n) & (digit % n == 1)]
+def _members(rows, n):
+    """The machine indices of family rows, in increasing order."""
+    return np.sort(np.concatenate([_index(_completions(np.array(row), n), n) for row in rows]))
+
+
+def _orbits(indices, n):
+    """The blank-0 runs that family rows of representatives step for: each
+    representative, its renamings (2 k), k = 3..n, when its (1,0) entry
+    steps to state 2, and the mirrors of all of these."""
+    digit = indices // (4 * n + 2) ** (2 * n - 1)
+    named = indices[(digit < 4 * n) & (digit % n == 1)]
     renamed = [_renamed(i, n, k) for i in named for k in range(3, n + 1)]
-    machines = np.union1d(span, np.array(renamed, np.int64))
+    machines = np.union1d(indices, np.array(renamed, np.int64))
     mirrors = space._image_indices(_digits(machines, n), n, True, False)
     return np.union1d(machines, mirrors).astype(np.uint64)
 
 
 def test_four_state_shard_equals_the_vector_run_of_its_orbits():
-    # 5,000 representatives that start with Step(1, R, 2), Step(0, L, 4):
-    # each stands for itself and its renamings (2 3) and (2 4)
-    lo = (13 * 18 + 3) * 18 ** 6 + 123_456
+    # 18^3 representatives that start with Step(1, R, 2), Step(0, L, 4),
+    # and fix (2,0) and (2,1) too: each stands for itself and its renamings
+    # (2 3) and (2 4)
+    rows = [[13, 3, 0, 1, 3, 18, 18, 18]]
     spec = SpaceSpec(4, max_steps=107)
-    shard = _run_range(spec, lo, lo + 5000)
-    whole = run_index_array(spec, _orbits(lo, lo + 5000, 4))
-    assert whole.census.total_runs == 2 * 3 * 5000
+    shard = _run_rows(spec, rows)
+    whole = run_index_array(spec, _orbits(_members(rows, 4), 4))
+    assert whole.census.total_runs == 2 * 3 * 18 ** 3
     assert min(dataclasses.astuple(whole.census)) > 0
     assert _same_outputs(shard, whole)
     assert shard.census == whole.census
@@ -679,12 +707,15 @@ def test_children_keep_their_parents_excursion():
     # repeats it. Their children keep the parent's snapshot and so must keep
     # its excursion too; one that started its excursion afresh at the head
     # would be retired on a partial comparison. The oracle: the scalar run
-    # of the range's orbits. Both ranges lie in top-digit blocks that step
-    # to state 2 (digits 5 and 13), so their orbits hold their renamings.
+    # of the rows' orbits. Each case is three rows, 3 * 18^2 machines, that
+    # leave only (4,0) and (4,1) unread, in the subtrees of digits 5 and 13,
+    # which step to state 2, so their orbits hold their renamings.
     spec = SpaceSpec(4, max_steps=107)
-    for lo in (3_463_105_263, 8_281_344_744):
-        shard = _run_range(spec, lo, lo + 781)
-        whole = run_index_array(spec, _orbits(lo, lo + 781, 4), engine="scalar")
+    for rows in ([[5, 11, 14, 13, 8, 16, 18, 18], [5, 11, 14, 13, 8, 17, 18, 18],
+                  [5, 11, 14, 13, 9, 0, 18, 18]],
+                 [[13, 9, 8, 11, 17, code, 18, 18] for code in (12, 13, 14)]):
+        shard = _run_rows(spec, rows)
+        whole = run_index_array(spec, _orbits(_members(rows, 4), 4), engine="scalar")
         assert whole.census.step_limited > 0
         assert _same_outputs(shard, whole)
         assert shard.census == whole.census
@@ -730,8 +761,8 @@ def test_complement_producers_take_the_least_renaming():
 
 def test_passes_step_no_top_digit_that_goes_past_state_two(monkeypatch):
     # every row a pass steps has a top digit whose step goes to state 1 or
-    # 2; a (4,2) range inside the block of Step(1, R, 3) steps no row and
-    # counts no run
+    # 2; the (4,2) plan holds no row of Step(1, R, 3) or Step(1, R, 4), and
+    # a digit-5 row runs its machines, their renamings and their mirrors
     tops = []
 
     class Spy(space._Pass):
@@ -748,12 +779,11 @@ def test_passes_step_no_top_digit_that_goes_past_state_two(monkeypatch):
     monkeypatch.setattr(space, "_Pass", Spy)
     run_space(SpaceSpec(3, blank_mode="both"))
     assert stepped(3) == [3, 4, 9, 10]
-    shard = _run_range(SpaceSpec(4), 5 * 18 ** 7 + 500, 5 * 18 ** 7 + 5500)
+    shard = _run_rows(SpaceSpec(4), [[5, 0, 0, 0, 0, 18, 18, 18]])
     assert stepped(4) == [5]
-    assert shard.census.total_runs == 2 * 3 * 5000
-    lo = 14 * 18 ** 7 + 123_456
-    shard = _run_range(SpaceSpec(4, blank_mode="both"), lo, lo + 5000)
-    assert tops == [] and shard.census == space.Census()
+    assert shard.census.total_runs == 2 * 3 * 18 ** 3
+    plan = np.concatenate(list(space._family_groups(4)))
+    assert np.unique(plan[:, 0]).tolist() == [4, 5, 12, 13]
 
 
 @functools.cache
@@ -907,6 +937,12 @@ class _InlineContext:
         return (fn(job) for job in jobs)
 
 
+def _job(job):
+    """A pool job (spec, rows) in a form that compares with ==."""
+    spec, rows = job
+    return spec, rows.tolist()
+
+
 def _inline_pools(monkeypatch, cpus):
     ctx = _InlineContext()
     monkeypatch.setattr(space.multiprocessing, "get_context", lambda method: ctx)
@@ -914,49 +950,61 @@ def _inline_pools(monkeypatch, cpus):
     return ctx
 
 
-def _joined(ranges):
-    """Sorted disjoint ranges, with the ones that touch joined."""
-    joined = []
-    for lo, hi in ranges:
-        if joined and joined[-1][1] == lo:
-            joined[-1] = (joined[-1][0], hi)
-        else:
-            joined.append((lo, hi))
-    return joined
-
-
 def test_family_groups_tile_the_representatives(monkeypatch):
-    # the groups' blocks are aligned, run in index order with no gap over
-    # the representative digits' ranges, and sum to at most the cap per
-    # group. At the default cap (1..3, 2) are one group and (4,2) 648;
-    # lowered caps cut (3,2) into 4 and 2,196 groups
+    # the plan's rows fix representative top digits, and no two agree on
+    # every slot both fix, so no machine is in two rows; their machines add
+    # up to the representatives', so every one is in a row. Passes hold the
+    # rows in order, at most the cap unless they hold one row: (1..3, 2) are
+    # one pass and (4,2) 38, and a cap of 14^5 cuts (3,2) into 4
     def check(n, expected):
-        b, size = 4 * n + 2, space_size(n)
-        groups = list(space._family_groups(n, 0, size))
-        assert len(groups) == expected
-        assert all(sum(b ** j for _, j in g) <= space._GROUP_MACHINES for g in groups)
-        blocks = [(a, a + b ** j) for g in groups for a, j in g]
-        assert all(a % (hi - a) == 0 for a, hi in blocks)
-        assert _joined(blocks) == _joined(space._representative_ranges(n, 0, size))
+        b = 4 * n + 2
+        groups = list(space._family_groups(n))
+        assert [len(g) for g in groups] == expected
+        rows = np.concatenate(groups)
+        assert (rows == space._subtree_rows(n)).all()
+        sizes = b ** (rows == b).sum(axis=1)
+        assert all(len(g) == 1 or sizes[i:i + len(g)].sum() <= space._GROUP_MACHINES
+                   for g, i in zip(groups, np.cumsum([0] + expected)))
+        digits = space._representative_digits(n)
+        assert set(rows[:, 0].tolist()) == set(digits)
+        fixed = rows != b
+        differ = (rows[:, None] != rows[None]) & fixed[:, None] & fixed[None]
+        assert (differ.any(axis=2) | np.eye(len(rows), dtype=bool)).all()
+        assert sizes.sum() == len(digits) * b ** (2 * n - 1)
 
-    for n, expected in ((1, 1), (2, 1), (3, 1), (4, 648)):
+    for n, expected in ((1, [2]), (2, [22]), (3, [30]), (4, [1] * 38)):
         check(n, expected)
-    for cap, expected in ((14 ** 5, {2: 1, 3: 4}), (999, {2: 5, 3: 2_196})):
-        monkeypatch.setattr(space, "_GROUP_MACHINES", cap)
-        for n in (2, 3):
-            check(n, expected[n])
+    monkeypatch.setattr(space, "_GROUP_MACHINES", 14 ** 5)
+    check(2, [22])
+    check(3, [1, 14, 1, 14])
+
+
+def _split(row, slots, n):
+    """The rows of a family row with its unread entries at slots fixed, one per choice of codes."""
+    b = 4 * n + 2
+    rows = np.array(row, np.uint8)[None]
+    for slot in slots:
+        if rows[0, slot] == b:
+            rows = rows.repeat(b, axis=0)
+            rows[:, slot] = np.tile(np.arange(b), rows.shape[0] // b)
+    return rows
 
 
 @settings(max_examples=40, deadline=None)
 @given(mode=st.sampled_from(["zero", "both"]), max_steps=st.integers(1, 20),
-       cap=st.integers(10, 200) | st.integers(200, 2 * 10 ** 4))
-def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, cap):
-    # any cap on the machines of a family group, through the pool path:
-    # the merged group tables equal the scalar run of every machine
+       cap=st.integers(10, 200) | st.integers(200, 2 * 10 ** 4),
+       depth=st.lists(st.sets(st.integers(1, 3)), min_size=22, max_size=22))
+def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, cap, depth):
+    # any plan whose rows split the 22 (2,2) subtree rows further, at the
+    # drawn unread slots of each, packed under any cap, through the pool
+    # path: the merged pass tables equal the scalar run of every machine
     spec = SpaceSpec(2, blank_mode=mode, max_steps=max_steps)
+    rows = space._subtree_rows(2)
+    plan = np.concatenate([_split(row, slots, 2) for row, slots in zip(rows, depth)])
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
         monkeypatch.setattr(space, "_GROUP_MACHINES", cap)
+        monkeypatch.setattr(space, "_subtree_rows", lambda n: plan)
         ctx = _inline_pools(monkeypatch, cpus=2)
         assert run_space(spec, workers=2).canonical_bytes() == _scalar_bytes(spec)
     assert ctx.processes == [2]
@@ -964,10 +1012,10 @@ def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, ca
 
 def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_freq):
     # with the pool threshold lowered and groups capped at 14^5 machines,
-    # (3,2) goes to a pool at 2 workers and up: its jobs are its 4 family
-    # groups, in index order, on min(workers, CPUs) processes; one worker
-    # runs them in the calling process. No job splits a family, so every
-    # worker count steps the same 36,659 rows as the 1-worker run
+    # (3,2) goes to a pool at 2 workers and up: its jobs are its 4 passes,
+    # in plan order, on min(workers, CPUs) processes; one worker runs them
+    # in the calling process. No job splits a row, so every worker count
+    # steps the same 36,685 rows as the 1-worker run
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
     monkeypatch.setattr(space, "_GROUP_MACHINES", 14 ** 5)
     ctx = _inline_pools(monkeypatch, cpus=4)
@@ -975,7 +1023,7 @@ def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_fre
     run_group = space._run_group
 
     def spy_run_group(job):
-        jobs.append(job)
+        jobs.append(_job(job))
         return run_group(job)
 
     monkeypatch.setattr(space, "_run_group", spy_run_group)
@@ -987,13 +1035,13 @@ def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_fre
 
     monkeypatch.setattr(space, "_Pass", Spy)
     spec = SpaceSpec(3)
-    groups = [(spec, group) for group in space._family_groups(3, 0, spec.size)]
+    groups = [(spec, group.tolist()) for group in space._family_groups(3)]
     assert len(groups) == 4
     for workers in range(1, 9):
         jobs.clear()
         rows[0] = 0
         assert run_space(spec, workers=workers).canonical_bytes() == d3_zero_freq.canonical_bytes()
-        assert rows[0] == 36_659
+        assert rows[0] == 36_685
         assert jobs == ([] if workers == 1 else groups)
     assert ctx.processes == [2, 3, 4, 4, 4, 4, 4]
     assert ctx.lazy == [True] * 7
@@ -1022,40 +1070,41 @@ def test_small_spaces_start_no_pool(monkeypatch, d3_zero_freq):
 
 
 def test_four_state_pool_gets_one_shard_per_family_group(monkeypatch):
-    # the (4,2) plan, with a stub for the group runs: its 648 family
-    # groups, in index order, read lazily by a pool of min(workers, CPUs)
-    # processes
+    # the (4,2) plan, with a stub for the group runs: its 38 passes of one
+    # subtree row each, in plan order, read lazily by a pool of
+    # min(workers, CPUs) processes
     ctx = _inline_pools(monkeypatch, cpus=4)
     jobs = []
 
     def stub(job):
-        jobs.append(job)
+        jobs.append(_job(job))
         return empty_table(job[0])
 
     monkeypatch.setattr(space, "_run_group", stub)
     spec = SpaceSpec(4)
-    groups = [(spec, group) for group in space._family_groups(4, 0, spec.size)]
+    groups = [(spec, group.tolist()) for group in space._family_groups(4)]
     for workers in (2, 3, 100):
         jobs.clear()
         assert run_space(spec, workers=workers).covers == ((0, spec.size),)
         assert jobs == groups
-        assert len(jobs) == 648
+        assert len(jobs) == 38
     assert ctx.processes == [2, 3, 4]
     assert ctx.lazy == [True] * 3
 
 
 def test_sharded_run_is_byte_identical_to_single_shard(monkeypatch):
-    # (2,2)'s representatives as one family group, and capped at 500
-    # machines as eight, each run as a pool job into its own table and merged
+    # (2,2)'s 22 subtree rows as one pass, and packed under a cap of 500
+    # machines as six (1, 5, 5, 1, 5 and 5 rows), each run as a pool job
+    # into its own table and merged
     spec = SpaceSpec(2)
-    one = _run_range(spec, 0, spec.size)
+    one = _run_rows(spec, space._subtree_rows(2))
     monkeypatch.setattr(space, "_GROUP_MACHINES", 500)
-    groups = list(space._family_groups(2, 0, spec.size))
-    assert len(groups) == 8
-    eight = empty_table(spec)
+    groups = list(space._family_groups(2))
+    assert [len(g) for g in groups] == [1, 5, 5, 1, 5, 5]
+    six = empty_table(spec)
     for group in groups:
-        eight.merge(space._run_group((spec, group)))
-    assert one.canonical_bytes() == eight.canonical_bytes()
+        six.merge(space._run_group((spec, group)))
+    assert one.canonical_bytes() == six.canonical_bytes()
 
 
 def test_run_space_rejects_a_worker_count_below_one():
@@ -1169,8 +1218,9 @@ def test_frequency_table_rejects_other_proof_settings(tmp_path):
 
 
 def test_strided_sample_is_deterministic():
-    a = run_strided_sample(SpaceSpec(2), 7)
-    b = run_strided_sample(SpaceSpec(2), 7)
+    spec = SpaceSpec(2)
+    a = run_index_array(spec, np.arange(0, spec.size, 7))
+    b = run_index_array(spec, np.arange(0, spec.size, 7))
     assert a.canonical_bytes() == b.canonical_bytes()
     assert a.covers is None
 
