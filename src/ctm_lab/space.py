@@ -47,16 +47,20 @@ their read tree (_subtree_rows). Every run reads its top digit, the (1,0)
 entry, at step 1, and, when that steps to a state q != 1, the blank-read
 entry (q,0) at step 2. So each representative digit is one row, or
 b = 4n + 2 rows, one per code of (q,0), and every other entry holds the
-unread marker 4n + 2. A row that reads an unread entry is replaced, at
-the same step, by b children, one per code; a child with neither an
-unread nor a halting entry is a machine without a halting rule and is
-counted at once. A finished row
-with u unread entries stands for b^u machines, times its namings: a
-halted one credits them to its string, with the family's smallest member
-(unread digits 0) as producer. Of a non-halting row none of whose fixed
-entries halts, the (4n)^u members with only steps in their unread
-entries go to no_halt_rule and the rest to its bucket (escape or
-cutoff), each count times the namings. An escape
+unread marker 4n + 2. A row with u unread entries stands for b^u
+machines, times its namings, and if none of its fixed entries halts, the
+(4n)^u of them with only steps in their unread entries have no halting
+entry. A row carries these two counts, its weights: a subtree row's come
+from its digits, and a child's from its parent's by one division each. A
+row that reads an unread entry is replaced, at the same step, by b
+children, one per code, each with 1/b of its parent's machines and, for
+a step code, 1/4n of its no-halt machines (none for a halt code); a
+child whose machines all lack a halting entry has neither an unread nor
+a halting entry, a machine without a halting rule, and is counted at
+once. A halted row credits its machines to its string, with the
+family's smallest member (unread digits 0) as producer; a non-halting
+row credits its no-halt machines to no_halt_rule and the rest to its
+bucket (escape or cutoff). An escape
 test that depends on an unread blank-read entry expands that entry. On
 (3,2) this steps 36,685 rows in all (summed over the steps) for its
 2,151,296 representatives. Without the namings it steps 73,368 rows
@@ -71,8 +75,9 @@ the decode's temporaries do not grow with it, and a member keeps only its
 2n action codes and its int32 place in the permutation, 12 bytes at
 n = 4; a producer's index is read back from its codes. A row that
 reads an unread entry splits its members stably by their codes there,
-one child per code that occurs. A finished row credits its member count
-to its bucket, and a halted one its first (smallest) member as producer.
+one child per code that occurs. A row's weights are its member count
+and 0 no-halt machines; a finished row credits its members to its bucket,
+and a halted one its first (smallest) member as producer.
 
 Cycles. Most runs that reach the cutoff repeat themselves within a few
 steps, in place or shifted along the tape (Lin & Rado's translated
@@ -103,7 +108,11 @@ next state. The marker shares the halt codes' stop test (codes from 4n
 up), so a step pays nothing for it. The blank-runway closure runs
 once per distinct tuple of walk classes of the blank-read entries: a
 step's move and next state, since on blank runway its written symbol
-cannot matter, one class for both halts and one for the marker. Indices
+cannot matter, one class for both halts and one for the marker. Up to
+n = 4 it runs once per space and blank, on every tuple, into a table
+built on first use (_escape_table), and a row's escape word is one
+gather by its tuple; the index sets of n = 5 and 6 run it on their
+rows' distinct tuples. Indices
 decode from per-space tables, one gather per chunk of digits. The tape
 starts narrow and widens as the step count grows; each copy keeps only
 live rows, and halted rows are packed into (length, value) pairs before
@@ -136,7 +145,9 @@ BLANK_BOTH = "both"
 BLANK_MODES = (BLANK_ZERO, BLANK_BOTH)
 
 _MAX_STATES = 6  # indices, and _decode's chunk quotients, stay exact in int64: 26^12 < 2^63
-# Entries of the largest table _decode gathers digits from; _escape_bits
+# Entries of the largest lookup table: _decode's digit tables, and the
+# escape table of a space (_escape_table), which holds (2n + 2)^n words,
+# 10^4 at n = 4, and is not built past it (n >= 5); there _escape_bits
 # replaces its keys by their ranks before a key table grows past it.
 _TABLE_SIZE = 1 << 17
 # Indices per run_index_array batch, the members of one pass's first row
@@ -552,7 +563,9 @@ def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
     The blank-runway closure depends only on the walk classes of the n
     blank-read entries (_walk_classes), so a row's key is those classes in
     base 2n + 2, below (2n + 2)^n (10^4 at n = 4). The closure runs once per
-    distinct key (_dense_ranks) and is gathered back to the rows. Where the
+    distinct key (_dense_ranks) and is gathered back to the rows. Passes
+    call it through _escape_words, so up to n = 4 it runs once per space
+    and blank, on every key (_escape_table). Where the
     key table would outgrow _TABLE_SIZE, the classes so far are first
     replaced by their ranks, so at n = 6 a few rows never build a table of
     14^6 entries. A walk that meets an unread entry before it fails is
@@ -592,6 +605,42 @@ def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
     return bits.take(ranks)
 
 
+@functools.cache
+def _escape_table(n: int, blank: int):
+    """_escape_bits of every key on blank, read-only and indexed by key
+    (classes in base 2n + 2, the first blank-read entry's most significant),
+    or None where the (2n + 2)^n keys outgrow _TABLE_SIZE (n >= 5).
+
+    It is built on first use, from one row per key whose blank-read
+    entries hold the first code of each of its walk classes.
+    """
+    base = 2 * n + 2
+    if base ** n > _TABLE_SIZE:
+        return None
+    codes = np.unique(_walk_classes(n), return_index=True)[1].astype(np.uint8)
+    keys = np.arange(base ** n)
+    ords = np.full((keys.size, 2 * n), 4 * n + 2, np.uint8)
+    for j in range(n):
+        ords[:, 2 * j + blank] = codes[keys // base ** (n - 1 - j) % base]
+    table = _escape_bits(ords, n, blank)
+    table.flags.writeable = False
+    return table
+
+
+def _escape_words(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
+    """The escape word of each row of action codes: one gather from
+    _escape_table by its key, or _escape_bits where there is no table."""
+    table = _escape_table(n, blank)
+    if table is None:
+        return _escape_bits(ords, n, blank)
+    classes = _walk_classes(n)
+    key = classes.take(ords[:, blank])
+    for j in range(1, n):
+        key *= 2 * n + 2
+        key += classes.take(ords[:, 2 * j + blank])
+    return table.take(key)
+
+
 def _can_halt(digits: np.ndarray, n: int) -> np.ndarray:
     """Rows with a halting or an unread entry; the others are machines without a halting rule."""
     mask = digits[:, 0] >= 4 * n
@@ -624,8 +673,9 @@ def _no_halt_machines(digits: np.ndarray, n: int) -> np.ndarray:
 
     If none of its fixed entries halts, the (4n)^u members whose u unread
     entries are all steps have none, times the row's namings; otherwise
-    every member has one. A row without unread entries has one, since no
-    pass steps a row that cannot halt (_can_halt).
+    every member has one. So a row's no-halt machines equal its machines
+    exactly when it has neither an unread nor a halting entry: when it
+    cannot halt.
     """
     unread = np.count_nonzero(digits == 4 * n + 2, axis=1)
     fixed_halt = ((digits >= 4 * n) & (digits < 4 * n + 2)).any(axis=1)
@@ -648,10 +698,6 @@ class _Members:
         self.codes = codes
         self.perm = np.arange(codes.shape[0], dtype=np.int32)
         self.seg = np.array([[0, codes.shape[0]]])
-
-    def sizes(self, rows) -> np.ndarray:
-        lo, hi = self.seg[rows].T
-        return hi - lo
 
     def indices(self, ids) -> np.ndarray:
         """The machine indices of member ids, read back from their codes
@@ -708,13 +754,15 @@ class _Outputs:
     """Finished rows of one pass, credited once per image in images.
 
     A row is a machine or a family that differs only in its unread entries,
-    so all its members run the same way. A halted row credits its
-    machines to the image string, with the least image of its members
-    (_image_producers) as producer. Halted spans are packed before the tape
-    moves; an escaped or step-limited row credits its members without a
-    halting entry to no_halt_rule and the rest to its bucket. With members
-    (an index batch, see _Members) a row stands for its segment of them
-    instead, all of which can halt, and its smallest member is the producer.
+    so all its members run the same way. Its machines and no-halt machines
+    are read from the pass's weights (_Pass), never from its digits. A
+    halted row credits its machines to the image string, with the least
+    image of its members (_image_producers) as producer. Halted spans are
+    packed before the tape moves; an escaped or step-limited row credits
+    its no-halt machines to no_halt_rule and the rest to its bucket. With
+    members (an index batch, see _Members) a row stands for its segment of
+    them instead, all of which can halt, and its smallest member is the
+    producer.
     """
 
     def __init__(self, sink, n, images, members=None):
@@ -730,34 +778,29 @@ class _Outputs:
     def no_halt_rule(self, machines: int) -> None:
         self.sink.census.no_halt_rule += len(self.images) * machines
 
-    def non_halting(self, ords, rows, bucket: str) -> None:
+    def non_halting(self, weights, rows, bucket: str) -> None:
         """Credit rows that stopped without halting to no_halt_rule and to bucket."""
-        if self.members is None:
-            digits = ords[rows]
-            machines, no_halt = _machines(digits, self.n), _no_halt_machines(digits, self.n)
-            self.no_halt_rule(int(no_halt.sum()))
-            machines -= no_halt
-        else:
-            machines = self.members.sizes(rows)
+        machines, no_halt = weights[rows].sum(axis=0).tolist()
+        self.no_halt_rule(no_halt)
         census = self.sink.census
-        rest = len(self.images) * int(machines.sum())
+        rest = len(self.images) * (machines - no_halt)
         setattr(census, bucket, getattr(census, bucket) + rest)
 
-    def pack(self, tape, ords) -> None:
+    def pack(self, tape, ords, weights) -> None:
         for rows, bucket in ((self.escaped, "blank_escape"), (self.looped, "step_limited")):
             if rows:
-                self.non_halting(ords, np.concatenate(rows), bucket)
+                self.non_halting(weights, np.concatenate(rows), bucket)
                 rows.clear()
         if not self.pending:
             return
         lo, hi, used, row = (np.concatenate(a) for a in zip(*self.pending))
         self.pending = []
+        machines = weights[row, 0]
         if self.members is None:
             digits = ords[row]
-            machines = _machines(digits, self.n)
             producers = np.stack([_image_producers(digits, self.n, *image) for image in self.images])
         else:
-            machines, producers = self.members.sizes(row), self.members.first(row)[None]
+            producers = self.members.first(row)[None]
         self.sink.census.halted += len(self.images) * int(machines.sum())
         lengths = hi - lo + 1
         used_rules = np.bitwise_count(used).astype(np.int64)
@@ -841,15 +884,19 @@ class _Pass:
 
     A row is a family whose unread entries (code 4n + 2) the run has not
     read yet: every machine alike in its read entries, or, with members,
-    its segment of them. Row r of the tape (width cells), of ords and of
-    members.seg belong to it; children are appended to each. The live
+    its segment of them. Row r of the tape (width cells), of ords, of
+    weights and of members.seg belong to it; children are appended to
+    each. A row's weights (int64) are its machines and no-halt machines:
+    the caller gives them for the first rows (_machines and
+    _no_halt_machines of a family row; its member count and 0), and spawn
+    derives each child's from its parent's. The live
     rows are the columns of one int64 array, live (see _ST2 above); only
     they are stepped, and one keep-mask filters them on the steps where
     some row stops.
     """
 
-    def __init__(self, spec: SpaceSpec, ords: np.ndarray, blank: int, images, sink,
-                 members=None):
+    def __init__(self, spec: SpaceSpec, ords: np.ndarray, weights: np.ndarray, blank: int,
+                 images, sink, members=None):
         n = spec.n
         self.n, self.blank, self.max_steps = n, blank, spec.max_steps
         self.write_of, self.delta_of, self.next2_of = _action_tables(n)
@@ -860,8 +907,9 @@ class _Pass:
         count = ords.shape[0]
         self.ords = np.ascontiguousarray(ords)
         self.tape = np.full((count, 2 * self.half + 1), blank, np.uint8)
-        self.rows = count  # rows of the tape and of ords in use
-        escw = _escape_bits(ords, n, blank)
+        self.rows = count  # rows of the tape, of ords and of weights in use
+        self.weights = weights
+        escw = _escape_words(ords, n, blank)
         self.live = np.empty((_HI + 1, count), np.int64)
         self.live[_ST2:_USED + 1] = 0
         self.live[_ORD] = np.arange(count) * 2 * n
@@ -888,14 +936,14 @@ class _Pass:
             # a copy that only drops rows saves memory, and under a megabyte
             # of tape not enough to pay for the copy and the pack
             if grow or self.live.shape[1] < self.rows // 2 and self.tape.nbytes > 1 << 20:
-                self.outputs.pack(self.tape.reshape(-1), self.ords)
+                self.outputs.pack(self.tape.reshape(-1), self.ords, self.weights)
                 if grow:
                     self.half = min(2 * self.half, self.max_steps)
                 self.compact(2 * self.half + 1)
             if _FIRST_SNAPSHOT <= step < self.max_steps and step & (step - 1) == 0:
                 self.snapshot()
-        self.outputs.pack(self.tape.reshape(-1), self.ords)
-        self.outputs.non_halting(self.ords, self.live[_ORD] // (2 * self.n), "step_limited")
+        self.outputs.pack(self.tape.reshape(-1), self.ords, self.weights)
+        self.outputs.non_halting(self.weights, self.live[_ORD] // (2 * self.n), "step_limited")
         self.outputs.emit()
 
     def advance(self, live):
@@ -1067,43 +1115,56 @@ class _Pass:
     def spawn(self, live, parents, slots):
         """The children of parent rows, alike but for its slot, which takes each code.
 
-        A family row has a child for every code; those that cannot halt
-        are counted to no_halt_rule at once. A row of members has a child
-        for each code its members hold there (_Members.split). A child has
-        run exactly as its parent, so it keeps the parent's snapshot and
-        excursion, and its escape word unless the slot is read on the
-        blank. Returns the children, and each one's index into parents.
+        A family row has a child for every code, whose weights follow from
+        its parent's by one division each; those that cannot halt (no-halt
+        machines equal to machines) are counted to no_halt_rule at once. A
+        row of members has a child for each code its members hold there
+        (_Members.split), weighing its segment. A child has run exactly as
+        its parent, so it keeps the parent's snapshot and excursion, and its
+        escape word unless the slot is read on the blank, when it takes one
+        gather (_escape_words). Returns the children, and each one's index
+        into parents.
         """
         n, b = self.n, 4 * self.n + 2
         rows = live[_ORD][parents] // (2 * n)
         if self.members is None:
-            src = np.repeat(np.arange(parents.size), b)
-            codes = np.tile(np.arange(b, dtype=np.uint8), parents.size)
+            # child (i, code) stands for 1 / b of parent i's machines, and
+            # for 1 / 4n of its no-halt machines if the code is a step
+            parent = self.weights[rows]
+            weights = np.zeros((parents.size, b, 2), np.int64)
+            weights[:, :, 0] = parent[:, :1] // b
+            weights[:, :4 * n, 1] = parent[:, 1:] // (4 * n)
+            # a child whose machines all lack a halting entry has neither an
+            # unread nor a halting entry: it is a machine without a halting rule
+            can_halt = weights[:, :, 1] != weights[:, :, 0]
+            self.outputs.no_halt_rule(int(weights[:, :, 0][~can_halt].sum()))
+            src, codes = np.nonzero(can_halt)
+            weights = weights[can_halt]
         else:
             src, codes, seg = self.members.split(rows, slots)
+            weights = np.zeros((src.size, 2), np.int64)
+            weights[:, 0] = seg[:, 1] - seg[:, 0]
         digits = self.ords[rows[src]]
         digits[np.arange(src.size), slots[src]] = codes
-        if self.members is None:
-            can_halt = _can_halt(digits, n)
-            self.outputs.no_halt_rule(int(_machines(digits[~can_halt], n).sum()))
-            src, digits = src[can_halt], digits.compress(can_halt, axis=0)
         children = live.take(parents[src], axis=1)
         rep = rows[src]
         new = np.arange(self.rows, self.rows + src.size)
         self.tape = _with_room(self.tape, self.rows, src.size, self.blank)
         self.ords = _with_room(self.ords, self.rows, src.size, 0)
+        self.weights = _with_room(self.weights, self.rows, src.size, 0)
         if self.members is not None:
             self.members.seg = _with_room(self.members.seg, self.rows, src.size, 0)
             self.members.seg[new] = seg
         self.rows += src.size
         self.tape[new] = self.tape[rep]
         self.ords[new] = digits
+        self.weights[new] = weights
         self.move(children, (new - rep) * self.tape.shape[1])
         children[_ORD] = new * (2 * n)
         # the escape word depends only on the blank-read entries
         blank_read = slots[src] % 2 == self.blank
         if blank_read.any():
-            children[_ESCW][blank_read] = _escape_bits(digits[blank_read], n, self.blank)
+            children[_ESCW][blank_read] = _escape_words(digits[blank_read], n, self.blank)
         return children, src
 
     @staticmethod
@@ -1120,6 +1181,7 @@ class _Pass:
         tape = np.full((rows.size, width), self.blank, np.uint8)
         tape[:, pad:pad + old] = self.tape[rows]
         self.tape, self.ords, self.rows = tape, self.ords[rows], rows.size
+        self.weights = self.weights[rows]
         if self.members is not None:
             self.members.seg = self.members.seg[rows]
         self.move(self.live, np.arange(rows.size) * width + pad - rows * old)
@@ -1189,7 +1251,8 @@ def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
         sink.census.no_halt_rule += idx.size - count
         if count:
             # an index set is not reduced by symmetry: its one image is the run itself
-            _Pass(spec, unread, blank, ((False, False),), sink, _Members(codes)).run()
+            weights = np.array([[count, 0]])
+            _Pass(spec, unread, weights, blank, ((False, False),), sink, _Members(codes)).run()
 
 
 def _representative_digits(n: int):
@@ -1266,12 +1329,12 @@ def _run_groups(spec: SpaceSpec, groups, sink: FrequencyTable) -> None:
     """
     images = _ORBIT_IMAGES[spec.blank_mode]
     for ords in groups:
-        machines = _machines(ords, spec.n)
-        can_halt = _can_halt(ords, spec.n)
-        sink.census.total_runs += len(images) * int(machines.sum())
-        sink.census.no_halt_rule += len(images) * int(machines[~can_halt].sum())
+        weights = np.stack((_machines(ords, spec.n), _no_halt_machines(ords, spec.n)), axis=1)
+        can_halt = weights[:, 1] != weights[:, 0]
+        sink.census.total_runs += len(images) * int(weights[:, 0].sum())
+        sink.census.no_halt_rule += len(images) * int(weights[~can_halt, 0].sum())
         if can_halt.any():
-            _Pass(spec, ords.compress(can_halt, axis=0), 0, images, sink).run()
+            _Pass(spec, ords[can_halt], weights[can_halt], 0, images, sink).run()
 
 
 def _run_group(job) -> FrequencyTable:

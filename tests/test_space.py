@@ -443,6 +443,25 @@ def test_decode_matches_decode_machine_in_every_space():
 def test_lookup_tables_are_read_only():
     tables = [space._walk_classes(n) for n in range(1, 7)]
     tables += [space._digit_table(n, width) for n in (3, 4) for width in (2, 4)]
+    # the escape table holds _escape_bits of every key, whatever codes of
+    # their walk classes the blank-read entries and the others hold
+    rng = np.random.default_rng(83)
+    for n in range(1, 5):
+        base, classes = 2 * n + 2, space._walk_classes(n)
+        # the two codes of each class, the marker's twice
+        codes = np.array([np.resize(np.flatnonzero(classes == c), 2) for c in range(base)])
+        keys = np.arange(base ** n)
+        for blank in (0, 1):
+            table = space._escape_table(n, blank)
+            assert table.shape == keys.shape
+            ords = rng.integers(0, 4 * n + 3, (keys.size, 2 * n)).astype(np.uint8)
+            for j in range(n):
+                digit = keys // base ** (n - 1 - j) % base
+                ords[:, 2 * j + blank] = codes[digit, rng.integers(0, 2, keys.size)]
+            assert table.tolist() == space._escape_bits(ords, n, blank).tolist()
+            assert space._escape_words(ords, n, blank).tolist() == table.tolist()
+            tables.append(table)
+    assert space._escape_table(5, 0) is None and space._escape_table(6, 1) is None
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -810,7 +829,9 @@ def test_halted_outputs_pack_narrow_and_wide_spans():
     sink = space.empty_table(SpaceSpec(2))
     outputs = space._Outputs(sink, 2, ((False, False), (True, False)))
     outputs.pending.append((lo, hi, np.full(7, 3, np.uint16), np.arange(7)))
-    outputs.pack(tape, _digits(idx, 2))
+    digits = _digits(idx, 2)
+    weights = np.stack((space._machines(digits, 2), space._no_halt_machines(digits, 2)), axis=1)
+    outputs.pack(tape, digits, weights)
     outputs.emit()
     expected, first = {}, {}
     for index, a, b in zip(idx.tolist(), lo, hi):
@@ -823,6 +844,50 @@ def test_halted_outputs_pack_narrow_and_wide_spans():
     assert sink.first_producer == first
     assert {len(s) for s in sink.counts} == {1, 3, 64, 65, 100}
     assert set(sink.min_used_rules.values()) == {2}  # bit count of the used mask 3
+
+
+def test_credited_rows_carry_the_weights_of_their_digits(monkeypatch, d3_both_freq):
+    # A pass carries each row's machines and no-halt machines from parent to
+    # child. Every row credited must carry what its digits give (_machines,
+    # _no_halt_machines), or, for members, its segment size and 0.
+    pack, non_halting = space._Outputs.pack, space._Outputs.non_halting
+    last, checked = [], []
+
+    def check(outputs, ords, weights, rows):
+        if outputs.members is None:
+            digits = ords[rows]
+            expected = np.stack((space._machines(digits, outputs.n),
+                                 space._no_halt_machines(digits, outputs.n)), axis=1)
+        else:
+            lo, hi = outputs.members.seg[rows].T
+            expected = np.stack((hi - lo, np.zeros_like(lo)), axis=1)
+        assert weights[rows].tolist() == expected.tolist()
+        checked.append(rows.size)
+
+    def spy_pack(outputs, tape, ords, weights):
+        last[:] = ords, weights
+        rows = [p[3] for p in outputs.pending] + outputs.escaped + outputs.looped
+        if rows:
+            check(outputs, ords, weights, np.concatenate(rows))
+        pack(outputs, tape, ords, weights)
+
+    def spy_non_halting(outputs, weights, rows, bucket):
+        ords, seen = last
+        assert seen is weights  # the pass packs right before its last credit
+        check(outputs, ords, weights, rows)
+        non_halting(outputs, weights, rows, bucket)
+
+    monkeypatch.setattr(space._Outputs, "pack", spy_pack)
+    monkeypatch.setattr(space._Outputs, "non_halting", spy_non_halting)
+    d3 = run_space(SpaceSpec(3, blank_mode="both"))
+    assert d3.canonical_bytes() == d3_both_freq.canonical_bytes()
+    runs = [sum(checked)]
+    u = 18  # the unread marker of (4,2)
+    _run_rows(SpaceSpec(4), [[5, u, 7, u, u, u, u, u]])
+    runs.append(sum(checked) - runs[-1])
+    run_index_array(SpaceSpec(3, blank_mode="both"), np.arange(5, space_size(3), 997))
+    runs.append(sum(checked) - sum(runs))
+    assert min(runs) > 0
 
 
 def test_escape_closure_checks_the_whole_walk():
