@@ -279,8 +279,6 @@ def prove_non_halting(table: RuleTable, cfg: RunConfig = RunConfig()) -> Optiona
     says nothing. All three analyses are probed regardless of the cfg
     flags; cfg supplies the step bound and the blank (max_steps, blank).
     """
-    if not table.has_halt_rule():
-        return NO_HALT_RULE
     probe = replace(
         cfg, check_no_halt_rule=True, check_blank_escape=True, check_cycles=True
     )

@@ -51,11 +51,11 @@ unread marker 4n + 2. A row with u unread entries stands for b^u
 machines, times its namings, and if none of its fixed entries halts, the
 (4n)^u of them with only steps in their unread entries have no halting
 entry. A row carries these two counts, its weights: a subtree row's come
-from its digits, and a child's from its parent's by one division each. A
-row that reads an unread entry is replaced, at the same step, by b
-children, one per code, each with 1/b of its parent's machines and, for
-a step code, 1/4n of its no-halt machines (none for a halt code); a
-child whose machines all lack a halting entry has neither an unread nor
+from its digits (_weights), and a child's from its parent's by one
+division each. A row that reads an unread entry is replaced, at the same
+step, by b children, one per code, each with 1/b of its parent's
+machines and, for a step code, 1/4n of its no-halt machines (none for a
+halt code); a child whose machines all lack a halting entry has neither an unread nor
 a halting entry, a machine without a halting rule, and is counted at
 once. A halted row credits its machines to its string, with the
 family's smallest member (unread digits 0) as producer; a non-halting
@@ -105,14 +105,13 @@ used-rule mask, escape word and snapshot are the columns of one int64
 array that one keep-mask filters whenever a row stops, and three lookup
 tables over the action codes give the written symbol, head delta and
 next state. The marker shares the halt codes' stop test (codes from 4n
-up), so a step pays nothing for it. The blank-runway closure runs
-once per distinct tuple of walk classes of the blank-read entries: a
-step's move and next state, since on blank runway its written symbol
-cannot matter, one class for both halts and one for the marker. Up to
-n = 4 it runs once per space and blank, on every tuple, into a table
-built on first use (_escape_table), and a row's escape word is one
-gather by its tuple; the index sets of n = 5 and 6 run it on their
-rows' distinct tuples. Indices
+up), so a step pays nothing for it. The blank-runway closure depends
+only on the walk classes of the blank-read entries: a step's move and
+next state, since on blank runway its written symbol cannot matter, one
+class for both halts and one for the marker. Up to n = 4 it runs once
+per space and blank, on every tuple of classes, into a table built on
+first use (_escape_table), and a row's escape word is one gather by its
+tuple; the index sets of n = 5 and 6 run it on their rows. Indices
 decode from per-space tables, one gather per chunk of digits. The tape
 starts narrow and widens as the step count grows; each copy keeps only
 live rows, and halted rows are packed into (length, value) pairs before
@@ -120,9 +119,10 @@ the tape is replaced.
 
 Determinism contract: the resulting FrequencyTable depends only on the
 SpaceSpec, never on the worker count or scheduling. The unit of work is
-the family group, a pass of whole subtree rows (_family_groups), which
-every worker count runs whole, and a group's table adds into the result
-by sums and minima, in any order.
+a pass of whole subtree rows (_family_groups): all of them in a space
+below _POOL_MIN_SIZE machines, one each in the larger ones. Every worker
+count runs the same passes whole, and a pass's table adds into the
+result by sums and minima, in any order.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ BLANK_MODES = (BLANK_ZERO, BLANK_BOTH)
 _MAX_STATES = 6  # indices, and _decode's chunk quotients, stay exact in int64: 26^12 < 2^63
 # Entries of the largest lookup table: _decode's digit tables, and the
 # escape table of a space (_escape_table), which holds (2n + 2)^n words,
-# 10^4 at n = 4, and is not built past it (n >= 5); there _escape_bits
-# replaces its keys by their ranks before a key table grows past it.
+# 10^4 at n = 4, and is not built past it (n >= 5), where _escape_bits
+# runs on the rows themselves.
 _TABLE_SIZE = 1 << 17
 # Indices per run_index_array batch, the members of one pass's first row
 # (_Members), decoded _DECODE_CHUNK indices at a time. Larger batches pay
@@ -159,13 +159,6 @@ _TABLE_SIZE = 1 << 17
 # (the process, its 34 MB index array included).
 _BATCH = 1 << 20
 _DECODE_CHUNK = 1 << 16
-# Machines per run_space pass (_family_groups), counted before namings: a
-# pass packs subtree rows while they hold at most this many, and holds at
-# least one. The 30 (3,2) rows, 2,151,296 machines, fit one pass: its `both`
-# run takes 18-23 ms as one pass and 80-112 ms as one pass per row (one
-# process, 2 cores, 7 runs). A (4,2) row holds 18^6 or 18^7 machines, so
-# each is a pass of its own, whose live rows peak at 106,071.
-_GROUP_MACHINES = 1 << 22
 
 # Header of FrequencyTable.canonical_bytes(), the in-memory comparison key of
 # a run (the benchmark's census-d4-sample hashes it); no file format uses it.
@@ -540,49 +533,17 @@ def _walk_classes(n: int) -> np.ndarray:
     return classes
 
 
-def _dense_ranks(values: np.ndarray, size: int):
-    """Each value's rank among the distinct values (all below size), and one
-    row per distinct value, in rank order.
-
-    Each row writes its number at its value in a table of size entries, and
-    the rows that read their own number back are one per value. Only the
-    entries at the values are written and read, so the table is never
-    zeroed or scanned, and no sort is needed.
-    """
-    table = np.empty(size, np.int32)
-    rows = np.arange(values.size, dtype=np.int32)
-    table[values] = rows
-    firsts = np.flatnonzero(table.take(values) == rows)
-    table[values[firsts]] = np.arange(firsts.size, dtype=np.int32)
-    return table.take(values), firsts
-
-
 def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
     """The escape word of each row of action codes (see _ESC).
 
     The blank-runway closure depends only on the walk classes of the n
-    blank-read entries (_walk_classes), so a row's key is those classes in
-    base 2n + 2, below (2n + 2)^n (10^4 at n = 4). The closure runs once per
-    distinct key (_dense_ranks) and is gathered back to the rows. Passes
-    call it through _escape_words, so up to n = 4 it runs once per space
-    and blank, on every key (_escape_table). Where the
-    key table would outgrow _TABLE_SIZE, the classes so far are first
-    replaced by their ranks, so at n = 6 a few rows never build a table of
-    14^6 entries. A walk that meets an unread entry before it fails is
-    undecided; fully decoded rows have no undecided bits.
+    blank-read entries (_walk_classes), and runs here on every row given.
+    Passes call it through _escape_words, so up to n = 4 it runs once per
+    space and blank, on one row per tuple of classes (_escape_table), and
+    only the index sets of n = 5 and 6 run it on their rows. A walk that meets an unread entry
+    before it fails is undecided; fully decoded rows have no undecided bits.
     """
-    base = 2 * n + 2
-    classes = _walk_classes(n)
-    key, size = classes.take(ords[:, blank]), base
-    for j in range(1, n):
-        if size * base > _TABLE_SIZE:
-            ranks, firsts = _dense_ranks(key, size)
-            key, size = ranks.astype(np.intp), firsts.size
-        key *= base
-        key += classes.take(ords[:, 2 * j + blank])
-        size *= base
-    ranks, firsts = _dense_ranks(key, size)
-    b_cls = classes.take(ords[firsts, blank::2])
+    b_cls = _walk_classes(n).take(ords[:, blank::2])
     b_step = b_cls < 2 * n
     unread = b_cls == 2 * n + 1
     b_move = b_cls // n
@@ -602,7 +563,7 @@ def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
         for flags, shift in ((sure, d * n), (maybe & ~sure, 32 + d * n)):
             word = np.packbits(flags, axis=1, bitorder="little")[:, 0].astype(np.int64)
             bits |= (word << shift) | (word << (shift + 2 * n))
-    return bits.take(ranks)
+    return bits
 
 
 @functools.cache
@@ -661,26 +622,22 @@ def _namings(top, n: int):
     return np.where((top < 4 * n) & (top % n == 1), n - 1, 1)
 
 
-def _machines(digits: np.ndarray, n: int) -> np.ndarray:
-    """How many machines each family row stands for: (4n+2)^u for u unread
-    entries, times its namings."""
-    unread = np.count_nonzero(digits == 4 * n + 2, axis=1)
-    return _namings(digits[:, 0], n) * np.power(np.int64(4 * n + 2), unread)
+def _weights(digits: np.ndarray, n: int) -> np.ndarray:
+    """The weights of family rows, int64 (rows, 2): how many machines each
+    stands for, and how many of them have no halting entry.
 
-
-def _no_halt_machines(digits: np.ndarray, n: int) -> np.ndarray:
-    """How many of each family row's machines have no halting entry.
-
-    If none of its fixed entries halts, the (4n)^u members whose u unread
-    entries are all steps have none, times the row's namings; otherwise
-    every member has one. So a row's no-halt machines equal its machines
-    exactly when it has neither an unread nor a halting entry: when it
-    cannot halt.
+    A row with u unread entries stands for (4n + 2)^u machines, times its
+    namings. If none of its fixed entries halts, the (4n)^u of them whose
+    unread entries are all steps have no halting entry; otherwise every
+    one has one. So a row's two weights are equal exactly when it has
+    neither an unread nor a halting entry: when it cannot halt.
     """
     unread = np.count_nonzero(digits == 4 * n + 2, axis=1)
     fixed_halt = ((digits >= 4 * n) & (digits < 4 * n + 2)).any(axis=1)
-    no_halt = _namings(digits[:, 0], n) * np.power(np.int64(4 * n), unread)
-    return np.where(fixed_halt, 0, no_halt)
+    namings = _namings(digits[:, 0], n)
+    machines = namings * np.power(np.int64(4 * n + 2), unread)
+    no_halt = np.where(fixed_halt, 0, namings * np.power(np.int64(4 * n), unread))
+    return np.stack((machines, no_halt), axis=1)
 
 
 class _Members:
@@ -833,8 +790,6 @@ class _Outputs:
         lengths, value, used_rules, machines, producers = (
             np.concatenate(a, axis=-1) for a in zip(*self.packed)
         )
-        if lengths.size == 0:
-            return
         order = np.lexsort((value, lengths))
         s_len = lengths[order]
         s_val = value[order]
@@ -887,12 +842,11 @@ class _Pass:
     its segment of them. Row r of the tape (width cells), of ords, of
     weights and of members.seg belong to it; children are appended to
     each. A row's weights (int64) are its machines and no-halt machines:
-    the caller gives them for the first rows (_machines and
-    _no_halt_machines of a family row; its member count and 0), and spawn
-    derives each child's from its parent's. The live
-    rows are the columns of one int64 array, live (see _ST2 above); only
-    they are stepped, and one keep-mask filters them on the steps where
-    some row stops.
+    the caller gives them for the first rows (_weights of a family row;
+    its member count and 0), and spawn derives each child's from its
+    parent's. The live rows are the columns of one int64 array, live (see
+    _ST2 above); only they are stepped, and one keep-mask filters them on
+    the steps where some row stops.
     """
 
     def __init__(self, spec: SpaceSpec, ords: np.ndarray, weights: np.ndarray, blank: int,
@@ -1283,22 +1237,15 @@ def _subtree_rows(n: int) -> np.ndarray:
 
 
 def _family_groups(n: int):
-    """The subtree rows (_subtree_rows) packed in order into the passes of run_space.
-
-    A pass takes the next row while it holds at most _GROUP_MACHINES
-    machines, counted as (4n + 2)^u for a row with u unread entries, and
-    takes at least one row: (3,2) is one pass of 30 rows and (4,2) 38
-    passes of one row each.
+    """The passes of run_space, in order: the subtree rows (_subtree_rows)
+    as one pass in a space below _POOL_MIN_SIZE machines, one pass per row
+    in the others. So (3,2) is one pass of 30 rows, and (4,2) 38 passes,
+    (5,2) 46 and (6,2) 54.
     """
     rows = _subtree_rows(n)
-    sizes = [(4 * n + 2) ** int(u) for u in np.count_nonzero(rows == 4 * n + 2, axis=1)]
-    start, held = 0, 0
-    for i, size in enumerate(sizes):
-        if held + size > _GROUP_MACHINES and i > start:
-            yield rows[start:i]
-            start, held = i, 0
-        held += size
-    yield rows[start:]
+    if space_size(n) < _POOL_MIN_SIZE:
+        return [rows]
+    return [rows[i:i + 1] for i in range(rows.shape[0])]
 
 
 def _count_initial_halts(spec: SpaceSpec, sink: FrequencyTable) -> None:
@@ -1320,7 +1267,7 @@ def _count_initial_halts(spec: SpaceSpec, sink: FrequencyTable) -> None:
 
 
 def _run_groups(spec: SpaceSpec, groups, sink: FrequencyTable) -> None:
-    """Run family groups (_family_groups), each an array of family rows,
+    """Run passes (_family_groups), each an array of family rows,
     into sink, with the vector engine.
 
     Each group's orbit representatives run on blank 0 as families, and each
@@ -1329,7 +1276,7 @@ def _run_groups(spec: SpaceSpec, groups, sink: FrequencyTable) -> None:
     """
     images = _ORBIT_IMAGES[spec.blank_mode]
     for ords in groups:
-        weights = np.stack((_machines(ords, spec.n), _no_halt_machines(ords, spec.n)), axis=1)
+        weights = _weights(ords, spec.n)
         can_halt = weights[:, 1] != weights[:, 0]
         sink.census.total_runs += len(images) * int(weights[:, 0].sum())
         sink.census.no_halt_rule += len(images) * int(weights[~can_halt, 0].sum())
@@ -1338,7 +1285,7 @@ def _run_groups(spec: SpaceSpec, groups, sink: FrequencyTable) -> None:
 
 
 def _run_group(job) -> FrequencyTable:
-    """One family group (spec, group) as a fresh table: a pool's job."""
+    """One pass (spec, group) as a fresh table: a pool's job."""
     spec, group = job
     sink = empty_table(spec)
     _run_groups(spec, (group,), sink)
@@ -1385,31 +1332,35 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
     return sink
 
 
-# A pool pays only for spaces far larger than (3,2). On two cores the whole
-# (3,2) `both` run takes 18-23 ms in one process, as one pass, and 31-48 ms
-# through a pool of 2 (7 runs each): forking and warming cold children
-# costs more than the work. Smaller spaces run in the calling process.
+# A space of at least this many machines runs one pass per subtree row
+# (_family_groups), each pass a pool job; a smaller one runs all its rows
+# as one pass in the calling process. A pool pays only for spaces far larger than
+# (3,2). On two cores the whole (3,2) `both` run takes 18-23 ms in one
+# process as one pass, 80-112 ms as one pass per row, and 31-48 ms through
+# a pool of 2 (7 runs each): forking and warming cold children costs more
+# than the work. A (4,2) row holds 18^6 or 18^7 machines, and the largest
+# (4,2) pass peaks at 106,071 live rows.
 _POOL_MIN_SIZE = 10 ** 9
 
 
 def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
     """Enumerate the whole space described by spec into a FrequencyTable.
 
-    The symmetry-reduced vector engine runs the space's family groups
-    (_run_groups). A space below _POOL_MIN_SIZE machines, or a run with one
-    worker, runs them in the calling process. Otherwise each group is one
-    job (_run_group, 38 on (4,2)), read lazily by a pool of
-    min(workers, CPUs) processes, each of which takes the next group when
-    it is free, and merged as the groups finish. No job splits a subtree
-    row, so every worker count steps the same rows, and the result is
-    byte-identical for every worker count.
+    The symmetry-reduced vector engine runs the space's passes
+    (_family_groups, _run_groups). A plan of one pass, or a run with one
+    worker, runs in the calling process. Otherwise each pass is one job
+    (_run_group, 38 on (4,2)), read lazily by a pool of min(workers, CPUs)
+    processes, each of which takes the next pass when it is free, and
+    merged as the passes finish. No job splits a subtree row, so every
+    worker count steps the same rows, and the result is byte-identical for
+    every worker count.
     """
     require_int("workers", workers)
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     table = empty_table(spec, ((0, spec.size),))
     groups = _family_groups(spec.n)
-    if workers == 1 or spec.size < _POOL_MIN_SIZE:
+    if workers == 1 or len(groups) == 1:
         _run_groups(spec, groups, table)
     else:
         ctx = multiprocessing.get_context("fork")

@@ -5,12 +5,26 @@ criterion prints its own pass/fail line at the end of the run.
 """
 
 import time
+import warnings
 
 import pytest
 
 from ctm_lab.ctm import to_ctm
 from ctm_lab.data import builtin_table
 from ctm_lab.space import SpaceSpec, run_space
+
+# When a hypothesis property fails, its pytest plugin imports
+# hypothesis.extra._patching, which imports libcst where it is installed,
+# and libcst's import of mypy_extensions warns DeprecationWarning. Under
+# filterwarnings = ["error"] that warning is an INTERNALERROR that ends the
+# whole run at the first failing property; importing the module here, once,
+# with the warning ignored, lets the failure be reported like any other.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:  # hypothesis without libcst
+    pass
 
 GOLDENS = __import__("pathlib").Path(__file__).parent / "goldens"
 

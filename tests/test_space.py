@@ -539,8 +539,8 @@ def test_image_indices_of_families_are_their_smallest_images():
 
 def test_escape_words_of_families_agree_with_their_members():
     # a bit is set when every member escapes, undecided when members differ;
-    # (5,2) keys outgrow space._TABLE_SIZE, so those rows also take the
-    # early rank fold of _escape_bits
+    # (5,2) keys outgrow space._TABLE_SIZE, so those rows, like the index
+    # sets of n = 5 and 6, have no escape table and run _escape_bits as is
     rng = np.random.default_rng(101)
     wide = rng.integers(0, 22, (60, 10)).astype(np.uint8)
     for row in wide:
@@ -559,9 +559,9 @@ def test_escape_words_of_families_agree_with_their_members():
 
 def test_results_do_not_depend_on_batch_size(monkeypatch):
     # _BATCH cuts index arrays into batches, each decoded _DECODE_CHUNK
-    # indices at a time, and _GROUP_MACHINES caps the machines of
-    # run_space's passes unless a pass holds one row: the 22 (2,2) rows,
-    # of 1,000 or 100 machines, are 22 passes at a cap of 56 and one at 7,992
+    # indices at a time, and run_space's plan runs the 22 (2,2) rows, of
+    # 1,000 or 100 machines, as 22 passes with the pool threshold lowered
+    # to 0 and as one pass at the default
     both = SpaceSpec(2, blank_mode="both")
     span = np.arange(3_000_000, 3_020_000, dtype=np.uint64)
     # 2509 indices: a multiple of neither batch nor of either decode chunk
@@ -571,12 +571,13 @@ def test_results_do_not_depend_on_batch_size(monkeypatch):
         run_index_array(SpaceSpec(3), span).canonical_bytes(),
         run_index_array(SpaceSpec(3, blank_mode="both"), stride).canonical_bytes(),
     )
+    pool_min_size = {7: 0, 999: space._POOL_MIN_SIZE}
     for batch in (7, 999):
         monkeypatch.setattr(space, "_BATCH", batch)
         monkeypatch.setattr(space, "_DECODE_CHUNK", batch // 2)
-        monkeypatch.setattr(space, "_GROUP_MACHINES", 8 * batch)
+        monkeypatch.setattr(space, "_POOL_MIN_SIZE", pool_min_size[batch])
         groups = list(space._family_groups(2))
-        sizes = [int(space._machines(g, 2).sum()) for g in groups]
+        sizes = [int(space._weights(g, 2)[:, 0].sum()) for g in groups]
         assert sum(sizes) == 4000
         assert [len(g) for g in groups] == ([1] * 22 if batch == 7 else [22])
         assert max(sizes) == (1000 if batch == 7 else 4000)
@@ -830,8 +831,7 @@ def test_halted_outputs_pack_narrow_and_wide_spans():
     outputs = space._Outputs(sink, 2, ((False, False), (True, False)))
     outputs.pending.append((lo, hi, np.full(7, 3, np.uint16), np.arange(7)))
     digits = _digits(idx, 2)
-    weights = np.stack((space._machines(digits, 2), space._no_halt_machines(digits, 2)), axis=1)
-    outputs.pack(tape, digits, weights)
+    outputs.pack(tape, digits, space._weights(digits, 2))
     outputs.emit()
     expected, first = {}, {}
     for index, a, b in zip(idx.tolist(), lo, hi):
@@ -848,16 +848,15 @@ def test_halted_outputs_pack_narrow_and_wide_spans():
 
 def test_credited_rows_carry_the_weights_of_their_digits(monkeypatch, d3_both_freq):
     # A pass carries each row's machines and no-halt machines from parent to
-    # child. Every row credited must carry what its digits give (_machines,
-    # _no_halt_machines), or, for members, its segment size and 0.
+    # child. Every row credited must carry what its digits give (_weights),
+    # or, for members, its segment size and 0.
     pack, non_halting = space._Outputs.pack, space._Outputs.non_halting
     last, checked = [], []
 
     def check(outputs, ords, weights, rows):
         if outputs.members is None:
             digits = ords[rows]
-            expected = np.stack((space._machines(digits, outputs.n),
-                                 space._no_halt_machines(digits, outputs.n)), axis=1)
+            expected = space._weights(digits, outputs.n)
         else:
             lo, hi = outputs.members.seg[rows].T
             expected = np.stack((hi - lo, np.zeros_like(lo)), axis=1)
@@ -1019,8 +1018,8 @@ def test_family_groups_tile_the_representatives(monkeypatch):
     # the plan's rows fix representative top digits, and no two agree on
     # every slot both fix, so no machine is in two rows; their machines add
     # up to the representatives', so every one is in a row. Passes hold the
-    # rows in order, at most the cap unless they hold one row: (1..3, 2) are
-    # one pass and (4,2) 38, and a cap of 14^5 cuts (3,2) into 4
+    # rows in order: (1..3, 2) are one pass and (4,2) 38, and with the pool
+    # threshold lowered to 0, (2,2) is 22 passes and (3,2) 30
     def check(n, expected):
         b = 4 * n + 2
         groups = list(space._family_groups(n))
@@ -1028,8 +1027,6 @@ def test_family_groups_tile_the_representatives(monkeypatch):
         rows = np.concatenate(groups)
         assert (rows == space._subtree_rows(n)).all()
         sizes = b ** (rows == b).sum(axis=1)
-        assert all(len(g) == 1 or sizes[i:i + len(g)].sum() <= space._GROUP_MACHINES
-                   for g, i in zip(groups, np.cumsum([0] + expected)))
         digits = space._representative_digits(n)
         assert set(rows[:, 0].tolist()) == set(digits)
         fixed = rows != b
@@ -1039,9 +1036,23 @@ def test_family_groups_tile_the_representatives(monkeypatch):
 
     for n, expected in ((1, [2]), (2, [22]), (3, [30]), (4, [1] * 38)):
         check(n, expected)
-    monkeypatch.setattr(space, "_GROUP_MACHINES", 14 ** 5)
-    check(2, [22])
-    check(3, [1, 14, 1, 14])
+    monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
+    check(2, [1] * 22)
+    check(3, [1] * 30)
+
+
+def test_family_groups_are_one_pass_below_the_pool_threshold():
+    # below _POOL_MIN_SIZE machines the plan is one pass of every subtree
+    # row, and at or above it one pass per row, in order: (1,2) 2 rows,
+    # (2,2) 22 and (3,2) 30 in one pass; (4,2) 38, (5,2) 46 and (6,2) 54
+    # passes of one row each
+    expected = {1: [2], 2: [22], 3: [30], 4: [1] * 38, 5: [1] * 46, 6: [1] * 54}
+    for n, lengths in expected.items():
+        groups = space._family_groups(n)
+        rows = space._subtree_rows(n)
+        below = space_size(n) < space._POOL_MIN_SIZE
+        assert [len(g) for g in groups] == lengths == ([len(rows)] if below else [1] * len(rows))
+        assert (np.concatenate(groups) == rows).all()
 
 
 def _split(row, slots, n):
@@ -1057,32 +1068,32 @@ def _split(row, slots, n):
 
 @settings(max_examples=40, deadline=None)
 @given(mode=st.sampled_from(["zero", "both"]), max_steps=st.integers(1, 20),
-       cap=st.integers(10, 200) | st.integers(200, 2 * 10 ** 4),
-       depth=st.lists(st.sets(st.integers(1, 3)), min_size=22, max_size=22))
-def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, cap, depth):
+       depth=st.lists(st.sets(st.integers(1, 3)), min_size=22, max_size=22),
+       data=st.data())
+def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, depth, data):
     # any plan whose rows split the 22 (2,2) subtree rows further, at the
-    # drawn unread slots of each, packed under any cap, through the pool
-    # path: the merged pass tables equal the scalar run of every machine
+    # drawn unread slots of each, cut in order into any passes, through the
+    # pool path: the merged pass tables equal the scalar run of every
+    # machine. A plan of one pass runs in the calling process
     spec = SpaceSpec(2, blank_mode=mode, max_steps=max_steps)
     rows = space._subtree_rows(2)
     plan = np.concatenate([_split(row, slots, 2) for row, slots in zip(rows, depth)])
+    cuts = data.draw(st.sets(st.integers(1, len(plan) - 1)), label="cuts")
+    groups = np.split(plan, sorted(cuts))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
-        monkeypatch.setattr(space, "_GROUP_MACHINES", cap)
-        monkeypatch.setattr(space, "_subtree_rows", lambda n: plan)
+        monkeypatch.setattr(space, "_family_groups", lambda n: groups)
         ctx = _inline_pools(monkeypatch, cpus=2)
         assert run_space(spec, workers=2).canonical_bytes() == _scalar_bytes(spec)
-    assert ctx.processes == [2]
+    assert ctx.processes == ([2] if len(groups) > 1 else [])
 
 
 def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_freq):
-    # with the pool threshold lowered and groups capped at 14^5 machines,
-    # (3,2) goes to a pool at 2 workers and up: its jobs are its 4 passes,
-    # in plan order, on min(workers, CPUs) processes; one worker runs them
-    # in the calling process. No job splits a row, so every worker count
-    # steps the same 36,685 rows as the 1-worker run
+    # with the pool threshold lowered to 0, (3,2) goes to a pool at 2
+    # workers and up: its jobs are its 30 passes of one row each, in plan
+    # order, on min(workers, CPUs) processes; one worker runs them in the
+    # calling process. No job splits a row, so every worker count steps the
+    # same 36,685 rows as the 1-worker run
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
-    monkeypatch.setattr(space, "_GROUP_MACHINES", 14 ** 5)
     ctx = _inline_pools(monkeypatch, cpus=4)
     jobs, rows = [], [0]
     run_group = space._run_group
@@ -1101,7 +1112,7 @@ def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_fre
     monkeypatch.setattr(space, "_Pass", Spy)
     spec = SpaceSpec(3)
     groups = [(spec, group.tolist()) for group in space._family_groups(3)]
-    assert len(groups) == 4
+    assert len(groups) == 30
     for workers in range(1, 9):
         jobs.clear()
         rows[0] = 0
@@ -1158,18 +1169,18 @@ def test_four_state_pool_gets_one_shard_per_family_group(monkeypatch):
 
 
 def test_sharded_run_is_byte_identical_to_single_shard(monkeypatch):
-    # (2,2)'s 22 subtree rows as one pass, and packed under a cap of 500
-    # machines as six (1, 5, 5, 1, 5 and 5 rows), each run as a pool job
+    # (2,2)'s 22 subtree rows as one pass, and, with the pool threshold
+    # lowered to 0, as 22 passes of one row each, each run as a pool job
     # into its own table and merged
     spec = SpaceSpec(2)
     one = _run_rows(spec, space._subtree_rows(2))
-    monkeypatch.setattr(space, "_GROUP_MACHINES", 500)
+    monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
     groups = list(space._family_groups(2))
-    assert [len(g) for g in groups] == [1, 5, 5, 1, 5, 5]
-    six = empty_table(spec)
+    assert [len(g) for g in groups] == [1] * 22
+    merged = empty_table(spec)
     for group in groups:
-        six.merge(space._run_group((spec, group)))
-    assert one.canonical_bytes() == six.canonical_bytes()
+        merged.merge(space._run_group((spec, group)))
+    assert one.canonical_bytes() == merged.canonical_bytes()
 
 
 def test_run_space_rejects_a_worker_count_below_one():
@@ -1291,12 +1302,10 @@ def test_strided_sample_is_deterministic():
 
 
 def test_real_pools_match_the_one_process_run(monkeypatch, d3_both_freq):
-    # with the pool threshold lowered and groups capped at 14^5 machines,
-    # (3,2) sends its 4 family groups to real pools; 3 CPUs cap the pools at
-    # 2, 3 and 3 processes. Each merged result equals the one-process run
-    # byte for byte
+    # with the pool threshold lowered to 0, (3,2) sends its 30 passes of
+    # one row each to real pools; 3 CPUs cap the pools at 2, 3 and 3
+    # processes. Each merged result equals the one-process run byte for byte
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
-    monkeypatch.setattr(space, "_GROUP_MACHINES", 14 ** 5)
     monkeypatch.setattr(space.os, "cpu_count", lambda: 3)
     forked, get_context = [], space.multiprocessing.get_context
 
