@@ -67,17 +67,21 @@ test that depends on an unread blank-read entry expands that entry. On
 for the 3,226,944 machines of all six right-moving top digits, which
 one by one take 4,673,656 machine-steps.
 run_index_array runs arbitrary index sets, every machine on every blank,
-by the same rule with a batch's machines in place of a row's: each
-batch of _BATCH = 2^20 indices starts as one row with every entry unread
-whose members are the batch's machines that can halt (_Members). The
-batch is decoded and filtered 2^16 indices at a time (_DECODE_CHUNK), so
-the decode's temporaries do not grow with it, and a member keeps only its
-2n action codes and its int32 place in the permutation, 12 bytes at
-n = 4; a producer's index is read back from its codes. A row that
-reads an unread entry splits its members stably by their codes there,
-one child per code that occurs. A row's weights are its member count
-and 0 no-halt machines; a finished row credits its members to its bucket,
-and a halted one its first (smallest) member as producer.
+by the same rule with a batch's machines in place of a row's. A batch
+of _BATCH = 2^20 indices is decoded 2^16 at a time (_DECODE_CHUNK), so
+the decode's temporaries do not grow with it, and one lookup per chunk
+of digits drops the machines without a halting entry before their codes
+are gathered (_decode). The others are the batch's members (_Members):
+each keeps only its 2n action codes and its int32 place in the
+permutation, 12 bytes at n = 4, and a producer's index is read back
+from its codes. As run_space starts from the entries its runs read
+first, a pass on blank b starts with one row per code of the (1,b)
+entry, read at step 1, whose members are those that hold it, in index
+order (_member_rows). A row that reads an unread entry splits its
+members stably by their codes there, one child per code that occurs. A
+row's weights are its member count and 0 no-halt machines; a finished
+row credits its members to its bucket, and a halted one its first
+(smallest) member as producer.
 
 Cycles. Most runs that reach the cutoff repeat themselves within a few
 steps, in place or shifted along the tape (Lin & Rado's translated
@@ -144,19 +148,20 @@ BLANK_ZERO = "zero"
 BLANK_BOTH = "both"
 BLANK_MODES = (BLANK_ZERO, BLANK_BOTH)
 
-_MAX_STATES = 6  # indices, and _decode's chunk quotients, stay exact in int64: 26^12 < 2^63
+_MAX_STATES = 6  # indices stay below 26^12 < 2^63: exact in int64 and in _decode's uint64
 # Entries of the largest lookup table: _decode's digit tables, and the
 # escape table of a space (_escape_table), which holds (2n + 2)^n words,
 # 10^4 at n = 4, and is not built past it (n >= 5), where _escape_bits
 # runs on the rows themselves.
 _TABLE_SIZE = 1 << 17
-# Indices per run_index_array batch, the members of one pass's first row
-# (_Members), decoded _DECODE_CHUNK indices at a time. Larger batches pay
-# the per-step overhead fewer times and let machines of more indices share
-# rows. The seed-0 census-d4-sample (4,194,884 indices, cutoff 107), run
-# in one process on a 2-core x86-64 box, medians of five: 2^19 took
-# 0.66 s at 90 MB peak RSS, 2^20 0.57 s at 96 MB, 2^21 0.54 s at 113 MB
-# (the process, its 34 MB index array included).
+# Indices per run_index_array batch, whose machines that can halt are the
+# members of one pass per blank (_Members), decoded _DECODE_CHUNK indices
+# at a time. Larger batches pay the per-step overhead fewer times and let
+# machines of more indices share rows. The seed-0 census-d4-sample
+# (4,194,884 indices, cutoff 107), run in one process on a 2-core x86-64
+# box, medians of five: 2^19 took 0.66 s at 90 MB peak RSS, 2^20 0.57 s at
+# 96 MB, 2^21 0.54 s at 113 MB (the process, its 34 MB index array
+# included).
 _BATCH = 1 << 20
 _DECODE_CHUNK = 1 << 16
 
@@ -602,14 +607,6 @@ def _escape_words(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
     return table.take(key)
 
 
-def _can_halt(digits: np.ndarray, n: int) -> np.ndarray:
-    """Rows with a halting or an unread entry; the others are machines without a halting rule."""
-    mask = digits[:, 0] >= 4 * n
-    for slot in range(1, digits.shape[1]):
-        mask |= digits[:, slot] >= 4 * n
-    return mask
-
-
 def _namings(top, n: int):
     """How many namings of states 2..n a family row stands for, from its
     top digit: n - 1 when its (1,0) entry steps to state 2, else 1.
@@ -646,15 +643,16 @@ class _Members:
     Members are the batch's machines that can halt, in index order; codes
     holds their rows of action codes (uint8), and nothing else is kept per
     member but the int32 perm: 2n + 4 bytes, 12 at n = 4. Pass row r stands
-    for the members perm[seg[r, 0]:seg[r, 1]]; a pass starts as one row
-    with every entry unread and all members. Splits are stable, so a
-    segment always lists its members in index order, the smallest first.
+    for the members perm[seg[r, 0]:seg[r, 1]]; a pass on blank b starts
+    with one row per code of the (1,b) entry that members hold
+    (_member_rows). Every segment starts, and every split keeps it, in
+    index order, so a segment always lists its smallest member first.
     """
 
-    def __init__(self, codes: np.ndarray):
+    def __init__(self, codes: np.ndarray, perm: np.ndarray, seg: np.ndarray):
         self.codes = codes
-        self.perm = np.arange(codes.shape[0], dtype=np.int32)
-        self.seg = np.array([[0, codes.shape[0]]])
+        self.perm = perm
+        self.seg = seg
 
     def indices(self, ids) -> np.ndarray:
         """The machine indices of member ids, read back from their codes
@@ -678,10 +676,9 @@ class _Members:
         The sort key is (row, code) in the narrowest type that holds it;
         numpy sorts 8- and 16-bit keys by radix. Past 16 bits the key is
         int32, which holds every key: a row has a member, so rows.size <=
-        _BATCH = 2^20, and 2^20 * (4n + 2) < 2^31 up to _MAX_STATES. Keys
-        already in order (as on blank 0's first read of the top digit) skip
-        the sort. The gathers index with the int32 arrays as they are (take
-        would cast them to an intp copy first).
+        _BATCH = 2^20, and 2^20 * (4n + 2) < 2^31 up to _MAX_STATES. The
+        gathers index with the int32 arrays as they are (take would cast
+        them to an intp copy first).
         """
         width = self.codes.shape[1]
         b = width * 2 + 2  # 4n + 2 codes
@@ -697,10 +694,9 @@ class _Members:
         key = np.repeat(np.arange(0, top, b, dtype=dtype), sizes)
         key += self.codes.reshape(-1)[flat]
         del flat
-        if (key[1:] < key[:-1]).any():
-            order = np.argsort(key, kind="stable")
-            key = key.take(order)
-            self.perm.put(pos, ids.take(order))
+        order = np.argsort(key, kind="stable")
+        key = key.take(order)
+        self.perm.put(pos, ids.take(order))
         ends = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1, [key.size]))
         first = ends[:-1]
         seg = np.stack((pos[first], pos[ends[1:] - 1] + 1), axis=1)
@@ -1157,56 +1153,107 @@ def _digit_table(n: int, width: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _all_steps(n: int, width: int) -> np.ndarray:
+    """Whether the width digits of each value below (4n + 2)^width are all
+    step codes (below 4n), read-only and indexed as _digit_table."""
+    step = np.arange(4 * n + 2) < 4 * n
+    table = functools.reduce(np.logical_and.outer, [step] * width).ravel()
+    table.flags.writeable = False
+    return table
+
+
 def _decode(idx: np.ndarray, n: int) -> np.ndarray:
-    """The rows of action codes of machine indices, which must lie in the space.
+    """The rows of action codes of the machine indices that have a halting
+    entry, in index order; indices must lie in the space. The others,
+    machines without a halting rule, are dropped.
 
     An index splits into chunks of the largest c digits with
-    (4n + 2)^c <= _TABLE_SIZE (c = 4 for (4,2)), low chunks first, and
-    each chunk's digits are gathered whole from _digit_table into their
-    columns.
+    (4n + 2)^c <= _TABLE_SIZE (c = 4 for (4,2)), low chunks first, by
+    uint64 division. The AND of one gather per chunk from _all_steps marks
+    the machines whose entries are all steps, and only the other rows'
+    chunks are gathered whole from _digit_table into their columns. The
+    gathers index with the chunk values viewed as int64: a uint64 index
+    would cast them to an intp copy first.
     """
     base = 4 * n + 2
     width = 1
     while width < 2 * n and base ** (width + 1) <= _TABLE_SIZE:
         width += 1
-    rest = np.asarray(idx, np.int64)
-    ords = np.empty((rest.size, 2 * n), np.uint8)
+    rest = np.asarray(idx, np.uint64)
+    chunks = []  # (first column, end column, values)
     end = 2 * n
     while end:
         start = max(end - width, 0)
         if start:
-            rest, chunk = np.divmod(rest, base ** (end - start))
+            place = np.uint64(base ** (end - start))
+            quotient = rest // place
+            chunk = quotient * place
+            np.subtract(rest, chunk, out=chunk)
+            rest = quotient
         else:
             chunk = rest
-        # columns start .. end - 1 of ords, as one item per row
-        columns = np.ndarray((rest.size,), f"V{end - start}", ords, start, (2 * n,))
-        columns[...] = _digit_table(n, end - start)[chunk]
+        chunks.append((start, end, chunk.view(np.int64)))
         end = start
+    no_halt = functools.reduce(np.logical_and, (_all_steps(n, e - s)[v] for s, e, v in chunks))
+    keep = np.flatnonzero(~no_halt)
+    ords = np.empty((keep.size, 2 * n), np.uint8)
+    if keep.size:  # an empty ords has no buffer for the column views
+        for start, end, values in chunks:
+            # columns start .. end - 1 of ords, as one item per row
+            columns = np.ndarray((keep.size,), f"V{end - start}", ords, start, (2 * n,))
+            columns[...] = _digit_table(n, end - start)[values[keep]]
     return ords
+
+
+def _member_rows(codes: np.ndarray, blank: int):
+    """The first rows of a pass over members on blank, their weights and the members.
+
+    Every run reads its (1,b) entry at step 1, so each code of slot b that
+    the members hold is one row, which fixes that slot and leaves every
+    other entry unread, and stands for the members that hold the code, in
+    index order. On blank 0 that entry is the top digit, which index order
+    already sorts, so the segments are the runs of its column; on blank 1
+    one stable sort of the (1,1) column orders them.
+    """
+    n = codes.shape[1] // 2
+    column = codes[:, blank]
+    if blank:
+        perm = np.argsort(column, kind="stable").astype(np.int32)
+        column = column[perm]
+    else:
+        perm = np.arange(column.size, dtype=np.int32)
+    first = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    seg = np.stack((first, np.append(first[1:], column.size)), axis=1)
+    ords = np.full((first.size, 2 * n), 4 * n + 2, np.uint8)
+    ords[:, blank] = column[first]
+    weights = np.zeros((first.size, 2), np.int64)
+    weights[:, 0] = seg[:, 1] - seg[:, 0]
+    return ords, weights, _Members(codes, perm, seg)
 
 
 def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
     """Run one batch of machine indices on every blank of spec.
 
-    The batch is decoded and filtered _DECODE_CHUNK indices at a time, and
-    only the codes of machines that can halt are kept, so the decode's
-    temporaries do not grow with the batch. Those machines are the members
-    (_Members) of one row with every entry unread, which splits as its runs
-    read entries; the others are counted to no_halt_rule up front.
+    The batch is decoded _DECODE_CHUNK indices at a time, and only the
+    codes of machines that can halt are kept (_decode), so the decode's
+    temporaries do not grow with the batch; the others are counted to
+    no_halt_rule up front. On each blank the kept machines are the members
+    (_Members) of one row per code of the (1,b) entry they hold
+    (_member_rows), which split as their runs read further entries.
     """
     n = spec.n
-    chunks = (_decode(idx[i:i + _DECODE_CHUNK], n) for i in range(0, idx.size, _DECODE_CHUNK))
     # decoded once and shared by every blank
-    codes = np.concatenate([c.compress(_can_halt(c, n), axis=0) for c in chunks])
+    codes = np.concatenate([_decode(idx[i:i + _DECODE_CHUNK], n)
+                            for i in range(0, idx.size, _DECODE_CHUNK)])
     count = codes.shape[0]
-    unread = np.full((1, 2 * n), 4 * n + 2, np.uint8)
     for blank in spec.blanks:
         sink.census.total_runs += idx.size
         sink.census.no_halt_rule += idx.size - count
         if count:
+            ords, weights, members = _member_rows(codes, blank)
             # an index set is not reduced by symmetry: its one image is the run itself
-            weights = np.array([[count, 0]])
-            _Pass(spec, unread, weights, blank, ((False, False),), sink, _Members(codes)).run()
+            _Pass(spec, ords, weights, blank, ((False, False),), sink, members).run()
 
 
 def _representative_digits(n: int):
@@ -1312,10 +1359,11 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
     """Run an arbitrary (sorted, duplicate-free) index set; covers stays None.
 
     Every machine runs on every blank of spec, without the symmetry
-    reduction. engine is "vector" (batches of _BATCH indices, each one
-    family row whose members are the batch's machines that can halt; see
-    the module docstring) or "scalar" (machine.simulate, one run at a
-    time), the oracle the tests compare the vector engine against. Indices
+    reduction. engine is "vector" (batches of _BATCH indices, whose
+    machines that can halt start as one row per code of the first entry
+    their runs read; see the module docstring) or "scalar"
+    (machine.simulate, one run at a time), the oracle the tests compare
+    the vector engine against. Indices
     that are not integers of [0, size) in increasing order raise
     ValidationError before either engine runs.
     """

@@ -354,8 +354,9 @@ def test_machines_alike_in_every_entry_they_read_step_as_one_row(monkeypatch):
     calls = _row_spy(monkeypatch)
     spec = SpaceSpec(4)
     vector = run_index_array(spec, np.array(indices, np.uint64))
-    # step 1 reads (1,0), so the row's one child takes it; step 2 halts
-    assert calls == [(False, 1), (True, 1), (False, 1)]
+    # the pass starts from the (1,0) entry that step 1 reads, so no row
+    # spawns a child that takes a step; step 2 halts
+    assert calls == [(False, 1), (False, 1)]
     assert vector.counts == {"11": 18}
     assert vector.first_producer == {"11": first}
     scalar = run_index_array(spec, indices, engine="scalar")
@@ -430,19 +431,102 @@ def _codes(machine):
             for a in machine.entries]
 
 
+def _has_halting_entry(index, n):
+    return any(isinstance(a, HaltWrite) for a in decode_machine(index, n).entries)
+
+
 def test_decode_matches_decode_machine_in_every_space():
     rng = random.Random(97)
     for n in range(1, 7):
         size = space_size(n)
         indices = sorted({0, size - 1, *rng.sample(range(size), 2000 if n > 1 else 30)})
-        ords = space._decode(np.array(indices, np.int64), n)
-        assert ords.dtype == np.uint8 and ords.shape == (len(indices), 2 * n)
-        assert ords.tolist() == [_codes(decode_machine(i, n)) for i in indices]
+        can_halt = [_has_halting_entry(i, n) for i in indices]
+        assert 0 < sum(can_halt) < len(indices)
+        expected = [_codes(decode_machine(i, n)) for i, h in zip(indices, can_halt) if h]
+        for dtype in (np.int64, np.uint64):
+            ords = space._decode(np.array(indices, dtype), n)
+            assert ords.dtype == np.uint8 and ords.shape == (sum(can_halt), 2 * n)
+            assert ords.tolist() == expected
+
+
+def _no_halt_indices(rng, n, count, top=None):
+    """Sorted distinct indices of machines whose every entry is a step, top
+    digit top if given."""
+    found = set()
+    while len(found) < count:
+        digits = [rng.randrange(4 * n) for _ in range(2 * n)]
+        if top is not None:
+            digits[0] = top
+        found.add(int(_index(digits, n)))
+    return sorted(found)
+
+
+def test_a_decode_chunk_without_a_machine_that_can_halt_keeps_no_rows(monkeypatch):
+    rng = random.Random(101)
+    for n in range(1, 7):
+        indices = np.array(_no_halt_indices(rng, n, 40 if n > 1 else 12), np.uint64)
+        ords = space._decode(indices, n)
+        assert ords.dtype == np.uint8 and ords.shape == (0, 2 * n)
+        table = run_index_array(SpaceSpec(n, blank_mode="both", max_steps=10), indices)
+        runs = 2 * indices.size
+        assert table.census == space.Census(total_runs=runs, no_halt_rule=runs)
+        assert table.counts == {}
+    # one decode chunk of such machines (top digit 0) before chunks that keep rows
+    monkeypatch.setattr(space, "_DECODE_CHUNK", 16)
+    n, size = 3, space_size(3)
+    low = _no_halt_indices(rng, n, 16, top=0)
+    indices = np.array(low + sorted(rng.sample(range(14 ** 5, size), 40)), np.uint64)
+    assert space._decode(indices[:16], n).shape == (0, 2 * n)
+    spec = SpaceSpec(n, blank_mode="both")
+    vector = run_index_array(spec, indices)
+    assert vector.canonical_bytes() == run_index_array(spec, indices, engine="scalar").canonical_bytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_member_passes_start_from_their_first_read_entry(monkeypatch, n):
+    # every run reads its (1,b) entry at step 1: a pass on blank b starts
+    # with one row per code of that entry, whose members are the batch's
+    # machines that can halt and hold it, in index order
+    starts = []
+
+    class Spy(space._Pass):
+        def __init__(self, spec, ords, weights, blank, images, sink, members=None):
+            segments = [members.indices(members.perm[lo:hi]).tolist()
+                        for lo, hi in members.seg.tolist()]
+            starts.append((blank, ords.tolist(), weights.tolist(), segments))
+            super().__init__(spec, ords, weights, blank, images, sink, members)
+
+    monkeypatch.setattr(space, "_Pass", Spy)
+    rng = random.Random(103 + n)
+    indices = sorted(rng.sample(range(space_size(n)), 3000))
+    spec = SpaceSpec(n, blank_mode="both")
+    vector = run_index_array(spec, np.array(indices, np.uint64))
+    assert vector.canonical_bytes() == run_index_array(spec, indices, engine="scalar").canonical_bytes()
+    assert [blank for blank, *_ in starts] == [0, 1]
+    digits = _digits(indices, n)
+    marker = 4 * n + 2
+    for blank, ords, weights, segments in starts:
+        expected = {}
+        for index, row in zip(indices, digits.tolist()):
+            if _has_halting_entry(index, n):
+                expected.setdefault(row[blank], []).append(index)
+        rows = sorted(zip(ords, weights, segments), key=lambda r: r[0][blank])
+        assert [r[0][blank] for r in rows] == sorted(expected)  # each code once
+        for row, weight, members in rows:
+            code = row[blank]
+            assert row == [code if slot == blank else marker for slot in range(2 * n)]
+            assert members == expected[code]  # in index order
+            assert weight == [len(members), 0]
 
 
 def test_lookup_tables_are_read_only():
     tables = [space._walk_classes(n) for n in range(1, 7)]
     tables += [space._digit_table(n, width) for n in (3, 4) for width in (2, 4)]
+    for n, width in ((1, 2), (3, 4), (4, 4), (6, 3)):
+        steps = space._all_steps(n, width)
+        digits = space._digit_table(n, width).view(np.uint8).reshape(-1, width)
+        assert steps.dtype == bool and steps.tolist() == (digits < 4 * n).all(axis=1).tolist()
+        tables.append(steps)
     # the escape table holds _escape_bits of every key, whatever codes of
     # their walk classes the blank-read entries and the others hold
     rng = np.random.default_rng(83)
@@ -590,14 +674,14 @@ def test_results_do_not_depend_on_batch_size(monkeypatch):
 
 def test_index_batches_hold_a_bounded_number_of_bytes_per_index():
     # numpy reports its buffers to tracemalloc, so unlike RSS the peak is
-    # deterministic. One (4,2) batch of 2^20 strided indices peaks at 17.0
+    # deterministic. One (4,2) batch of 2^20 strided indices peaks at 17.13
     # bytes per index above the index array (numpy 2.4): 12 per member that
     # can halt (56% of them), the pass's rows and the temporaries of the
     # split that sorts the 354,245 members of 12 rows. Gathers through take,
-    # which casts the int32 member positions to an intp copy, peak at 19.5
-    # in the batch's first split, of every member, and fail; members that
-    # also hold their int64 index, with an int64 perm and a decode of the
-    # whole batch at once, peak at 32.9.
+    # which casts the int32 member positions to an intp copy, peak at the
+    # same 17.13, since no split holds every member; members that also hold
+    # their int64 index, with an int64 perm and a decode of the whole batch
+    # at once, peak at 33.2.
     spec = SpaceSpec(4, max_steps=107)
     indices = np.arange(1 << 20, dtype=np.int64) * (spec.size >> 20)
     tracemalloc.start()  # after the index array, so it is not counted
