@@ -654,31 +654,16 @@ class _Members:
         self.perm = perm
         self.seg = seg
 
-    def indices(self, ids) -> np.ndarray:
-        """The machine indices of member ids, read back from their codes
-        (exact in int64 up to _MAX_STATES)."""
-        digits = self.codes[ids]
-        index = np.zeros(digits.shape[0], np.int64)
-        for slot in range(digits.shape[1]):
-            index *= 2 * digits.shape[1] + 2  # 4n + 2 codes
-            index += digits[:, slot]
-        return index
-
-    def first(self, rows) -> np.ndarray:
-        """The smallest member index of each row."""
-        return self.indices(self.perm[self.seg[rows, 0]])
-
     def split(self, rows, slots):
         """Split each row's segment stably by its members' codes at the row's slot.
 
         Returns, for each code that occurs, one child: its row's position in
-        rows, the code and its segment. Positions and member ids are int32.
+        rows, the code and its segment. Positions, member ids and the flat
+        code offsets that the gathers index with are int32.
         The sort key is (row, code) in the narrowest type that holds it;
         numpy sorts 8- and 16-bit keys by radix. Past 16 bits the key is
         int32, which holds every key: a row has a member, so rows.size <=
-        _BATCH = 2^20, and 2^20 * (4n + 2) < 2^31 up to _MAX_STATES. The
-        gathers index with the int32 arrays as they are (take would cast
-        them to an intp copy first).
+        _BATCH = 2^20, and 2^20 * (4n + 2) < 2^31 up to _MAX_STATES.
         """
         width = self.codes.shape[1]
         b = width * 2 + 2  # 4n + 2 codes
@@ -714,8 +699,8 @@ class _Outputs:
     packed before the tape moves; an escaped or step-limited row credits
     its no-halt machines to no_halt_rule and the rest to its bucket. With
     members (an index batch, see _Members) a row stands for its segment of
-    them instead, all of which can halt, and its smallest member is the
-    producer.
+    them instead, all of which can halt, and its first member, the
+    smallest, is the producer, priced from its codes like a family row.
     """
 
     def __init__(self, sink, n, images, members=None):
@@ -751,9 +736,9 @@ class _Outputs:
         machines = weights[row, 0]
         if self.members is None:
             digits = ords[row]
-            producers = np.stack([_image_producers(digits, self.n, *image) for image in self.images])
-        else:
-            producers = self.members.first(row)[None]
+        else:  # the row's first member, its smallest
+            digits = self.members.codes[self.members.perm[self.members.seg[row, 0]]]
+        producers = np.stack([_image_producers(digits, self.n, *image) for image in self.images])
         self.sink.census.halted += len(self.images) * int(machines.sum())
         lengths = hi - lo + 1
         used_rules = np.bitwise_count(used).astype(np.int64)
@@ -876,10 +861,7 @@ class _Pass:
         row covers every cell its run can visit before the next snapshot.
         """
         for step in range(1, self.max_steps + 1):
-            o, slot, stop = self.advance(self.live)
-            self.retire(self.live, o, stop)
-            if stop.any():
-                self.live = self.settle(self.live, o, slot, stop)
+            self.live = self.settle(self.live, *self.advance(self.live))
             if self.live.shape[1] == 0:
                 break
             grow = step == self.half < self.max_steps
@@ -897,18 +879,14 @@ class _Pass:
         self.outputs.emit()
 
     def advance(self, live):
-        """One step of the given rows, in place: (action codes, read slots, stop mask).
-
-        A row stops when it reads a halt code or the unread marker (both
-        from 4n up) or lands on fresh tape with a set escape bit.
-        """
+        """One step of the given rows, in place: their action codes (intp), read
+        slots and stop mask (judge)."""
         st2, used = live[_ST2], live[_USED]
         head, lo, hi = live[_HEAD:_HI + 1]
         tape = self.tape.reshape(-1)
         slot = st2 + tape[head]
         used |= self.pow2.take(slot)
-        code = self.ords.reshape(-1)[live[_ORD] + slot]
-        o = code.astype(np.intp)  # for the lookups; settle gets the narrow codes
+        o = self.ords.reshape(-1)[live[_ORD] + slot].astype(np.intp)
         tape[head] = self.write_of[o]
         head += self.delta_of[o]
         fresh = (head > hi) | (head < lo)
@@ -918,8 +896,21 @@ class _Pass:
         np.minimum(a, head, out=a)
         np.maximum(b, head, out=b)
         self.next2_of.take(o, out=live[_ST2])
+        return o, slot, self.judge(live, o, fresh)
+
+    def judge(self, live, o, fresh):
+        """The stop mask of rows that took a step with codes o, fresh where
+        they landed on fresh tape; the code of a looped row becomes 4n + 3.
+
+        A row stops when it reads a halt code or the unread marker (both
+        from 4n up), lands on fresh tape with a set escape bit, or repeats
+        its snapshot (looped).
+        """
         stop = (o >= 4 * self.n) | (fresh & ((live[_ESCW] >> o) & _ESC).astype(bool))
-        return code, slot, stop
+        looped = self.looped(live, stop)
+        o[looped] = 4 * self.n + 3
+        stop[looped] = True
+        return stop
 
     def window(self, start):
         """The cells start .. start + 2 * _WINDOW of the flat tape as words
@@ -932,6 +923,11 @@ class _Pass:
     def snapshot(self) -> None:
         """Each live row's snapshot; its excursion starts again at the head."""
         if self.live.shape[0] == _XLO:  # the first snapshot
+            # The snapshot columns are appended here, not allocated with the
+            # others: the early steps hold the most live rows, and carrying
+            # them from step 1 raised a (4,2) batch of 2^20 strided indices
+            # from 17.27 to 20.36 bytes per index (numpy 2.4), over the
+            # bound of test_index_batches_hold_a_bounded_number_of_bytes_per_index.
             extra = np.empty((_SNAP_ST2 + 1 - _XLO, self.live.shape[1]), np.int64)
             self.live = np.concatenate((self.live, extra))
         live = self.live
@@ -942,12 +938,6 @@ class _Pass:
         live[_SNAP_LO:_SNAP_HI + 1] = live[_LO:_HI + 1] - start
         live[_SNAP_WORD] = word
         live[_SNAP_ST2] = np.where(inside, live[_ST2], -1)
-
-    def retire(self, live, o, stop) -> None:
-        """Stop the rows that repeat their snapshot (looped), with code 4n + 3."""
-        looped = self.looped(live, stop)
-        o[looped] = 4 * self.n + 3
-        stop[looped] = True
 
     def looped(self, live, stop):
         """The rows of live, not stopped, that repeat their snapshot shifted by d.
@@ -988,13 +978,16 @@ class _Pass:
         return c[ok & inside & ((word ^ word0) & mask == 0)]
 
     def settle(self, live, o, slot, stop):
-        """The live rows after sorting out the stopped ones.
+        """The live rows after sorting out the ones that stop (judge).
 
         Halted, escaped and looped (code 4n + 3) rows become outputs. A row
         that read an unread entry is replaced, at the same step, by its
-        children (spawn), which then take the step. A row whose escape
-        depends on unread entries is decided by expanding them (decide).
+        children (spawn), which then take the step from the slot it read
+        (slot is None where no row reads one). A row whose escape depends on
+        unread entries is decided by expanding them (decide).
         """
+        if not stop.any():
+            return live
         two_n, marker = 2 * self.n, 4 * self.n + 2
         idx = np.nonzero(stop)[0]
         oi = o[idx]
@@ -1012,11 +1005,7 @@ class _Pass:
             children, src = self.spawn(live, read, slot[read])
             # the children take this step from its start, in the state that read the slot
             children[_ST2] = (slot[read] & -2)[src]
-            c_o, c_slot, c_stop = self.advance(children)
-            self.retire(children, c_o, c_stop)
-            if c_stop.any():  # children read no marker, so this does not recurse further
-                children = self.settle(children, c_o, c_slot, c_stop)
-            parts.append(children)
+            parts.append(self.settle(children, *self.advance(children)))
         undecided = moved[~sure]
         if undecided.size:
             parts.append(self.decide(live.take(undecided, axis=1), o[undecided]))
@@ -1026,27 +1015,15 @@ class _Pass:
         """Rows that landed on fresh tape with code o, where escape depends on unread entries.
 
         The blank-runway walk from the new state meets an unread blank-read
-        entry before it is decided. That entry is expanded and the children
-        are decided again; each round fixes one entry of the walk, so at
-        most n rounds are needed. A child that does not escape has taken
-        the step, so it is checked for a cycle (looped). Returns the
-        children that go on.
+        entry before it is decided. That entry is expanded, and the
+        children, which have taken the step, are judged as fresh landings
+        and settled, which decides the still undecided ones again. Each
+        level fixes one entry of the walk, so the recursion is at most n
+        deep. Returns the children that go on.
         """
-        go_on = []
-        while live.shape[1]:
-            live, src = self.spawn(live, np.arange(live.shape[1]), self.walk_slot(live))
-            o = o[src]
-            bits = live[_ESCW] >> o
-            sure = (bits & 1).astype(bool)
-            open_ = ((bits >> 32) & 1).astype(bool)
-            self.outputs.escaped.append(live[_ORD][sure] // (2 * self.n))
-            stop = sure | open_
-            looped = self.looped(live, stop)
-            self.outputs.looped.append(live[_ORD][looped] // (2 * self.n))
-            stop[looped] = True
-            go_on.append(live.compress(~stop, axis=1))
-            live, o = live.compress(open_, axis=1), o[open_]
-        return np.concatenate(go_on, axis=1)
+        children, src = self.spawn(live, np.arange(live.shape[1]), self.walk_slot(live))
+        o = o[src]
+        return self.settle(children, o, None, self.judge(children, o, True))
 
     def walk_slot(self, live):
         """The first unread blank-read entry on each row's walk from its state."""

@@ -308,7 +308,7 @@ def test_engine_retires_exactly_the_runs_simulate_proves_cyclic(
             rows = super().looped(live, stop)
             members = self.members
             for lo, hi in members.seg[live[space._ORD][rows] // (2 * self.n)]:
-                runs = members.indices(members.perm[lo:hi])
+                runs = _index(members.codes[members.perm[lo:hi]], n)
                 retired.extend((int(i), self.blank, self.steps) for i in runs)
             return rows
 
@@ -491,7 +491,7 @@ def test_member_passes_start_from_their_first_read_entry(monkeypatch, n):
 
     class Spy(space._Pass):
         def __init__(self, spec, ords, weights, blank, images, sink, members=None):
-            segments = [members.indices(members.perm[lo:hi]).tolist()
+            segments = [_index(members.codes[members.perm[lo:hi]], n).tolist()
                         for lo, hi in members.seg.tolist()]
             starts.append((blank, ords.tolist(), weights.tolist(), segments))
             super().__init__(spec, ords, weights, blank, images, sink, members)
@@ -674,12 +674,13 @@ def test_results_do_not_depend_on_batch_size(monkeypatch):
 
 def test_index_batches_hold_a_bounded_number_of_bytes_per_index():
     # numpy reports its buffers to tracemalloc, so unlike RSS the peak is
-    # deterministic. One (4,2) batch of 2^20 strided indices peaks at 17.13
+    # deterministic. One (4,2) batch of 2^20 strided indices peaks at 17.27
     # bytes per index above the index array (numpy 2.4): 12 per member that
-    # can halt (56% of them), the pass's rows and the temporaries of the
+    # can halt (56% of them), the pass's rows, the intp codes of the step
+    # being settled (17.13 with uint8 codes) and the temporaries of the
     # split that sorts the 354,245 members of 12 rows. Gathers through take,
     # which casts the int32 member positions to an intp copy, peak at the
-    # same 17.13, since no split holds every member; members that also hold
+    # same figure, since no split holds every member; members that also hold
     # their int64 index, with an int64 perm and a decode of the whole batch
     # at once, peak at 33.2.
     spec = SpaceSpec(4, max_steps=107)
@@ -715,7 +716,7 @@ def test_the_largest_four_state_pass_holds_a_bounded_number_of_live_rows(monkeyp
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_member_producers_are_exact_at_the_top_of_the_largest_spaces(n):
-    # A member's index is read back from its codes in int64 (_Members.indices).
+    # A producer's index is read back from its codes in int64 (_image_indices).
     # Indices near (4n + 2)^(2n), 26^12 at n = 6, catch an overflow or a wrong
     # radix: the last 300 of the space, all first-step halts, and the last
     # 300 before the top digit 4n, which step and then read their low digits.
@@ -988,6 +989,39 @@ def test_escape_closure_checks_the_whole_walk():
     vector = run_index_array(spec, idx, engine="vector")
     assert scalar.census.blank_escape == vector.census.blank_escape == 0
     assert scalar.canonical_bytes() == vector.canonical_bytes()
+
+
+def test_undecided_escapes_expand_their_walk_entry_by_entry(monkeypatch):
+    # A row whose escape depends on unread blank-read entries expands the
+    # first one on its walk (walk_slot); a child still undecided expands the
+    # next. run_space takes one expansion per decision on (3,2) and at most
+    # two on (4,2) (118 of the 865 decisions of a zero run); this strided
+    # (4,2) set takes three in two of its 18 decisions. Each expansion
+    # fixes one entry of the walk, so a decision takes at most n.
+    expansions = []
+
+    class Spy(space._Pass):
+        depth = 0
+
+        def decide(self, live, o):
+            if self.depth == 0:  # a decision, not a round of one
+                expansions.append(0)
+            self.depth += 1
+            try:
+                return super().decide(live, o)
+            finally:
+                self.depth -= 1
+
+        def walk_slot(self, live):
+            expansions[-1] += 1
+            return super().walk_slot(live)
+
+    monkeypatch.setattr(space, "_Pass", Spy)
+    spec = SpaceSpec(4, blank_mode="both")
+    indices = np.arange(0, space_size(4), 18 ** 5 + 7, dtype=np.uint64)
+    vector = run_index_array(spec, indices)
+    assert 2 <= max(expansions) <= spec.n
+    assert vector.canonical_bytes() == run_index_array(spec, indices, engine="scalar").canonical_bytes()
 
 
 def test_engines_agree_in_deeper_spaces():
