@@ -55,17 +55,14 @@ from its digits (_weights), and a child's from its parent's by one
 division each. A row that reads an unread entry is replaced, at the same
 step, by b children, one per code, each with 1/b of its parent's
 machines and, for a step code, 1/4n of its no-halt machines (none for a
-halt code); a child whose machines all lack a halting entry has neither an unread nor
-a halting entry, a machine without a halting rule, and is counted at
-once. A halted row credits its machines to its string, with the
-family's smallest member (unread digits 0) as producer; a non-halting
-row credits its no-halt machines to no_halt_rule and the rest to its
-bucket (escape or cutoff). An escape
-test that depends on an unread blank-read entry expands that entry. On
-(3,2) this steps 36,685 rows in all (summed over the steps) for its
-2,151,296 representatives. Without the namings it steps 73,368 rows
-for the 3,226,944 machines of all six right-moving top digits, which
-one by one take 4,673,656 machine-steps.
+halt code); a child whose machines all lack a halting entry has neither
+an unread nor a halting entry, a machine without a halting rule, and is
+counted at once. A row that stops is credited by its pass (_Pass). An
+escape test that depends on an unread blank-read entry expands that
+entry. On (3,2) this steps 36,685 rows in all (summed over the steps)
+for its 2,151,296 representatives. Without the namings it steps 73,368
+rows for the 3,226,944 machines of all six right-moving top digits,
+which one by one take 4,673,656 machine-steps.
 run_index_array runs arbitrary index sets, every machine on every blank,
 by the same rule with a batch's machines in place of a row's. A batch
 of _BATCH = 2^20 indices is decoded 2^16 at a time (_DECODE_CHUNK), so
@@ -688,105 +685,6 @@ class _Members:
         return key[first] // b, key[first] % b, seg
 
 
-class _Outputs:
-    """Finished rows of one pass, credited once per image in images.
-
-    A row is a machine or a family that differs only in its unread entries,
-    so all its members run the same way. Its machines and no-halt machines
-    are read from the pass's weights (_Pass), never from its digits. A
-    halted row credits its machines to the image string, with the least
-    image of its members (_image_producers) as producer. Halted spans are
-    packed before the tape moves; an escaped or step-limited row credits
-    its no-halt machines to no_halt_rule and the rest to its bucket. With
-    members (an index batch, see _Members) a row stands for its segment of
-    them instead, all of which can halt, and its first member, the
-    smallest, is the producer, priced from its codes like a family row.
-    """
-
-    def __init__(self, sink, n, images, members=None):
-        self.sink = sink
-        self.n = n
-        self.images = images
-        self.members = members
-        self.pending = []  # (lo, hi, used, row) spans into the current tape
-        self.escaped = []  # rows proved to escape
-        self.looped = []  # rows proved to repeat themselves
-        self.packed = []  # (length, value, used_rules, machines, producers)
-
-    def no_halt_rule(self, machines: int) -> None:
-        self.sink.census.no_halt_rule += len(self.images) * machines
-
-    def non_halting(self, weights, rows, bucket: str) -> None:
-        """Credit rows that stopped without halting to no_halt_rule and to bucket."""
-        machines, no_halt = weights[rows].sum(axis=0).tolist()
-        self.no_halt_rule(no_halt)
-        census = self.sink.census
-        rest = len(self.images) * (machines - no_halt)
-        setattr(census, bucket, getattr(census, bucket) + rest)
-
-    def pack(self, tape, ords, weights) -> None:
-        for rows, bucket in ((self.escaped, "blank_escape"), (self.looped, "step_limited")):
-            if rows:
-                self.non_halting(weights, np.concatenate(rows), bucket)
-                rows.clear()
-        if not self.pending:
-            return
-        lo, hi, used, row = (np.concatenate(a) for a in zip(*self.pending))
-        self.pending = []
-        machines = weights[row, 0]
-        if self.members is None:
-            digits = ords[row]
-        else:  # the row's first member, its smallest
-            digits = self.members.codes[self.members.perm[self.members.seg[row, 0]]]
-        producers = np.stack([_image_producers(digits, self.n, *image) for image in self.images])
-        self.sink.census.halted += len(self.images) * int(machines.sum())
-        lengths = hi - lo + 1
-        used_rules = np.bitwise_count(used).astype(np.int64)
-        # cells read per output: a whole number of bytes, at most 64 bits
-        span = min(-(-int(lengths.max(initial=1)) // 8) * 8, 64)
-        narrow = (lengths <= span) & (lo <= tape.size - span)
-        if not narrow.all():
-            # Rare wide outputs (only reachable with very large cutoffs), and
-            # outputs too near the end of the tape array for a run of span
-            # cells: build the strings row by row, and pack the rest.
-            for r in np.nonzero(~narrow)[0]:
-                s = "".join("1" if c else "0" for c in tape[lo[r]:hi[r] + 1])
-                for image, producer in zip(self.images, producers[:, r]):
-                    self.sink.add(_image_string(s, *image), int(machines[r]),
-                                  int(used_rules[r]), int(producer))
-            lo, hi, lengths = lo[narrow], hi[narrow], lengths[narrow]
-            used_rules, machines = used_rules[narrow], machines[narrow]
-            producers = producers[:, narrow]
-        if lo.size:
-            # each output and the cells after it, as the high bits of a 64-bit word
-            cells = _runs(tape, span)[lo].view(np.uint8)
-            word = np.zeros((lo.size, 8), np.uint8)
-            word[:, :span // 8] = np.packbits(cells).reshape(lo.size, -1)
-            value = word.view(">u8")[:, 0] >> (64 - lengths).astype(np.uint64)
-            self.packed.append((lengths, value.astype(np.uint64), used_rules, machines, producers))
-
-    def emit(self) -> None:
-        if not self.packed:
-            return
-        lengths, value, used_rules, machines, producers = (
-            np.concatenate(a, axis=-1) for a in zip(*self.packed)
-        )
-        order = np.lexsort((value, lengths))
-        s_len = lengths[order]
-        s_val = value[order]
-        boundary = np.empty(order.size, bool)
-        boundary[0] = True
-        boundary[1:] = (s_val[1:] != s_val[:-1]) | (s_len[1:] != s_len[:-1])
-        starts = np.nonzero(boundary)[0]
-        group_counts = np.add.reduceat(machines[order], starts).tolist()
-        group_used = np.minimum.reduceat(used_rules[order], starts).tolist()
-        group_prod = [np.minimum.reduceat(p[order], starts).tolist() for p in producers]
-        for k, start in enumerate(starts.tolist()):
-            s = np.binary_repr(int(s_val[start]), width=int(s_len[start]))
-            for image, prod in zip(self.images, group_prod):
-                self.sink.add(_image_string(s, *image), group_counts[k], group_used[k], prod[k])
-
-
 def _runs(flat: np.ndarray, k: int) -> np.ndarray:
     """A read-only view of the uint8 array flat whose item i is the k bytes
     flat[i:i + k]; a gather from it copies each run whole."""
@@ -816,7 +714,7 @@ def _with_room(buf: np.ndarray, used: int, extra: int, fill) -> np.ndarray:
 
 
 class _Pass:
-    """The rows of one batch stepped in lockstep on one blank.
+    """The rows of one batch stepped in lockstep on one blank, and what they credit.
 
     A row is a family whose unread entries (code 4n + 2) the run has not
     read yet: every machine alike in its read entries, or, with members,
@@ -828,6 +726,16 @@ class _Pass:
     parent's. The live rows are the columns of one int64 array, live (see
     _ST2 above); only they are stepped, and one keep-mask filters them on
     the steps where some row stops.
+
+    Every run a stopped row stands for is credited to sink once per image
+    in images, from the row's weights, never from its digits. A halted row
+    credits its machines to each image string, with the least image of its
+    machines (_image_producers) as producer; a member row's producer is
+    its first member, the smallest. Its span waits in pending until pack,
+    which runs before the tape moves, and emit adds the packed strings to
+    sink. A row that stops without halting is credited where it stops
+    (credit): its no-halt machines to no_halt_rule and the rest to its
+    bucket, blank_escape or step_limited.
     """
 
     def __init__(self, spec: SpaceSpec, ords: np.ndarray, weights: np.ndarray, blank: int,
@@ -836,8 +744,9 @@ class _Pass:
         self.n, self.blank, self.max_steps = n, blank, spec.max_steps
         self.write_of, self.delta_of, self.next2_of = _action_tables(n)
         self.pow2 = np.int64(1) << np.arange(2 * n)
-        self.members = members
-        self.outputs = _Outputs(sink, n, images, members)
+        self.images, self.sink, self.members = images, sink, members
+        self.pending = []  # (lo, hi, used, row) spans into the current tape
+        self.packed = []  # (length, value, used_rules, machines, producers)
         self.half = min(16, spec.max_steps)
         count = ords.shape[0]
         self.ords = np.ascontiguousarray(ords)
@@ -868,15 +777,91 @@ class _Pass:
             # a copy that only drops rows saves memory, and under a megabyte
             # of tape not enough to pay for the copy and the pack
             if grow or self.live.shape[1] < self.rows // 2 and self.tape.nbytes > 1 << 20:
-                self.outputs.pack(self.tape.reshape(-1), self.ords, self.weights)
+                self.pack()
                 if grow:
                     self.half = min(2 * self.half, self.max_steps)
                 self.compact(2 * self.half + 1)
             if _FIRST_SNAPSHOT <= step < self.max_steps and step & (step - 1) == 0:
                 self.snapshot()
-        self.outputs.pack(self.tape.reshape(-1), self.ords, self.weights)
-        self.outputs.non_halting(self.weights, self.live[_ORD] // (2 * self.n), "step_limited")
-        self.outputs.emit()
+        self.pack()
+        self.credit(self.live[_ORD] // (2 * self.n), "step_limited")
+        self.emit()
+
+    def credit(self, rows, bucket: str) -> None:
+        """Credit rows that stopped without halting to no_halt_rule and to bucket.
+
+        settle calls it on every step where some row stops, and on about half
+        of them no row stops this way: those calls return at once.
+        """
+        if not rows.size:
+            return
+        machines, no_halt = self.weights.take(rows, axis=0).sum(axis=0).tolist()
+        census, k = self.sink.census, len(self.images)
+        census.no_halt_rule += k * no_halt
+        setattr(census, bucket, getattr(census, bucket) + k * (machines - no_halt))
+
+    def pack(self) -> None:
+        """Count the pending halted rows, and pack their spans of the current
+        tape into (length, value) pairs for emit; a span too wide to pack, or
+        too near the end of the tape, is added to sink at once."""
+        if not self.pending:
+            return
+        lo, hi, used, row = (np.concatenate(a) for a in zip(*self.pending))
+        self.pending = []
+        tape = self.tape.reshape(-1)
+        machines = self.weights[row, 0]
+        if self.members is None:
+            digits = self.ords[row]
+        else:  # the row's first member, its smallest
+            digits = self.members.codes[self.members.perm[self.members.seg[row, 0]]]
+        producers = np.stack([_image_producers(digits, self.n, *image) for image in self.images])
+        self.sink.census.halted += len(self.images) * int(machines.sum())
+        lengths = hi - lo + 1
+        used_rules = np.bitwise_count(used).astype(np.int64)
+        # cells read per output: a whole number of bytes, at most 64 bits
+        span = min(-(-int(lengths.max(initial=1)) // 8) * 8, 64)
+        narrow = (lengths <= span) & (lo <= tape.size - span)
+        if not narrow.all():
+            # Rare wide outputs (only reachable with very large cutoffs), and
+            # outputs too near the end of the tape array for a run of span
+            # cells: build the strings row by row, and pack the rest.
+            for r in np.nonzero(~narrow)[0]:
+                s = "".join("1" if c else "0" for c in tape[lo[r]:hi[r] + 1])
+                for image, producer in zip(self.images, producers[:, r]):
+                    self.sink.add(_image_string(s, *image), int(machines[r]),
+                                  int(used_rules[r]), int(producer))
+            lo, hi, lengths = lo[narrow], hi[narrow], lengths[narrow]
+            used_rules, machines = used_rules[narrow], machines[narrow]
+            producers = producers[:, narrow]
+        if lo.size:
+            # each output and the cells after it, as the high bits of a 64-bit word
+            cells = _runs(tape, span)[lo].view(np.uint8)
+            word = np.zeros((lo.size, 8), np.uint8)
+            word[:, :span // 8] = np.packbits(cells).reshape(lo.size, -1)
+            value = word.view(">u8")[:, 0] >> (64 - lengths).astype(np.uint64)
+            self.packed.append((lengths, value.astype(np.uint64), used_rules, machines, producers))
+
+    def emit(self) -> None:
+        """Add the packed strings to sink, one group per string and image."""
+        if not self.packed:
+            return
+        lengths, value, used_rules, machines, producers = (
+            np.concatenate(a, axis=-1) for a in zip(*self.packed)
+        )
+        order = np.lexsort((value, lengths))
+        s_len = lengths[order]
+        s_val = value[order]
+        boundary = np.empty(order.size, bool)
+        boundary[0] = True
+        boundary[1:] = (s_val[1:] != s_val[:-1]) | (s_len[1:] != s_len[:-1])
+        starts = np.nonzero(boundary)[0]
+        group_counts = np.add.reduceat(machines[order], starts).tolist()
+        group_used = np.minimum.reduceat(used_rules[order], starts).tolist()
+        group_prod = [np.minimum.reduceat(p[order], starts).tolist() for p in producers]
+        for k, start in enumerate(starts.tolist()):
+            s = np.binary_repr(int(s_val[start]), width=int(s_len[start]))
+            for image, prod in zip(self.images, group_prod):
+                self.sink.add(_image_string(s, *image), group_counts[k], group_used[k], prod[k])
 
     def advance(self, live):
         """One step of the given rows, in place: their action codes (intp), read
@@ -980,11 +965,12 @@ class _Pass:
     def settle(self, live, o, slot, stop):
         """The live rows after sorting out the ones that stop (judge).
 
-        Halted, escaped and looped (code 4n + 3) rows become outputs. A row
-        that read an unread entry is replaced, at the same step, by its
-        children (spawn), which then take the step from the slot it read
-        (slot is None where no row reads one). A row whose escape depends on
-        unread entries is decided by expanding them (decide).
+        Escaped and looped (code 4n + 3) rows are credited here, and halted
+        rows wait in pending for pack. A row that read an unread entry is
+        replaced, at the same step, by its children (spawn), which then take
+        the step from the slot it read (slot is None where no row reads one).
+        A row whose escape depends on unread entries is decided by expanding
+        them (decide).
         """
         if not stop.any():
             return live
@@ -993,11 +979,11 @@ class _Pass:
         oi = o[idx]
         halted = idx[(oi >= 4 * self.n) & (oi < marker)]
         lo, hi, used, ordoff = (live[row][halted] for row in (_LO, _HI, _USED, _ORD))
-        self.outputs.pending.append((lo, hi, used, ordoff // two_n))
-        self.outputs.looped.append(live[_ORD][idx[oi > marker]] // two_n)
+        self.pending.append((lo, hi, used, ordoff // two_n))
+        self.credit(live[_ORD][idx[oi > marker]] // two_n, "step_limited")
         moved = idx[oi < 4 * self.n]
         sure = ((live[_ESCW][moved] >> o[moved]) & 1).astype(bool)
-        self.outputs.escaped.append(live[_ORD][moved[sure]] // two_n)
+        self.credit(live[_ORD][moved[sure]] // two_n, "blank_escape")
         parts = [live.compress(~stop, axis=1)]
         read = idx[oi == marker]
         if read.size:
@@ -1064,7 +1050,8 @@ class _Pass:
             # a child whose machines all lack a halting entry has neither an
             # unread nor a halting entry: it is a machine without a halting rule
             can_halt = weights[:, :, 1] != weights[:, :, 0]
-            self.outputs.no_halt_rule(int(weights[:, :, 0][~can_halt].sum()))
+            no_halt = int(weights[:, :, 0][~can_halt].sum())
+            self.sink.census.no_halt_rule += len(self.images) * no_halt
             src, codes = np.nonzero(can_halt)
             weights = weights[can_halt]
         else:
@@ -1263,8 +1250,7 @@ def _subtree_rows(n: int) -> np.ndarray:
 def _family_groups(n: int):
     """The passes of run_space, in order: the subtree rows (_subtree_rows)
     as one pass in a space below _POOL_MIN_SIZE machines, one pass per row
-    in the others. So (3,2) is one pass of 30 rows, and (4,2) 38 passes,
-    (5,2) 46 and (6,2) 54.
+    in the others. So (3,2) is one pass of 30 rows, and (4,2) 38 passes.
     """
     rows = _subtree_rows(n)
     if space_size(n) < _POOL_MIN_SIZE:
@@ -1301,11 +1287,8 @@ def _run_groups(spec: SpaceSpec, groups, sink: FrequencyTable) -> None:
     images = _ORBIT_IMAGES[spec.blank_mode]
     for ords in groups:
         weights = _weights(ords, spec.n)
-        can_halt = weights[:, 1] != weights[:, 0]
         sink.census.total_runs += len(images) * int(weights[:, 0].sum())
-        sink.census.no_halt_rule += len(images) * int(weights[~can_halt, 0].sum())
-        if can_halt.any():
-            _Pass(spec, ords[can_halt], weights[can_halt], 0, images, sink).run()
+        _Pass(spec, ords, weights, 0, images, sink).run()
 
 
 def _run_group(job) -> FrequencyTable:
@@ -1378,11 +1361,17 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
     processes, each of which takes the next pass when it is free, and
     merged as the passes finish. No job splits a subtree row, so every
     worker count steps the same rows, and the result is byte-identical for
-    every worker count.
+    every worker count. It runs n <= 4 only (run_index_array takes index
+    sets up to n = 6).
     """
     require_int("workers", workers)
     if workers < 1:
         raise ValidationError("workers must be >= 1")
+    if spec.n > 4:
+        raise ValidationError(
+            f"run_space runs n <= 4, got n={spec.n}: one (5,2) pass at cutoff 30 "
+            "took 3.9 GB, and n >= 5 is not planned"
+        )
     table = empty_table(spec, ((0, spec.size),))
     groups = _family_groups(spec.n)
     if workers == 1 or len(groups) == 1:

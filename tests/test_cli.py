@@ -43,6 +43,17 @@ def test_run_space_requires_out(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_space_refuses_five_states_with_one_error_line(tmp_path, capsys):
+    # one (5,2) pass at cutoff 30 took 3.9 GB: the run is refused before it
+    # starts, with one line and no file
+    out = tmp_path / "d5.ctm"
+    assert main(["run-space", "--states", "5", "--max-steps", "30", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ctm-lab: error: ") and err.count("\n") == 1
+    assert "n <= 4" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_table_merge(small_tables, tmp_path):
     d1, d2 = small_tables
     out = tmp_path / "merged.ctm"

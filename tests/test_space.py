@@ -99,6 +99,20 @@ def test_default_cutoffs_follow_busy_beaver_bounds():
         SpaceSpec(5)
 
 
+def test_run_space_refuses_more_than_four_states(monkeypatch):
+    # One (5,2) pass at cutoff 30 took 3.9 GB: run_space refuses n > 4
+    # before it plans a pass or allocates a table, on every worker count.
+    def allocate(*args):
+        raise AssertionError("run_space went past its range check")
+
+    monkeypatch.setattr(space, "_family_groups", allocate)
+    monkeypatch.setattr(space, "empty_table", allocate)
+    for n in (5, 6):
+        for workers in (1, 2):
+            with pytest.raises(ValidationError, match="n <= 4"):
+                run_space(SpaceSpec(n, max_steps=30), workers=workers)
+
+
 # --- independent oracle for the full (1,2) space
 
 _ACTIONS_1 = [
@@ -913,11 +927,13 @@ def test_halted_outputs_pack_narrow_and_wide_spans():
     hi = lo + np.array([0, 2, 63, 64, 99, 2, 2])
     idx = np.array([2100, 2345, 3456, 3000, 2999, 3999, 2222], np.uint64)
     sink = space.empty_table(SpaceSpec(2))
-    outputs = space._Outputs(sink, 2, ((False, False), (True, False)))
-    outputs.pending.append((lo, hi, np.full(7, 3, np.uint16), np.arange(7)))
     digits = _digits(idx, 2)
-    outputs.pack(tape, digits, space._weights(digits, 2))
-    outputs.emit()
+    images = ((False, False), (True, False))
+    pass_ = space._Pass(SpaceSpec(2), digits, space._weights(digits, 2), 0, images, sink)
+    pass_.tape = tape.reshape(1, -1)  # one tape row that holds every span
+    pass_.pending.append((lo, hi, np.full(7, 3, np.uint16), np.arange(7)))
+    pass_.pack()
+    pass_.emit()
     expected, first = {}, {}
     for index, a, b in zip(idx.tolist(), lo, hi):
         s = "".join(map(str, tape[a:b + 1]))
@@ -927,42 +943,40 @@ def test_halted_outputs_pack_narrow_and_wide_spans():
             first[string] = min(first.get(string, producer), producer)
     assert sink.counts == expected
     assert sink.first_producer == first
+    assert sink.census.halted == 14
     assert {len(s) for s in sink.counts} == {1, 3, 64, 65, 100}
     assert set(sink.min_used_rules.values()) == {2}  # bit count of the used mask 3
 
 
 def test_credited_rows_carry_the_weights_of_their_digits(monkeypatch, d3_both_freq):
     # A pass carries each row's machines and no-halt machines from parent to
-    # child. Every row credited must carry what its digits give (_weights),
-    # or, for members, its segment size and 0.
-    pack, non_halting = space._Outputs.pack, space._Outputs.non_halting
-    last, checked = [], []
+    # child. Every row credited, where it stops (credit) or when its halted
+    # span is packed (pack), must carry what its digits give (_weights), or,
+    # for members, its segment size and 0.
+    credit, pack = space._Pass.credit, space._Pass.pack
+    checked, buckets = [], set()
 
-    def check(outputs, ords, weights, rows):
-        if outputs.members is None:
-            digits = ords[rows]
-            expected = space._weights(digits, outputs.n)
+    def check(pass_, rows):
+        if pass_.members is None:
+            expected = space._weights(pass_.ords[rows], pass_.n)
         else:
-            lo, hi = outputs.members.seg[rows].T
+            lo, hi = pass_.members.seg[rows].T
             expected = np.stack((hi - lo, np.zeros_like(lo)), axis=1)
-        assert weights[rows].tolist() == expected.tolist()
+        assert pass_.weights[rows].tolist() == expected.tolist()
         checked.append(rows.size)
 
-    def spy_pack(outputs, tape, ords, weights):
-        last[:] = ords, weights
-        rows = [p[3] for p in outputs.pending] + outputs.escaped + outputs.looped
-        if rows:
-            check(outputs, ords, weights, np.concatenate(rows))
-        pack(outputs, tape, ords, weights)
+    def spy_credit(pass_, rows, bucket):
+        check(pass_, rows)
+        buckets.add(bucket)
+        credit(pass_, rows, bucket)
 
-    def spy_non_halting(outputs, weights, rows, bucket):
-        ords, seen = last
-        assert seen is weights  # the pass packs right before its last credit
-        check(outputs, ords, weights, rows)
-        non_halting(outputs, weights, rows, bucket)
+    def spy_pack(pass_):
+        if pass_.pending:
+            check(pass_, np.concatenate([span[3] for span in pass_.pending]))
+        pack(pass_)
 
-    monkeypatch.setattr(space._Outputs, "pack", spy_pack)
-    monkeypatch.setattr(space._Outputs, "non_halting", spy_non_halting)
+    monkeypatch.setattr(space._Pass, "credit", spy_credit)
+    monkeypatch.setattr(space._Pass, "pack", spy_pack)
     d3 = run_space(SpaceSpec(3, blank_mode="both"))
     assert d3.canonical_bytes() == d3_both_freq.canonical_bytes()
     runs = [sum(checked)]
@@ -972,6 +986,21 @@ def test_credited_rows_carry_the_weights_of_their_digits(monkeypatch, d3_both_fr
     run_index_array(SpaceSpec(3, blank_mode="both"), np.arange(5, space_size(3), 997))
     runs.append(sum(checked) - sum(runs))
     assert min(runs) > 0
+    assert buckets == {"blank_escape", "step_limited"}
+
+
+@pytest.mark.parametrize("mode", ["zero", "both"])
+def test_rows_that_cannot_halt_are_credited_to_no_halt_rule_by_their_pass(mode):
+    # Fully fixed rows of step codes only (below 4n = 12) cannot halt. Their
+    # pass steps them like any other row, and credits each row's machines,
+    # its namings included (top digit 4 steps to state 2: 2 namings), to
+    # no_halt_rule once per image; no string is counted.
+    spec = SpaceSpec(3, blank_mode=mode)
+    rows = [[3, 0, 1, 2, 5, 7], [4, 11, 0, 6, 8, 2], [9, 1, 1, 1, 1, 1], [10, 3, 4, 10, 5, 0]]
+    sink = _run_rows(spec, rows)
+    runs = len(space._ORBIT_IMAGES[mode]) * (1 + 2 + 1 + 2)
+    assert sink.census == space.Census(total_runs=runs, no_halt_rule=runs)
+    assert sink.counts == {}
 
 
 def test_escape_closure_checks_the_whole_walk():

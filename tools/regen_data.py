@@ -6,8 +6,8 @@
 
 Everything here is deterministic, so reruns must reproduce the committed
 files byte for byte. Runs from a source checkout without installing: the
-package is imported from src/. Takes about half a second on two cores
-(0.4-0.6 s for --check, about 0.06 s of it the two full (3,2)
+package is imported from src/. Takes about a quarter of a second on two
+cores (0.21-0.25 s for --check, about 0.03 s of it the two full (3,2)
 enumerations, which step machine families rather than single machines;
 see ctm_lab.space).
 """
