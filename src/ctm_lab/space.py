@@ -69,16 +69,17 @@ of _BATCH = 2^20 indices is decoded 2^16 at a time (_DECODE_CHUNK), so
 the decode's temporaries do not grow with it, and one lookup per chunk
 of digits drops the machines without a halting entry before their codes
 are gathered (_decode). The others are the batch's members (_Members):
-each keeps only its 2n action codes and its int32 place in the
-permutation, 12 bytes at n = 4, and a producer's index is read back
-from its codes. As run_space starts from the entries its runs read
-first, a pass on blank b starts with one row per code of the (1,b)
-entry, read at step 1, whose members are those that hold it, in index
-order (_member_rows). A row that reads an unread entry splits its
-members stably by their codes there, one child per code that occurs. A
-row's weights are its member count and 0 no-halt machines; a finished
-row credits its members to its bucket, and a halted one its first
-(smallest) member as producer.
+each keeps only its 2n action codes, 8 bytes at n = 4, and a producer's
+index is read back from its codes. As run_space starts from the entries
+its runs read first, a pass on blank b starts with one row per code of
+the (1,b) entry, read at step 1, whose members are those that hold it,
+in index order (_member_rows). A row that reads an unread entry splits
+its members stably by their codes there, one child per code that
+occurs, and reorders their code rows in place. A row of one member is
+that machine: it takes the member's codes whole, so it never reads an
+unread entry again and never splits. A row's weights are its member
+count and 0 no-halt machines; a finished row credits its members to its
+bucket, and a halted one its first (smallest) member as producer.
 
 Cycles. Most runs that reach the cutoff repeat themselves within a few
 steps, in place or shifted along the tape (Lin & Rado's translated
@@ -156,8 +157,8 @@ _TABLE_SIZE = 1 << 17
 # at a time. Larger batches pay the per-step overhead fewer times and let
 # machines of more indices share rows. The seed-0 census-d4-sample
 # (4,194,884 indices, cutoff 107), run in one process on a 2-core x86-64
-# box, medians of five: 2^19 took 0.66 s at 90 MB peak RSS, 2^20 0.57 s at
-# 96 MB, 2^21 0.54 s at 113 MB (the process, its 34 MB index array
+# box, medians of seven: 2^19 took 0.37 s at 78 MB peak RSS, 2^20 0.34 s at
+# 87 MB, 2^21 0.31 s at 101 MB (the process, its 34 MB index array
 # included).
 _BATCH = 1 << 20
 _DECODE_CHUNK = 1 << 16
@@ -635,30 +636,29 @@ def _weights(digits: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Members:
-    """The machines of an index batch, as segments of member ids per pass row.
+    """The machines of an index batch, as segments of code rows per pass row.
 
-    Members are the batch's machines that can halt, in index order; codes
-    holds their rows of action codes (uint8), and nothing else is kept per
-    member but the int32 perm: 2n + 4 bytes, 12 at n = 4. Pass row r stands
-    for the members perm[seg[r, 0]:seg[r, 1]]; a pass on blank b starts
-    with one row per code of the (1,b) entry that members hold
-    (_member_rows). Every segment starts, and every split keeps it, in
-    index order, so a segment always lists its smallest member first.
+    Members are the batch's machines that can halt; codes holds their rows
+    of action codes (uint8), and nothing else is kept per member: 2n bytes,
+    8 at n = 4. Pass row r stands for the members codes[seg[r, 0]:seg[r, 1]];
+    a pass on blank b starts with one row per code of the (1,b) entry that
+    members hold (_member_rows). Every segment starts, and every split keeps
+    it, in index order, so a segment always lists its smallest member first.
     """
 
-    def __init__(self, codes: np.ndarray, perm: np.ndarray, seg: np.ndarray):
+    def __init__(self, codes: np.ndarray, seg: np.ndarray):
         self.codes = codes
-        self.perm = perm
         self.seg = seg
 
     def split(self, rows, slots):
         """Split each row's segment stably by its members' codes at the row's slot.
 
         Returns, for each code that occurs, one child: its row's position in
-        rows, the code and its segment. Positions, member ids and the flat
-        code offsets that the gathers index with are int32.
-        The sort key is (row, code) in the narrowest type that holds it;
-        numpy sorts 8- and 16-bit keys by radix. Past 16 bits the key is
+        rows, the code and its segment. The segment's code rows are reordered
+        in place, as one V{2n} item each, so that each child's are contiguous.
+        Positions and the flat code offsets that the gathers index with are
+        int32. The sort key is (row, code) in the narrowest type that holds
+        it; numpy sorts 8- and 16-bit keys by radix. Past 16 bits the key is
         int32, which holds every key: a row has a member, so rows.size <=
         _BATCH = 2^20, and 2^20 * (4n + 2) < 2^31 up to _MAX_STATES.
         """
@@ -668,8 +668,7 @@ class _Members:
         sizes = hi - lo
         pos = np.repeat((lo - np.cumsum(sizes) + sizes).astype(np.int32), sizes)
         pos += np.arange(pos.size, dtype=np.int32)
-        ids = self.perm[pos]
-        flat = ids * width
+        flat = pos * width
         flat += np.repeat(slots.astype(np.int32), sizes)
         top = rows.size * b
         dtype = np.uint8 if top <= 1 << 8 else np.uint16 if top <= 1 << 16 else np.int32
@@ -678,7 +677,8 @@ class _Members:
         del flat
         order = np.argsort(key, kind="stable")
         key = key.take(order)
-        self.perm.put(pos, ids.take(order))
+        items = self.codes.view(f"V{width}")[:, 0]
+        items.put(pos, items.take(pos.take(order)))
         ends = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1, [key.size]))
         first = ends[:-1]
         seg = np.stack((pos[first], pos[ends[1:] - 1] + 1), axis=1)
@@ -812,8 +812,8 @@ class _Pass:
         machines = self.weights[row, 0]
         if self.members is None:
             digits = self.ords[row]
-        else:  # the row's first member, its smallest
-            digits = self.members.codes[self.members.perm[self.members.seg[row, 0]]]
+        else:  # the first code row of its segment, its smallest member
+            digits = self.members.codes[self.members.seg[row, 0]]
         producers = np.stack([_image_producers(digits, self.n, *image) for image in self.images])
         self.sink.census.halted += len(self.images) * int(machines.sum())
         lengths = hi - lo + 1
@@ -911,8 +911,8 @@ class _Pass:
             # The snapshot columns are appended here, not allocated with the
             # others: the early steps hold the most live rows, and carrying
             # them from step 1 raised a (4,2) batch of 2^20 strided indices
-            # from 17.27 to 20.36 bytes per index (numpy 2.4), over the
-            # bound of test_index_batches_hold_a_bounded_number_of_bytes_per_index.
+            # from 16.23 to 17.65 bytes per index (numpy 2.4), near the
+            # bound of 18 of test_index_batches_hold_a_bounded_number_of_bytes_per_index.
             extra = np.empty((_SNAP_ST2 + 1 - _XLO, self.live.shape[1]), np.int64)
             self.live = np.concatenate((self.live, extra))
         live = self.live
@@ -1032,11 +1032,12 @@ class _Pass:
         its parent's by one division each; those that cannot halt (no-halt
         machines equal to machines) are counted to no_halt_rule at once. A
         row of members has a child for each code its members hold there
-        (_Members.split), weighing its segment. A child has run exactly as
-        its parent, so it keeps the parent's snapshot and excursion, and its
-        escape word unless the slot is read on the blank, when it takes one
-        gather (_escape_words). Returns the children, and each one's index
-        into parents.
+        (_Members.split), weighing its segment; a child of one member takes
+        that member's codes whole, so it has no unread entry left. A child
+        has run exactly as its parent, so it keeps the parent's snapshot and
+        excursion, and its escape word unless the slot is read on the blank
+        or it has one member, when it takes one gather (_escape_words).
+        Returns the children, and each one's index into parents.
         """
         n, b = self.n, 4 * self.n + 2
         rows = live[_ORD][parents] // (2 * n)
@@ -1060,6 +1061,13 @@ class _Pass:
             weights[:, 0] = seg[:, 1] - seg[:, 0]
         digits = self.ords[rows[src]]
         digits[np.arange(src.size), slots[src]] = codes
+        # the escape word depends only on the blank-read entries
+        redo = slots[src] % 2 == self.blank
+        if self.members is not None:
+            # a child of one member is that machine: it has no unread entry
+            single = weights[:, 0] == 1
+            digits[single] = self.members.codes[seg[single, 0]]
+            redo |= single
         children = live.take(parents[src], axis=1)
         rep = rows[src]
         new = np.arange(self.rows, self.rows + src.size)
@@ -1075,10 +1083,8 @@ class _Pass:
         self.weights[new] = weights
         self.move(children, (new - rep) * self.tape.shape[1])
         children[_ORD] = new * (2 * n)
-        # the escape word depends only on the blank-read entries
-        blank_read = slots[src] % 2 == self.blank
-        if blank_read.any():
-            children[_ESCW][blank_read] = _escape_words(digits[blank_read], n, self.blank)
+        if redo.any():
+            children[_ESCW][redo] = _escape_words(digits[redo], n, self.blank)
         return children, src
 
     @staticmethod
@@ -1177,23 +1183,24 @@ def _member_rows(codes: np.ndarray, blank: int):
     the members hold is one row, which fixes that slot and leaves every
     other entry unread, and stands for the members that hold the code, in
     index order. On blank 0 that entry is the top digit, which index order
-    already sorts, so the segments are the runs of its column; on blank 1
-    one stable sort of the (1,1) column orders them.
+    already sorts, so the segments are the runs of its column, and the
+    members are codes itself; on blank 1 one stable sort of the (1,1)
+    column orders a copy of codes. A row of one member takes that member's
+    codes whole, as a child of one member does (_Pass.spawn).
     """
     n = codes.shape[1] // 2
-    column = codes[:, blank]
     if blank:
-        perm = np.argsort(column, kind="stable").astype(np.int32)
-        column = column[perm]
-    else:
-        perm = np.arange(column.size, dtype=np.int32)
+        codes = codes[np.argsort(codes[:, blank], kind="stable")]
+    column = codes[:, blank]
     first = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
     seg = np.stack((first, np.append(first[1:], column.size)), axis=1)
     ords = np.full((first.size, 2 * n), 4 * n + 2, np.uint8)
     ords[:, blank] = column[first]
     weights = np.zeros((first.size, 2), np.int64)
     weights[:, 0] = seg[:, 1] - seg[:, 0]
-    return ords, weights, _Members(codes, perm, seg)
+    single = weights[:, 0] == 1  # a row of one member is that machine
+    ords[single] = codes[first[single]]
+    return ords, weights, _Members(codes, seg)
 
 
 def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
@@ -1207,15 +1214,18 @@ def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
     (_member_rows), which split as their runs read further entries.
     """
     n = spec.n
-    # decoded once and shared by every blank
     codes = np.concatenate([_decode(idx[i:i + _DECODE_CHUNK], n)
                             for i in range(0, idx.size, _DECODE_CHUNK)])
     count = codes.shape[0]
+    # decoded once: blank 0's pass reorders these codes in place, so blank 1
+    # takes its sorted copy (_member_rows) before that pass starts
+    starts = {blank: _member_rows(codes, blank) for blank in spec.blanks[::-1]} if count else {}
+    del codes
     for blank in spec.blanks:
         sink.census.total_runs += idx.size
         sink.census.no_halt_rule += idx.size - count
         if count:
-            ords, weights, members = _member_rows(codes, blank)
+            ords, weights, members = starts.pop(blank)
             # an index set is not reduced by symmetry: its one image is the run itself
             _Pass(spec, ords, weights, blank, ((False, False),), sink, members).run()
 

@@ -322,7 +322,7 @@ def test_engine_retires_exactly_the_runs_simulate_proves_cyclic(
             rows = super().looped(live, stop)
             members = self.members
             for lo, hi in members.seg[live[space._ORD][rows] // (2 * self.n)]:
-                runs = _index(members.codes[members.perm[lo:hi]], n)
+                runs = _index(members.codes[lo:hi], n)
                 retired.extend((int(i), self.blank, self.steps) for i in runs)
             return rows
 
@@ -505,7 +505,7 @@ def test_member_passes_start_from_their_first_read_entry(monkeypatch, n):
 
     class Spy(space._Pass):
         def __init__(self, spec, ords, weights, blank, images, sink, members=None):
-            segments = [_index(members.codes[members.perm[lo:hi]], n).tolist()
+            segments = [_index(members.codes[lo:hi], n).tolist()
                         for lo, hi in members.seg.tolist()]
             starts.append((blank, ords.tolist(), weights.tolist(), segments))
             super().__init__(spec, ords, weights, blank, images, sink, members)
@@ -531,6 +531,47 @@ def test_member_passes_start_from_their_first_read_entry(monkeypatch, n):
             assert row == [code if slot == blank else marker for slot in range(2 * n)]
             assert members == expected[code]  # in index order
             assert weight == [len(members), 0]
+
+
+@pytest.mark.parametrize("n, stride", [(3, 997), (4, 2_200_003), (4, 400_000_003)])
+@pytest.mark.parametrize("mode", ["zero", "both"])
+def test_member_rows_of_one_machine_are_that_machine(monkeypatch, n, stride, mode):
+    # A member row whose segment holds one member, born in a split or, as in
+    # the 28-index set, at the start of a pass, takes that member's codes
+    # whole: it has no unread entry, its escape word is that of its codes,
+    # and so it never reads an unread entry again, never splits and is never
+    # a spawn parent.
+    marker = 4 * n + 2
+    singles = []
+
+    def check(pass_, rows, words):
+        lo, hi = pass_.members.seg[rows].T
+        one = hi - lo == 1
+        ords = pass_.ords[rows[one]]
+        assert (ords != marker).all()
+        assert ords.tolist() == pass_.members.codes[lo[one]].tolist()
+        expected = space._escape_words(ords, n, pass_.blank)
+        assert words[one].tolist() == expected.tolist()
+        singles.append(int(one.sum()))
+
+    class Spy(space._Pass):
+        def __init__(self, *args):
+            super().__init__(*args)
+            check(self, np.arange(self.rows), self.live[space._ESCW])
+
+        def spawn(self, live, parents, slots):
+            lo, hi = self.members.seg[live[space._ORD][parents] // (2 * n)].T
+            assert (hi - lo > 1).all()
+            children, src = super().spawn(live, parents, slots)
+            check(self, children[space._ORD] // (2 * n), children[space._ESCW])
+            return children, src
+
+    monkeypatch.setattr(space, "_Pass", Spy)
+    indices = np.arange(stride // 3, space_size(n), stride, dtype=np.uint64)
+    spec = SpaceSpec(n, blank_mode=mode)
+    vector = run_index_array(spec, indices)
+    assert sum(singles) > 0
+    assert vector.canonical_bytes() == run_index_array(spec, indices, engine="scalar").canonical_bytes()
 
 
 def test_lookup_tables_are_read_only():
@@ -688,15 +729,11 @@ def test_results_do_not_depend_on_batch_size(monkeypatch):
 
 def test_index_batches_hold_a_bounded_number_of_bytes_per_index():
     # numpy reports its buffers to tracemalloc, so unlike RSS the peak is
-    # deterministic. One (4,2) batch of 2^20 strided indices peaks at 17.27
-    # bytes per index above the index array (numpy 2.4): 12 per member that
-    # can halt (56% of them), the pass's rows, the intp codes of the step
-    # being settled (17.13 with uint8 codes) and the temporaries of the
-    # split that sorts the 354,245 members of 12 rows. Gathers through take,
-    # which casts the int32 member positions to an intp copy, peak at the
-    # same figure, since no split holds every member; members that also hold
-    # their int64 index, with an int64 perm and a decode of the whole batch
-    # at once, peak at 33.2.
+    # deterministic. One (4,2) batch of 2^20 strided indices peaks at 16.23
+    # bytes per index above the index array (numpy 2.4), in the first split,
+    # which sorts the 354,245 members of 12 rows: before it, 8 bytes per
+    # member that can halt (56% of them) and the pass's rows hold 5.09, and
+    # the split's positions, sort order and gathered code rows the rest.
     spec = SpaceSpec(4, max_steps=107)
     indices = np.arange(1 << 20, dtype=np.int64) * (spec.size >> 20)
     tracemalloc.start()  # after the index array, so it is not counted
