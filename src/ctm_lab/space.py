@@ -98,8 +98,8 @@ the step they are born in, like every row that takes a step.
 machine.simulate implements the rule independently, and tests check each
 retirement by it. On the seed-0 census-d4-sample (4,194,884 runs at
 cutoff 107) this retires 285,215 of the 287,122 step-limited runs. The
-rows stepped (summed over the steps) fall from 6,483,006 to 770,592, plus
-163,221 children stepped when born; one decoded row per machine stepped
+rows stepped (summed over the steps) fall from 6,483,006 to 770,609, plus
+123,215 children stepped when born; one decoded row per machine stepped
 34,986,985 rows without the check and 7,803,652 with it.
 
 The step loop touches only live rows: state, head, visited bounds,
@@ -656,15 +656,18 @@ class _Members:
         Returns, for each code that occurs, one child: its row's position in
         rows, the code and its segment. The segment's code rows are reordered
         in place, as one V{2n} item each, so that each child's are contiguous.
-        Positions and the flat code offsets that the gathers index with are
-        int32. The sort key is (row, code) in the narrowest type that holds
-        it; numpy sorts 8- and 16-bit keys by radix. Past 16 bits the key is
-        int32, which holds every key: a row has a member, so rows.size <=
-        _BATCH = 2^20, and 2^20 * (4n + 2) < 2^31 up to _MAX_STATES.
+        The members' positions and flat code offsets are int32: the gather
+        of their codes at the slot, the gather of their V{2n} items in sort
+        order and the write back index with them; the gathers of the rows'
+        segments and of the positions in sort order index with intp. The
+        sort key is (row, code) in the narrowest type that holds it; numpy
+        sorts 8- and 16-bit keys by radix. Past 16 bits the key is int32,
+        which holds every key: a row has a member, so rows.size <= _BATCH =
+        2^20, and 2^20 * (4n + 2) < 2^31 up to _MAX_STATES.
         """
         width = self.codes.shape[1]
         b = width * 2 + 2  # 4n + 2 codes
-        lo, hi = self.seg[rows].T
+        lo, hi = self.seg.take(rows, axis=0).T
         sizes = hi - lo
         pos = np.repeat((lo - np.cumsum(sizes) + sizes).astype(np.int32), sizes)
         pos += np.arange(pos.size, dtype=np.int32)
@@ -673,12 +676,12 @@ class _Members:
         top = rows.size * b
         dtype = np.uint8 if top <= 1 << 8 else np.uint16 if top <= 1 << 16 else np.int32
         key = np.repeat(np.arange(0, top, b, dtype=dtype), sizes)
-        key += self.codes.reshape(-1)[flat]
+        key += self.codes.reshape(-1).take(flat)
         del flat
         order = np.argsort(key, kind="stable")
         key = key.take(order)
         items = self.codes.view(f"V{width}")[:, 0]
-        items.put(pos, items.take(pos.take(order)))
+        items[pos] = items.take(pos.take(order))
         ends = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1, [key.size]))
         first = ends[:-1]
         seg = np.stack((pos[first], pos[ends[1:] - 1] + 1), axis=1)
@@ -809,11 +812,11 @@ class _Pass:
         lo, hi, used, row = (np.concatenate(a) for a in zip(*self.pending))
         self.pending = []
         tape = self.tape.reshape(-1)
-        machines = self.weights[row, 0]
+        machines = self.weights[:, 0].take(row)
         if self.members is None:
-            digits = self.ords[row]
+            digits = self.ords.take(row, axis=0)
         else:  # the first code row of its segment, its smallest member
-            digits = self.members.codes[self.members.seg[row, 0]]
+            digits = self.members.codes.take(self.members.seg[:, 0].take(row), axis=0)
         producers = np.stack([_image_producers(digits, self.n, *image) for image in self.images])
         self.sink.census.halted += len(self.images) * int(machines.sum())
         lengths = hi - lo + 1
@@ -1013,13 +1016,12 @@ class _Pass:
 
     def walk_slot(self, live):
         """The first unread blank-read entry on each row's walk from its state."""
-        n = self.n
-        rows = live[_ORD] // (2 * n)
+        n, ords = self.n, self.ords.reshape(-1)
         cur = live[_ST2] // 2
-        found = np.full(rows.size, -1, np.intp)
+        found = np.full(cur.size, -1, np.intp)
         for _ in range(n):
             slot = 2 * cur + self.blank
-            code = self.ords[rows, slot]
+            code = ords.take(live[_ORD] + slot)
             hit = (found < 0) & (code == 4 * n + 2)
             found[hit] = slot[hit]
             cur = np.where(found < 0, code % n, cur)
@@ -1040,47 +1042,53 @@ class _Pass:
         Returns the children, and each one's index into parents.
         """
         n, b = self.n, 4 * self.n + 2
-        rows = live[_ORD][parents] // (2 * n)
+        rows = live[_ORD].take(parents) // (2 * n)
         if self.members is None:
-            # child (i, code) stands for 1 / b of parent i's machines, and
-            # for 1 / 4n of its no-halt machines if the code is a step
-            parent = self.weights[rows]
-            weights = np.zeros((parents.size, b, 2), np.int64)
-            weights[:, :, 0] = parent[:, :1] // b
-            weights[:, :4 * n, 1] = parent[:, 1:] // (4 * n)
-            # a child whose machines all lack a halting entry has neither an
-            # unread nor a halting entry: it is a machine without a halting rule
-            can_halt = weights[:, :, 1] != weights[:, :, 0]
-            no_halt = int(weights[:, :, 0][~can_halt].sum())
-            self.sink.census.no_halt_rule += len(self.images) * no_halt
-            src, codes = np.nonzero(can_halt)
-            weights = weights[can_halt]
+            # a child stands for 1 / b of its parent's machines and, if its
+            # code is a step, for 1 / 4n of its no-halt machines, so the 4n
+            # step children of a parent weigh the same. A child whose machines
+            # all lack a halting entry cannot halt; where the step children
+            # are such, the parent has only its two halt children, and the
+            # step children's machines go to no_halt_rule at once
+            machines, no_halt = (self.weights.take(rows, axis=0) // (b, 4 * n)).T
+            full = machines != no_halt
+            self.sink.census.no_halt_rule += len(self.images) * 4 * n * int(machines[~full].sum())
+            count = np.where(full, b, 2)
+            src = np.repeat(np.arange(parents.size), count)
+            # the codes of a parent's children, 0 .. b - 1 or 4n and 4n + 1
+            codes = np.arange(src.size) - np.repeat(np.cumsum(count) - count - 4 * n * ~full, count)
+            weights = np.empty((src.size, 2), np.int64)
+            weights[:, 0] = machines.take(src)
+            weights[:, 1] = np.where(codes < 4 * n, no_halt.take(src), 0)
         else:
             src, codes, seg = self.members.split(rows, slots)
             weights = np.zeros((src.size, 2), np.int64)
             weights[:, 0] = seg[:, 1] - seg[:, 0]
-        digits = self.ords[rows[src]]
-        digits[np.arange(src.size), slots[src]] = codes
+        rep = rows.take(src)
+        slot = slots.take(src)
+        digits = self.ords.take(rep, axis=0)
+        digits.reshape(-1)[np.arange(0, digits.size, 2 * n) + slot] = codes
         # the escape word depends only on the blank-read entries
-        redo = slots[src] % 2 == self.blank
+        redo = slot % 2 == self.blank
         if self.members is not None:
             # a child of one member is that machine: it has no unread entry
             single = weights[:, 0] == 1
-            digits[single] = self.members.codes[seg[single, 0]]
+            digits[single] = self.members.codes.take(seg[single, 0], axis=0)
             redo |= single
-        children = live.take(parents[src], axis=1)
-        rep = rows[src]
-        new = np.arange(self.rows, self.rows + src.size)
-        self.tape = _with_room(self.tape, self.rows, src.size, self.blank)
-        self.ords = _with_room(self.ords, self.rows, src.size, 0)
-        self.weights = _with_room(self.weights, self.rows, src.size, 0)
+        children = live.take(parents.take(src), axis=1)
+        # the children take the next rows, self.rows .. end - 1
+        start, end = self.rows, self.rows + src.size
+        self.tape = _with_room(self.tape, start, src.size, self.blank)
+        self.ords = _with_room(self.ords, start, src.size, 0)
+        self.weights = _with_room(self.weights, start, src.size, 0)
         if self.members is not None:
-            self.members.seg = _with_room(self.members.seg, self.rows, src.size, 0)
-            self.members.seg[new] = seg
-        self.rows += src.size
-        self.tape[new] = self.tape[rep]
-        self.ords[new] = digits
-        self.weights[new] = weights
+            self.members.seg = _with_room(self.members.seg, start, src.size, 0)
+            self.members.seg[start:end] = seg
+        self.rows = end
+        self.tape[start:end] = self.tape.take(rep, axis=0)
+        self.ords[start:end] = digits
+        self.weights[start:end] = weights
+        new = np.arange(start, end)
         self.move(children, (new - rep) * self.tape.shape[1])
         children[_ORD] = new * (2 * n)
         if redo.any():
@@ -1099,11 +1107,11 @@ class _Pass:
         old = self.tape.shape[1]
         pad = (width - old) // 2
         tape = np.full((rows.size, width), self.blank, np.uint8)
-        tape[:, pad:pad + old] = self.tape[rows]
-        self.tape, self.ords, self.rows = tape, self.ords[rows], rows.size
-        self.weights = self.weights[rows]
+        tape[:, pad:pad + old] = self.tape.take(rows, axis=0)
+        self.tape, self.ords, self.rows = tape, self.ords.take(rows, axis=0), rows.size
+        self.weights = self.weights.take(rows, axis=0)
         if self.members is not None:
-            self.members.seg = self.members.seg[rows]
+            self.members.seg = self.members.seg.take(rows, axis=0)
         self.move(self.live, np.arange(rows.size) * width + pad - rows * old)
         self.live[_ORD] = np.arange(rows.size) * 2 * self.n
 
@@ -1353,11 +1361,11 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
 # A space of at least this many machines runs one pass per subtree row
 # (_family_groups), each pass a pool job; a smaller one runs all its rows
 # as one pass in the calling process. A pool pays only for spaces far larger than
-# (3,2). On two cores the whole (3,2) `both` run takes 18-23 ms in one
-# process as one pass, 80-112 ms as one pass per row, and 31-48 ms through
-# a pool of 2 (7 runs each): forking and warming cold children costs more
-# than the work. A (4,2) row holds 18^6 or 18^7 machines, and the largest
-# (4,2) pass peaks at 106,071 live rows.
+# (3,2). On two cores the whole (3,2) `both` run takes 11-19 ms in one
+# process as one pass, 60-78 ms as one pass per row, and 56-83 ms through
+# a pool of 2 (two series of 7 runs each): forking and warming cold
+# children costs more than the work. A (4,2) row holds 18^6 or 18^7
+# machines, and the largest (4,2) pass peaks at 106,071 live rows.
 _POOL_MIN_SIZE = 10 ** 9
 
 

@@ -574,6 +574,31 @@ def test_member_rows_of_one_machine_are_that_machine(monkeypatch, n, stride, mod
     assert vector.canonical_bytes() == run_index_array(spec, indices, engine="scalar").canonical_bytes()
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_blank_one_producers_are_the_least_members_after_blank_zero_reorders(n):
+    # Blank 0's pass reorders the batch's code rows by the entries its runs
+    # read, and blank 1's start rows must still list their members in index
+    # order. Every machine here steps right to state 2 on (1,0), halts
+    # writing 1 on (1,1) and steps right to state 3 on (2,0). On blank 1
+    # each prints "1" at step 1, a string no blank-0 run prints, so its
+    # producer is the first member of blank 1's start row for that code. On
+    # blank 0 each run reads (3,0) before (2,1), and the least member does
+    # not hold the least (3,0) code, so blank 0's order puts another first.
+    b = 4 * n + 2
+    prefix = [n + 1, 4 * n + 1, n + 2]  # Step(0, R, 2), HaltWrite(1), Step(0, R, 3)
+    rng = np.random.default_rng(131 + n)
+    rest = np.unique(rng.integers(0, b ** (2 * n - 3), 60))
+    indices = _index(prefix + [0] * (2 * n - 3), n) + rest
+    codes_30 = _digits(indices, n)[:, 4]
+    assert codes_30[0] != codes_30.min()
+    spec = SpaceSpec(n, blank_mode="both")
+    vector = run_index_array(spec, indices)
+    assert vector.canonical_bytes() == run_index_array(spec, indices, engine="scalar").canonical_bytes()
+    assert "1" not in run_index_array(SpaceSpec(n), indices).counts
+    assert vector.counts["1"] == indices.size
+    assert vector.first_producer["1"] == indices[0]
+
+
 def test_lookup_tables_are_read_only():
     tables = [space._walk_classes(n) for n in range(1, 7)]
     tables += [space._digit_table(n, width) for n in (3, 4) for width in (2, 4)]
@@ -1038,6 +1063,78 @@ def test_rows_that_cannot_halt_are_credited_to_no_halt_rule_by_their_pass(mode):
     runs = len(space._ORBIT_IMAGES[mode]) * (1 + 2 + 1 + 2)
     assert sink.census == space.Census(total_runs=runs, no_halt_rule=runs)
     assert sink.counts == {}
+
+
+def _family_children(weights, n, images):
+    """The children of family rows by the formula per (parent, code): each
+    child's (parent, code, machines, no-halt machines) in order, and the
+    no_halt_rule credit of the children that cannot halt."""
+    b = 4 * n + 2
+    children, credit = [], 0
+    for parent, (machines, no_halt) in enumerate(weights.tolist()):
+        for code in range(b):
+            weight = (machines // b, no_halt // (4 * n) if code < 4 * n else 0)
+            if weight[1] == weight[0]:  # neither an unread nor a halting entry
+                credit += len(images) * weight[0]
+            else:
+                children.append((parent, code, *weight))
+    return children, credit
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("mode", ["zero", "both"])
+def test_family_children_follow_the_formula_per_parent_and_code(n, mode):
+    # spawn derives a family row's children once per parent: a parent whose
+    # step children cannot halt gets only its two halt children and credits
+    # the others to no_halt_rule. Its children and grandchildren must be
+    # those, in order, of the formula per (parent, code), each with its
+    # parent's digits but for the slot, its tape, head and escape word.
+    b = marker = 4 * n + 2
+    rng = np.random.default_rng(149 + n)
+    rows = _family_samples(n, 300, 151 + n)
+    rows[:, 0] = rng.integers(0, b, rows.shape[0])  # the top entry is always read
+    # one unread entry and no fixed halt: only the two halt children can halt
+    steps = rng.integers(0, 4 * n, (60, 2 * n)).astype(np.uint8)
+    steps[np.arange(60), rng.integers(1, 2 * n, 60)] = marker
+    rows = np.concatenate((rows, steps))
+    spec = SpaceSpec(n, blank_mode=mode)
+    images, sink = space._ORBIT_IMAGES[mode], empty_table(spec)
+    pass_ = space._Pass(spec, rows, space._weights(rows, n), 0, images, sink)
+    pass_.tape[:] = rng.integers(0, 2, pass_.tape.shape)
+    width, two_n = pass_.tape.shape[1], 2 * n
+    live, halts_only, credited = pass_.live, 0, 0
+    for _ in range(2):  # children, then grandchildren from the children's weights
+        tape = pass_.tape.copy()
+        at = live[space._ORD] // two_n
+        digits = pass_.ords[at]
+        parents = np.flatnonzero((digits == marker).any(axis=1))
+        slots = np.array([rng.choice(np.flatnonzero(digits[p] == marker)) for p in parents])
+        expected, credit = _family_children(pass_.weights[at[parents]], n, images)
+        before = sink.census.no_halt_rule
+        children, src = pass_.spawn(live, parents, slots)
+        assert sink.census.no_halt_rule - before == credit
+        credited += credit
+        new = children[space._ORD] // two_n
+        codes = pass_.ords[new, slots[src]]
+        got = [(int(p), int(c), *w) for p, c, w in zip(src, codes, pass_.weights[new].tolist())]
+        assert got == expected
+        rep = at[parents[src]]
+        parent_digits = digits[parents[src]]
+        parent_digits[np.arange(src.size), slots[src]] = codes
+        assert pass_.ords[new].tolist() == parent_digits.tolist()
+        assert pass_.weights[new].tolist() == space._weights(parent_digits, n).tolist()
+        assert pass_.tape[new].tolist() == tape[rep].tolist()
+        head = children[space._HEAD] - new * width
+        assert head.tolist() == (live[space._HEAD][parents[src]] - rep * width).tolist()
+        escw = space._escape_words(pass_.ords[new], n, 0)
+        assert children[space._ESCW].tolist() == escw.tolist()
+        lone = (digits[parents] == marker).sum(axis=1) == 1
+        lone &= (digits[parents] < 4 * n).sum(axis=1) == 2 * n - 1
+        for p in np.flatnonzero(lone):
+            assert codes[src == p].tolist() == [4 * n, 4 * n + 1]
+        halts_only += int(lone.sum())
+        live = children
+    assert halts_only >= 60 and credited > 0
 
 
 def test_escape_closure_checks_the_whole_walk():
