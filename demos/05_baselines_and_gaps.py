@@ -29,10 +29,11 @@ def main():
 
     corpus = [format(i, "08b") for i in range(256)]
     report = divergence_report(table, corpus, BdmConfig(block_len=4))
-    flagged = [row[0] for row in report.section("strings").rows if row[5]]
+    # rows: string, bdm, shannon_entropy, block_entropy, lz78_bits, flagged
+    flagged = [row for row in report.section("strings").rows if row[5]]
     print("\nhigh-entropy but low-complexity 8-bit strings:")
-    for s in flagged:
-        print("  ", s, " entropy", 1.0)
+    for row in flagged:
+        print("  ", row[0], " entropy", row[2])
 
     sweep = diversity_report(table, 12, BdmConfig(block_len=6))
     summary = dict(zip(sweep.section("summary").columns, sweep.section("summary").rows[0]))

@@ -122,9 +122,11 @@ the tape is replaced.
 Determinism contract: the resulting FrequencyTable depends only on the
 SpaceSpec, never on the worker count or scheduling. The unit of work is
 a pass of whole subtree rows (_family_groups): all of them in a space
-below _POOL_MIN_SIZE machines, one each in the larger ones. Every worker
-count runs the same passes whole, and a pass's table adds into the
-result by sums and minima, in any order.
+below _POOL_MIN_SIZE machines, one each in the larger ones. A pass
+returns its own table, which partitions exactly the runs of its start
+rows (_run_group). Every worker count runs the same passes whole and
+merges their tables into the result by the same code, and a table adds
+into the result by sums and minima, in any order.
 """
 
 from __future__ import annotations
@@ -313,9 +315,9 @@ class FrequencyTable:
     counts maps each produced binary string to how many runs produced it;
     min_used_rules keeps the smallest number of distinct transition entries
     any producer exercised, and first_producer the smallest producing
-    machine index (blank-0 runs take precedence over blank-1 at equal
-    index). covers is ((0, size),) for a run_space table, the whole space,
-    and None for ad-hoc index sets.
+    machine index. add keeps these sums and minima whatever order runs
+    arrive in, so tables merge in any order. covers is ((0, size),) for a
+    run_space table, the whole space, and None for ad-hoc index sets.
     """
 
     spec: SpaceSpec
@@ -730,24 +732,29 @@ class _Pass:
     _ST2 above); only they are stepped, and one keep-mask filters them on
     the steps where some row stops.
 
-    Every run a stopped row stands for is credited to sink once per image
-    in images, from the row's weights, never from its digits. A halted row
-    credits its machines to each image string, with the least image of its
-    machines (_image_producers) as producer; a member row's producer is
-    its first member, the smallest. Its span waits in pending until pack,
-    which runs before the tape moves, and emit adds the packed strings to
-    sink. A row that stops without halting is credited where it stops
-    (credit): its no-halt machines to no_halt_rule and the rest to its
-    bucket, blank_escape or step_limited.
+    A pass fills its own table: every run its start rows stand for, once
+    per image in images, counted from the rows' weights, never from their
+    digits. total_runs takes them all at the start, and each stopped row
+    credits its runs to one bucket. A halted row credits its machines to
+    each image string, with the least image of its machines
+    (_image_producers) as producer; a member row's producer is its first
+    member, the smallest. Its span waits in pending until pack, which runs
+    before the tape moves, and emit adds the packed strings to the table.
+    A row that stops without halting is credited where it stops (credit):
+    its no-halt machines to no_halt_rule and the rest to its bucket,
+    blank_escape or step_limited. So the table partitions exactly the runs
+    of its start rows, and run returns it.
     """
 
     def __init__(self, spec: SpaceSpec, ords: np.ndarray, weights: np.ndarray, blank: int,
-                 images, sink, members=None):
+                 images, members=None):
         n = spec.n
         self.n, self.blank, self.max_steps = n, blank, spec.max_steps
         self.write_of, self.delta_of, self.next2_of = _action_tables(n)
         self.pow2 = np.int64(1) << np.arange(2 * n)
-        self.images, self.sink, self.members = images, sink, members
+        self.images, self.members = images, members
+        self.table = empty_table(spec)
+        self.table.census.total_runs = len(images) * int(weights[:, 0].sum())
         self.pending = []  # (lo, hi, used, row) spans into the current tape
         self.packed = []  # (length, value, used_rules, machines, producers)
         self.half = min(16, spec.max_steps)
@@ -763,8 +770,8 @@ class _Pass:
         self.live[_ESCW] = escw
         self.live[_HEAD:_HI + 1] = np.arange(count) * self.tape.shape[1] + self.half
 
-    def run(self) -> None:
-        """Step until every row stops or the cutoff.
+    def run(self) -> FrequencyTable:
+        """Step until every row stops or the cutoff, and return the table.
 
         The tape starts 2 * min(16, max_steps) + 1 cells wide and doubles
         its half-width whenever the step count reaches it; it is also
@@ -789,6 +796,7 @@ class _Pass:
         self.pack()
         self.credit(self.live[_ORD] // (2 * self.n), "step_limited")
         self.emit()
+        return self.table
 
     def credit(self, rows, bucket: str) -> None:
         """Credit rows that stopped without halting to no_halt_rule and to bucket.
@@ -799,14 +807,14 @@ class _Pass:
         if not rows.size:
             return
         machines, no_halt = self.weights.take(rows, axis=0).sum(axis=0).tolist()
-        census, k = self.sink.census, len(self.images)
+        census, k = self.table.census, len(self.images)
         census.no_halt_rule += k * no_halt
         setattr(census, bucket, getattr(census, bucket) + k * (machines - no_halt))
 
     def pack(self) -> None:
         """Count the pending halted rows, and pack their spans of the current
         tape into (length, value) pairs for emit; a span too wide to pack, or
-        too near the end of the tape, is added to sink at once."""
+        too near the end of the tape, is added to the table at once."""
         if not self.pending:
             return
         lo, hi, used, row = (np.concatenate(a) for a in zip(*self.pending))
@@ -818,7 +826,7 @@ class _Pass:
         else:  # the first code row of its segment, its smallest member
             digits = self.members.codes.take(self.members.seg[:, 0].take(row), axis=0)
         producers = np.stack([_image_producers(digits, self.n, *image) for image in self.images])
-        self.sink.census.halted += len(self.images) * int(machines.sum())
+        self.table.census.halted += len(self.images) * int(machines.sum())
         lengths = hi - lo + 1
         used_rules = np.bitwise_count(used).astype(np.int64)
         # cells read per output: a whole number of bytes, at most 64 bits
@@ -831,8 +839,8 @@ class _Pass:
             for r in np.nonzero(~narrow)[0]:
                 s = "".join("1" if c else "0" for c in tape[lo[r]:hi[r] + 1])
                 for image, producer in zip(self.images, producers[:, r]):
-                    self.sink.add(_image_string(s, *image), int(machines[r]),
-                                  int(used_rules[r]), int(producer))
+                    self.table.add(_image_string(s, *image), int(machines[r]),
+                                   int(used_rules[r]), int(producer))
             lo, hi, lengths = lo[narrow], hi[narrow], lengths[narrow]
             used_rules, machines = used_rules[narrow], machines[narrow]
             producers = producers[:, narrow]
@@ -845,7 +853,7 @@ class _Pass:
             self.packed.append((lengths, value.astype(np.uint64), used_rules, machines, producers))
 
     def emit(self) -> None:
-        """Add the packed strings to sink, one group per string and image."""
+        """Add the packed strings to the table, one group per string and image."""
         if not self.packed:
             return
         lengths, value, used_rules, machines, producers = (
@@ -864,7 +872,7 @@ class _Pass:
         for k, start in enumerate(starts.tolist()):
             s = np.binary_repr(int(s_val[start]), width=int(s_len[start]))
             for image, prod in zip(self.images, group_prod):
-                self.sink.add(_image_string(s, *image), group_counts[k], group_used[k], prod[k])
+                self.table.add(_image_string(s, *image), group_counts[k], group_used[k], prod[k])
 
     def advance(self, live):
         """One step of the given rows, in place: their action codes (intp), read
@@ -1052,7 +1060,7 @@ class _Pass:
             # step children's machines go to no_halt_rule at once
             machines, no_halt = (self.weights.take(rows, axis=0) // (b, 4 * n)).T
             full = machines != no_halt
-            self.sink.census.no_halt_rule += len(self.images) * 4 * n * int(machines[~full].sum())
+            self.table.census.no_halt_rule += len(self.images) * 4 * n * int(machines[~full].sum())
             count = np.where(full, b, 2)
             src = np.repeat(np.arange(parents.size), count)
             # the codes of a parent's children, 0 .. b - 1 or 4n and 4n + 1
@@ -1219,7 +1227,8 @@ def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
     temporaries do not grow with the batch; the others are counted to
     no_halt_rule up front. On each blank the kept machines are the members
     (_Members) of one row per code of the (1,b) entry they hold
-    (_member_rows), which split as their runs read further entries.
+    (_member_rows), which split as their runs read further entries, and
+    the pass's table is merged into sink.
     """
     n = spec.n
     codes = np.concatenate([_decode(idx[i:i + _DECODE_CHUNK], n)
@@ -1230,12 +1239,12 @@ def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
     starts = {blank: _member_rows(codes, blank) for blank in spec.blanks[::-1]} if count else {}
     del codes
     for blank in spec.blanks:
-        sink.census.total_runs += idx.size
+        sink.census.total_runs += idx.size - count
         sink.census.no_halt_rule += idx.size - count
         if count:
             ords, weights, members = starts.pop(blank)
             # an index set is not reduced by symmetry: its one image is the run itself
-            _Pass(spec, ords, weights, blank, ((False, False),), sink, members).run()
+            sink.merge(_Pass(spec, ords, weights, blank, ((False, False),), members).run())
 
 
 def _representative_digits(n: int):
@@ -1294,27 +1303,16 @@ def _count_initial_halts(spec: SpaceSpec, sink: FrequencyTable) -> None:
             sink.add(str(w), count, 1, (4 * n + w) * place)
 
 
-def _run_groups(spec: SpaceSpec, groups, sink: FrequencyTable) -> None:
-    """Run passes (_family_groups), each an array of family rows,
-    into sink, with the vector engine.
+def _run_group(job) -> FrequencyTable:
+    """The table of one pass (spec, rows) of run_space (_family_groups),
+    the job that run_space runs for each pass at every worker count.
 
-    Each group's orbit representatives run on blank 0 as families, and each
-    run is credited to its mirror and complement images and to its namings
+    The family rows' orbit representatives run on blank 0, and each run is
+    credited to its mirror and complement images and to its namings
     (_namings). First-step halts are not counted here (_count_initial_halts).
     """
-    images = _ORBIT_IMAGES[spec.blank_mode]
-    for ords in groups:
-        weights = _weights(ords, spec.n)
-        sink.census.total_runs += len(images) * int(weights[:, 0].sum())
-        _Pass(spec, ords, weights, 0, images, sink).run()
-
-
-def _run_group(job) -> FrequencyTable:
-    """One pass (spec, group) as a fresh table: a pool's job."""
-    spec, group = job
-    sink = empty_table(spec)
-    _run_groups(spec, (group,), sink)
-    return sink
+    spec, rows = job
+    return _Pass(spec, rows, _weights(rows, spec.n), 0, _ORBIT_IMAGES[spec.blank_mode]).run()
 
 
 def _index_array(indices, size: int) -> np.ndarray:
@@ -1373,14 +1371,15 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
     """Enumerate the whole space described by spec into a FrequencyTable.
 
     The symmetry-reduced vector engine runs the space's passes
-    (_family_groups, _run_groups). A plan of one pass, or a run with one
-    worker, runs in the calling process. Otherwise each pass is one job
-    (_run_group, 38 on (4,2)), read lazily by a pool of min(workers, CPUs)
-    processes, each of which takes the next pass when it is free, and
-    merged as the passes finish. No job splits a subtree row, so every
-    worker count steps the same rows, and the result is byte-identical for
-    every worker count. It runs n <= 4 only (run_index_array takes index
-    sets up to n = 6).
+    (_family_groups), one job each (_run_group, 38 on (4,2)), in plan
+    order, and merges each pass's table into the result. A plan of one
+    pass, or a run with one worker, maps the jobs in the calling process.
+    Otherwise a pool of min(workers, CPUs) processes reads the same jobs
+    lazily, each process taking the next pass when it is free. No job
+    splits a subtree row, so every worker count steps the same rows, and
+    the result is byte-identical for every worker count. A result that
+    does not count every run of the space raises ValidationError. It runs
+    n <= 4 only (run_index_array takes index sets up to n = 6).
     """
     require_int("workers", workers)
     if workers < 1:
@@ -1392,15 +1391,19 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
         )
     table = empty_table(spec, ((0, spec.size),))
     groups = _family_groups(spec.n)
+    jobs = ((spec, rows) for rows in groups)
     if workers == 1 or len(groups) == 1:
-        _run_groups(spec, groups, table)
+        for part in map(_run_group, jobs):
+            table.merge(part)
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=min(workers, os.cpu_count() or 1)) as pool:
-            for part in pool.imap(_run_group, ((spec, group) for group in groups), chunksize=1):
+            for part in pool.imap(_run_group, jobs, chunksize=1):
                 table.merge(part)
     _count_initial_halts(spec, table)
     table.validate()
+    if table.census.total_runs != spec.run_count:
+        raise ValidationError(f"passes counted {table.census.total_runs} of {spec.run_count} runs")
     return table
 
 

@@ -201,9 +201,7 @@ def _assert_same_census(reduced, full):
 
 def _run_rows(spec, rows):
     """Family rows run as one pass of run_space, without first-step halts."""
-    sink = empty_table(spec)
-    space._run_groups(spec, [np.array(rows, np.uint8)], sink)
-    return sink
+    return space._run_group((spec, np.array(rows, np.uint8)))
 
 
 def test_reduced_census_equals_the_full_census_on_small_spaces():
@@ -504,11 +502,11 @@ def test_member_passes_start_from_their_first_read_entry(monkeypatch, n):
     starts = []
 
     class Spy(space._Pass):
-        def __init__(self, spec, ords, weights, blank, images, sink, members=None):
+        def __init__(self, spec, ords, weights, blank, images, members=None):
             segments = [_index(members.codes[lo:hi], n).tolist()
                         for lo, hi in members.seg.tolist()]
             starts.append((blank, ords.tolist(), weights.tolist(), segments))
-            super().__init__(spec, ords, weights, blank, images, sink, members)
+            super().__init__(spec, ords, weights, blank, images, members)
 
     monkeypatch.setattr(space, "_Pass", Spy)
     rng = random.Random(103 + n)
@@ -988,10 +986,10 @@ def test_halted_outputs_pack_narrow_and_wide_spans():
     lo = np.array([0, 10, 100, 200, 300, 12, 390], np.intp)
     hi = lo + np.array([0, 2, 63, 64, 99, 2, 2])
     idx = np.array([2100, 2345, 3456, 3000, 2999, 3999, 2222], np.uint64)
-    sink = space.empty_table(SpaceSpec(2))
     digits = _digits(idx, 2)
     images = ((False, False), (True, False))
-    pass_ = space._Pass(SpaceSpec(2), digits, space._weights(digits, 2), 0, images, sink)
+    pass_ = space._Pass(SpaceSpec(2), digits, space._weights(digits, 2), 0, images)
+    table = pass_.table
     pass_.tape = tape.reshape(1, -1)  # one tape row that holds every span
     pass_.pending.append((lo, hi, np.full(7, 3, np.uint16), np.arange(7)))
     pass_.pack()
@@ -1003,11 +1001,11 @@ def test_halted_outputs_pack_narrow_and_wide_spans():
         for string, producer in ((s, index), (s[::-1], mirror)):
             expected[string] = expected.get(string, 0) + 1
             first[string] = min(first.get(string, producer), producer)
-    assert sink.counts == expected
-    assert sink.first_producer == first
-    assert sink.census.halted == 14
-    assert {len(s) for s in sink.counts} == {1, 3, 64, 65, 100}
-    assert set(sink.min_used_rules.values()) == {2}  # bit count of the used mask 3
+    assert table.counts == expected
+    assert table.first_producer == first
+    assert table.census.halted == 14
+    assert {len(s) for s in table.counts} == {1, 3, 64, 65, 100}
+    assert set(table.min_used_rules.values()) == {2}  # bit count of the used mask 3
 
 
 def test_credited_rows_carry_the_weights_of_their_digits(monkeypatch, d3_both_freq):
@@ -1059,10 +1057,10 @@ def test_rows_that_cannot_halt_are_credited_to_no_halt_rule_by_their_pass(mode):
     # no_halt_rule once per image; no string is counted.
     spec = SpaceSpec(3, blank_mode=mode)
     rows = [[3, 0, 1, 2, 5, 7], [4, 11, 0, 6, 8, 2], [9, 1, 1, 1, 1, 1], [10, 3, 4, 10, 5, 0]]
-    sink = _run_rows(spec, rows)
+    table = _run_rows(spec, rows)
     runs = len(space._ORBIT_IMAGES[mode]) * (1 + 2 + 1 + 2)
-    assert sink.census == space.Census(total_runs=runs, no_halt_rule=runs)
-    assert sink.counts == {}
+    assert table.census == space.Census(total_runs=runs, no_halt_rule=runs)
+    assert table.counts == {}
 
 
 def _family_children(weights, n, images):
@@ -1098,8 +1096,9 @@ def test_family_children_follow_the_formula_per_parent_and_code(n, mode):
     steps[np.arange(60), rng.integers(1, 2 * n, 60)] = marker
     rows = np.concatenate((rows, steps))
     spec = SpaceSpec(n, blank_mode=mode)
-    images, sink = space._ORBIT_IMAGES[mode], empty_table(spec)
-    pass_ = space._Pass(spec, rows, space._weights(rows, n), 0, images, sink)
+    images = space._ORBIT_IMAGES[mode]
+    pass_ = space._Pass(spec, rows, space._weights(rows, n), 0, images)
+    table = pass_.table
     pass_.tape[:] = rng.integers(0, 2, pass_.tape.shape)
     width, two_n = pass_.tape.shape[1], 2 * n
     live, halts_only, credited = pass_.live, 0, 0
@@ -1110,9 +1109,9 @@ def test_family_children_follow_the_formula_per_parent_and_code(n, mode):
         parents = np.flatnonzero((digits == marker).any(axis=1))
         slots = np.array([rng.choice(np.flatnonzero(digits[p] == marker)) for p in parents])
         expected, credit = _family_children(pass_.weights[at[parents]], n, images)
-        before = sink.census.no_halt_rule
+        before = table.census.no_halt_rule
         children, src = pass_.spawn(live, parents, slots)
-        assert sink.census.no_halt_rule - before == credit
+        assert table.census.no_halt_rule - before == credit
         credited += credit
         new = children[space._ORD] // two_n
         codes = pass_.ords[new, slots[src]]
@@ -1371,9 +1370,9 @@ def test_any_plan_reproduces_the_scalar_oracle_on_two_states(mode, max_steps, de
 def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_freq):
     # with the pool threshold lowered to 0, (3,2) goes to a pool at 2
     # workers and up: its jobs are its 30 passes of one row each, in plan
-    # order, on min(workers, CPUs) processes; one worker runs them in the
-    # calling process. No job splits a row, so every worker count steps the
-    # same 36,685 rows as the 1-worker run
+    # order, on min(workers, CPUs) processes; one worker runs the same jobs,
+    # in the same order, in the calling process. No job splits a row, so
+    # every worker count steps the same 36,685 rows as the 1-worker run
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
     ctx = _inline_pools(monkeypatch, cpus=4)
     jobs, rows = [], [0]
@@ -1399,7 +1398,7 @@ def test_pool_steps_the_same_rows_at_every_worker_count(monkeypatch, d3_zero_fre
         rows[0] = 0
         assert run_space(spec, workers=workers).canonical_bytes() == d3_zero_freq.canonical_bytes()
         assert rows[0] == 36_685
-        assert jobs == ([] if workers == 1 else groups)
+        assert jobs == groups
     assert ctx.processes == [2, 3, 4, 4, 4, 4, 4]
     assert ctx.lazy == [True] * 7
 
@@ -1429,13 +1428,18 @@ def test_small_spaces_start_no_pool(monkeypatch, d3_zero_freq):
 def test_four_state_pool_gets_one_shard_per_family_group(monkeypatch):
     # the (4,2) plan, with a stub for the group runs: its 38 passes of one
     # subtree row each, in plan order, read lazily by a pool of
-    # min(workers, CPUs) processes
+    # min(workers, CPUs) processes. Each stub table counts its pass's runs
+    # as step_limited, so that the result covers the space
     ctx = _inline_pools(monkeypatch, cpus=4)
     jobs = []
 
     def stub(job):
+        spec, rows = job
         jobs.append(_job(job))
-        return empty_table(job[0])
+        table = empty_table(spec)
+        runs = len(space._ORBIT_IMAGES[spec.blank_mode]) * int(space._weights(rows, 4)[:, 0].sum())
+        table.census = space.Census(total_runs=runs, step_limited=runs)
+        return table
 
     monkeypatch.setattr(space, "_run_group", stub)
     spec = SpaceSpec(4)
@@ -1462,6 +1466,44 @@ def test_sharded_run_is_byte_identical_to_single_shard(monkeypatch):
     for group in groups:
         merged.merge(space._run_group((spec, group)))
     assert one.canonical_bytes() == merged.canonical_bytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("mode", ["zero", "both"])
+def test_each_pass_table_partitions_its_own_runs(monkeypatch, n, mode):
+    # with the pool threshold lowered to 0, each subtree row is one pass.
+    # A pass's table partitions exactly the runs its rows stand for, once
+    # per image, and the pass tables with the first-step halts add up to
+    # run_space's census
+    monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
+    spec = SpaceSpec(n, blank_mode=mode)
+    images = space._ORBIT_IMAGES[mode]
+    parts = space.Census()
+    for rows in space._family_groups(n):
+        table = space._run_group((spec, rows))
+        table.validate()
+        assert table.census.total_runs == len(images) * int(space._weights(rows, n)[:, 0].sum())
+        parts.add(table.census)
+    initial = empty_table(spec)
+    space._count_initial_halts(spec, initial)
+    parts.add(initial.census)
+    assert parts == run_space(spec).census
+
+
+def test_run_space_rejects_a_plan_that_drops_or_repeats_a_pass(monkeypatch):
+    # a plan that drops one of the 30 (3,2) passes, or runs one twice,
+    # still partitions the runs it counted, so only the check that the
+    # result counts every run of the space catches it, in one process and
+    # through a pool
+    monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
+    _inline_pools(monkeypatch, cpus=2)
+    groups = space._family_groups(3)
+    assert len(groups) == 30
+    for plan in (groups[:7] + groups[8:], groups + groups[7:8]):
+        monkeypatch.setattr(space, "_family_groups", lambda n: plan)
+        for workers in (1, 2):
+            with pytest.raises(ValidationError, match=r"passes counted \d+ of \d+ runs"):
+                run_space(SpaceSpec(3), workers=workers)
 
 
 def test_run_space_rejects_a_worker_count_below_one():
