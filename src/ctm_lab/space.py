@@ -72,10 +72,12 @@ are gathered (_decode). The others are the batch's members (_Members):
 each keeps only its 2n action codes, 8 bytes at n = 4, and a producer's
 index is read back from its codes. As run_space starts from the entries
 its runs read first, a pass on blank b starts with one row per code of
-the (1,b) entry, read at step 1, whose members are those that hold it,
-in index order (_member_rows). A row that reads an unread entry splits
-its members stably by their codes there, one child per code that
-occurs, and reorders their code rows in place. A row of one member is
+the (1,b) entry, read at step 1, or, where that code steps to a state
+q != 1, one per pair of codes of (1,b) and (q,b), read at step 2; a
+row's members are those that hold its codes, in index order
+(_member_rows). A row that reads an unread entry splits its members
+stably by their codes there, one child per code that occurs, and
+reorders their code rows in place. A row of one member is
 that machine: it takes the member's codes whole, so it never reads an
 unread entry again and never splits. A row's weights are its member
 count and 0 no-halt machines; a finished row credits its members to its
@@ -98,7 +100,7 @@ the step they are born in, like every row that takes a step.
 machine.simulate implements the rule independently, and tests check each
 retirement by it. On the seed-0 census-d4-sample (4,194,884 runs at
 cutoff 107) this retires 285,215 of the 287,122 step-limited runs. The
-rows stepped (summed over the steps) fall from 6,483,006 to 770,609, plus
+rows stepped (summed over the steps) fall from 6,483,244 to 770,830, plus
 123,215 children stepped when born; one decoded row per machine stepped
 34,986,985 rows without the check and 7,803,652 with it.
 
@@ -159,8 +161,8 @@ _TABLE_SIZE = 1 << 17
 # at a time. Larger batches pay the per-step overhead fewer times and let
 # machines of more indices share rows. The seed-0 census-d4-sample
 # (4,194,884 indices, cutoff 107), run in one process on a 2-core x86-64
-# box, medians of seven: 2^19 took 0.37 s at 78 MB peak RSS, 2^20 0.34 s at
-# 87 MB, 2^21 0.31 s at 101 MB (the process, its 34 MB index array
+# box, medians of seven: 2^19 took 0.33 s at 78 MB peak RSS, 2^20 0.30 s at
+# 89 MB, 2^21 0.30 s at 106 MB (the process, its 34 MB index array
 # included).
 _BATCH = 1 << 20
 _DECODE_CHUNK = 1 << 16
@@ -644,8 +646,10 @@ class _Members:
     of action codes (uint8), and nothing else is kept per member: 2n bytes,
     8 at n = 4. Pass row r stands for the members codes[seg[r, 0]:seg[r, 1]];
     a pass on blank b starts with one row per code of the (1,b) entry that
-    members hold (_member_rows). Every segment starts, and every split keeps
-    it, in index order, so a segment always lists its smallest member first.
+    members hold, or per pair of codes of (1,b) and the (q,b) entry it
+    steps to, q != 1 (_member_rows). Every segment starts, and every split
+    keeps it, in index order, so a segment always lists its smallest member
+    first.
     """
 
     def __init__(self, codes: np.ndarray, seg: np.ndarray):
@@ -922,8 +926,8 @@ class _Pass:
             # The snapshot columns are appended here, not allocated with the
             # others: the early steps hold the most live rows, and carrying
             # them from step 1 raised a (4,2) batch of 2^20 strided indices
-            # from 16.23 to 17.65 bytes per index (numpy 2.4), near the
-            # bound of 18 of test_index_batches_hold_a_bounded_number_of_bytes_per_index.
+            # from 14.34 to 17.65 bytes per index (numpy 2.4), past the
+            # bound of 16 of test_index_batches_hold_a_bounded_number_of_bytes_per_index.
             extra = np.empty((_SNAP_ST2 + 1 - _XLO, self.live.shape[1]), np.int64)
             self.live = np.concatenate((self.live, extra))
         live = self.live
@@ -1192,26 +1196,52 @@ def _decode(idx: np.ndarray, n: int) -> np.ndarray:
     return ords
 
 
+def _second_slot(top: int, n: int, blank: int) -> int:
+    """The slot a run on blank reads at step 2, after its top code top, the
+    (1,b) entry, at step 1: (q,b) when top steps to state q, on the blank
+    cell it lands on. That is (1,b) itself when q = 1, and for a halt,
+    which reads no second entry."""
+    return 2 * (top % n) + blank if top < 4 * n else blank
+
+
 def _member_rows(codes: np.ndarray, blank: int):
     """The first rows of a pass over members on blank, their weights and the members.
 
-    Every run reads its (1,b) entry at step 1, so each code of slot b that
-    the members hold is one row, which fixes that slot and leaves every
-    other entry unread, and stands for the members that hold the code, in
-    index order. On blank 0 that entry is the top digit, which index order
-    already sorts, so the segments are the runs of its column, and the
-    members are codes itself; on blank 1 one stable sort of the (1,1)
-    column orders a copy of codes. A row of one member takes that member's
-    codes whole, as a child of one member does (_Pass.spawn).
+    Every run reads its (1,b) entry at step 1 and, when that code steps to
+    a state q != 1, its (q,b) entry at step 2 (_second_slot). So each code
+    d of slot b that the members hold is one row, or, if d steps to q != 1,
+    one row per code of (q,b) that they hold with d; a row fixes those
+    slots, leaves every other entry unread and stands for the members that
+    hold its codes, in index order. On blank 0 the (1,0) entry is the top
+    digit, which index order already sorts; on blank 1 one stable sort of
+    the (1,1) column orders a copy of codes. Each code's segment is a run
+    of that column, and a segment whose code steps to q != 1 is reordered
+    in place by one stable sort of its (q,b) column, whose bincount gives
+    the rows' segments; so blank 1 takes its copy before blank 0's rows
+    are built. A row of one member takes that member's codes whole, as a
+    child of one member does (_Pass.spawn).
     """
     n = codes.shape[1] // 2
     if blank:
         codes = codes[np.argsort(codes[:, blank], kind="stable")]
+    items = codes.view(f"V{2 * n}")[:, 0]
     column = codes[:, blank]
-    first = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
-    seg = np.stack((first, np.append(first[1:], column.size)), axis=1)
+    firsts = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    bounds = np.append(firsts, column.size).tolist()
+    rows = []  # (the slot read at step 2, first member) of each row
+    for d, start, end in zip(column[firsts].tolist(), bounds[:-1], bounds[1:]):
+        slot = _second_slot(d, n, blank)  # b again for a halt or a step to state 1
+        second = codes[start:end, slot]
+        if slot != blank:
+            items[start:end] = items[start:end].take(np.argsort(second, kind="stable"))
+        held = np.bincount(second)
+        rows += [(slot, lo) for lo in (start + np.cumsum(held) - held)[held > 0].tolist()]
+    slot, first = np.array(rows, np.intp).T
+    seg = np.stack((first, np.append(first[1:], codes.shape[0])), axis=1)
     ords = np.full((first.size, 2 * n), 4 * n + 2, np.uint8)
-    ords[:, blank] = column[first]
+    # the codes its first member holds there, d again where the slot is b
+    ords[:, blank] = codes[first, blank]
+    ords[np.arange(first.size), slot] = codes[first, slot]
     weights = np.zeros((first.size, 2), np.int64)
     weights[:, 0] = seg[:, 1] - seg[:, 0]
     single = weights[:, 0] == 1  # a row of one member is that machine
@@ -1226,7 +1256,8 @@ def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
     codes of machines that can halt are kept (_decode), so the decode's
     temporaries do not grow with the batch; the others are counted to
     no_halt_rule up front. On each blank the kept machines are the members
-    (_Members) of one row per code of the (1,b) entry they hold
+    (_Members) of one row per code of the (1,b) entry they hold, or per
+    pair of codes of (1,b) and the (q,b) entry read at step 2
     (_member_rows), which split as their runs read further entries, and
     the pass's table is merged into sink.
     """
@@ -1234,8 +1265,8 @@ def _run_vector(spec: SpaceSpec, idx: np.ndarray, sink: FrequencyTable) -> None:
     codes = np.concatenate([_decode(idx[i:i + _DECODE_CHUNK], n)
                             for i in range(0, idx.size, _DECODE_CHUNK)])
     count = codes.shape[0]
-    # decoded once: blank 0's pass reorders these codes in place, so blank 1
-    # takes its sorted copy (_member_rows) before that pass starts
+    # decoded once: blank 0's start rows and pass reorder these codes in
+    # place, so blank 1 takes its sorted copy (_member_rows) before them
     starts = {blank: _member_rows(codes, blank) for blank in spec.blanks[::-1]} if count else {}
     del codes
     for blank in spec.blanks:
@@ -1258,15 +1289,15 @@ def _subtree_rows(n: int) -> np.ndarray:
 
     Every run reads its top digit d, the (1,0) entry, at step 1. When d
     steps to a state q != 1, it reads (q,0), the blank-read entry of q, at
-    step 2, so that slot takes each of the 4n + 2 codes, one row each.
-    Every other slot is unread.
+    step 2 (_second_slot), so that slot takes each of the 4n + 2 codes, one
+    row each. Every other slot is unread.
     """
     b = 4 * n + 2
     rows = []
     for d in _representative_digits(n):
         row = np.full((1, 2 * n), b, np.uint8)
         row[0, 0] = d
-        slot = 2 * (d % n)  # (q,0), with d % n = q - 1
+        slot = _second_slot(d, n, 0)
         if slot:
             row = row.repeat(b, axis=0)
             row[:, slot] = np.arange(b)
@@ -1336,8 +1367,8 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
 
     Every machine runs on every blank of spec, without the symmetry
     reduction. engine is "vector" (batches of _BATCH indices, whose
-    machines that can halt start as one row per code of the first entry
-    their runs read; see the module docstring) or "scalar"
+    machines that can halt start as one row per code of the entries their
+    runs read at steps 1 and 2; see the module docstring) or "scalar"
     (machine.simulate, one run at a time), the oracle the tests compare
     the vector engine against. Indices
     that are not integers of [0, size) in increasing order raise
