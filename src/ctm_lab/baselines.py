@@ -20,12 +20,12 @@ RLE_MAX_RUN = 9  # single-digit counts; longer runs split into several tokens
 # lz78_bit_lengths reads this many characters of each lane at a time.
 _LOCKSTEP_CHARS = 64
 # One lockstep step costs about as much as walking this many characters in
-# lz78_bit_length: 6-14 us for 1 to 256 lanes, against 75-90 ns a
-# character (2-core x86 box).
+# lz78_bit_length, for 1 to 256 lanes (the measured step and walk costs are
+# in the CHANGES.md entry that added lz78_bit_lengths).
 _STEP_COST_CHARS = 128
 # Lanes stepped together hold at most this many characters (a longer
 # string is walked on its own), so node ids stay far below 2^30 and the
-# zeroed node table, 8 bytes a character, below 128 MB of address space.
+# zeroed node table, 8 bytes a character, below 2^27 bytes of address space.
 _GROUP_CHARS = 1 << 24
 
 
@@ -118,12 +118,12 @@ def lz78_bit_length(s: str) -> int:
     ceil(log2(p+1)) bits.
 
     This is the single-string form, for any alphabet, and the oracle of
-    lz78_bit_lengths, which prices a binary corpus in numpy lockstep. The
-    walk costs 75-90 ns a character (2-core x86 box). Every trie node is a
-    dict that the cyclic garbage collector tracks, so walks also trigger
-    collections: 82 young, 8 middle and 1 full one in a pass over a
-    6.7 M-character corpus. Their cost stayed within the run-to-run
-    spread, 0.41-0.56 s a pass with the collector on and with it off.
+    lz78_bit_lengths, which prices a binary corpus in numpy lockstep. Every
+    trie node is a dict that the cyclic garbage collector tracks, so walks
+    also trigger collections; their cost stayed within the run-to-run
+    spread of a corpus pass with the collector on and with it off (the
+    measured walk, collection counts and pass times are in the CHANGES.md
+    entry that added lz78_bit_lengths).
     """
     if not s:
         raise ValidationError("cannot compress an empty string")

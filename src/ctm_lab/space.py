@@ -59,10 +59,10 @@ halt code); a child whose machines all lack a halting entry has neither
 an unread nor a halting entry, a machine without a halting rule, and is
 counted at once. A row that stops is credited by its pass (_Pass). An
 escape test that depends on an unread blank-read entry expands that
-entry. On (3,2) this steps 36,685 rows in all (summed over the steps)
-for its 2,151,296 representatives. Without the namings it steps 73,368
-rows for the 3,226,944 machines of all six right-moving top digits,
-which one by one take 4,673,656 machine-steps.
+entry. On (3,2) this steps 36,685 rows in all (summed over the steps;
+tests assert it) for its 2,151,296 = 4 * 14^5 representatives, which with
+their namings stand for the 3,226,944 = 6 * 14^5 machines of all six
+right-moving top digits.
 run_index_array runs arbitrary index sets, every machine on every blank,
 by the same rule with a batch's machines in place of a row's. A batch
 of _BATCH = 2^20 indices is decoded 2^16 at a time (_DECODE_CHUNK), so
@@ -98,11 +98,9 @@ so now, its members without a halting entry to no_halt_rule as before.
 Children keep their parent's snapshot and excursion, and are checked at
 the step they are born in, like every row that takes a step.
 machine.simulate implements the rule independently, and tests check each
-retirement by it. On the seed-0 census-d4-sample (4,194,884 runs at
-cutoff 107) this retires 285,215 of the 287,122 step-limited runs. The
-rows stepped (summed over the steps) fall from 6,483,244 to 770,830, plus
-123,215 children stepped when born; one decoded row per machine stepped
-34,986,985 rows without the check and 7,803,652 with it.
+retirement by it. How many runs it retires, and the rows stepped with and
+without it, on the seed-0 census-d4-sample are spy counts recorded in
+BENCH_member_starts.json ("counts").
 
 The step loop touches only live rows: state, head, visited bounds,
 used-rule mask, escape word and snapshot are the columns of one int64
@@ -159,11 +157,9 @@ _TABLE_SIZE = 1 << 17
 # Indices per run_index_array batch, whose machines that can halt are the
 # members of one pass per blank (_Members), decoded _DECODE_CHUNK indices
 # at a time. Larger batches pay the per-step overhead fewer times and let
-# machines of more indices share rows. The seed-0 census-d4-sample
-# (4,194,884 indices, cutoff 107), run in one process on a 2-core x86-64
-# box, medians of seven: 2^19 took 0.33 s at 78 MB peak RSS, 2^20 0.30 s at
-# 89 MB, 2^21 0.30 s at 106 MB (the process, its 34 MB index array
-# included).
+# machines of more indices share rows, and hold more memory at once. The
+# CHANGES.md entry that last re-measured _BATCH records the time and peak
+# RSS of the seed-0 census-d4-sample at 2^19, 2^20 and 2^21.
 _BATCH = 1 << 20
 _DECODE_CHUNK = 1 << 16
 
@@ -925,9 +921,11 @@ class _Pass:
         if self.live.shape[0] == _XLO:  # the first snapshot
             # The snapshot columns are appended here, not allocated with the
             # others: the early steps hold the most live rows, and carrying
-            # them from step 1 raised a (4,2) batch of 2^20 strided indices
-            # from 14.34 to 17.65 bytes per index (numpy 2.4), past the
-            # bound of 16 of test_index_batches_hold_a_bounded_number_of_bytes_per_index.
+            # them from step 1 took a (4,2) batch of 2^20 strided indices
+            # past the bound of 16 bytes per index that
+            # test_index_batches_hold_a_bounded_number_of_bytes_per_index
+            # asserts (the measured peaks: BENCH_member_starts.json
+            # "memory" and CHANGES.md).
             extra = np.empty((_SNAP_ST2 + 1 - _XLO, self.live.shape[1]), np.int64)
             self.live = np.concatenate((self.live, extra))
         live = self.live
@@ -1390,11 +1388,11 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
 # A space of at least this many machines runs one pass per subtree row
 # (_family_groups), each pass a pool job; a smaller one runs all its rows
 # as one pass in the calling process. A pool pays only for spaces far larger than
-# (3,2). On two cores the whole (3,2) `both` run takes 11-19 ms in one
-# process as one pass, 60-78 ms as one pass per row, and 56-83 ms through
-# a pool of 2 (two series of 7 runs each): forking and warming cold
-# children costs more than the work. A (4,2) row holds 18^6 or 18^7
-# machines, and the largest (4,2) pass peaks at 106,071 live rows.
+# (3,2): on (3,2), forking and warming cold children costs more than the work,
+# and one pass per row is slower than one pass. The CHANGES.md entry that
+# last re-measured _POOL_MIN_SIZE records the (3,2) `both` times of the
+# three ways. A (4,2) row holds 18^6 or 18^7 machines, and the largest
+# (4,2) pass peaks at 106,071 live rows, a bound tests assert.
 _POOL_MIN_SIZE = 10 ** 9
 
 

@@ -59,11 +59,18 @@ def test_criterion_02_runtimes_and_worker_independence(d3_zero_timed):
         assert run_space(SpaceSpec(3), workers=workers).canonical_bytes() == d3_bytes
 
 
-def test_criterion_03_cutoff_safety(d3_zero_freq):
+def test_criterion_03_cutoff_safety(d3_zero_freq, d3_both_freq):
     """criterion 3: raising the step cutoff tenfold changes no counts"""
     base2 = run_space(SpaceSpec(2))
     slow2 = run_space(SpaceSpec(2, max_steps=100))
     assert slow2.counts == base2.counts
+
+    # the full (3,2) space at ten times its cutoff, on each blank mode: no
+    # output, producer or census bucket moves
+    for base3 in (d3_zero_freq, d3_both_freq):
+        slow3 = run_space(SpaceSpec(3, blank_mode=base3.spec.blank_mode, max_steps=300))
+        assert slow3.records() == base3.records()  # counts, min_used_rules, first_producer
+        assert slow3.census == base3.census
 
     stride = np.arange(0, space_size(3), 100)
     sample30 = run_index_array(SpaceSpec(3), stride)

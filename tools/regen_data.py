@@ -6,10 +6,9 @@
 
 Everything here is deterministic, so reruns must reproduce the committed
 files byte for byte. Runs from a source checkout without installing: the
-package is imported from src/. Takes about a quarter of a second on two
-cores (0.24-0.29 s for --check, 0.02-0.04 s of it the two full (3,2)
-enumerations, which step machine families rather than single machines;
-see ctm_lab.space).
+package is imported from src/. The two full (3,2) enumerations step
+machine families rather than single machines (see ctm_lab.space); the
+measured --check times are in CHANGES.md.
 """
 
 import argparse
