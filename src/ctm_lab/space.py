@@ -59,10 +59,11 @@ halt code); a child whose machines all lack a halting entry has neither
 an unread nor a halting entry, a machine without a halting rule, and is
 counted at once. A row that stops is credited by its pass (_Pass). An
 escape test that depends on an unread blank-read entry expands that
-entry. On (3,2) this steps 36,685 rows in all (summed over the steps;
-tests assert it) for its 2,151,296 = 4 * 14^5 representatives, which with
-their namings stand for the 3,226,944 = 6 * 14^5 machines of all six
-right-moving top digits.
+entry; the children of both kinds that a step makes are born, judged
+and settled in one round (_Pass.settle). On (3,2) this steps 36,685 rows
+in all (summed over the steps; tests assert it) for its 2,151,296 =
+4 * 14^5 representatives, which with their namings stand for the
+3,226,944 = 6 * 14^5 machines of all six right-moving top digits.
 run_index_array runs arbitrary index sets, every machine on every blank,
 by the same rule with a batch's machines in place of a row's. A batch
 of _BATCH = 2^20 indices is decoded 2^16 at a time (_DECODE_CHUNK), so
@@ -132,7 +133,6 @@ into the result by sums and minima, in any order.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -424,16 +424,23 @@ def _action_tables(n: int):
     return write, delta, next2
 
 
-def _image_indices(digits: np.ndarray, n: int, reverse: bool, complement: bool) -> np.ndarray:
-    """Machine indices of the images of rows of 2n action codes.
+@functools.cache
+def _image_maps(n: int, reverse: bool, complement: bool):
+    """How _image_producers reads image indices off rows of 2n action codes:
+    (code table, place values) pairs, read-only, the first for the row
+    itself and, with complement, one more for each renaming (2 k), k =
+    3..n (_transpositions). A row's index under a pair is the sum over
+    slots j of table[row[j]] * place[j].
 
     reverse applies reflect_directions, complement applies complement_symbols,
-    both through one lookup table over the 4n + 2 action codes. A step code
-    is write * 2n + move * n + (next - 1): reflecting flips the move digit,
-    complementing flips the write digit and swaps the read-0 and read-1
-    entry of every state. Halt codes 4n + w keep their place under
-    reflection and swap under complement. The unread marker 4n + 2 maps to
-    0, so a family's image index is the smallest index of its image family.
+    both through the code table. A step code is write * 2n + move * n +
+    (next - 1): reflecting flips the move digit, complementing flips the
+    write digit and swaps the read-0 and read-1 entry of every state, so
+    entry j takes the place value of slot j ^ 1. Halt codes 4n + w keep
+    their place under reflection and swap under complement. The unread
+    marker 4n + 2 maps to 0, so a family's image index is the smallest
+    index of its image family. A renaming composes its code table into the
+    image's and moves each slot's place value to the slot it renames.
     """
     codes = np.arange(4 * n + 2)
     write, rest = codes // (2 * n), codes % (2 * n)
@@ -442,11 +449,28 @@ def _image_indices(digits: np.ndarray, n: int, reverse: bool, complement: bool) 
     if complement:
         write = 1 - write
     halts = 8 * n + 1 - codes if complement else codes
-    image = np.append(np.where(codes < 4 * n, write * 2 * n + rest, halts), 0)
-    index = np.zeros(digits.shape[0], np.int64)
-    for slot in range(2 * n):
-        index = index * (4 * n + 2) + image[digits[:, slot ^ complement]]
-    return index
+    image = np.append(np.where(codes < 4 * n, write * 2 * n + rest, halts), 0).astype(np.uint8)
+    place = np.power(np.int64(4 * n + 2), np.arange(2 * n - 1, -1, -1))
+    place = place.take(np.arange(2 * n) ^ complement)
+    maps = [(image, place)]
+    if complement:
+        for order, table in _transpositions(n):
+            maps.append((image.take(table), place.take(np.argsort(order))))
+    for a in (a for pair in maps for a in pair):
+        a.flags.writeable = False
+    return tuple(maps)
+
+
+def _image_index(codes: np.ndarray, table: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """The index of each row of codes under one of _image_maps' pairs. einsum
+    widens the gathered uint8 codes to int64 a buffer at a time, so no
+    int64 copy of the rows is made."""
+    return np.einsum("ij,j->i", table.take(codes), place)
+
+
+def _image_indices(digits: np.ndarray, n: int, reverse: bool, complement: bool) -> np.ndarray:
+    """Machine indices of the images of rows of 2n action codes (_image_maps)."""
+    return _image_index(digits, *_image_maps(n, reverse, complement)[0])
 
 
 @functools.cache
@@ -481,15 +505,17 @@ def _image_producers(digits: np.ndarray, n: int, reverse: bool, complement: bool
     keep the row's top digit but for a larger next state, so without
     complement the row's own image is the smallest (_image_indices). A
     complement image starts with the renamed (1,1) entry instead, so it
-    takes the minimum over the renamings.
+    takes the minimum over the renamings (_image_maps). Each image index
+    is one gather and one product, whatever the number of rows.
     """
     index = _image_indices(digits, n, reverse, complement)
-    named = np.flatnonzero(_namings(digits[:, 0], n) > 1) if complement else ()
-    if len(named):
-        rows = digits[named]
-        least = index[named]
-        for order, table in _transpositions(n):
-            np.minimum(least, _image_indices(table[rows[:, order]], n, reverse, True), out=least)
+    renamings = _image_maps(n, reverse, complement)[1:]
+    if renamings:
+        named = (_namings(digits[:, 0], n) > 1).nonzero()[0]
+        rows = digits.take(named, axis=0)
+        least = index.take(named)
+        for table, place in renamings:
+            np.minimum(least, _image_index(rows, table, place), out=least)
         index[named] = least
     return index
 
@@ -729,8 +755,10 @@ class _Pass:
     the caller gives them for the first rows (_weights of a family row;
     its member count and 0), and spawn derives each child's from its
     parent's. The live rows are the columns of one int64 array, live (see
-    _ST2 above); only they are stepped, and one keep-mask filters them on
-    the steps where some row stops.
+    _ST2 above); only they are stepped. A step advances them, judges
+    which stop, and settles those (settle), where one keep-mask filters
+    them and one round of children replaces the ones that read an unread
+    entry or whose escape depends on one.
 
     A pass fills its own table: every run its start rows stand for, once
     per image in images, counted from the rows' weights, never from their
@@ -780,7 +808,8 @@ class _Pass:
         row covers every cell its run can visit before the next snapshot.
         """
         for step in range(1, self.max_steps + 1):
-            self.live = self.settle(self.live, *self.advance(self.live))
+            o, slot, fresh = self.advance(self.live)
+            self.live = self.settle(self.live, o, slot, self.judge(self.live, o, fresh))
             if self.live.shape[1] == 0:
                 break
             grow = step == self.half < self.max_steps
@@ -801,8 +830,8 @@ class _Pass:
     def credit(self, rows, bucket: str) -> None:
         """Credit rows that stopped without halting to no_halt_rule and to bucket.
 
-        settle calls it on every step where some row stops, and on about half
-        of them no row stops this way: those calls return at once.
+        settle calls it on every step where some row stops, often with no
+        row that stops this way: those calls return at once.
         """
         if not rows.size:
             return
@@ -869,14 +898,15 @@ class _Pass:
         group_counts = np.add.reduceat(machines[order], starts).tolist()
         group_used = np.minimum.reduceat(used_rules[order], starts).tolist()
         group_prod = [np.minimum.reduceat(p[order], starts).tolist() for p in producers]
-        for k, start in enumerate(starts.tolist()):
-            s = np.binary_repr(int(s_val[start]), width=int(s_len[start]))
+        strings = zip(s_val.take(starts).tolist(), s_len.take(starts).tolist())
+        for k, (value, length) in enumerate(strings):
+            s = format(value, f"0{length}b")
             for image, prod in zip(self.images, group_prod):
                 self.table.add(_image_string(s, *image), group_counts[k], group_used[k], prod[k])
 
     def advance(self, live):
         """One step of the given rows, in place: their action codes (intp), read
-        slots and stop mask (judge)."""
+        slots, and whether they landed on fresh tape, for judge."""
         st2, used = live[_ST2], live[_USED]
         head, lo, hi = live[_HEAD:_HI + 1]
         tape = self.tape.reshape(-1)
@@ -892,11 +922,13 @@ class _Pass:
         np.minimum(a, head, out=a)
         np.maximum(b, head, out=b)
         self.next2_of.take(o, out=live[_ST2])
-        return o, slot, self.judge(live, o, fresh)
+        return o, slot, fresh
 
     def judge(self, live, o, fresh):
         """The stop mask of rows that took a step with codes o, fresh where
         they landed on fresh tape; the code of a looped row becomes 4n + 3.
+        run judges the rows of a step, and settle all the children of a
+        round at once.
 
         A row stops when it reads a halt code or the unread marker (both
         from 4n up), lands on fresh tape with a set escape bit, or repeats
@@ -912,7 +944,7 @@ class _Pass:
         """The cells start .. start + 2 * _WINDOW of the flat tape as words
         (bit k for cell start + k), and whether they lie inside the array."""
         tape, width = self.tape.reshape(-1), 2 * _WINDOW + 2
-        clipped = np.clip(start, 0, tape.size - width)
+        clipped = np.minimum(np.maximum(start, 0), tape.size - width)
         cells = _runs(tape, width)[clipped].view(np.uint8)
         return np.packbits(cells, bitorder="little").view("<u2"), clipped == start
 
@@ -958,7 +990,7 @@ class _Pass:
         """
         if live.shape[0] == _XLO:
             return np.empty(0, np.intp)
-        c = np.flatnonzero((live[_ST2] == live[_SNAP_ST2]) > stop)
+        c = ((live[_ST2] == live[_SNAP_ST2]) > stop).nonzero()[0]
         if c.size == 0:
             return c
         head, lo, hi, a, b, hw, lp, rp, word0 = live[_HEAD:_SNAP_ST2].take(c, axis=1)
@@ -972,23 +1004,27 @@ class _Pass:
         ok = (first >= 0) & (last <= 2 * _WINDOW)
         ok &= ((lo == lp) | (shift >= 0)) & ((hi == rp) | (shift <= 0))
         word, inside = self.window(start)
-        mask = np.take(_LOW, last + 1, mode="clip") ^ np.take(_LOW, first, mode="clip")
+        mask = _LOW.take(last + 1, mode="clip") ^ _LOW.take(first, mode="clip")
         return c[ok & inside & ((word ^ word0) & mask == 0)]
 
     def settle(self, live, o, slot, stop):
         """The live rows after sorting out the ones that stop (judge).
 
         Escaped and looped (code 4n + 3) rows are credited here, and halted
-        rows wait in pending for pack. A row that read an unread entry is
-        replaced, at the same step, by its children (spawn), which then take
-        the step from the slot it read (slot is None where no row reads one).
-        A row whose escape depends on unread entries is decided by expanding
-        them (decide).
+        rows wait in pending for pack. Two kinds of rows are replaced by
+        their children in one round (spawn): a row that read an unread
+        entry, whose children take the step from the slot it read (advance),
+        and a row that landed on fresh tape where escape depends on unread
+        entries, whose children expand the first unread blank-read entry of
+        its walk (walk_slot) and keep its code and its landing. One judge and
+        one settle take all the children; a child still undecided expands
+        the next entry of its walk a round later, so a decision takes at
+        most n rounds. Returns the rows that go on.
         """
-        if not stop.any():
+        idx = stop.nonzero()[0]
+        if not idx.size:
             return live
         two_n, marker = 2 * self.n, 4 * self.n + 2
-        idx = np.nonzero(stop)[0]
         oi = o[idx]
         halted = idx[(oi >= 4 * self.n) & (oi < marker)]
         lo, hi, used, ordoff = (live[row][halted] for row in (_LO, _HI, _USED, _ORD))
@@ -997,41 +1033,39 @@ class _Pass:
         moved = idx[oi < 4 * self.n]
         sure = ((live[_ESCW][moved] >> o[moved]) & 1).astype(bool)
         self.credit(live[_ORD][moved[sure]] // two_n, "blank_escape")
-        parts = [live.compress(~stop, axis=1)]
-        read = idx[oi == marker]
-        if read.size:
-            self.tape.reshape(-1)[live[_HEAD][read]] = slot[read] & 1  # undo the marker's write
-            children, src = self.spawn(live, read, slot[read])
-            # the children take this step from its start, in the state that read the slot
-            children[_ST2] = (slot[read] & -2)[src]
-            parts.append(self.settle(children, *self.advance(children)))
-        undecided = moved[~sure]
+        survivors = live.compress(~stop, axis=1)
+        read, undecided = idx[oi == marker], moved[~sure]
+        if not read.size + undecided.size:
+            return survivors
+        parents, slots = read, slot[read]
+        self.tape.reshape(-1)[live[_HEAD][read]] = slots & 1  # undo the marker's write
         if undecided.size:
-            parts.append(self.decide(live.take(undecided, axis=1), o[undecided]))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            parents = np.concatenate((read, undecided))
+            slots = np.concatenate((slots, self.walk_slot(live, undecided)))
+        children, src = self.spawn(live, parents, slots)
+        # the children start from their parent's step, which the undecided
+        # ones have taken, landing on fresh tape
+        at = parents.take(src)
+        o, slot, fresh = o.take(at), slot.take(at), src >= read.size
+        if read.size:
+            # the read children lead; they take this step from its start, in
+            # the state that read the slot
+            k = src.searchsorted(read.size)
+            first = children[:, :k]
+            first[_ST2] = (slots & -2).take(src[:k])
+            o[:k], slot[:k], fresh[:k] = self.advance(first)
+        rest = self.settle(children, o, slot, self.judge(children, o, fresh))
+        return np.concatenate((survivors, rest), axis=1)
 
-    def decide(self, live, o):
-        """Rows that landed on fresh tape with code o, where escape depends on unread entries.
-
-        The blank-runway walk from the new state meets an unread blank-read
-        entry before it is decided. That entry is expanded, and the
-        children, which have taken the step, are judged as fresh landings
-        and settled, which decides the still undecided ones again. Each
-        level fixes one entry of the walk, so the recursion is at most n
-        deep. Returns the children that go on.
-        """
-        children, src = self.spawn(live, np.arange(live.shape[1]), self.walk_slot(live))
-        o = o[src]
-        return self.settle(children, o, None, self.judge(children, o, True))
-
-    def walk_slot(self, live):
-        """The first unread blank-read entry on each row's walk from its state."""
+    def walk_slot(self, live, rows):
+        """The first unread blank-read entry on the walk of each of live's
+        rows from its state."""
         n, ords = self.n, self.ords.reshape(-1)
-        cur = live[_ST2] // 2
+        cur, base = live[_ST2].take(rows) // 2, live[_ORD].take(rows)
         found = np.full(cur.size, -1, np.intp)
         for _ in range(n):
             slot = 2 * cur + self.blank
-            code = ords.take(live[_ORD] + slot)
+            code = ords.take(base + slot)
             hit = (found < 0) & (code == 4 * n + 2)
             found[hit] = slot[hit]
             cur = np.where(found < 0, code % n, cur)
@@ -1064,9 +1098,9 @@ class _Pass:
             full = machines != no_halt
             self.table.census.no_halt_rule += len(self.images) * 4 * n * int(machines[~full].sum())
             count = np.where(full, b, 2)
-            src = np.repeat(np.arange(parents.size), count)
+            src = np.arange(parents.size).repeat(count)
             # the codes of a parent's children, 0 .. b - 1 or 4n and 4n + 1
-            codes = np.arange(src.size) - np.repeat(np.cumsum(count) - count - 4 * n * ~full, count)
+            codes = np.arange(src.size) - (count.cumsum() - count - 4 * n * ~full).repeat(count)
             weights = np.empty((src.size, 2), np.int64)
             weights[:, 0] = machines.take(src)
             weights[:, 1] = np.where(codes < 4 * n, no_halt.take(src), 0)
@@ -1425,6 +1459,8 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
         for part in map(_run_group, jobs):
             table.merge(part)
     else:
+        import multiprocessing  # here, not at the top: only a pool needs it
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=min(workers, os.cpu_count() or 1)) as pool:
             for part in pool.imap(_run_group, jobs, chunksize=1):

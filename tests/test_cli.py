@@ -44,8 +44,9 @@ def test_run_space_requires_out(capsys):
 
 
 def test_run_space_refuses_five_states_with_one_error_line(tmp_path, capsys):
-    # one (5,2) pass at cutoff 30 took 3.9 GB: the run is refused before it
-    # starts, with one line and no file
+    # one (5,2) pass outgrows the memory of a small box (run_space's error
+    # text gives its measured size): the run is refused before it starts,
+    # with one line and no file
     out = tmp_path / "d5.ctm"
     assert main(["run-space", "--states", "5", "--max-steps", "30", "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -297,6 +298,16 @@ def test_numpy_is_the_only_runtime_dependency():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split()) - set(sys.stdlib_module_names)
     assert {m for m in loaded if not m.startswith("_")} == {"ctm_lab", "numpy"}
+
+
+def test_importing_the_package_leaves_multiprocessing_unloaded():
+    # only run_space's pool needs multiprocessing, so it imports it there and
+    # no command that runs no pool pays for the import
+    proc = _run_python("-c", (
+        "import sys; import ctm_lab, ctm_lab.cli; print('multiprocessing' in sys.modules)"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 # --- fuzzing: any input is an exit code and at most one line on stderr

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import multiprocessing
 import pathlib
 import random
 import tracemalloc
@@ -100,8 +101,9 @@ def test_default_cutoffs_follow_busy_beaver_bounds():
 
 
 def test_run_space_refuses_more_than_four_states(monkeypatch):
-    # One (5,2) pass at cutoff 30 took 3.9 GB: run_space refuses n > 4
-    # before it plans a pass or allocates a table, on every worker count.
+    # One (5,2) pass outgrows the memory of a small box (run_space's error
+    # text gives its measured size): run_space refuses n > 4 before it plans
+    # a pass or allocates a table, on every worker count.
     def allocate(*args):
         raise AssertionError("run_space went past its range check")
 
@@ -774,19 +776,16 @@ def test_results_do_not_depend_on_batch_size(monkeypatch):
 
 def test_index_batches_hold_a_bounded_number_of_bytes_per_index():
     # numpy reports its buffers to tracemalloc, so unlike RSS the peak is
-    # deterministic. One (4,2) batch of 2^20 strided indices peaks at 14.34
-    # bytes per index above the index array (numpy 2.4), in the settle of
-    # step 9, which copies the live rows' 14 columns once the first
-    # snapshot has added its own: before it, the members' code rows (8 bytes
-    # per member that can halt, 56% of them) hold 4.49, the live rows 2.18
-    # and the tape 1.94. The start rows fix the entries read at steps 1 and
-    # 2, so the largest split sorts 103,733 members, where one of 354,245
-    # once set the peak.
+    # deterministic. One (4,2) batch of 2^20 strided indices peaks in a
+    # settle soon after the first snapshot, which copies the live rows' 14
+    # columns while the members' code rows (8 bytes per member that can
+    # halt), the live rows and the tape are held; BENCH_member_starts.json
+    # "memory" records the measured peak and its parts.
     spec = SpaceSpec(4, max_steps=107)
     indices = np.arange(1 << 20, dtype=np.int64) * (spec.size >> 20)
     # the lookup tables built on first use count too, whatever ran before
     for cached in (space._digit_table, space._all_steps, space._walk_classes,
-                   space._escape_table, space._transpositions):
+                   space._escape_table, space._transpositions, space._image_maps):
         cached.cache_clear()
     tracemalloc.start()  # after the index array, so it is not counted
     try:
@@ -943,6 +942,37 @@ def test_renaming_states_keeps_every_run():
         assert a.min_used_rules == b.min_used_rules
         assert a.census == b.census
         assert a.first_producer != b.first_producer
+
+
+def test_renaming_states_three_and_four_keeps_a_pass_table():
+    # Swapping the names of states 3 and 4 maps a (4,2) subtree row whose
+    # top step goes to state 2 and whose (2,0) entry steps to state 3 onto
+    # the row whose (2,0) entry makes the same write and move to state 4:
+    # states 3 and 4 trade their entries, which both rows leave unread. The
+    # plan holds 8 such pairs, one per top digit 5 or 13 and write and move
+    # of (2,0), and no other. A renaming keeps each run's output, used
+    # rules and bucket, so the two passes of a pair credit the same counts,
+    # minima and census on both blanks; only their producers differ.
+    n = 4
+    codes = np.arange(4 * n + 3)
+    step = codes < 4 * n
+    # a step to state 3 goes to 4 and one to 4 goes to 3
+    rename = codes + step * ((codes % n == 2).astype(int) - (codes % n == 3))
+    order = [0, 1, 2, 3, 6, 7, 4, 5]  # state 3's entries where state 4's were, and back
+    plan = np.concatenate(list(space._family_groups(n))).tolist()
+    pairs = sorted((row, renamed) for row in plan
+                   if row < (renamed := rename[np.array(row)[order]].tolist()) and renamed in plan)
+    marker = [18] * 5
+    assert pairs == [([top, 18, code] + marker, [top, 18, code + 1] + marker)
+                     for top in (5, 13) for code in (2, 6, 10, 14)]
+    for mode in ("zero", "both"):
+        spec = SpaceSpec(n, blank_mode=mode)
+        for row, renamed in pairs[:2]:
+            a, b = _run_rows(spec, [row]), _run_rows(spec, [renamed])
+            assert a.counts == b.counts
+            assert a.min_used_rules == b.min_used_rules
+            assert a.census == b.census
+            assert a.first_producer != b.first_producer
 
 
 def test_complement_producers_take_the_least_renaming():
@@ -1185,27 +1215,47 @@ def test_escape_closure_checks_the_whole_walk():
 def test_undecided_escapes_expand_their_walk_entry_by_entry(monkeypatch):
     # A row whose escape depends on unread blank-read entries expands the
     # first one on its walk (walk_slot); a child still undecided expands the
-    # next. run_space takes one expansion per decision on (3,2) and at most
-    # two on (4,2) (118 of the 865 decisions of a zero run); this strided
-    # (4,2) set takes three in two of its 18 decisions. Each expansion
-    # fixes one entry of the walk, so a decision takes at most n.
-    expansions = []
+    # next in the following child round, one settle deeper. A decision is
+    # such a line of expansions, started by a row of the step or by a child
+    # that read an unread entry in the first round. Each expansion fixes
+    # one entry of the walk, so a decision takes at most n; this strided
+    # (4,2) set has decisions of more than one. A settle call spawns one
+    # round of children at most, read and undecided rows' alike.
+    expansions = []  # per row that walk_slot expands: the expansions of its line so far
 
     class Spy(space._Pass):
-        depth = 0
+        depth = -1  # of the running settle call, 0 for a step's own
+        expanded = born = {}  # tape row -> expansions of its line
+        rounds = []  # spawn calls of each running settle call
 
-        def decide(self, live, o):
-            if self.depth == 0:  # a decision, not a round of one
-                expansions.append(0)
+        def settle(self, *args):
             self.depth += 1
+            self.rounds.append(0)
+            if self.depth == 0:
+                self.born = {}
             try:
-                return super().decide(live, o)
+                return super().settle(*args)
             finally:
+                assert self.rounds.pop() <= 1
                 self.depth -= 1
 
-        def walk_slot(self, live):
-            expansions[-1] += 1
-            return super().walk_slot(live)
+        def walk_slot(self, live, rows):
+            tape_rows = (live[space._ORD][rows] // (2 * self.n)).tolist()
+            self.expanded = {r: self.born.get(r, 0) + 1 for r in tape_rows}
+            for count in self.expanded.values():
+                # one settle deeper per expansion, from depth 0 or 1
+                assert self.depth - count in (-1, 0)
+                expansions.append(count)
+            return super().walk_slot(live, rows)
+
+        def spawn(self, live, parents, slots):
+            self.rounds[-1] += 1
+            children, src = super().spawn(live, parents, slots)
+            parent = (live[space._ORD][parents] // (2 * self.n))[src].tolist()
+            child = (children[space._ORD] // (2 * self.n)).tolist()
+            self.born = {c: self.expanded[p] for c, p in zip(child, parent) if p in self.expanded}
+            self.expanded = {}
+            return children, src
 
     monkeypatch.setattr(space, "_Pass", Spy)
     spec = SpaceSpec(4, blank_mode="both")
@@ -1318,7 +1368,7 @@ def _job(job):
 
 def _inline_pools(monkeypatch, cpus):
     ctx = _InlineContext()
-    monkeypatch.setattr(space.multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
     monkeypatch.setattr(space.os, "cpu_count", lambda: cpus)
     return ctx
 
@@ -1659,7 +1709,7 @@ def test_real_pools_match_the_one_process_run(monkeypatch, d3_both_freq):
     # processes. Each merged result equals the one-process run byte for byte
     monkeypatch.setattr(space, "_POOL_MIN_SIZE", 0)
     monkeypatch.setattr(space.os, "cpu_count", lambda: 3)
-    forked, get_context = [], space.multiprocessing.get_context
+    forked, get_context = [], multiprocessing.get_context
 
     class RecordingContext:
         def __init__(self, method):
@@ -1669,7 +1719,7 @@ def test_real_pools_match_the_one_process_run(monkeypatch, d3_both_freq):
             forked.append((self.method, processes))
             return get_context(self.method).Pool(processes)
 
-    monkeypatch.setattr(space.multiprocessing, "get_context", RecordingContext)
+    monkeypatch.setattr(multiprocessing, "get_context", RecordingContext)
     spec = SpaceSpec(3, blank_mode="both")
     for workers in (2, 3, 8):
         assert run_space(spec, workers=workers).canonical_bytes() == d3_both_freq.canonical_bytes()
