@@ -194,13 +194,13 @@ def _read_corpus(path):
 
 
 def _cmd_run_space(args) -> None:
-    if not args.out:
-        raise ValidationError("run-space requires --out")
     spec = SpaceSpec(
         n=args.states,
         blank_mode=BLANK_BOTH if args.both_blanks else BLANK_ZERO,
         max_steps=args.max_steps,
     )
+    if not args.out:
+        raise ValidationError("run-space requires --out")
     freq = run_space(spec, workers=args.threads)
     save_ctm_table(to_ctm(freq, args.norm), args.out)
 

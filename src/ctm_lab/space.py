@@ -1,5 +1,9 @@
 """Exhaustive enumeration of a rule space into a frequency table.
 
+Every space here has n <= 4 states, checked once, in space_size: (4,2) is
+the largest space whose default cutoff is a busy-beaver step bound, S(4) =
+107, and its lookup tables (_escape_table, _decode's) stay small.
+
 run_space accounts for every run of every machine index of (n, 2) on the
 blanks of its spec, through two sound non-halting proofs (no halting rule,
 blank-runway escape) and the step cutoff, and aggregates halting outputs
@@ -111,14 +115,13 @@ next state. The marker shares the halt codes' stop test (codes from 4n
 up), so a step pays nothing for it. The blank-runway closure depends
 only on the walk classes of the blank-read entries: a step's move and
 next state, since on blank runway its written symbol cannot matter, one
-class for both halts and one for the marker. Up to n = 4 it runs once
-per space and blank, on every tuple of classes, into a table built on
-first use (_escape_table), and a row's escape word is one gather by its
-tuple; the index sets of n = 5 and 6 run it on their rows. Indices
-decode from per-space tables, one gather per chunk of digits. The tape
-starts narrow and widens as the step count grows; each copy keeps only
-live rows, and halted rows are packed into (length, value) pairs before
-the tape is replaced.
+class for both halts and one for the marker. It runs once per space and
+blank, on every tuple of classes, into a table built on first use
+(_escape_table), and a row's escape word is one gather by its tuple.
+Indices decode from per-space tables, one gather per chunk of digits. The
+tape starts narrow and widens as the step count grows; each copy keeps
+only live rows, and halted rows are packed into (length, value) pairs,
+one 64-bit word each, before the tape is replaced.
 
 Determinism contract: the resulting FrequencyTable depends only on the
 SpaceSpec, never on the worker count or scheduling. The unit of work is
@@ -148,11 +151,11 @@ BLANK_ZERO = "zero"
 BLANK_BOTH = "both"
 BLANK_MODES = (BLANK_ZERO, BLANK_BOTH)
 
-_MAX_STATES = 6  # indices stay below 26^12 < 2^63: exact in int64 and in _decode's uint64
-# Entries of the largest lookup table: _decode's digit tables, and the
-# escape table of a space (_escape_table), which holds (2n + 2)^n words,
-# 10^4 at n = 4, and is not built past it (n >= 5), where _escape_bits
-# runs on the rows themselves.
+# The one range of n, checked by space_size. Indices stay below 18^8 < 2^34,
+# and the escape table of a space (_escape_table) holds (2n + 2)^n words,
+# 10^4 at n = 4.
+_MAX_STATES = 4
+# Entries of the largest digit table that _decode gathers from.
 _TABLE_SIZE = 1 << 17
 # Indices per run_index_array batch, whose machines that can halt are the
 # members of one pass per blank (_Members), decoded _DECODE_CHUNK indices
@@ -208,11 +211,17 @@ def _from_meta(cls, d, kind: str):
 
 
 def space_size(n: int) -> int:
-    """(4n + 2)^(2n), the number of machines with n states and 2 symbols."""
+    """(4n + 2)^(2n), the number of machines with n states and 2 symbols.
+
+    It checks n for every entry point of this module (SpaceSpec,
+    default_max_steps, and so run_space, run_index_array and the .ctm
+    loader): n must be 1 .. _MAX_STATES.
+    """
     require_int("n", n)
     if n > _MAX_STATES:
         raise ValidationError(
-            f"space size for n={n} exceeds the supported enumeration range (n <= {_MAX_STATES})"
+            f"spaces run n <= {_MAX_STATES}, got n={n}: one (5,2) pass at cutoff 30 "
+            "took 3.9 GB, and n >= 5 is not planned"
         )
     return machine_count(n)
 
@@ -223,21 +232,18 @@ def default_max_steps(n: int) -> int:
     n <= 3 keeps the cutoffs validated by the 10x re-run check on full
     spaces (10 and 30; S(2) = 6, S(3) = 21). For n = 4 it is S(4) = 107
     (Brady, Math. Comp. 40, 1983): every halting (4,2) machine stops
-    within 107 steps, so the cutoff loses no halting run.
+    within 107 steps, so the cutoff loses no halting run. Any other n
+    raises space_size's ValidationError.
     """
-    require_int("n", n)
+    space_size(n)
     if n <= 2:
         return 10
-    if n == 3:
-        return 30
-    if n == 4:
-        return 107
-    raise ValidationError(f"no validated default cutoff for n={n}; set max_steps explicitly")
+    return 30 if n == 3 else 107
 
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Everything that determines a space run's result."""
+    """Everything that determines a space run's result; n is 1 .. 4 (space_size)."""
 
     n: int
     blank_mode: str = BLANK_ZERO
@@ -567,10 +573,10 @@ def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
 
     The blank-runway closure depends only on the walk classes of the n
     blank-read entries (_walk_classes), and runs here on every row given.
-    Passes call it through _escape_words, so up to n = 4 it runs once per
-    space and blank, on one row per tuple of classes (_escape_table), and
-    only the index sets of n = 5 and 6 run it on their rows. A walk that meets an unread entry
-    before it fails is undecided; fully decoded rows have no undecided bits.
+    It runs once per space and blank, on one row per tuple of classes, to
+    build _escape_table, which passes read through _escape_words. A walk
+    that meets an unread entry before it fails is undecided; fully decoded
+    rows have no undecided bits.
     """
     b_cls = _walk_classes(n).take(ords[:, blank::2])
     b_step = b_cls < 2 * n
@@ -598,15 +604,13 @@ def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
 @functools.cache
 def _escape_table(n: int, blank: int):
     """_escape_bits of every key on blank, read-only and indexed by key
-    (classes in base 2n + 2, the first blank-read entry's most significant),
-    or None where the (2n + 2)^n keys outgrow _TABLE_SIZE (n >= 5).
+    (classes in base 2n + 2, the first blank-read entry's most significant):
+    (2n + 2)^n words, 10^4 at n = 4.
 
     It is built on first use, from one row per key whose blank-read
     entries hold the first code of each of its walk classes.
     """
     base = 2 * n + 2
-    if base ** n > _TABLE_SIZE:
-        return None
     codes = np.unique(_walk_classes(n), return_index=True)[1].astype(np.uint8)
     keys = np.arange(base ** n)
     ords = np.full((keys.size, 2 * n), 4 * n + 2, np.uint8)
@@ -619,10 +623,8 @@ def _escape_table(n: int, blank: int):
 
 def _escape_words(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
     """The escape word of each row of action codes: one gather from
-    _escape_table by its key, or _escape_bits where there is no table."""
+    _escape_table by its key."""
     table = _escape_table(n, blank)
-    if table is None:
-        return _escape_bits(ords, n, blank)
     classes = _walk_classes(n)
     key = classes.take(ords[:, blank])
     for j in range(1, n):
@@ -842,12 +844,24 @@ class _Pass:
 
     def pack(self) -> None:
         """Count the pending halted rows, and pack their spans of the current
-        tape into (length, value) pairs for emit; a span too wide to pack, or
-        too near the end of the tape, is added to the table at once."""
+        tape into (length, value) pairs for emit.
+
+        Each span is read as a whole number of bytes of cells, from its
+        first cell or, where those bytes would run past the end of the flat
+        tape, from a start clipped back into it, and then shifted up to its
+        first cell: the high bits of one 64-bit word. Every halting run of a
+        space with n <= 4, at any cutoff, is a run of the full (4,2) census
+        at S(4) = 107 (a machine of fewer states is a (4,2) machine that
+        never reaches the others), and the CI's (4,2) builds pack each of
+        its outputs in one word. So a span longer than 64 cells raises
+        ValidationError rather than being packed wrong.
+        """
         if not self.pending:
             return
         lo, hi, used, row = (np.concatenate(a) for a in zip(*self.pending))
         self.pending = []
+        if not lo.size:
+            return
         tape = self.tape.reshape(-1)
         machines = self.weights[:, 0].take(row)
         if self.members is None:
@@ -857,29 +871,19 @@ class _Pass:
         producers = np.stack([_image_producers(digits, self.n, *image) for image in self.images])
         self.table.census.halted += len(self.images) * int(machines.sum())
         lengths = hi - lo + 1
+        longest = int(lengths.max())
+        if longest > 64:
+            raise ValidationError(f"a halting output of {longest} cells does not fit pack's 64 bits")
+        # cells read per output: a whole number of bytes, or the whole tape
+        span = min(-(-longest // 8) * 8, tape.size)
+        start = np.minimum(lo, tape.size - span)
+        cells = _runs(tape, span)[start].view(np.uint8).reshape(lo.size, span)
+        word = np.zeros((lo.size, 8), np.uint8)
+        word[:, :-(-span // 8)] = np.packbits(cells, axis=1)
+        value = word.view(">u8")[:, 0] << (lo - start).astype(np.uint64)
+        value >>= (64 - lengths).astype(np.uint64)
         used_rules = np.bitwise_count(used).astype(np.int64)
-        # cells read per output: a whole number of bytes, at most 64 bits
-        span = min(-(-int(lengths.max(initial=1)) // 8) * 8, 64)
-        narrow = (lengths <= span) & (lo <= tape.size - span)
-        if not narrow.all():
-            # Rare wide outputs (only reachable with very large cutoffs), and
-            # outputs too near the end of the tape array for a run of span
-            # cells: build the strings row by row, and pack the rest.
-            for r in np.nonzero(~narrow)[0]:
-                s = "".join("1" if c else "0" for c in tape[lo[r]:hi[r] + 1])
-                for image, producer in zip(self.images, producers[:, r]):
-                    self.table.add(_image_string(s, *image), int(machines[r]),
-                                   int(used_rules[r]), int(producer))
-            lo, hi, lengths = lo[narrow], hi[narrow], lengths[narrow]
-            used_rules, machines = used_rules[narrow], machines[narrow]
-            producers = producers[:, narrow]
-        if lo.size:
-            # each output and the cells after it, as the high bits of a 64-bit word
-            cells = _runs(tape, span)[lo].view(np.uint8)
-            word = np.zeros((lo.size, 8), np.uint8)
-            word[:, :span // 8] = np.packbits(cells).reshape(lo.size, -1)
-            value = word.view(">u8")[:, 0] >> (64 - lengths).astype(np.uint64)
-            self.packed.append((lengths, value.astype(np.uint64), used_rules, machines, producers))
+        self.packed.append((lengths, value, used_rules, machines, producers))
 
     def emit(self) -> None:
         """Add the packed strings to the table, one group per string and image."""
@@ -1402,9 +1406,9 @@ def run_index_array(spec: SpaceSpec, indices, engine: str = "vector") -> Frequen
     machines that can halt start as one row per code of the entries their
     runs read at steps 1 and 2; see the module docstring) or "scalar"
     (machine.simulate, one run at a time), the oracle the tests compare
-    the vector engine against. Indices
-    that are not integers of [0, size) in increasing order raise
-    ValidationError before either engine runs.
+    the vector engine against. spec's n is 1 .. 4, as for run_space
+    (space_size). Indices that are not integers of [0, size) in increasing
+    order raise ValidationError before either engine runs.
     """
     indices = _index_array(indices, spec.size)
     sink = empty_table(spec, covers=None)
@@ -1441,17 +1445,12 @@ def run_space(spec: SpaceSpec, workers: int = 1) -> FrequencyTable:
     lazily, each process taking the next pass when it is free. No job
     splits a subtree row, so every worker count steps the same rows, and
     the result is byte-identical for every worker count. A result that
-    does not count every run of the space raises ValidationError. It runs
-    n <= 4 only (run_index_array takes index sets up to n = 6).
+    does not count every run of the space raises ValidationError. spec's n
+    is 1 .. 4, checked when spec was made (space_size).
     """
     require_int("workers", workers)
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    if spec.n > 4:
-        raise ValidationError(
-            f"run_space runs n <= 4, got n={spec.n}: one (5,2) pass at cutoff 30 "
-            "took 3.9 GB, and n >= 5 is not planned"
-        )
     table = empty_table(spec, ((0, spec.size),))
     groups = _family_groups(spec.n)
     jobs = ((spec, rows) for rows in groups)

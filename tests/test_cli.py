@@ -44,15 +44,18 @@ def test_run_space_requires_out(capsys):
 
 
 def test_run_space_refuses_five_states_with_one_error_line(tmp_path, capsys):
-    # one (5,2) pass outgrows the memory of a small box (run_space's error
-    # text gives its measured size): the run is refused before it starts,
-    # with one line and no file
+    # one (5,2) pass outgrows the memory of a small box (space_size's error
+    # text gives its measured size): space_size refuses the spec before the
+    # run starts, with one line and no file
     out = tmp_path / "d5.ctm"
     assert main(["run-space", "--states", "5", "--max-steps", "30", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ctm-lab: error: ") and err.count("\n") == 1
     assert "n <= 4" in err and "Traceback" not in err
     assert not out.exists()
+    # the spec is checked before --out, so the same line comes without it
+    assert main(["run-space", "--states", "5", "--max-steps", "30"]) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_table_merge(small_tables, tmp_path):

@@ -251,6 +251,11 @@ def test_meta_headers_hold_exactly_what_the_writers_write(tmp_path, capsys):
     assert err.value.line == 2
     assert main(["ctm", "eval", "--table", str(path), "--string", "01"]) == 1
     assert capsys.readouterr().err.splitlines() == [f"ctm-lab: error: {err.value}"]
+    # a source of five states: space_size refuses it, as it does every spec
+    path.write_bytes(_shipped("d2_zero").replace(b'"n":2}', b'"n":5}'))
+    with pytest.raises(ParseError, match="n <= 4, got n=5") as err:
+        load_ctm_table(path)
+    assert err.value.line == 2
 
 
 def _meta_line(text, dumps):

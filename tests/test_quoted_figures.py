@@ -34,7 +34,7 @@ ALLOWED = {
         "the bound test_index_batches_hold_a_bounded_number_of_bytes_per_index asserts"
     ),
     ("src/ctm_lab/space.py", "3.9 GB"): (
-        "the text of run_space's ValidationError for n > 4, a code line that tests read"
+        "the text of space_size's ValidationError for n > 4, a code line that tests read"
     ),
 }
 

@@ -61,8 +61,9 @@ def test_space_size_rejects_out_of_range_states():
         for count in (space_size, machine_count, action_count):
             with pytest.raises(ValidationError, match=f"state count must be >= 1, got {n}"):
                 count(n)
-    with pytest.raises(ValidationError):
-        space_size(7)
+    for n in (5, 7):
+        with pytest.raises(ValidationError, match=f"n <= 4, got n={n}"):
+            space_size(n)
 
 
 def test_space_spec_takes_only_ints():
@@ -96,14 +97,23 @@ def test_public_int_parameters_take_only_ints(call, value):
 
 def test_default_cutoffs_follow_busy_beaver_bounds():
     assert SpaceSpec(4).max_steps == 107  # S(4), Brady 1983
-    with pytest.raises(ValidationError):
-        SpaceSpec(5)
+    assert [space.default_max_steps(n) for n in range(1, 5)] == [10, 10, 30, 107]
+    # default_max_steps(0) and (-1) used to return 10: n is checked by
+    # space_size, whose error every entry point raises
+    for n in (0, -1, 5):
+        with pytest.raises(ValidationError) as expected:
+            space_size(n)
+        for call in (space.default_max_steps, SpaceSpec):
+            with pytest.raises(ValidationError) as err:
+                call(n)
+            assert str(err.value) == str(expected.value)
 
 
 def test_run_space_refuses_more_than_four_states(monkeypatch):
-    # One (5,2) pass outgrows the memory of a small box (run_space's error
-    # text gives its measured size): run_space refuses n > 4 before it plans
-    # a pass or allocates a table, on every worker count.
+    # One (5,2) pass outgrows the memory of a small box (space_size's error
+    # text gives its measured size): space_size refuses n > 4 when the spec
+    # is made, before run_space plans a pass or allocates a table, on every
+    # worker count.
     def allocate(*args):
         raise AssertionError("run_space went past its range check")
 
@@ -426,15 +436,15 @@ def test_escape_bits_match_the_escape_closure_on_two_states():
         for row, codes in enumerate(ords.tolist()):
             index = sum(o * 14 ** (2 * n - 1 - j) for j, o in enumerate(codes))
             assert int(bits[row]) == _expected_escape_bits(decode_machine(index, n), blank)
-    # seeded decoded rows of the deeper spaces, whose walks reach n - 1 passes
+    # seeded decoded rows of (4,2), whose walks reach n - 1 passes
     rng = random.Random(67)
-    for n in (4, 5, 6):
-        indices = sorted(rng.sample(range(space_size(n)), 1500))
-        ords = _digits(indices, n)
-        for blank in (0, 1):
-            bits = space._escape_bits(ords, n, blank)
-            for row, index in enumerate(indices):
-                assert int(bits[row]) == _expected_escape_bits(decode_machine(index, n), blank)
+    n = 4
+    indices = sorted(rng.sample(range(space_size(n)), 1500))
+    ords = _digits(indices, n)
+    for blank in (0, 1):
+        bits = space._escape_bits(ords, n, blank)
+        for row, index in enumerate(indices):
+            assert int(bits[row]) == _expected_escape_bits(decode_machine(index, n), blank)
 
 
 def _codes(machine):
@@ -451,7 +461,7 @@ def _has_halting_entry(index, n):
 
 def test_decode_matches_decode_machine_in_every_space():
     rng = random.Random(97)
-    for n in range(1, 7):
+    for n in range(1, 5):
         size = space_size(n)
         indices = sorted({0, size - 1, *rng.sample(range(size), 2000 if n > 1 else 30)})
         can_halt = [_has_halting_entry(i, n) for i in indices]
@@ -477,7 +487,7 @@ def _no_halt_indices(rng, n, count, top=None):
 
 def test_a_decode_chunk_without_a_machine_that_can_halt_keeps_no_rows(monkeypatch):
     rng = random.Random(101)
-    for n in range(1, 7):
+    for n in range(1, 5):
         indices = np.array(_no_halt_indices(rng, n, 40 if n > 1 else 12), np.uint64)
         ords = space._decode(indices, n)
         assert ords.dtype == np.uint8 and ords.shape == (0, 2 * n)
@@ -622,9 +632,9 @@ def test_blank_one_producers_are_the_least_members_after_blank_zero_reorders(n):
 
 
 def test_lookup_tables_are_read_only():
-    tables = [space._walk_classes(n) for n in range(1, 7)]
+    tables = [space._walk_classes(n) for n in range(1, 5)]
     tables += [space._digit_table(n, width) for n in (3, 4) for width in (2, 4)]
-    for n, width in ((1, 2), (3, 4), (4, 4), (6, 3)):
+    for n, width in ((1, 2), (2, 3), (3, 4), (4, 4)):
         steps = space._all_steps(n, width)
         digits = space._digit_table(n, width).view(np.uint8).reshape(-1, width)
         assert steps.dtype == bool and steps.tolist() == (digits < 4 * n).all(axis=1).tolist()
@@ -647,7 +657,6 @@ def test_lookup_tables_are_read_only():
             assert table.tolist() == space._escape_bits(ords, n, blank).tolist()
             assert space._escape_words(ords, n, blank).tolist() == table.tolist()
             tables.append(table)
-    assert space._escape_table(5, 0) is None and space._escape_table(6, 1) is None
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -725,16 +734,16 @@ def test_image_indices_of_families_are_their_smallest_images():
 
 def test_escape_words_of_families_agree_with_their_members():
     # a bit is set when every member escapes, undecided when members differ;
-    # (5,2) keys outgrow space._TABLE_SIZE, so those rows, like the index
-    # sets of n = 5 and 6, have no escape table and run _escape_bits as is
+    # a family row reads its word from the escape table (_escape_words), and
+    # the (4,2) rows have two unread entries, 324 members each
     rng = np.random.default_rng(101)
-    wide = rng.integers(0, 22, (60, 10)).astype(np.uint8)
-    for row in wide:
-        row[rng.choice(10, 2, replace=False)] = 22
+    deep = rng.integers(0, 18, (60, 8)).astype(np.uint8)
+    for row in deep:
+        row[rng.choice(8, 2, replace=False)] = 18
     for blank in (0, 1):
-        for n, rows in ((2, _family_samples(2, 300, 73 + blank)), (5, wide)):
+        for n, rows in ((2, _family_samples(2, 300, 73 + blank)), (4, deep)):
             for row in rows:
-                word = int(space._escape_bits(row[None, :], n, blank)[0])
+                word = int(space._escape_words(row[None, :], n, blank)[0])
                 members = space._escape_bits(_completions(row, n), n, blank)
                 assert not (members >> 32).any()
                 for o in range(4 * n):
@@ -816,12 +825,13 @@ def test_the_largest_four_state_pass_holds_a_bounded_number_of_live_rows(monkeyp
     assert peak[0] <= 106_071
 
 
-@pytest.mark.parametrize("n", [5, 6])
-def test_member_producers_are_exact_at_the_top_of_the_largest_spaces(n):
+def test_member_producers_are_exact_at_the_top_of_the_largest_spaces():
     # A producer's index is read back from its codes in int64 (_image_indices).
-    # Indices near (4n + 2)^(2n), 26^12 at n = 6, catch an overflow or a wrong
-    # radix: the last 300 of the space, all first-step halts, and the last
-    # 300 before the top digit 4n, which step and then read their low digits.
+    # Indices near (4n + 2)^(2n), 18^8 > 2^33 at n = 4, catch an overflow or
+    # a wrong radix: the last 300 of the space, all first-step halts, and the
+    # last 300 before the top digit 4n, which step and then read their low
+    # digits.
+    n = 4
     spec = SpaceSpec(n, blank_mode="both", max_steps=12)
     top = 4 * n * (4 * n + 2) ** (2 * n - 1)
     for end in (top, spec.size):
@@ -1037,34 +1047,59 @@ def test_family_runs_reproduce_the_scalar_oracle_at_every_cutoff_to_twenty(mode)
         assert run_space(spec).canonical_bytes() == _scalar_bytes(spec)
 
 
-def test_halted_outputs_pack_narrow_and_wide_spans():
-    # Spans wider than 64 cells, and the one too near the end of the tape for
-    # a 64-cell run, take the row-by-row path; the rest are packed. Every span
-    # is credited as is and reversed, to the machine and its mirror.
-    tape = np.random.default_rng(59).integers(0, 2, 400).astype(np.uint8)
-    lo = np.array([0, 10, 100, 200, 300, 12, 390], np.intp)
-    hi = lo + np.array([0, 2, 63, 64, 99, 2, 2])
-    idx = np.array([2100, 2345, 3456, 3000, 2999, 3999, 2222], np.uint64)
+def _pack_spans(tape, lo, hi):
+    """The table a (2,2) pass packs and emits for the halted spans [lo, hi]
+    of one tape row, each run by its own machine, and the table those
+    spans' cells give directly: each span credited as is to its machine
+    and reversed to the machine's mirror."""
+    idx = 2100 + 97 * np.arange(lo.size)
     digits = _digits(idx, 2)
     images = ((False, False), (True, False))
     pass_ = space._Pass(SpaceSpec(2), digits, space._weights(digits, 2), 0, images)
-    table = pass_.table
-    pass_.tape = tape.reshape(1, -1)  # one tape row that holds every span
-    pass_.pending.append((lo, hi, np.full(7, 3, np.uint16), np.arange(7)))
+    pass_.tape = tape.reshape(1, -1)
+    pass_.pending.append((lo, hi, np.full(lo.size, 3, np.uint16), np.arange(lo.size)))
     pass_.pack()
     pass_.emit()
-    expected, first = {}, {}
-    for index, a, b in zip(idx.tolist(), lo, hi):
-        s = "".join(map(str, tape[a:b + 1]))
+    assert pass_.table.census.halted == 2 * lo.size
+    expected = empty_table(SpaceSpec(2))
+    for index, a, b in zip(idx.tolist(), lo.tolist(), hi.tolist()):
+        s = "".join(map(str, tape[a:b + 1].tolist()))
         mirror = encode_machine(transform(decode_machine(index, 2), REFLECT_DIRECTIONS))
-        for string, producer in ((s, index), (s[::-1], mirror)):
-            expected[string] = expected.get(string, 0) + 1
-            first[string] = min(first.get(string, producer), producer)
-    assert table.counts == expected
-    assert table.first_producer == first
-    assert table.census.halted == 14
-    assert {len(s) for s in table.counts} == {1, 3, 64, 65, 100}
-    assert set(table.min_used_rules.values()) == {2}  # bit count of the used mask 3
+        expected.add(s, 1, 2, index)  # 2: the bit count of the used mask 3
+        expected.add(s[::-1], 1, 2, mirror)
+    return pass_.table, expected
+
+
+def test_halted_outputs_pack_narrow_and_wide_spans():
+    # pack reads each span as whole bytes of cells, as many as its longest
+    # span needs, from the span's first cell or, where they would run past
+    # the end of the flat tape, from a start clipped back into it, and
+    # shifts them up to the span's first cell
+    tape = np.random.default_rng(59).integers(0, 2, 400).astype(np.uint8)
+    cases = [
+        # spans of 1 to 64 cells, read in place
+        ([0, 10, 100, 12, 200], [0, 12, 163, 14, 216]),
+        # 64-cell reads: spans that end on the tape's last cell, 399, one
+        # from the clipped start 336 itself and one from 390, shifted up
+        ([0, 100, 390, 336], [0, 163, 399, 399]),
+        # 16-cell reads from the clipped start 384, and one in place
+        ([390, 395, 399, 3], [399, 397, 399, 5]),
+    ]
+    for lo, hi in cases:
+        table, expected = _pack_spans(tape, np.array(lo, np.intp), np.array(hi, np.intp))
+        assert len(table.counts) > len(lo)
+        assert table.counts == expected.counts
+        assert table.first_producer == expected.first_producer
+        assert table.min_used_rules == expected.min_used_rules
+    # a tape shorter than 8 cells is read whole, from its first cell
+    short = np.array([1, 0, 1, 1, 0], np.uint8)
+    lo, hi = np.array([0, 1, 3, 4], np.intp), np.array([4, 2, 4, 4], np.intp)
+    table, expected = _pack_spans(short, lo, hi)
+    assert table.counts == expected.counts == {"10110": 1, "01101": 1, "01": 2, "10": 2, "0": 2}
+    assert table.first_producer == expected.first_producer
+    # a span longer than one 64-bit word raises instead of being packed wrong
+    with pytest.raises(ValidationError, match="65 cells"):
+        _pack_spans(tape, np.array([0, 300], np.intp), np.array([2, 364], np.intp))
 
 
 def test_credited_rows_carry_the_weights_of_their_digits(monkeypatch, d3_both_freq):
@@ -1196,15 +1231,15 @@ def test_family_children_follow_the_formula_per_parent_and_code(n, mode):
 
 
 def test_escape_closure_checks_the_whole_walk():
-    # Blank walk 1->2->3->4->5->6 all pushing right, but state 6 turns left:
+    # Blank walk 1->2->3->4 all pushing right, but state 4 turns left:
     # not a runway, and a shallow fixed point would wrongly prove escape.
     entries = []
-    for s in range(1, 6):
+    for s in range(1, 4):
         entries.extend([Step(1, "R", s + 1), Step(1, "R", s + 1)])
     entries.extend([Step(0, "L", 1), HaltWrite(1)])
-    machine = RuleTable(6, tuple(entries))
+    machine = RuleTable(4, tuple(entries))
     assert escape_closure(machine, 0)[0] == [False, False]
-    spec = SpaceSpec(6, max_steps=60)
+    spec = SpaceSpec(4, max_steps=60)
     idx = np.array([encode_machine(machine)], np.uint64)
     scalar = run_index_array(spec, idx, engine="scalar")
     vector = run_index_array(spec, idx, engine="vector")
@@ -1266,14 +1301,13 @@ def test_undecided_escapes_expand_their_walk_entry_by_entry(monkeypatch):
 
 
 def test_engines_agree_in_deeper_spaces():
-    # Larger state counts exercise the full escape-closure depth.
+    # (4,2), the largest space, exercises the full escape-closure depth.
     rng = random.Random(43)
-    for n, max_steps, draws in ((4, 50, 500), (5, 60, 300), (6, 60, 200)):
-        spec = SpaceSpec(n, max_steps=max_steps)
-        indices = np.array(sorted(rng.sample(range(space_size(n)), draws)), np.uint64)
-        scalar = run_index_array(spec, indices, engine="scalar")
-        vector = run_index_array(spec, indices, engine="vector")
-        assert scalar.canonical_bytes() == vector.canonical_bytes()
+    spec = SpaceSpec(4, max_steps=50)
+    indices = np.array(sorted(rng.sample(range(space_size(4)), 500)), np.uint64)
+    scalar = run_index_array(spec, indices, engine="scalar")
+    vector = run_index_array(spec, indices, engine="vector")
+    assert scalar.canonical_bytes() == vector.canonical_bytes()
 
 
 def test_census_partitions_run_count(d2_zero_freq):
@@ -1403,9 +1437,8 @@ def test_family_groups_tile_the_representatives(monkeypatch):
 def test_family_groups_are_one_pass_below_the_pool_threshold():
     # below _POOL_MIN_SIZE machines the plan is one pass of every subtree
     # row, and at or above it one pass per row, in order: (1,2) 2 rows,
-    # (2,2) 22 and (3,2) 30 in one pass; (4,2) 38, (5,2) 46 and (6,2) 54
-    # passes of one row each
-    expected = {1: [2], 2: [22], 3: [30], 4: [1] * 38, 5: [1] * 46, 6: [1] * 54}
+    # (2,2) 22 and (3,2) 30 in one pass; (4,2) 38 passes of one row each
+    expected = {1: [2], 2: [22], 3: [30], 4: [1] * 38}
     for n, lengths in expected.items():
         groups = space._family_groups(n)
         rows = space._subtree_rows(n)
