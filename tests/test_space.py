@@ -825,7 +825,7 @@ def test_the_largest_four_state_pass_holds_a_bounded_number_of_live_rows(monkeyp
     assert peak[0] <= 106_071
 
 
-def test_member_producers_are_exact_at_the_top_of_the_largest_spaces():
+def test_member_producers_are_exact_at_the_top_of_the_four_state_space():
     # A producer's index is read back from its codes in int64 (_image_indices).
     # Indices near (4n + 2)^(2n), 18^8 > 2^33 at n = 4, catch an overflow or
     # a wrong radix: the last 300 of the space, all first-step halts, and the
