@@ -62,12 +62,12 @@ machines and, for a step code, 1/4n of its no-halt machines (none for a
 halt code); a child whose machines all lack a halting entry has neither
 an unread nor a halting entry, a machine without a halting rule, and is
 counted at once. A row that stops is credited by its pass (_Pass). An
-escape test that depends on an unread blank-read entry expands that
-entry; the children of both kinds that a step makes are born, judged
-and settled in one round (_Pass.settle). On (3,2) this steps 36,685 rows
-in all (summed over the steps; tests assert it) for its 2,151,296 =
-4 * 14^5 representatives, which with their namings stand for the
-3,226,944 = 6 * 14^5 machines of all six right-moving top digits.
+escape test that depends on unread blank-read entries expands the first
+of them on its walk; the children of both kinds that a step makes are
+born, judged and settled in one round (_Pass.settle). On (3,2) this
+steps 36,685 rows in all (summed over the steps; tests assert it) for its
+2,151,296 = 4 * 14^5 representatives, which with their namings stand for
+the 3,226,944 = 6 * 14^5 machines of all six right-moving top digits.
 run_index_array runs arbitrary index sets, every machine on every blank,
 by the same rule with a batch's machines in place of a row's. A batch
 of _BATCH = 2^20 indices is decoded 2^16 at a time (_DECODE_CHUNK), so
@@ -117,7 +117,11 @@ only on the walk classes of the blank-read entries: a step's move and
 next state, since on blank runway its written symbol cannot matter, one
 class for both halts and one for the marker. It runs once per space and
 blank, on every tuple of classes, into a table built on first use
-(_escape_table), and a row's escape word is one gather by its tuple.
+(_escape_table), and a row's escape word is one gather by its tuple. The
+word also names, for each state, the first unread blank-read entry on the
+walk from it, so a row whose escape is undecided finds the entry it
+expands with one shift and mask by its state (_Pass.walk_slot), and no
+walk runs per row.
 Indices decode from per-space tables, one gather per chunk of digits. The
 tape starts narrow and widens as the step count grows; each copy keeps
 only live rows, and halted rows are packed into (length, value) pairs,
@@ -152,8 +156,9 @@ BLANK_BOTH = "both"
 BLANK_MODES = (BLANK_ZERO, BLANK_BOTH)
 
 # The one range of n, checked by space_size. Indices stay below 18^8 < 2^34,
-# and the escape table of a space (_escape_table) holds (2n + 2)^n words,
-# 10^4 at n = 4.
+# the escape table of a space (_escape_table) holds (2n + 2)^n words, 10^4
+# at n = 4, and a word's flags leave bits 16 .. 31 free for its n walk-slot
+# fields (_ESC).
 _MAX_STATES = 4
 # Entries of the largest digit table that _decode gathers from.
 _TABLE_SIZE = 1 << 17
@@ -544,8 +549,14 @@ def _image_string(s: str, reverse: bool, complement: bool) -> str:
     return s.translate(_COMPLEMENT) if complement else s
 
 
-# An escape word holds, for each step code o, bit o (landing on fresh tape
-# with o proves escape) and bit 32 + o (that depends on an unread entry).
+# An escape word (_escape_table) holds, for each step code o < 4n, bit o
+# (landing on fresh tape with o proves escape) and bit 32 + o (that depends
+# on an unread entry); judge reads both with _ESC. Bits 16 + 4(s - 1) ..
+# 19 + 4(s - 1) hold the slot of the first unread blank-read entry on the
+# walk from state s, 0 where it meets none; only walk_slot reads them. The
+# flags use bits 0 .. 4n - 1 and 32 .. 32 + 4n - 1, and 4n <= 16, so the
+# fields never meet them, and only step codes are tested against flags: halt
+# and marker rows stop by their code.
 _ESC = 1 | 1 << 32
 
 # The cycle check (_Pass.looped): snapshots at steps 8, 16, 32, ..., each
@@ -568,55 +579,48 @@ def _walk_classes(n: int) -> np.ndarray:
     return classes
 
 
-def _escape_bits(ords: np.ndarray, n: int, blank: int) -> np.ndarray:
-    """The escape word of each row of action codes (see _ESC).
-
-    The blank-runway closure depends only on the walk classes of the n
-    blank-read entries (_walk_classes), and runs here on every row given.
-    It runs once per space and blank, on one row per tuple of classes, to
-    build _escape_table, which passes read through _escape_words. A walk
-    that meets an unread entry before it fails is undecided; fully decoded
-    rows have no undecided bits.
-    """
-    b_cls = _walk_classes(n).take(ords[:, blank::2])
-    b_step = b_cls < 2 * n
-    unread = b_cls == 2 * n + 1
-    b_move = b_cls // n
-    # for each entry, the flat index of its next state's entry in the same key row
-    b_next = (b_cls % n + np.arange(b_cls.shape[0])[:, None] * n).ravel()
-    bits = np.zeros(b_cls.shape[0], np.int64)
-    for d in (0, 1):
-        step_d = b_step & (b_move == d)
-        sure, maybe = step_d, step_d | unread
-        # pass k checks a walk of k + 1 states; a walk has at most n
-        # distinct states, so n - 1 passes make the flags exact
-        for _ in range(n - 1):
-            sure = step_d & sure.ravel()[b_next].reshape(-1, n)
-            maybe = unread | (step_d & maybe.ravel()[b_next].reshape(-1, n))
-        # bit s of a word is the flag of state s + 1; the step codes moving in
-        # direction d to that state are d * n + s and 2n + d * n + s
-        for flags, shift in ((sure, d * n), (maybe & ~sure, 32 + d * n)):
-            word = np.packbits(flags, axis=1, bitorder="little")[:, 0].astype(np.int64)
-            bits |= (word << shift) | (word << (shift + 2 * n))
-    return bits
-
-
 @functools.cache
 def _escape_table(n: int, blank: int):
-    """_escape_bits of every key on blank, read-only and indexed by key
-    (classes in base 2n + 2, the first blank-read entry's most significant):
-    (2n + 2)^n words, 10^4 at n = 4.
+    """The escape word (_ESC) of every key on blank, read-only and indexed
+    by key: the walk classes (_walk_classes) of the n blank-read entries in
+    base 2n + 2, the first's most significant. (2n + 2)^n words, 10^4 at
+    n = 4, built on first use; passes read them through _escape_words.
 
-    It is built on first use, from one row per key whose blank-read
-    entries hold the first code of each of its walk classes.
+    The blank-runway closure runs here once, on every tuple of classes. A
+    walk from a state follows the steps of the blank-read entries; it
+    escapes in direction d when every step moves that way, and is
+    undecided when it meets an unread entry before it fails, whose slot is
+    the state's walk-slot field. Pass k follows a walk of k + 1 states,
+    and a walk has at most n distinct states, so n - 1 passes make the
+    flags and the fields exact. A fully decoded row has no undecided bit
+    and only 0 fields.
     """
     base = 2 * n + 2
-    codes = np.unique(_walk_classes(n), return_index=True)[1].astype(np.uint8)
-    keys = np.arange(base ** n)
-    ords = np.full((keys.size, 2 * n), 4 * n + 2, np.uint8)
-    for j in range(n):
-        ords[:, 2 * j + blank] = codes[keys // base ** (n - 1 - j) % base]
-    table = _escape_bits(ords, n, blank)
+    cls = np.arange(base ** n)[:, None] // base ** np.arange(n - 1, -1, -1) % base
+    step, unread = cls < 2 * n, cls == 2 * n + 1
+    state = np.arange(n)
+    # for each entry, the flat index of its next state's entry in the same key
+    after = (cls % n + np.arange(cls.shape[0])[:, None] * n).ravel()
+
+    def follow(a):  # a's value at each entry's next state
+        return a.ravel()[after].reshape(-1, n)
+
+    table = np.zeros(cls.shape[0], np.int64)
+    for d in (0, 1):
+        step_d = step & (cls // n == d)
+        sure, maybe = step_d, step_d | unread
+        for _ in range(n - 1):
+            sure = step_d & follow(sure)
+            maybe = unread | (step_d & follow(maybe))
+        # bit s of a flag word is state s + 1's; the step codes moving in
+        # direction d to that state are d * n + s and 2n + d * n + s
+        for flags, shift in ((sure, d * n), (maybe & ~sure, 32 + d * n)):
+            word = (flags << state).sum(axis=1)
+            table |= (word << shift) | (word << (shift + 2 * n))
+    slot = np.where(unread, 2 * state + blank, 0)
+    for _ in range(n - 1):
+        slot = np.where(step, follow(slot), slot)
+    table |= (slot << 16 + 4 * state).sum(axis=1)
     table.flags.writeable = False
     return table
 
@@ -1020,10 +1024,11 @@ class _Pass:
         entry, whose children take the step from the slot it read (advance),
         and a row that landed on fresh tape where escape depends on unread
         entries, whose children expand the first unread blank-read entry of
-        its walk (walk_slot) and keep its code and its landing. One judge and
-        one settle take all the children; a child still undecided expands
-        the next entry of its walk a round later, so a decision takes at
-        most n rounds. Returns the rows that go on.
+        its walk, which its escape word names (walk_slot), and keep its code
+        and its landing. One judge and one settle take all the children; a
+        child still undecided expands the next entry of its walk, which its
+        new escape word names, a round later, so a decision takes at most n
+        rounds. Returns the rows that go on.
         """
         idx = stop.nonzero()[0]
         if not idx.size:
@@ -1063,17 +1068,10 @@ class _Pass:
 
     def walk_slot(self, live, rows):
         """The first unread blank-read entry on the walk of each of live's
-        rows from its state."""
-        n, ords = self.n, self.ords.reshape(-1)
-        cur, base = live[_ST2].take(rows) // 2, live[_ORD].take(rows)
-        found = np.full(cur.size, -1, np.intp)
-        for _ in range(n):
-            slot = 2 * cur + self.blank
-            code = ords.take(base + slot)
-            hit = (found < 0) & (code == 4 * n + 2)
-            found[hit] = slot[hit]
-            cur = np.where(found < 0, code % n, cur)
-        return found
+        rows from its state: the field of its escape word for that state
+        (_ESC), which spawn keeps current, as it redoes the word whenever a
+        blank-read entry changes."""
+        return (live[_ESCW].take(rows) >> 16 + 2 * live[_ST2].take(rows)) & 15
 
     def spawn(self, live, parents, slots):
         """The children of parent rows, alike but for its slot, which takes each code.

@@ -1,4 +1,4 @@
-"""The code, tests, tool, CI file and README quote no measured time or memory.
+"""The code, tests, tools, CI file and README quote no measured time or memory.
 
 A wall time, RSS or tracemalloc figure goes stale with the next change to the
 engine or the machine it ran on, and nothing reruns it. Measurements live in
@@ -14,7 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # The tests too, but for this file, whose pattern test quotes figures on purpose.
 SCANNED = sorted(
-    [*(ROOT / "src" / "ctm_lab").glob("*.py"), ROOT / "tools" / "regen_data.py",
+    [*(ROOT / "src" / "ctm_lab").glob("*.py"), *(ROOT / "tools").glob("*.py"),
      ROOT / ".github" / "workflows" / "tier1.yml", ROOT / "README.md",
      *(path for path in (ROOT / "tests").glob("*.py") if path.name != pathlib.Path(__file__).name)]
 )

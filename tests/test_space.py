@@ -420,10 +420,12 @@ def _expected_escape_bits(machine, blank):
 
 
 def test_escape_bits_match_the_escape_closure_on_two_states():
+    # whole words: a decoded row's walk meets no unread entry, so its
+    # walk-slot fields (bits 16 .. 31) are 0 and the rest are its flags
     n = 2
     ords = _digits(np.arange(space_size(n)), n)
     for blank in (0, 1):
-        bits = space._escape_bits(ords, n, blank)
+        bits = space._escape_words(ords, n, blank)
         for i in range(space_size(n)):
             assert int(bits[i]) == _expected_escape_bits(decode_machine(i, n), blank)
     # every distinct (3,2) blank-read key on both blanks, the other entries halting
@@ -432,7 +434,7 @@ def test_escape_bits_match_the_escape_closure_on_two_states():
     for blank in (0, 1):
         ords = np.full((keys.shape[0], 2 * n), 4 * n, np.uint8)
         ords[:, blank::2] = keys
-        bits = space._escape_bits(ords, n, blank)
+        bits = space._escape_words(ords, n, blank)
         for row, codes in enumerate(ords.tolist()):
             index = sum(o * 14 ** (2 * n - 1 - j) for j, o in enumerate(codes))
             assert int(bits[row]) == _expected_escape_bits(decode_machine(index, n), blank)
@@ -442,9 +444,57 @@ def test_escape_bits_match_the_escape_closure_on_two_states():
     indices = sorted(rng.sample(range(space_size(n)), 1500))
     ords = _digits(indices, n)
     for blank in (0, 1):
-        bits = space._escape_bits(ords, n, blank)
+        bits = space._escape_words(ords, n, blank)
         for row, index in enumerate(indices):
             assert int(bits[row]) == _expected_escape_bits(decode_machine(index, n), blank)
+
+
+def _scalar_walk_slot(codes, n, blank, state):
+    """The first unread blank-read slot on the walk of a row of action codes
+    from state, or 0 where the walk halts or cycles first: one entry at a
+    time, as a run on blank runway reads them."""
+    for _ in range(n):
+        slot = 2 * (state - 1) + blank
+        if codes[slot] == 4 * n + 2:
+            return slot
+        if codes[slot] >= 4 * n:
+            return 0
+        state = codes[slot] % n + 1
+    return 0
+
+
+def _unread_subsets(rows, n, blank):
+    """Each row of action codes once per set of its blank-read entries that
+    the unread marker replaces."""
+    masks = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    ords = np.repeat(rows, masks.shape[0], axis=0)
+    ords[:, blank::2][np.tile(masks, (rows.shape[0], 1)) == 1] = 4 * n + 2
+    return ords
+
+
+def test_walk_slots_match_a_scalar_walk():
+    # walk_slot reads the field of a row's escape word for the row's state.
+    # Rows: every (2,2) machine and the 1,500 seeded (4,2) rows of the
+    # closure test above, each with every set of its blank-read entries
+    # unread, and every (3,2) key of blank-read codes and the marker, the
+    # other entries unread (they never make a field)
+    two = _digits(np.arange(space_size(2)), 2)
+    four = _digits(sorted(random.Random(67).sample(range(space_size(4)), 1500)), 4)
+    named = 0
+    for blank in (0, 1):
+        three = np.full((15 ** 3, 6), 14, np.uint8)
+        three[:, blank::2] = np.arange(15 ** 3)[:, None] // 15 ** np.arange(2, -1, -1) % 15
+        for n, ords in ((2, _unread_subsets(two, 2, blank)), (3, three),
+                        (4, _unread_subsets(four, 4, blank))):
+            pass_ = space._Pass(SpaceSpec(n), ords, np.zeros((ords.shape[0], 2), np.int64),
+                                blank, ((False, False),))
+            codes = ords.tolist()
+            for state in range(1, n + 1):
+                pass_.live[space._ST2] = 2 * (state - 1)
+                got = pass_.walk_slot(pass_.live, np.arange(ords.shape[0]))
+                assert got.tolist() == [_scalar_walk_slot(c, n, blank, state) for c in codes]
+                named += np.count_nonzero(got)
+    assert named > 0
 
 
 def _codes(machine):
@@ -639,8 +689,8 @@ def test_lookup_tables_are_read_only():
         digits = space._digit_table(n, width).view(np.uint8).reshape(-1, width)
         assert steps.dtype == bool and steps.tolist() == (digits < 4 * n).all(axis=1).tolist()
         tables.append(steps)
-    # the escape table holds _escape_bits of every key, whatever codes of
-    # their walk classes the blank-read entries and the others hold
+    # a row reads the word of its key from the escape table, whatever codes
+    # of their walk classes the blank-read entries and the others hold
     rng = np.random.default_rng(83)
     for n in range(1, 5):
         base, classes = 2 * n + 2, space._walk_classes(n)
@@ -654,7 +704,6 @@ def test_lookup_tables_are_read_only():
             for j in range(n):
                 digit = keys // base ** (n - 1 - j) % base
                 ords[:, 2 * j + blank] = codes[digit, rng.integers(0, 2, keys.size)]
-            assert table.tolist() == space._escape_bits(ords, n, blank).tolist()
             assert space._escape_words(ords, n, blank).tolist() == table.tolist()
             tables.append(table)
     for table in tables:
@@ -744,8 +793,9 @@ def test_escape_words_of_families_agree_with_their_members():
         for n, rows in ((2, _family_samples(2, 300, 73 + blank)), (4, deep)):
             for row in rows:
                 word = int(space._escape_words(row[None, :], n, blank)[0])
-                members = space._escape_bits(_completions(row, n), n, blank)
-                assert not (members >> 32).any()
+                members = space._escape_words(_completions(row, n), n, blank)
+                # decoded rows: no undecided bit and no walk-slot field
+                assert not (members >> 16).any()
                 for o in range(4 * n):
                     share = ((members >> o) & 1).mean()
                     assert (word >> o) & 1 == (share == 1)
